@@ -8,16 +8,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .exceptions import BgshiftError
-from .harness import (
-    build_corpora,
-    compare_report,
-    load_experiment_config,
-    run_experiment,
-)
+from .harness import RunInputs, compare_report, load_experiment_config, run_experiment
 from .losses import method_preset
 from .protocol import select_method_weight, split_train_val
-from .scenario import SyntheticConfig, build_schedule, generate_synthetic, save_dataset, split_corpus
-from .trainer import run_step
+from .scenario import SyntheticConfig, generate_synthetic, save_dataset
+from .trainer import first_step
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,19 +88,17 @@ def _dispatch(args, overrides: list[str]) -> int:
 
     if args.command == "select":
         config = load_experiment_config(args.config, overrides)
-        schedule = build_schedule(
-            config.dataset.num_fg_classes,
-            config.schedule_sizes,
-            config.class_order,
-            config.order_seed,
-        )
-        if schedule.num_steps < 2:
+        inputs = RunInputs.build(config)
+        if inputs.schedule.num_steps < 2:
             print("error: weight selection needs an incremental schedule", file=sys.stderr)
             return 1
-        corpus, _ = build_corpora(config.dataset)
-        steps, _ = split_corpus(corpus, schedule, config.protocol)
-        base = run_step(None, steps[0], replace(config.train, method=method_preset("FT")))
-        train, val = split_train_val(steps[1], seed=config.train.seed)
+        base = first_step(
+            inputs.split,
+            inputs.eval_corpus,
+            inputs.schedule,
+            replace(config.train, method=method_preset("FT")),
+        ).result
+        train, val = split_train_val(inputs.split[0][1], seed=config.train.seed)
         result = select_method_weight(
             train,
             val,

@@ -105,13 +105,3 @@ def miou_groups(iou: IoUResult, schedule: LabelSchedule, step_t: int) -> MiouRep
         per_class,
     )
 
-
-def evaluate_predictions(
-    pairs: list[tuple[np.ndarray, np.ndarray]],
-    num_classes: int,
-) -> ConfusionMatrix:
-    """Accumulate (pred, gt) mask pairs into one confusion matrix."""
-    cm = ConfusionMatrix(num_classes)
-    for pred, gt in pairs:
-        cm.accumulate(pred, gt)
-    return cm

@@ -1,10 +1,13 @@
 """Experiment orchestration: methods x seeds x steps, reports and comparison.
 
-A run is a grid of independent cells (method, seed). Each cell executes the
-full incremental pipeline and yields per-step metrics; the report aggregates
-seed means/stddevs per method. Cells may run in parallel worker processes
-(BGSHIFT_WORKERS, default 1); results are keyed, so the report is identical
-either way.
+A run is a grid of cells (method, seed). The corpus and its split are built
+once per run. Step 0 does not depend on the method, so it is trained and
+evaluated once per seed; every incremental cell then continues from its
+seed's step 0 and yields per-step metrics. A Joint cell trains its own single
+step. The report aggregates seed means/stddevs per method. Step 0 and the
+cells may run in worker processes (BGSHIFT_WORKERS, default 1), in two
+phases; results are keyed, so the report is identical either way. A failure,
+including a worker that dies, fails the cells it touches and no others.
 """
 from __future__ import annotations
 
@@ -13,24 +16,28 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import ComparisonError, ConfigError
-from .losses import method_preset
+from .losses import MethodConfig, method_preset
 from .model import BackboneConfig, save_checkpoint
 from .scenario import (
     LabelSchedule,
     Sample,
+    SplitReport,
+    StepDataset,
     SyntheticConfig,
     build_schedule,
     generate_synthetic,
     load_dataset,
+    split_corpus,
 )
-from .trainer import TrainConfig, joint_config, run_incremental
+from .trainer import TrainConfig, first_step, joint_config, run_incremental
 
 TIE_BAND = 0.5  # mIoU points
 
@@ -96,27 +103,96 @@ def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
     raise ConfigError(f"unknown dataset kind {spec.kind!r}")
 
 
-def _cell_spec(config: ExperimentConfig, method: str, seed: int) -> dict:
-    return {"config": config_to_dict(config), "method": method, "seed": seed}
+@dataclass
+class RunInputs:
+    """What every cell of a run reads; built once per run."""
+
+    schedule: LabelSchedule
+    corpus: list[Sample]
+    eval_corpus: list[Sample]
+    split: tuple[list[StepDataset], SplitReport]
+
+    @classmethod
+    def build(cls, config: ExperimentConfig) -> "RunInputs":
+        schedule = build_schedule(
+            config.dataset.num_fg_classes, config.schedule_sizes, config.class_order, config.order_seed
+        )
+        corpus, eval_corpus = build_corpora(config.dataset)
+        return cls(schedule, corpus, eval_corpus, split_corpus(corpus, schedule, config.protocol))
+
+
+def _is_joint(method: str) -> bool:
+    return method.upper() == "JOINT"
+
+
+def _step0_spec(config: ExperimentConfig, inputs: RunInputs, seed: int) -> dict:
+    # step 0 runs under the first incremental method's name; its training
+    # does not depend on the method (see trainer.first_step)
+    method = next(m for m in config.methods if not _is_joint(m))
+    cfg = replace(config.train, seed=seed, method=method_preset(method))
+    return {"train": cfg, "inputs": inputs}
+
+
+def _run_step0(spec: dict) -> dict:
+    """Train and evaluate one seed's shared step 0; records the time it took."""
+    inputs = spec["inputs"]
+    started = time.perf_counter()
+    try:
+        first = first_step(inputs.split, inputs.eval_corpus, inputs.schedule, spec["train"])
+    except Exception as e:  # fails this seed's cells only
+        return {"error": _error_text(e)}
+    return {"first": first, "seconds": time.perf_counter() - started}
+
+
+def _cell_spec(
+    config: ExperimentConfig,
+    method: str,
+    seed: int,
+    inputs: RunInputs | None = None,
+    step0: dict | None = None,
+) -> dict:
+    """One cell's work. ``inputs`` and ``step0`` (a ``_run_step0`` record) are
+    what the run shares; a cell without them builds and trains its own."""
+    return {
+        "config": config_to_dict(config),
+        "method": method,
+        "seed": seed,
+        "inputs": inputs,
+        "step0": step0,
+    }
 
 
 def run_cell(spec: dict) -> dict:
-    """Execute one (method, seed) cell; returns a plain serializable record."""
+    """Execute one (method, seed) cell; returns a plain serializable record.
+
+    ``seconds`` counts the cell's own steps plus the time of the shared step 0
+    it reused, so it stays comparable with a cell that trains step 0 itself.
+    """
     config = config_from_dict(spec["config"])
     method_name, seed = spec["method"], spec["seed"]
-    schedule = build_schedule(
-        config.dataset.num_fg_classes, config.schedule_sizes, config.class_order, config.order_seed
-    )
-    corpus, eval_corpus = build_corpora(config.dataset)
+    inputs = spec["inputs"] or RunInputs.build(config)
+    step0 = spec["step0"] or {"first": None, "seconds": 0.0}
     cfg = replace(config.train, seed=seed, method=method_preset(method_name))
     started = time.perf_counter()
-    if method_name.upper() == "JOINT":
+    if _is_joint(method_name):
         run = run_incremental(
-            corpus, eval_corpus, schedule.joint(), config.protocol, joint_config(cfg), schedule
+            inputs.corpus,
+            inputs.eval_corpus,
+            inputs.schedule.joint(),
+            config.protocol,
+            joint_config(cfg),
+            inputs.schedule,
         )
     else:
-        run = run_incremental(corpus, eval_corpus, schedule, config.protocol, cfg)
-    elapsed = time.perf_counter() - started
+        run = run_incremental(
+            inputs.corpus,
+            inputs.eval_corpus,
+            inputs.schedule,
+            config.protocol,
+            cfg,
+            first=step0["first"],
+        )
+    elapsed = time.perf_counter() - started + step0["seconds"]
     record = {
         "method": method_name,
         "seed": seed,
@@ -142,31 +218,87 @@ def run_cell(spec: dict) -> dict:
     return record
 
 
+def _error_text(e: BaseException) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def _failed_record(method: str, seed: int, error: str) -> dict:
+    return {"method": method, "seed": seed, "status": "failed", "error": error, "steps": []}
+
+
 def _safe_run_cell(spec: dict) -> dict:
     try:
         return run_cell(spec)
     except Exception as e:  # keep other cells running
-        return {
-            "method": spec["method"],
-            "seed": spec["seed"],
-            "status": "failed",
-            "error": f"{type(e).__name__}: {e}",
-            "steps": [],
-        }
+        return _failed_record(spec["method"], spec["seed"], _error_text(e))
+
+
+def _worker_count() -> int:
+    text = os.environ.get("BGSHIFT_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"BGSHIFT_WORKERS must be an integer >= 1, got {text!r}")
+    return workers
+
+
+def _submit(pool: ProcessPoolExecutor, fn, spec: dict) -> Future:
+    try:
+        return pool.submit(fn, spec)
+    except BrokenProcessPool as e:  # a worker died on an earlier item
+        failed = Future()
+        failed.set_exception(e)
+        return failed
+
+
+def _map(pool: ProcessPoolExecutor | None, fn, specs: list[dict]) -> list:
+    """``fn`` over ``specs``, in ``pool`` if there is one. An item whose
+    worker did not return a result (a worker died and broke the pool) yields
+    the exception instead."""
+    if pool is None:
+        return [fn(spec) for spec in specs]
+    futures = [_submit(pool, fn, spec) for spec in specs]
+    return [f.exception() or f.result() for f in futures]
+
+
+def _run_grid(config: ExperimentConfig, pool: ProcessPoolExecutor | None) -> dict:
+    """Records keyed by (method, seed): step 0 per seed, then every cell."""
+    keys = [(m, s) for m in config.methods for s in config.seeds]
+    try:
+        inputs = RunInputs.build(config)
+    except Exception as e:  # nothing can run without the corpus
+        return {(m, s): _failed_record(m, s, _error_text(e)) for m, s in keys}
+
+    step0 = {}
+    if not all(_is_joint(m) for m in config.methods):
+        specs = [_step0_spec(config, inputs, s) for s in config.seeds]
+        for seed, rec in zip(config.seeds, _map(pool, _run_step0, specs)):
+            step0[seed] = {"error": _error_text(rec)} if isinstance(rec, Exception) else rec
+
+    records, todo = {}, []
+    for m, s in keys:
+        shared = None if _is_joint(m) else step0[s]
+        if shared is not None and "error" in shared:
+            records[(m, s)] = _failed_record(m, s, f"step 0 failed: {shared['error']}")
+        else:
+            todo.append(_cell_spec(config, m, s, inputs, shared))
+    for spec, rec in zip(todo, _map(pool, _safe_run_cell, todo)):
+        if isinstance(rec, Exception):
+            rec = _failed_record(spec["method"], spec["seed"], _error_text(rec))
+        records[(spec["method"], spec["seed"])] = rec
+    return records
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all cells, aggregate, and (optionally) write report files."""
-    cells = [_cell_spec(config, m, s) for m in config.methods for s in config.seeds]
-    workers = int(os.environ.get("BGSHIFT_WORKERS", "1"))
-    records: dict[tuple[str, int], dict] = {}
+    workers = _worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for spec, rec in zip(cells, pool.map(_safe_run_cell, cells)):
-                records[(spec["method"], spec["seed"])] = rec
+            records = _run_grid(config, pool)
     else:
-        for spec in cells:
-            records[(spec["method"], spec["seed"])] = _safe_run_cell(spec)
+        records = _run_grid(config, None)
 
     report = {
         "config": config_to_dict(config),
@@ -289,17 +421,30 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return d
 
 
+def _section(cls, d, prefix: str) -> dict:
+    """``d`` as keyword arguments for dataclass ``cls``; an unknown key
+    raises ConfigError naming its dotted path."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"config key {prefix.rstrip('.')!r} is a section, not a value")
+    names = {f.name for f in fields(cls)}
+    for key in d:
+        if key not in names:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+    return dict(d)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    dataset = DatasetSpec(**d.pop("dataset", {}))
-    train_d = dict(d.pop("train", {}))
+    d = _section(ExperimentConfig, d, "")
+    dataset = DatasetSpec(**_section(DatasetSpec, d.pop("dataset", {}), "dataset."))
+    train_d = _section(TrainConfig, d.pop("train", {}), "train.")
     method_d = train_d.pop("method", None)
     backbone_d = train_d.pop("backbone", None)
     train = TrainConfig(**train_d)
     if method_d:
+        method_d = _section(MethodConfig, method_d, "train.method.")
         train = replace(train, method=replace(train.method, **method_d))
     if backbone_d:
-        train = replace(train, backbone=BackboneConfig(**backbone_d))
+        train = replace(train, backbone=BackboneConfig(**_section(BackboneConfig, backbone_d, "train.backbone.")))
     return ExperimentConfig(dataset=dataset, train=train, **d)
 
 

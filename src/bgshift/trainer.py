@@ -5,7 +5,8 @@ the incoming classes), trains the method's composite objective with
 momentum-SGD under a polynomial learning-rate decay, keeps the previous model
 frozen as the distillation teacher, and maintains importance accumulators for
 the prior-focused baselines. All randomness is derived from (seed, step) so
-the first step is bit-identical across methods.
+the first step is bit-identical across methods: ``first_step`` trains it once
+and ``run_incremental`` can continue any method from it.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .evaluation import ConfusionMatrix, MiouReport, iou_per_class, miou_groups
 from .exceptions import ConfigError, DivergenceError
 from .losses import MethodConfig, composite_objective
 from .model import BackboneConfig, SegModel, argmax_mask, extend_classifier
-from .scenario import LabelSchedule, Sample, StepDataset, relabel, split_corpus
+from .scenario import LabelSchedule, Sample, SplitReport, StepDataset, relabel, split_corpus
 
 
 @dataclass
@@ -51,6 +52,9 @@ class StepResult:
     loss_trace: list[float]
     iterations: int
     reg_state: rg.ImportanceState | None = None
+    # path-integral accumulator of the training: always kept at step 0, so a
+    # shared step 0 can give PI/RW their importance afterwards
+    path_state: rg.ImportanceState | None = None
 
 
 def poly_lr(iteration: int, total_iters: int, base_lr: float, power: float) -> float:
@@ -144,7 +148,7 @@ def run_step(
 
     params = model.parameters()
     velocity: dict[str, np.ndarray] = {}
-    track_path = method.reg_kind in ("pi", "rw")
+    track_path = t == 0 or method.reg_kind in ("pi", "rw")
     path_state = rg.new_path_state(model) if track_path else None
 
     trace: list[float] = []
@@ -194,22 +198,36 @@ def run_step(
             iteration += 1
         trace.append(float(np.mean(epoch_losses)))
 
-    reg_out = reg_state
-    if method.reg_kind != "none":
-        step_importance = None
-        if method.reg_kind == "ewc":
-            step_importance = rg.fisher_diagonal(
-                model, dataset, method.fisher_samples, rngs["fisher"]
-            )
-        elif method.reg_kind == "pi":
-            step_importance = rg.finalize_path_importance(path_state, model, method.pi_damping)
-        elif method.reg_kind == "rw":
-            fisher = rg.fisher_diagonal(model, dataset, method.fisher_samples, rngs["fisher"])
-            path = rg.finalize_path_importance(path_state, model, method.pi_damping)
-            step_importance = rg.rw_importance(fisher, path)
-        reg_out = rg.merge_importance(reg_state, step_importance, model)
+    reg_out = update_importance(model, dataset, config, path_state, reg_state)
+    return StepResult(model, trace, iteration, reg_out, path_state)
 
-    return StepResult(model, trace, iteration, reg_out)
+
+def update_importance(
+    model: SegModel,
+    dataset: StepDataset,
+    config: TrainConfig,
+    path_state: rg.ImportanceState | None,
+    reg_state: rg.ImportanceState | None,
+) -> rg.ImportanceState | None:
+    """Merge the importance of the step just trained into ``reg_state``.
+
+    EWC takes the Fisher diagonal of ``model`` on ``dataset``, PI the path
+    integral of the training (``path_state``), RW both; methods without a
+    regularizer return ``reg_state`` unchanged.
+    """
+    method = config.method
+    if method.reg_kind == "none":
+        return reg_state
+    fisher_rng = _rng_children(config.seed, dataset.step)["fisher"]
+    if method.reg_kind == "ewc":
+        step_importance = rg.fisher_diagonal(model, dataset, method.fisher_samples, fisher_rng)
+    elif method.reg_kind == "pi":
+        step_importance = rg.finalize_path_importance(path_state, model, method.pi_damping)
+    else:  # rw
+        fisher = rg.fisher_diagonal(model, dataset, method.fisher_samples, fisher_rng)
+        path = rg.finalize_path_importance(path_state, model, method.pi_damping)
+        step_importance = rg.rw_importance(fisher, path)
+    return rg.merge_importance(reg_state, step_importance, model)
 
 
 def evaluate_model(
@@ -258,6 +276,37 @@ class IncrementalRun:
     split_report: object
 
 
+@dataclass
+class FirstStep:
+    """Step 0 trained and evaluated, with the split it was trained on."""
+
+    steps: list[StepDataset]
+    split_report: SplitReport
+    result: StepResult
+    metrics: MiouReport
+
+
+def first_step(
+    split: tuple[list[StepDataset], SplitReport],
+    eval_corpus: list[Sample],
+    schedule: LabelSchedule,
+    config: TrainConfig,
+    group_schedule: LabelSchedule | None = None,
+) -> FirstStep:
+    """Train and evaluate step 0 of ``split`` (the output of ``split_corpus``).
+
+    Step 0 is plain cross-entropy for every method (see
+    ``composite_objective``), so the result serves any method that uses this
+    seed and these settings. It is trained without the method's regularizer:
+    ``run_incremental`` computes the importance for the method it runs.
+    """
+    steps, split_report = split
+    plain = replace(config, method=replace(config.method, reg_kind="none"))
+    result = run_step(None, steps[0], plain)
+    metrics = evaluate_model(result.model, eval_corpus, schedule, 0, group_schedule)
+    return FirstStep(steps, split_report, result, metrics)
+
+
 def run_incremental(
     corpus: list[Sample],
     eval_corpus: list[Sample],
@@ -265,22 +314,30 @@ def run_incremental(
     protocol: str,
     config: TrainConfig,
     group_schedule: LabelSchedule | None = None,
+    first: FirstStep | None = None,
 ) -> IncrementalRun:
-    """Split the corpus, train steps sequentially, evaluate after each."""
-    steps, split_report = split_corpus(corpus, schedule, protocol)
-    results: list[StepResult] = []
-    metrics: list[MiouReport] = []
-    model_prev: SegModel | None = None
-    reg_state: rg.ImportanceState | None = None
-    for dataset in steps:
-        result = run_step(model_prev, dataset, config, reg_state)
+    """Split the corpus, train steps sequentially, evaluate after each.
+
+    ``first`` is a step 0 from ``first_step`` with the same seed and settings;
+    the run then continues from it instead of splitting ``corpus`` and
+    training step 0 again.
+    """
+    if first is None:
+        first = first_step(
+            split_corpus(corpus, schedule, protocol), eval_corpus, schedule, config, group_schedule
+        )
+    reg_state = update_importance(
+        first.result.model, first.steps[0], config, first.result.path_state, None
+    )
+    results = [replace(first.result, reg_state=reg_state)]
+    metrics = [first.metrics]
+    for dataset in first.steps[1:]:
+        result = run_step(results[-1].model, dataset, config, results[-1].reg_state)
         results.append(result)
         metrics.append(
             evaluate_model(result.model, eval_corpus, schedule, dataset.step, group_schedule)
         )
-        model_prev = result.model
-        reg_state = result.reg_state
-    return IncrementalRun(results, metrics, split_report)
+    return IncrementalRun(results, metrics, first.split_report)
 
 
 def joint_config(config: TrainConfig) -> TrainConfig:

@@ -1,11 +1,15 @@
 import copy
 import json
+import os
+from dataclasses import replace
 
 import pytest
 
 from bgshift import harness as hz
+from bgshift import trainer as tr
 from bgshift.cli import main as cli_main
 from bgshift.exceptions import ComparisonError, ConfigError
+from bgshift.losses import method_preset
 
 TINY_CFG = """
 # tiny experiment used by the harness tests
@@ -67,6 +71,26 @@ def test_config_validates_schedule_against_classes():
 def test_config_rejects_unknown_method():
     with pytest.raises(ConfigError):
         tiny_config(methods=["FT", "bogus"])
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("dataset.bogus = 1", "dataset.bogus"),
+        ("train.nope = 2", "train.nope"),
+        ("train.method.nope = 3", "train.method.nope"),
+        ("train.backbone.nope = 4", "train.backbone.nope"),
+        ("methds = FT", "methds"),
+        ("dataset = 3", "dataset"),
+    ],
+)
+def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG + line + "\n")
+    with pytest.raises(ConfigError, match=repr(key)):
+        hz.load_experiment_config(cfg_file)
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_dict_round_trip():
@@ -159,6 +183,144 @@ def test_failed_cell_is_recorded_not_fatal():
     rec = hz._safe_run_cell(spec)
     assert rec["status"] == "failed"
     assert "ConfigError" in rec["error"]
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-1", "1.5", ""])
+def test_bad_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("BGSHIFT_WORKERS", value)
+    with pytest.raises(ConfigError, match="BGSHIFT_WORKERS"):
+        hz.run_experiment(tiny_config())
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert "error: BGSHIFT_WORKERS" in capsys.readouterr().err
+
+
+def test_dead_worker_fails_cells_not_the_run(tmp_path, monkeypatch):
+    # the pool forks, so the patched run_cell is what its two workers run
+    real_run_cell = hz.run_cell
+
+    def dies_on_mib(spec):
+        if spec["method"] == "MiB":
+            os._exit(3)
+        return real_run_cell(spec)
+
+    monkeypatch.setattr(hz, "run_cell", dies_on_mib)
+    monkeypatch.setenv("BGSHIFT_WORKERS", "2")
+    cfg = tiny_config(out_dir=str(tmp_path))
+    report = hz.run_experiment(cfg)
+    assert not report["ok"]
+    assert [(c["method"], c["seed"]) for c in report["cells"]] == [("FT", 0), ("MiB", 0)]
+    mib = report["cells"][1]
+    assert mib["status"] == "failed" and "BrokenProcessPool" in mib["error"]
+    assert not json.loads((tmp_path / "report.json").read_text())["ok"]
+
+
+def test_dead_worker_in_step0_fails_cells_not_the_run(tmp_path, monkeypatch):
+    real_first_step = hz.first_step
+
+    def dies_on_seed1(split, eval_corpus, schedule, config, group_schedule=None):
+        if config.seed == 1:
+            os._exit(3)
+        return real_first_step(split, eval_corpus, schedule, config, group_schedule)
+
+    monkeypatch.setattr(hz, "first_step", dies_on_seed1)
+    monkeypatch.setenv("BGSHIFT_WORKERS", "2")
+    report = hz.run_experiment(tiny_config(seeds=[0, 1], out_dir=str(tmp_path)))
+    assert not report["ok"]
+    assert len(report["cells"]) == 4
+    seed1 = [c for c in report["cells"] if c["seed"] == 1]
+    assert all(c["status"] == "failed" and "BrokenProcessPool" in c["error"] for c in seed1)
+    assert (tmp_path / "report.json").exists()
+
+
+def test_failed_step0_fails_only_its_seed(monkeypatch):
+    real_first_step = hz.first_step
+
+    def fails_on_seed1(split, eval_corpus, schedule, config, group_schedule=None):
+        if config.seed == 1:
+            raise RuntimeError("induced step-0 failure")
+        return real_first_step(split, eval_corpus, schedule, config, group_schedule)
+
+    monkeypatch.setattr(hz, "first_step", fails_on_seed1)
+    report = hz.run_experiment(tiny_config(seeds=[0, 1], methods=["FT", "MiB", "Joint"]))
+    status = {(c["method"], c["seed"]): c["status"] for c in report["cells"]}
+    assert status == {
+        ("FT", 0): "ok",
+        ("MiB", 0): "ok",
+        ("Joint", 0): "ok",
+        ("FT", 1): "failed",
+        ("MiB", 1): "failed",
+        ("Joint", 1): "ok",  # trains its own single step
+    }
+    failed = [c for c in report["cells"] if c["status"] == "failed"]
+    assert all("induced step-0 failure" in c["error"] for c in failed)
+    assert not report["ok"]
+
+
+# -- shared step 0 ---------------------------------------------------------------
+
+SHARED_METHODS = ["FT", "MiB", "EWC", "PI", "RW"]
+
+
+@pytest.mark.parametrize("hflip", [False, True])
+def test_cells_equal_independent_runs(hflip):
+    cfg = tiny_config(methods=SHARED_METHODS)
+    cfg.train.hflip = hflip
+    report = hz.run_experiment(cfg)
+    assert report["ok"]
+    inputs = hz.RunInputs.build(cfg)
+    for cell in report["cells"]:
+        train = replace(cfg.train, seed=cell["seed"], method=method_preset(cell["method"]))
+        run = tr.run_incremental(
+            inputs.corpus, inputs.eval_corpus, inputs.schedule, cfg.protocol, train
+        )
+        assert cell["steps"] == [
+            {
+                "step": i,
+                "metrics": run.metrics[i].as_dict(),
+                "loss_trace": run.results[i].loss_trace,
+                "iterations": run.results[i].iterations,
+            }
+            for i in range(len(run.results))
+        ], cell["method"]
+        assert cell["background_shift"] == run.split_report.per_step
+        assert cell["excluded_images"] == run.split_report.excluded_ids
+
+
+def test_parallel_report_equals_serial(monkeypatch):
+    cfg = tiny_config(methods=SHARED_METHODS + ["Joint"], seeds=[0, 1])
+    serial = hz.run_experiment(cfg)
+    monkeypatch.setenv("BGSHIFT_WORKERS", "2")
+    parallel = hz.run_experiment(cfg)
+    for report in (serial, parallel):
+        assert report["ok"]
+        for cell in report["cells"]:
+            cell.pop("seconds")
+    assert parallel == serial
+
+
+def test_step0_and_corpus_built_once(monkeypatch):
+    counts = {"step0": 0, "later": 0, "generate": 0, "split": 0}
+    real_run_step, real_generate, real_split = tr.run_step, hz.generate_synthetic, hz.split_corpus
+
+    def counting_run_step(model_prev, *args, **kwargs):
+        counts["step0" if model_prev is None else "later"] += 1
+        return real_run_step(model_prev, *args, **kwargs)
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(tr, "run_step", counting_run_step)
+    monkeypatch.setattr(hz, "generate_synthetic", counting("generate", real_generate))
+    monkeypatch.setattr(hz, "split_corpus", counting("split", real_split))
+    report = hz.run_experiment(tiny_config(methods=["FT", "MiB", "EWC"], seeds=[0, 1]))
+    assert report["ok"]
+    assert counts == {"step0": 2, "later": 6, "generate": 1, "split": 1}
 
 
 # -- comparison ------------------------------------------------------------------

@@ -194,3 +194,28 @@ def test_hflip_changes_training_but_stays_deterministic():
     assert params_equal(a.model, b.model)
     plain = tr.run_step(None, steps[0], small_config("FT"))
     assert not params_equal(a.model, plain.model)
+
+
+@pytest.mark.parametrize("method", ["EWC", "PI", "RW", "MiB"])
+def test_shared_first_step_matches_chained_run_step(method):
+    # importance computed after a step 0 trained under another method equals
+    # the importance run_step computes inline
+    corpus, schedule, _ = small_world()
+    train, eval_corpus = corpus[:-4], corpus[-4:]
+    split = split_overlapped(train, schedule)
+    shared = tr.first_step(split, eval_corpus, schedule, small_config("FT"))
+    cfg = small_config(method)
+    run = tr.run_incremental(train, eval_corpus, schedule, "overlapped", cfg, first=shared)
+
+    steps = split[0]
+    chained = [tr.run_step(None, steps[0], cfg)]
+    chained.append(tr.run_step(chained[0].model, steps[1], cfg, chained[0].reg_state))
+    for got, want in zip(run.results, chained):
+        assert params_equal(got.model, want.model)
+        assert got.loss_trace == want.loss_trace
+        if want.reg_state is None:
+            assert got.reg_state is None
+            continue
+        assert got.reg_state.importance.keys() == want.reg_state.importance.keys()
+        for name, imp in want.reg_state.importance.items():
+            assert np.array_equal(got.reg_state.importance[name], imp), name
