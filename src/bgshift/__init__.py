@@ -19,7 +19,7 @@ from .losses import (
     unbiased_cross_entropy,
     unbiased_distillation,
 )
-from .model import BackboneConfig, ProbVolume, SegModel, extend_classifier
+from .model import BackboneConfig, SegModel, extend_classifier
 from .numerics import Tensor, finite_difference_gradient
 from .scenario import (
     LabelSchedule,
@@ -31,8 +31,7 @@ from .scenario import (
     load_dataset,
     relabel,
     save_dataset,
-    split_disjoint,
-    split_overlapped,
+    split_corpus,
 )
 from .trainer import TrainConfig, run_incremental, run_step
 
@@ -44,7 +43,6 @@ __all__ = [
     "LabelSchedule",
     "LossContext",
     "MethodConfig",
-    "ProbVolume",
     "Sample",
     "SegModel",
     "StepDataset",
@@ -65,8 +63,7 @@ __all__ = [
     "run_incremental",
     "run_step",
     "save_dataset",
-    "split_disjoint",
-    "split_overlapped",
+    "split_corpus",
     "standard_distillation",
     "unbiased_cross_entropy",
     "unbiased_distillation",

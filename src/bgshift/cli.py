@@ -88,6 +88,8 @@ def _dispatch(args, overrides: list[str]) -> int:
 
     if args.command == "select":
         config = load_experiment_config(args.config, overrides)
+        method = method_preset(args.method)
+        method.with_weight(1.0)  # FT/Joint have no weight to select: fail before training
         inputs = RunInputs.build(config)
         if inputs.schedule.num_steps < 2:
             print("error: weight selection needs an incremental schedule", file=sys.stderr)
@@ -102,7 +104,7 @@ def _dispatch(args, overrides: list[str]) -> int:
         result = select_method_weight(
             train,
             val,
-            method_preset(args.method),
+            method,
             train_config=config.train,
             model_prev=base.model,
         )

@@ -31,12 +31,6 @@ class ConfusionMatrix:
         self.counts += np.bincount(gt * k + pred, minlength=k * k).reshape(k, k)
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise AlignmentError("cannot merge confusion matrices of different sizes")
-        self.counts += other.counts
-        return self
-
 
 @dataclass
 class IoUResult:

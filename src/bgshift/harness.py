@@ -3,11 +3,13 @@
 A run is a grid of cells (method, seed). The corpus and its split are built
 once per run. Step 0 does not depend on the method, so it is trained and
 evaluated once per seed; every incremental cell then continues from its
-seed's step 0 and yields per-step metrics. A Joint cell trains its own single
-step. The report aggregates seed means/stddevs per method. Step 0 and the
-cells may run in worker processes (BGSHIFT_WORKERS, default 1), in two
-phases; results are keyed, so the report is identical either way. A failure,
-including a worker that dies, fails the cells it touches and no others.
+seed's step 0 and yields per-step metrics. Every cell runs the same
+``run_incremental`` call; Joint only switches the schedule to its one-step
+form (``LabelSchedule.joint``), so it trains its own single step. The report
+aggregates seed means/stddevs per method. Step 0 and the cells may run in
+worker processes (BGSHIFT_WORKERS, default 1), in two phases; results are
+keyed, so the report is identical either way. A failure, including a worker
+that dies, fails the cells it touches and no others.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .scenario import (
     load_dataset,
     split_corpus,
 )
-from .trainer import TrainConfig, first_step, joint_config, run_incremental
+from .trainer import TrainConfig, first_step, run_incremental
 
 TIE_BAND = 0.5  # mIoU points
 
@@ -144,55 +146,30 @@ def _run_step0(spec: dict) -> dict:
     return {"first": first, "seconds": time.perf_counter() - started}
 
 
-def _cell_spec(
-    config: ExperimentConfig,
-    method: str,
-    seed: int,
-    inputs: RunInputs | None = None,
-    step0: dict | None = None,
-) -> dict:
-    """One cell's work. ``inputs`` and ``step0`` (a ``_run_step0`` record) are
-    what the run shares; a cell without them builds and trains its own."""
-    return {
-        "config": config_to_dict(config),
-        "method": method,
-        "seed": seed,
-        "inputs": inputs,
-        "step0": step0,
-    }
-
-
 def run_cell(spec: dict) -> dict:
     """Execute one (method, seed) cell; returns a plain serializable record.
 
-    ``seconds`` counts the cell's own steps plus the time of the shared step 0
-    it reused, so it stays comparable with a cell that trains step 0 itself.
+    ``spec`` holds the ``config``, the ``method`` and ``seed``, the run's
+    ``inputs`` and ``step0``: the seed's ``_run_step0`` record, or None for
+    Joint. ``seconds`` counts the cell's own steps plus the time of the
+    shared step 0 it reused, so it stays comparable with a cell that trains
+    step 0 itself.
     """
-    config = config_from_dict(spec["config"])
+    config, inputs, step0 = spec["config"], spec["inputs"], spec["step0"]
     method_name, seed = spec["method"], spec["seed"]
-    inputs = spec["inputs"] or RunInputs.build(config)
-    step0 = spec["step0"] or {"first": None, "seconds": 0.0}
     cfg = replace(config.train, seed=seed, method=method_preset(method_name))
+    schedule = inputs.schedule.joint() if _is_joint(method_name) else inputs.schedule
     started = time.perf_counter()
-    if _is_joint(method_name):
-        run = run_incremental(
-            inputs.corpus,
-            inputs.eval_corpus,
-            inputs.schedule.joint(),
-            config.protocol,
-            joint_config(cfg),
-            inputs.schedule,
-        )
-    else:
-        run = run_incremental(
-            inputs.corpus,
-            inputs.eval_corpus,
-            inputs.schedule,
-            config.protocol,
-            cfg,
-            first=step0["first"],
-        )
-    elapsed = time.perf_counter() - started + step0["seconds"]
+    run = run_incremental(
+        inputs.corpus,
+        inputs.eval_corpus,
+        schedule,
+        config.protocol,
+        cfg,
+        inputs.schedule,
+        first=step0["first"] if step0 else None,
+    )
+    elapsed = time.perf_counter() - started + (step0["seconds"] if step0 else 0.0)
     record = {
         "method": method_name,
         "seed": seed,
@@ -283,7 +260,7 @@ def _run_grid(config: ExperimentConfig, pool: ProcessPoolExecutor | None) -> dic
         if shared is not None and "error" in shared:
             records[(m, s)] = _failed_record(m, s, f"step 0 failed: {shared['error']}")
         else:
-            todo.append(_cell_spec(config, m, s, inputs, shared))
+            todo.append({"config": config, "method": m, "seed": s, "inputs": inputs, "step0": shared})
     for spec, rec in zip(todo, _map(pool, _safe_run_cell, todo)):
         if isinstance(rec, Exception):
             rec = _failed_record(spec["method"], spec["seed"], _error_text(rec))
@@ -300,10 +277,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     else:
         records = _run_grid(config, None)
 
+    cells = [records[(m, s)] for m in config.methods for s in config.seeds]
     report = {
         "config": config_to_dict(config),
-        "cells": [records[(m, s)] for m in config.methods for s in config.seeds],
-        "aggregate": _aggregate(config, records),
+        "cells": cells,
+        "aggregate": {m: _seed_stats(_ok_cells(cells, m)) for m in config.methods},
         "ok": all(r["status"] == "ok" for r in records.values()),
     }
     if config.out_dir:
@@ -314,30 +292,31 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report
 
 
-def _aggregate(config: ExperimentConfig, records: dict) -> dict:
-    agg = {}
-    for method in config.methods:
-        rows = [records[(method, s)] for s in config.seeds if records[(method, s)]["status"] == "ok"]
-        if not rows:
-            agg[method] = {"status": "failed"}
-            continue
-        final = [r["steps"][-1]["metrics"] for r in rows]
-        n_groups = max(len(f["group_miou"]) for f in final)
-        group_mean, group_std = [], []
-        for g in range(n_groups):
-            vals = [f["group_miou"][g] for f in final if g < len(f["group_miou"])]
-            vals = [v for v in vals if v is not None]
-            group_mean.append(float(np.mean(vals)) if vals else None)
-            group_std.append(float(np.std(vals)) if vals else None)
-        alls = [f["all_miou"] for f in final]
-        agg[method] = {
-            "status": "ok",
-            "group_mean": group_mean,
-            "group_std": group_std,
-            "all_mean": float(np.mean(alls)),
-            "all_std": float(np.std(alls)),
-        }
-    return agg
+def _ok_cells(cells: list[dict], method: str) -> list[dict]:
+    return [c for c in cells if c["method"] == method and c["status"] == "ok"]
+
+
+def _seed_stats(cells: list[dict]) -> dict:
+    """Mean and std over ``cells`` (one method's ok cells) of the final-step
+    group and all-class mIoU; a group absent from every cell gets None."""
+    if not cells:
+        return {"status": "failed"}
+    final = [c["steps"][-1]["metrics"] for c in cells]
+    n_groups = max(len(f["group_miou"]) for f in final)
+    group_mean, group_std = [], []
+    for g in range(n_groups):
+        vals = [f["group_miou"][g] for f in final if g < len(f["group_miou"])]
+        vals = [v for v in vals if v is not None]
+        group_mean.append(float(np.mean(vals)) if vals else None)
+        group_std.append(float(np.std(vals)) if vals else None)
+    alls = [f["all_miou"] for f in final]
+    return {
+        "status": "ok",
+        "group_mean": group_mean,
+        "group_std": group_std,
+        "all_mean": float(np.mean(alls)),
+        "all_std": float(np.std(alls)),
+    }
 
 
 def _fmt(v) -> str:
@@ -373,22 +352,11 @@ def report_csv(report: dict) -> str:
 
 def final_seed_mean(report: dict, method: str) -> dict:
     """Seed-mean final-step metrics {group{g}: x, all: y} for one method."""
-    cells = [
-        c for c in report["cells"] if c["method"] == method and c["status"] == "ok"
-    ]
-    if not cells:
+    stats = _seed_stats(_ok_cells(report["cells"], method))
+    if stats["status"] != "ok":
         raise ComparisonError(f"method {method!r} has no successful cells")
-    out = {}
-    n_groups = max(len(c["steps"][-1]["metrics"]["group_miou"]) for c in cells)
-    for g in range(n_groups):
-        vals = [
-            c["steps"][-1]["metrics"]["group_miou"][g]
-            for c in cells
-            if g < len(c["steps"][-1]["metrics"]["group_miou"])
-        ]
-        vals = [v for v in vals if v is not None]
-        out[f"group{g}"] = float(np.mean(vals)) if vals else None
-    out["all"] = float(np.mean([c["steps"][-1]["metrics"]["all_miou"] for c in cells]))
+    out = {f"group{g}": v for g, v in enumerate(stats["group_mean"])}
+    out["all"] = stats["all_mean"]
     return out
 
 
@@ -417,8 +385,7 @@ def compare_report(report: dict, baseline_method: str, target_method: str) -> di
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    return d
+    return asdict(config)
 
 
 def _section(cls, d, prefix: str) -> dict:
@@ -468,17 +435,21 @@ def _parse_scalar(text: str):
     return s
 
 
-def _assign(tree: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
+_LIST_KEYS = {"methods", "seeds", "schedule_sizes"}
+
+
+def _assign(tree: dict, dotted: str, text: str) -> None:
+    """Set ``a.b.c`` in the nested ``tree`` to the parsed ``text``."""
+    keys = dotted.strip().split(".")
+    value = _parse_scalar(text)
+    if keys[-1] in _LIST_KEYS and not isinstance(value, list):
+        value = [value]
     node = tree
     for k in keys[:-1]:
         node = node.setdefault(k, {})
         if not isinstance(node, dict):
             raise ConfigError(f"cannot nest under scalar key {k!r}")
     node[keys[-1]] = value
-
-
-_LIST_KEYS = {"methods", "seeds", "schedule_sizes"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -490,31 +461,16 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        parsed = _parse_scalar(value)
-        if key.split(".")[-1] in _LIST_KEYS and not isinstance(parsed, list):
-            parsed = [parsed]
-        _assign(tree, key, parsed)
-    return tree
-
-
-def apply_overrides(tree: dict, overrides: list[str]) -> dict:
-    """--key=value strings merged onto the config tree."""
-    for item in overrides:
-        body = item[2:] if item.startswith("--") else item
-        if "=" not in body:
-            raise ConfigError(f"override {item!r} must look like --key=value")
-        key, value = body.split("=", 1)
-        parsed = _parse_scalar(value)
-        if key.split(".")[-1] in _LIST_KEYS and not isinstance(parsed, list):
-            parsed = [parsed]
-        _assign(tree, key.strip(), parsed)
+        _assign(tree, *line.split("=", 1))
     return tree
 
 
 def load_experiment_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
+    """The config file at ``path`` with ``--key=value`` overrides on top."""
     tree = parse_config_text(Path(path).read_text())
-    if overrides:
-        apply_overrides(tree, overrides)
+    for item in overrides or []:
+        body = item[2:] if item.startswith("--") else item
+        if "=" not in body:
+            raise ConfigError(f"override {item!r} must look like --key=value")
+        _assign(tree, *body.split("=", 1))
     return config_from_dict(tree)

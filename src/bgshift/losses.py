@@ -36,7 +36,6 @@ class LossContext:
     new_classes: frozenset
     background_id: int
     class_order: tuple
-    lambda_kd: float = 0.0
     method_weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class LossContext:
             raise ConfigError("background must belong to both old and new class sets")
         if self.old_classes & self.new_classes != {b}:
             raise ConfigError("old and new classes may only share the background")
-        if self.lambda_kd < 0:
-            raise ConfigError("lambda_kd must be non-negative")
         if set(self.class_order) != self.old_classes | self.new_classes:
             raise AlignmentError("class_order must cover exactly the old and new classes")
 
@@ -56,12 +53,11 @@ class LossContext:
         prev_order: list[int],
         cur_order: list[int],
         background_id: int = 0,
-        lambda_kd: float = 0.0,
         method_weights: dict | None = None,
     ) -> "LossContext":
         old = frozenset(prev_order)
         new = frozenset(cur_order) - old | {background_id}
-        return cls(old, new, background_id, tuple(cur_order), lambda_kd, dict(method_weights or {}))
+        return cls(old, new, background_id, tuple(cur_order), dict(method_weights or {}))
 
     # channel helpers (indices into class_order)
     def channels(self, classes) -> np.ndarray:
@@ -130,14 +126,6 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext) -
     return -_clamped_log(target_prob).mean()
 
 
-def collapsed_new_probs(probs: np.ndarray, ctx: LossContext) -> np.ndarray:
-    """The distribution over C^t used by the unbiased CE: new foreground
-    probabilities kept, background channel replaced by the old-class sum."""
-    out = probs[..., np.concatenate(([0], ctx.new_fg_channels))].copy()
-    out[..., 0] = probs[..., ctx.old_channels].sum(axis=-1)
-    return out
-
-
 def _check_old_probs(logits: Tensor, probs_old: np.ndarray, n_old: int):
     if probs_old.shape[:-1] != logits.data.shape[:-1] or probs_old.shape[-1] != n_old:
         raise AlignmentError(
@@ -172,14 +160,6 @@ def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
         _clamped_log(old_fg) * probs_old[..., 1:]
     ).sum(axis=-1)
     return -terms.mean()
-
-
-def collapsed_old_probs(probs: np.ndarray, ctx: LossContext) -> np.ndarray:
-    """The distribution over Y^{t-1} the unbiased distillation compares with:
-    old foreground kept, background = summed mass of incoming classes + bg."""
-    out = probs[..., ctx.old_channels].copy()
-    out[..., 0] = probs[..., ctx.new_channels].sum(axis=-1)
-    return out
 
 
 def _bce(s: Tensor, target) -> Tensor:
@@ -275,16 +255,20 @@ class MethodConfig:
             raise ConfigError("loss weights must be non-negative")
 
     def with_weight(self, w: float) -> "MethodConfig":
-        """Return a copy with the method's tunable weight set to ``w``."""
+        """Return a copy with the method's tunable weight set to ``w``.
+
+        A method without distillation, LwF-MC or a regularizer (FT, Joint)
+        has no such weight and raises ConfigError.
+        """
         if self.lwfmc_variant is not None:
             return replace(self, w_kd=w)
         if self.reg_kind != "none":
             return replace(self, reg_weight=w)
-        if self.kd_mode != "none":
-            if self.feature_kd_weight > 0:
-                return replace(self, lambda_kd=w, feature_kd_weight=w)
-            return replace(self, lambda_kd=w)
-        return replace(self, lambda_kd=w)  # no-op knob for FT/Joint
+        if self.kd_mode == "none":
+            raise ConfigError(f"{self.name}: the method has no tunable weight to select")
+        if self.feature_kd_weight > 0:
+            return replace(self, lambda_kd=w, feature_kd_weight=w)
+        return replace(self, lambda_kd=w)
 
 
 _PRESETS: dict[str, dict] = {
@@ -339,7 +323,6 @@ def composite_objective(
         model_prev.known_classes,
         model.known_classes,
         background_id=model.background_id,
-        lambda_kd=method.lambda_kd,
         method_weights={"w_cls": method.w_cls, "w_kd": method.w_kd},
     )
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .exceptions import AlignmentError, ScheduleError, ShapeError
+from .exceptions import ScheduleError, ShapeError
 from .numerics import Tensor
 
 CHECKPOINT_FORMAT = 1
@@ -28,14 +28,6 @@ class BackboneConfig:
     hidden: int = 16
     features: int = 16
     activation: str = "tanh"
-
-    def as_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "hidden": self.hidden,
-            "features": self.features,
-            "activation": self.activation,
-        }
 
 
 def _act(name: str):
@@ -82,21 +74,6 @@ class Backbone:
             self.config,
             *(Tensor(t.data.copy(), requires_grad=t.requires_grad) for t in (self.w1, self.b1, self.w2, self.b2)),
         )
-
-
-@dataclass
-class ProbVolume:
-    """Per-pixel class probabilities with the class order of the logits."""
-
-    values: np.ndarray  # [H, W, K]
-    class_order: list[int]
-
-    def __post_init__(self):
-        if self.values.shape[-1] != len(self.class_order):
-            raise AlignmentError("probability channels do not match class order")
-        sums = self.values.sum(axis=-1)
-        if np.abs(sums - 1.0).max() > 1e-9:
-            raise ShapeError("per-pixel probabilities must sum to 1")
 
 
 class SegModel:
@@ -153,20 +130,6 @@ class SegModel:
         logits = nm.affine_last(feats, self.head_w, self.head_b)
         return logits, feats
 
-    def forward(self, image: np.ndarray) -> tuple[ProbVolume, np.ndarray]:
-        """Single image [H,W,ch] -> (probabilities, raw logits)."""
-        if image.ndim != 3:
-            raise ShapeError("expected a single [H,W,ch] image")
-        with nm.no_grad():
-            logits, _ = self.forward_batch(image[None])
-            probs = nm.softmax(logits, axis=-1)
-        return ProbVolume(probs.data[0], list(self.known_classes)), logits.data[0]
-
-    def predict(self, image: np.ndarray) -> np.ndarray:
-        """Per-pixel argmax class id; ties resolve to the lowest class id."""
-        _, logits = self.forward(image)
-        return argmax_mask(logits, self.known_classes)
-
     # -- growth and plumbing ----------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
@@ -174,9 +137,6 @@ class SegModel:
         params["head.w"] = self.head_w
         params["head.b"] = self.head_b
         return params
-
-    def param_count(self) -> int:
-        return sum(t.data.size for t in self.parameters().values())
 
     def zero_grad(self):
         for t in self.parameters().values():
@@ -197,14 +157,6 @@ class SegModel:
         for t in frozen.parameters().values():
             t.requires_grad = False
         return frozen
-
-    @property
-    def heads(self) -> dict[int, tuple[np.ndarray, float]]:
-        """Ordered view class-id -> (weight column, bias)."""
-        return {
-            c: (self.head_w.data[:, i].copy(), float(self.head_b.data[i]))
-            for i, c in enumerate(self.known_classes)
-        }
 
 
 def argmax_mask(logits: np.ndarray, class_order: list[int]) -> np.ndarray:
@@ -274,7 +226,7 @@ def save_checkpoint(model: SegModel, path) -> None:
         "step_index": model.step_index,
         "known_classes": model.known_classes,
         "background_id": model.background_id,
-        "backbone": model.backbone.config.as_dict(),
+        "backbone": asdict(model.backbone.config),
     }
     arrays = {name.replace(".", "__"): t.data for name, t in model.parameters().items()}
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)

@@ -19,6 +19,7 @@ from .exceptions import AlignmentError, EstimationError
 from .losses import cross_entropy
 from .model import SegModel
 from .numerics import Tensor
+from .scenario import StepDataset
 
 
 @dataclass
@@ -47,12 +48,12 @@ def _param_arrays(model: SegModel) -> dict[str, np.ndarray]:
 
 def fisher_diagonal(
     model: SegModel,
-    dataset,
+    dataset: StepDataset,
     n_samples: int = 64,
     rng: np.random.Generator | None = None,
 ) -> ImportanceState:
     """Mean squared gradient of the single-pixel cross-entropy at sampled pixels."""
-    items = list(dataset.items) if hasattr(dataset, "items") else list(dataset)
+    items = dataset.items
     if not items:
         raise EstimationError("cannot estimate Fisher importance from an empty dataset")
     rng = rng or np.random.default_rng(0)

@@ -1,12 +1,13 @@
-"""Label schedules, incremental dataset protocols and the synthetic corpus.
+"""Label schedules, the incremental split of a corpus and the synthetic corpus.
 
-Two protocols turn a fully-annotated corpus into per-step training sets. The
-disjoint protocol assigns every image to exactly one step (the earliest one
-whose cumulative label space covers the image and that introduces one of its
-classes); the overlapped protocol puts an image in every step that introduces
-one of its classes. Either way the step masks only annotate that step's
-classes, everything else collapses to background, which is exactly the label
-shift the background-aware losses are built for.
+``split_corpus`` turns a fully-annotated corpus into per-step training sets
+by one rule. The candidate steps of an image are those that introduce one of
+its classes. The overlapped protocol puts the image in every candidate step;
+the disjoint protocol puts it only in the earliest candidate whose cumulative
+label space covers all its classes. An image left with no step is excluded.
+Either way the step masks only annotate that step's classes, everything else
+collapses to background, which is exactly the label shift the
+background-aware losses are built for.
 """
 from __future__ import annotations
 
@@ -129,10 +130,6 @@ class StepDataset:
     def visible_classes(self) -> list[int]:
         return [self.background_id] + list(self.new_fg)
 
-    @property
-    def samples(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(it.image, it.mask) for it in self.items]
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -163,69 +160,35 @@ def _shift_counts(full_mask: np.ndarray, step_fg: set, seen_fg: set, background_
     }
 
 
-def split_disjoint(corpus: list[Sample], schedule: LabelSchedule) -> tuple[list[StepDataset], SplitReport]:
-    """Each image goes to the earliest step whose cumulative label space
-    covers all its classes and that introduces at least one of them."""
+def split_corpus(corpus: list[Sample], schedule: LabelSchedule, protocol: str):
+    """(per-step datasets, report) under ``protocol`` (disjoint or
+    overlapped); the placement rule is in the module docstring."""
+    if protocol not in ("disjoint", "overlapped"):
+        raise ScheduleError(f"unknown protocol {protocol!r}")
     b = schedule.background_id
     buckets: list[list[StepItem]] = [[] for _ in range(schedule.num_steps)]
     stats = [dict(old_as_bg=0, future_as_bg=0, true_bg=0) for _ in range(schedule.num_steps)]
     excluded = []
     for sample in corpus:
         labels = set(np.unique(sample.full_mask).tolist()) - {b}
-        placed = False
-        for t in range(schedule.num_steps):
-            step_fg = set(schedule.new_fg(t))
-            if labels <= set(schedule.fg_up_to(t)) and labels & step_fg:
-                mask = relabel(sample.full_mask, step_fg, b)
-                buckets[t].append(StepItem(sample.id, sample.image, mask))
-                for key, v in _shift_counts(
-                    sample.full_mask, step_fg, set(schedule.fg_up_to(t)), b
-                ).items():
-                    stats[t][key] += v
-                placed = True
-                break
+        placed = [t for t in range(schedule.num_steps) if labels & set(schedule.new_fg(t))]
+        if protocol == "disjoint":
+            placed = [t for t in placed if labels <= set(schedule.fg_up_to(t))][:1]
         if not placed:
             excluded.append(sample.id)
-    steps = [
-        StepDataset(buckets[t], t, schedule.new_fg(t), b, stats[t])
-        for t in range(schedule.num_steps)
-    ]
-    return steps, SplitReport(excluded, stats)
-
-
-def split_overlapped(corpus: list[Sample], schedule: LabelSchedule) -> tuple[list[StepDataset], SplitReport]:
-    """Each step takes every image with at least one pixel of an incoming
-    class; only the incoming classes stay annotated."""
-    b = schedule.background_id
-    buckets: list[list[StepItem]] = [[] for _ in range(schedule.num_steps)]
-    stats = [dict(old_as_bg=0, future_as_bg=0, true_bg=0) for _ in range(schedule.num_steps)]
-    covered: set[str] = set()
-    for sample in corpus:
-        labels = set(np.unique(sample.full_mask).tolist()) - {b}
-        for t in range(schedule.num_steps):
+        for t in placed:
             step_fg = set(schedule.new_fg(t))
-            if labels & step_fg:
-                mask = relabel(sample.full_mask, step_fg, b)
-                buckets[t].append(StepItem(sample.id, sample.image, mask))
-                for key, v in _shift_counts(
-                    sample.full_mask, step_fg, set(schedule.fg_up_to(t)), b
-                ).items():
-                    stats[t][key] += v
-                covered.add(sample.id)
-    excluded = [s.id for s in corpus if s.id not in covered]
+            mask = relabel(sample.full_mask, step_fg, b)
+            buckets[t].append(StepItem(sample.id, sample.image, mask))
+            for key, v in _shift_counts(
+                sample.full_mask, step_fg, set(schedule.fg_up_to(t)), b
+            ).items():
+                stats[t][key] += v
     steps = [
         StepDataset(buckets[t], t, schedule.new_fg(t), b, stats[t])
         for t in range(schedule.num_steps)
     ]
     return steps, SplitReport(excluded, stats)
-
-
-def split_corpus(corpus, schedule, protocol: str):
-    if protocol == "disjoint":
-        return split_disjoint(corpus, schedule)
-    if protocol == "overlapped":
-        return split_overlapped(corpus, schedule)
-    raise ScheduleError(f"unknown protocol {protocol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +375,15 @@ def load_dataset(directory) -> LoadedCorpus:
         num_classes = int(lines[0].split("=", 1)[1])
     except ValueError as e:
         raise IngestionError(f"{manifest}: bad class count") from e
-    samples = []
+    samples, seen = [], set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise IngestionError(f"{manifest}: bad manifest line {ln!r}")
         sid, img_name, mask_name = parts
+        if sid in seen:
+            raise IngestionError(f"{manifest}: sample id {sid!r} is listed twice")
+        seen.add(sid)
         img_path, mask_path = directory / img_name, directory / mask_name
         if not img_path.exists() or not mask_path.exists():
             missing = img_path if not img_path.exists() else mask_path

@@ -339,9 +339,3 @@ def run_incremental(
         )
     return IncrementalRun(results, metrics, first.split_report)
 
-
-def joint_config(config: TrainConfig) -> TrainConfig:
-    """The offline upper bound trains one step with plain cross-entropy."""
-    return replace(config, method=replace(config.method, name="Joint", ce_mode="standard",
-                                          kd_mode="none", lambda_kd=0.0, feature_kd_weight=0.0,
-                                          reg_kind="none", lwfmc_variant=None))

@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps bgshift functions by
+name and binds some of their arguments by name. A rename or deletion here
+would break ``perfbench/run.py --trace 1`` without failing any other test."""
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import tracing  # noqa: E402
+
+
+@pytest.mark.parametrize("module, attr", tracing.TARGETS, ids=[f"{m}.{a}" for m, a in tracing.TARGETS])
+def test_every_trace_target_resolves(module, attr):
+    owner = importlib.import_module(f"bgshift.{module}")
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    # the tracer swaps Class.method through the class's own namespace
+    target = vars(owner)[name] if path else getattr(owner, name)
+    assert callable(target)
+
+
+@pytest.mark.parametrize(
+    "module, fn, params",
+    [
+        ("trainer", "run_step", {"model_prev", "dataset", "config"}),
+        ("trainer", "evaluate_model", {"eval_corpus"}),
+    ],
+)
+def test_traced_parameters_keep_their_names(module, fn, params):
+    signature = inspect.signature(getattr(importlib.import_module(f"bgshift.{module}"), fn))
+    assert params <= set(signature.parameters)

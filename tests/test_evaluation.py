@@ -46,15 +46,6 @@ def test_accumulate_rejects_size_mismatch():
         ev.ConfusionMatrix(3).accumulate(np.zeros(3, int), np.zeros(4, int))
 
 
-def test_merge_is_elementwise_addition():
-    a, b = ev.ConfusionMatrix(2), ev.ConfusionMatrix(2)
-    a.accumulate(np.array([0, 1]), np.array([0, 0]))
-    b.accumulate(np.array([1, 1]), np.array([1, 1]))
-    a.merge(b)
-    assert a.counts.sum() == 4
-    assert a.counts[1, 1] == 2
-
-
 def test_iou_perfect_diagonal():
     cm = ev.ConfusionMatrix(3)
     cm.counts[:] = np.diag([4, 5, 6])

@@ -55,10 +55,10 @@ def test_parse_config_rejects_garbage_line():
         hz.parse_config_text("methods FT\n")
 
 
-def test_overrides_win():
-    tree = hz.parse_config_text(TINY_CFG)
-    hz.apply_overrides(tree, ["--train.epochs_per_step=3", "--seeds=1,2"])
-    cfg = hz.config_from_dict(tree)
+def test_overrides_win(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    cfg = hz.load_experiment_config(cfg_file, ["--train.epochs_per_step=3", "--seeds=1,2"])
     assert cfg.train.epochs_per_step == 3
     assert cfg.seeds == [1, 2]
 
@@ -178,8 +178,8 @@ def test_failed_cell_is_recorded_not_fatal():
     cfg.dataset.num_train = 12
     # sabotage: schedule covering a class the corpus may lack is hard to force;
     # instead make the batch size invalid through a direct cell record run
-    spec = hz._cell_spec(cfg, "FT", 0)
-    spec["config"]["train"]["batch_size"] = -1
+    spec = {"config": cfg, "method": "FT", "seed": 0, "inputs": hz.RunInputs.build(cfg), "step0": None}
+    cfg.train.batch_size = -1
     rec = hz._safe_run_cell(spec)
     assert rec["status"] == "failed"
     assert "ConfigError" in rec["error"]
@@ -418,6 +418,23 @@ def test_cli_exit_code_2_on_cell_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(hz, "run_cell", boom)
     rc = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("method", ["FT", "Joint"])
+def test_select_without_tunable_weight_fails_before_training(tmp_path, monkeypatch, capsys, method):
+    calls = []
+    real_run_step = tr.run_step
+
+    def counting_run_step(*args, **kwargs):
+        calls.append(args)
+        return real_run_step(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "run_step", counting_run_step)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    assert cli_main(["select", "--config", str(cfg_file), "--method", method]) == 1
+    assert "no tunable weight" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_rejects_unknown_positional(tmp_path, capsys):

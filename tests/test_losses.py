@@ -15,8 +15,8 @@ LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
-def ctx_for(prev=(0, 1), cur=(0, 1, 2), lam=0.0, weights=None):
-    return L.LossContext.for_step(list(prev), list(cur), lambda_kd=lam, method_weights=weights)
+def ctx_for(prev=(0, 1), cur=(0, 1, 2), weights=None):
+    return L.LossContext.for_step(list(prev), list(cur), method_weights=weights)
 
 
 def logits_for_probs(probs):
@@ -178,17 +178,45 @@ def test_ukd_reduces_to_kd_without_new_classes():
 # -- partition properties ----------------------------------------------------
 
 
+def collapsed_new_probs(probs: np.ndarray, ctx: L.LossContext) -> np.ndarray:
+    """The distribution over C^t used by the unbiased CE: new foreground
+    probabilities kept, background channel replaced by the old-class sum."""
+    out = probs[..., np.concatenate(([0], ctx.new_fg_channels))].copy()
+    out[..., 0] = probs[..., ctx.old_channels].sum(axis=-1)
+    return out
+
+
+def collapsed_old_probs(probs: np.ndarray, ctx: L.LossContext) -> np.ndarray:
+    """The distribution over Y^{t-1} the unbiased distillation compares with:
+    old foreground kept, background = summed mass of incoming classes + bg."""
+    out = probs[..., ctx.old_channels].copy()
+    out[..., 0] = probs[..., ctx.new_channels].sum(axis=-1)
+    return out
+
+
 def test_collapsed_distributions_are_partitions_of_unity():
     rng = np.random.default_rng(4)
     ctx = L.LossContext.for_step([0, 1, 2], [0, 1, 2, 3, 4])
     logits = rng.normal(size=(1000, 5)) * 3.0
     probs = nm.softmax(Tensor(logits)).data
-    q_tilde = L.collapsed_new_probs(probs, ctx)
-    q_hat = L.collapsed_old_probs(probs, ctx)
+    q_tilde = collapsed_new_probs(probs, ctx)
+    q_hat = collapsed_old_probs(probs, ctx)
     assert q_tilde.shape == (1000, 3)  # background + 2 new classes
     assert q_hat.shape == (1000, 3)  # background + 2 old classes
     assert np.abs(q_tilde.sum(-1) - 1.0).max() < 1e-9
     assert np.abs(q_hat.sum(-1) - 1.0).max() < 1e-9
+
+    # oracle: the unbiased losses are plain CE / KD on these distributions;
+    # 1e-12 relative covers float64 summation order over 1000 pixels
+    labels = rng.choice([0, 3, 4], size=1000)  # background or a new class
+    column = np.searchsorted([0, 3, 4], labels)
+    want_ce = -np.log(q_tilde[np.arange(1000), column]).mean()
+    got_ce = L.unbiased_cross_entropy(Tensor(logits), labels, ctx).item()
+    assert abs(got_ce - want_ce) <= 1e-12 * abs(want_ce)
+    p_old = rng.dirichlet(np.ones(3), size=1000)
+    want_kd = -(p_old * np.log(q_hat)).sum(-1).mean()
+    got_kd = L.unbiased_distillation(Tensor(logits), p_old, ctx).item()
+    assert abs(got_kd - want_kd) <= 1e-12 * abs(want_kd)
 
 
 # -- LwF-MC ------------------------------------------------------------------

@@ -7,7 +7,6 @@ from bgshift import numerics as nm
 from bgshift.exceptions import ScheduleError, ShapeError
 from bgshift.model import (
     BackboneConfig,
-    ProbVolume,
     SegModel,
     argmax_mask,
     extend_classifier,
@@ -23,33 +22,56 @@ def make_model(fg=(1, 2), seed=0, hidden=8, features=8):
     )
 
 
+def forward_one(model, image):
+    """(probabilities, logits) of one [H,W,ch] image."""
+    with nm.no_grad():
+        logits, _ = model.forward_batch(image[None])
+    return nm.softmax(logits, axis=-1).data[0], logits.data[0]
+
+
+def predict(model, image):
+    return argmax_mask(forward_one(model, image)[1], model.known_classes)
+
+
+def heads_of(model):
+    """Class id -> (weight column, bias)."""
+    return {
+        c: (model.head_w.data[:, i].copy(), float(model.head_b.data[i]))
+        for i, c in enumerate(model.known_classes)
+    }
+
+
+def param_count(model):
+    return sum(t.data.size for t in model.parameters().values())
+
+
 def test_zero_heads_give_uniform_probabilities():
     model = make_model()
     model.head_w.data[:] = 0.0
     model.head_b.data[:] = 0.0
-    probs, _ = model.forward(np.random.default_rng(1).random((9, 9, 3)))
-    assert np.abs(probs.values - 1.0 / 3.0).max() < 1e-12
+    probs, _ = forward_one(model, np.random.default_rng(1).random((9, 9, 3)))
+    assert np.abs(probs - 1.0 / 3.0).max() < 1e-12
 
 
 def test_equal_heads_give_half_half():
     model = make_model(fg=(1,))
     model.head_w.data[:, 1] = model.head_w.data[:, 0]
     model.head_b.data[1] = model.head_b.data[0]
-    probs, _ = model.forward(np.random.default_rng(2).random((7, 7, 3)))
-    assert np.abs(probs.values - 0.5).max() < 1e-12
+    probs, _ = forward_one(model, np.random.default_rng(2).random((7, 7, 3)))
+    assert np.abs(probs - 0.5).max() < 1e-12
 
 
 def test_forward_deterministic_bitwise():
     img = np.random.default_rng(0).random((8, 8, 3))
-    a = make_model(seed=0).forward(img)[1]
-    b = make_model(seed=0).forward(img)[1]
+    a = forward_one(make_model(seed=0), img)[1]
+    b = forward_one(make_model(seed=0), img)[1]
     assert np.array_equal(a, b)
 
 
 def test_forward_rejects_channel_mismatch():
     model = make_model()
     with pytest.raises(ShapeError):
-        model.forward(np.zeros((8, 8, 4)))
+        forward_one(model, np.zeros((8, 8, 4)))
 
 
 def test_predict_prefers_large_bias_head():
@@ -57,7 +79,7 @@ def test_predict_prefers_large_bias_head():
     model.head_w.data[:] = 0.0
     model.head_b.data[:] = 0.0
     model.head_b.data[2] = 50.0
-    pred = model.predict(np.random.default_rng(3).random((6, 6, 3)))
+    pred = predict(model, np.random.default_rng(3).random((6, 6, 3)))
     assert (pred == 2).all()
 
 
@@ -75,8 +97,8 @@ def test_predict_breaks_exact_ties_toward_lowest_id():
 def test_predict_matches_bruteforce_scan():
     model = make_model(fg=(1, 2, 3), seed=4)
     img = np.random.default_rng(5).random((10, 10, 3))
-    pred = model.predict(img)
-    _, logits = model.forward(img)
+    pred = predict(model, img)
+    _, logits = forward_one(model, img)
     for r in range(10):
         for c in range(10):
             best, best_v = None, -np.inf
@@ -90,7 +112,7 @@ def test_predict_matches_bruteforce_scan():
 def test_predicted_mask_invariant_to_head_permutation():
     model = make_model(fg=(1, 2, 3), seed=6)
     img = np.random.default_rng(7).random((8, 8, 3))
-    base = model.predict(img)
+    base = predict(model, img)
     perm = [0, 3, 1, 2]  # background stays first, foreground storage shuffled
     channels = [model.known_classes.index(c) for c in perm]
     shuffled = SegModel(
@@ -100,7 +122,7 @@ def test_predicted_mask_invariant_to_head_permutation():
         perm,
         model.step_index,
     )
-    assert np.array_equal(shuffled.predict(img), base)
+    assert np.array_equal(predict(shuffled, img), base)
 
 
 def test_extend_classifier_hand_arithmetic():
@@ -108,14 +130,14 @@ def test_extend_classifier_hand_arithmetic():
     model.head_w.data[:, 0] = [1.0, -1.0]
     model.head_b.data[0] = 0.5
     grown = extend_classifier(model, [2])
-    heads = grown.heads
+    heads = heads_of(grown)
     w2, b2 = heads[2]
     assert np.allclose(w2, [1.0, -1.0])
     assert abs(b2 - (0.5 - math.log(2.0))) < 1e-15
     assert abs(b2 - (-0.19315) ) < 1e-4
     assert abs(heads[0][1] - (0.5 - math.log(2.0))) < 1e-15
     # old foreground head untouched
-    assert np.array_equal(heads[1][0], model.heads[1][0])
+    assert np.array_equal(heads[1][0], heads_of(model)[1][0])
     assert grown.step_index == model.step_index + 1
 
 
@@ -145,13 +167,13 @@ def test_init_invariant_spreads_background_probability(new_count):
     worst_new, worst_old = 0.0, 0.0
     for _ in range(100):
         img = rng.random((6, 6, 3))
-        before, _ = model.forward(img)
-        after, _ = grown.forward(img)
-        bg_split = before.values[..., 0] / m
-        worst_new = max(worst_new, np.abs(after.values[..., 0] - bg_split).max())
+        before, _ = forward_one(model, img)
+        after, _ = forward_one(grown, img)
+        bg_split = before[..., 0] / m
+        worst_new = max(worst_new, np.abs(after[..., 0] - bg_split).max())
         for i, c in enumerate(new_ids):
-            worst_new = max(worst_new, np.abs(after.values[..., 3 + i] - bg_split).max())
-        worst_old = max(worst_old, np.abs(after.values[..., 1:3] - before.values[..., 1:3]).max())
+            worst_new = max(worst_new, np.abs(after[..., 3 + i] - bg_split).max())
+        worst_old = max(worst_old, np.abs(after[..., 1:3] - before[..., 1:3]).max())
     assert worst_new < 1e-9
     assert worst_old < 1e-9
 
@@ -167,14 +189,9 @@ def test_random_init_leaves_background_untouched():
 def test_parameter_count_formula():
     model = make_model(fg=(1, 2, 3), hidden=8, features=8)
     backbone = sum(t.data.size for t in model.backbone.parameters().values())
-    assert model.param_count() == backbone + 4 * (8 + 1)
+    assert param_count(model) == backbone + 4 * (8 + 1)
     grown = extend_classifier(model, [4, 5])
-    assert grown.param_count() == backbone + 6 * (8 + 1)
-
-
-def test_prob_volume_rejects_unnormalized():
-    with pytest.raises(ShapeError):
-        ProbVolume(np.full((2, 2, 2), 0.3), [0, 1])
+    assert param_count(grown) == backbone + 6 * (8 + 1)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -185,7 +202,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.known_classes == model.known_classes
     assert loaded.step_index == model.step_index
     img = np.random.default_rng(11).random((8, 8, 3))
-    assert np.array_equal(loaded.forward(img)[1], model.forward(img)[1])
+    assert np.array_equal(forward_one(loaded, img)[1], forward_one(model, img)[1])
     for name, t in model.parameters().items():
         assert np.array_equal(loaded.parameters()[name].data, t.data)
 

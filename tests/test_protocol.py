@@ -5,7 +5,7 @@ from bgshift import protocol as pr
 from bgshift.exceptions import ConfigError
 from bgshift.losses import method_preset
 from bgshift.model import BackboneConfig
-from bgshift.scenario import StepDataset, StepItem, SyntheticConfig, build_schedule, generate_synthetic, split_overlapped
+from bgshift.scenario import StepDataset, StepItem, SyntheticConfig, build_schedule, generate_synthetic, split_corpus
 from bgshift.trainer import TrainConfig, run_step
 
 
@@ -112,7 +112,7 @@ def test_select_method_weight_runs_real_trainings():
     cfg = SyntheticConfig(num_fg_classes=2, num_images=14, height=16, width=16, blobs_per_image=2)
     corpus = generate_synthetic(0, cfg)
     schedule = build_schedule(2, [1, 1])
-    steps, _ = split_overlapped(corpus, schedule)
+    steps, _ = split_corpus(corpus, schedule, "overlapped")
     tconf = TrainConfig(
         epochs_per_step=2, batch_size=4, seed=0, backbone=BackboneConfig(hidden=4, features=4)
     )

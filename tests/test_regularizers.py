@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,8 @@ def test_fisher_saturated_model_has_tiny_importance():
     model.head_b.data[:] = [60.0, -60.0]  # certain of background everywhere
     rng = np.random.default_rng(2)
     items = [StepItem("a", rng.random((4, 4, 3)), np.zeros((4, 4), dtype=int))]
-    state = rg.fisher_diagonal(model, items, n_samples=8)
+    # an all-background item is no valid StepDataset; fisher only reads .items
+    state = rg.fisher_diagonal(model, SimpleNamespace(items=items), n_samples=8)
     for imp in state.importance.values():
         assert np.isfinite(imp).all()
         assert imp.max() < 1e-10

@@ -94,7 +94,7 @@ def two_class_corpus():
 
 
 def test_disjoint_two_image_rule():
-    steps, report = sc.split_disjoint(two_class_corpus(), sc.build_schedule(2, [1, 1]))
+    steps, report = sc.split_corpus(two_class_corpus(), sc.build_schedule(2, [1, 1]), "disjoint")
     assert [it.id for it in steps[0].items] == ["only1"]
     assert [it.id for it in steps[1].items] == ["both"]
     # in step 1 the class-1 block is background now
@@ -105,7 +105,7 @@ def test_disjoint_two_image_rule():
 
 def test_disjoint_excludes_background_only_images():
     corpus = two_class_corpus() + [block_sample("empty", [])]
-    steps, report = sc.split_disjoint(corpus, sc.build_schedule(2, [1, 1]))
+    steps, report = sc.split_corpus(corpus, sc.build_schedule(2, [1, 1]), "disjoint")
     assert report.excluded_ids == ["empty"]
 
 
@@ -115,13 +115,13 @@ def test_disjoint_step_ids_are_pairwise_disjoint():
         block_sample(f"s{i}", rng.choice([1, 2, 3], size=rng.integers(1, 4), replace=False))
         for i in range(20)
     ]
-    steps, _ = sc.split_disjoint(corpus, sc.build_schedule(3, [2, 1]))
+    steps, _ = sc.split_corpus(corpus, sc.build_schedule(3, [2, 1]), "disjoint")
     ids = [set(it.id for it in s.items) for s in steps]
     assert ids[0] & ids[1] == set()
 
 
 def test_overlapped_image_joins_every_step_of_its_classes():
-    steps, _ = sc.split_overlapped(two_class_corpus(), sc.build_schedule(2, [1, 1]))
+    steps, _ = sc.split_corpus(two_class_corpus(), sc.build_schedule(2, [1, 1]), "overlapped")
     assert [it.id for it in steps[0].items] == ["only1", "both"]
     assert [it.id for it in steps[1].items] == ["both"]
     both_step0 = steps[0].items[1]
@@ -137,7 +137,7 @@ def test_overlapped_membership_matches_bruteforce_scan():
         for i in range(25)
     ]
     schedule = sc.build_schedule(4, [2, 1, 1])
-    steps, report = sc.split_overlapped(corpus, schedule)
+    steps, report = sc.split_corpus(corpus, schedule, "overlapped")
     for t, ds in enumerate(steps):
         members = {it.id for it in ds.items}
         for s in corpus:
@@ -150,6 +150,27 @@ def test_overlapped_membership_matches_bruteforce_scan():
     assert set(report.excluded_ids) == {s.id for s in corpus} - with_fg
 
 
+def test_disjoint_membership_matches_bruteforce_scan():
+    rng = np.random.default_rng(6)
+    corpus = [
+        block_sample(f"s{i}", rng.choice([1, 2, 3, 4], size=rng.integers(0, 4), replace=False))
+        for i in range(25)
+    ]
+    assert any(s.full_mask.max() == 0 for s in corpus)  # background-only images included
+    schedule = sc.build_schedule(4, [2, 1, 1])
+    steps, report = sc.split_corpus(corpus, schedule, "disjoint")
+    members = [{it.id for it in ds.items} for ds in steps]
+    for s in corpus:
+        labels = set(np.unique(s.full_mask)) - {0}
+        want = [
+            t
+            for t in range(schedule.num_steps)
+            if labels & set(schedule.new_fg(t)) and labels <= set(schedule.fg_up_to(t))
+        ][:1]  # the earliest covering step that introduces one of its classes
+        assert [t for t, ids in enumerate(members) if s.id in ids] == want, s.id
+        assert (s.id in report.excluded_ids) == (not want)
+
+
 def test_split_invariants_for_both_protocols():
     rng = np.random.default_rng(3)
     corpus = [
@@ -157,8 +178,8 @@ def test_split_invariants_for_both_protocols():
         for i in range(30)
     ]
     schedule = sc.build_schedule(3, [1, 1, 1])
-    for split in (sc.split_disjoint, sc.split_overlapped):
-        steps, _ = split(corpus, schedule)
+    for protocol in ("disjoint", "overlapped"):
+        steps, _ = sc.split_corpus(corpus, schedule, protocol)
         for ds in steps:
             for it in ds.items:
                 labels = set(np.unique(it.mask))
@@ -173,7 +194,7 @@ def test_background_shift_accounting_matches_recount():
         for i in range(20)
     ]
     schedule = sc.build_schedule(3, [1, 1, 1])
-    steps, _ = sc.split_overlapped(corpus, schedule)
+    steps, _ = sc.split_corpus(corpus, schedule, "overlapped")
     full_by_id = {s.id: s.full_mask for s in corpus}
     for t, ds in enumerate(steps):
         seen = set(schedule.fg_up_to(t)) - set(schedule.new_fg(t))
@@ -193,7 +214,7 @@ def test_disjoint_has_no_future_classes_hidden_in_background():
         block_sample(f"s{i}", rng.choice([1, 2, 3], size=rng.integers(1, 4), replace=False))
         for i in range(30)
     ]
-    steps, _ = sc.split_disjoint(corpus, sc.build_schedule(3, [1, 1, 1]))
+    steps, _ = sc.split_corpus(corpus, sc.build_schedule(3, [1, 1, 1]), "disjoint")
     for ds in steps:
         assert ds.shift_counts["future_as_bg"] == 0
 
@@ -216,12 +237,12 @@ def test_six_image_hand_tables():
     schedule = sc.build_schedule(2, [1, 1])
     corpus = six_image_corpus()
 
-    dj, dj_report = sc.split_disjoint(corpus, schedule)
+    dj, dj_report = sc.split_corpus(corpus, schedule, "disjoint")
     assert [it.id for it in dj[0].items] == ["A", "E"]
     assert [it.id for it in dj[1].items] == ["B", "C", "F"]
     assert dj_report.excluded_ids == ["D"]
 
-    ov, ov_report = sc.split_overlapped(corpus, schedule)
+    ov, ov_report = sc.split_corpus(corpus, schedule, "overlapped")
     assert [it.id for it in ov[0].items] == ["A", "B", "E", "F"]
     assert [it.id for it in ov[1].items] == ["B", "C", "F"]
     assert ov_report.excluded_ids == ["D"]
@@ -315,6 +336,19 @@ def test_ingestion_rejects_label_above_class_count(tmp_path):
     samples[0].full_mask[0, 0] = 7
     sc.save_dataset(samples, tmp_path, 5)
     with pytest.raises(IngestionError, match="label 7"):
+        sc.load_dataset(tmp_path)
+
+
+def test_ingestion_rejects_duplicate_sample_id(tmp_path):
+    cfg = sc.SyntheticConfig(num_fg_classes=3, num_images=4, height=20, width=20)
+    sc.save_dataset(sc.generate_synthetic(5, cfg), tmp_path, 3)
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    first_id = lines[1].split()[0]
+    # the second sample's files listed under the first sample's id
+    lines[2] = " ".join([first_id] + lines[2].split()[1:])
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestionError, match=rf"manifest\.txt.*'{first_id}'"):
         sc.load_dataset(tmp_path)
 
 

@@ -6,7 +6,7 @@ from bgshift.exceptions import ConfigError, DivergenceError
 from bgshift.losses import method_preset
 from bgshift.model import BackboneConfig
 from bgshift.numerics import Tensor
-from bgshift.scenario import SyntheticConfig, build_schedule, generate_synthetic, split_overlapped
+from bgshift.scenario import SyntheticConfig, build_schedule, generate_synthetic, split_corpus
 
 
 # -- poly lr -------------------------------------------------------------------
@@ -77,7 +77,7 @@ def small_world(seed=0, n=16, classes=3):
     cfg = SyntheticConfig(num_fg_classes=classes, num_images=n, height=16, width=16, blobs_per_image=2)
     corpus = generate_synthetic(seed, cfg)
     schedule = build_schedule(classes, [classes - 1, 1])
-    steps, _ = split_overlapped(corpus, schedule)
+    steps, _ = split_corpus(corpus, schedule, "overlapped")
     return corpus, schedule, steps
 
 
@@ -202,7 +202,7 @@ def test_shared_first_step_matches_chained_run_step(method):
     # the importance run_step computes inline
     corpus, schedule, _ = small_world()
     train, eval_corpus = corpus[:-4], corpus[-4:]
-    split = split_overlapped(train, schedule)
+    split = split_corpus(train, schedule, "overlapped")
     shared = tr.first_step(split, eval_corpus, schedule, small_config("FT"))
     cfg = small_config(method)
     run = tr.run_incremental(train, eval_corpus, schedule, "overlapped", cfg, first=shared)
