@@ -97,10 +97,20 @@ def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
     if spec.kind == "dir":
         if not spec.path or not spec.eval_path:
             raise ConfigError("dir datasets need both path and eval_path")
+        # mIoU must not be measured on training images
+        if Path(spec.path).resolve() == Path(spec.eval_path).resolve():
+            raise ConfigError(
+                f"dataset.eval_path {spec.eval_path!r} is the training directory {spec.path!r}"
+            )
         train = load_dataset(spec.path)
         heldout = load_dataset(spec.eval_path)
         if train.num_classes != heldout.num_classes:
             raise ConfigError("train and eval directories declare different class counts")
+        shared = sorted({s.id for s in train.samples} & {s.id for s in heldout.samples})
+        if shared:
+            raise ConfigError(
+                f"{spec.path} and {spec.eval_path} share {len(shared)} sample ids, first {shared[:3]}"
+            )
         return train.samples, heldout.samples
     raise ConfigError(f"unknown dataset kind {spec.kind!r}")
 

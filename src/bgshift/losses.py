@@ -7,6 +7,12 @@ against the *summed* probability of all previously-known classes, and the
 unbiased distillation scores the old model's background probability against
 the summed probability of the incoming classes plus background. LwF-MC style
 per-class binary CE and ILT feature distillation round out the baselines.
+
+Every loss computes its value and its gradient with respect to its input (the
+logits, or the features for ILT) in numpy, from the closed form of that
+gradient, and returns one tape node (``numerics.scalar_with_grad``). Where a
+probability is clamped at ``LOG_FLOOR`` before the log, no gradient flows
+through it.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nm
-from .exceptions import AlignmentError, ConfigError, LabelDomainError
+from .exceptions import AlignmentError, ConfigError, LabelDomainError, ShapeError
 from .model import SegModel
 from .numerics import Tensor
 
@@ -81,9 +87,11 @@ class LossContext:
         return self.channels(self.new_classes - {self.background_id})
 
 
-def _label_channels(mask: np.ndarray, class_order, allowed, what: str) -> np.ndarray:
+def _label_channels(logits: Tensor, mask: np.ndarray, class_order, allowed, what: str) -> np.ndarray:
     """Map label ids to channel indices, rejecting labels outside ``allowed``."""
     mask = np.asarray(mask)
+    if mask.shape != logits.data.shape[:-1]:
+        raise ShapeError(f"{what}: mask {mask.shape} does not match logits {logits.data.shape}")
     present = np.unique(mask)
     bad = [int(c) for c in present if c not in allowed]
     if bad:
@@ -94,16 +102,57 @@ def _label_channels(mask: np.ndarray, class_order, allowed, what: str) -> np.nda
     return lut[mask]
 
 
-def _clamped_log(t: Tensor) -> Tensor:
-    return nm.log(nm.clip_min(t, LOG_FLOOR))
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Stable (max-subtracted) softmax over the last axis.
+
+    The max and the sum run one channel at a time: numpy reduces a narrow
+    last axis about three times slower. Below 8 channels this adds in the
+    order numpy's own reduction does, so the result is the same bit for bit.
+    """
+    m = z[..., 0]
+    for i in range(1, z.shape[-1]):
+        m = np.maximum(m, z[..., i])
+    e = np.exp(z - m[..., None])
+    return e / _channel_sum(e, range(e.shape[-1]))[..., None]
+
+
+def _channel_sum(a: np.ndarray, idx) -> np.ndarray:
+    """sum(a[..., idx], axis=-1), one channel at a time."""
+    idx = list(idx)
+    total = a[..., idx[0]].copy()
+    for i in idx[1:]:
+        total += a[..., i]
+    return total
+
+
+def _clamped_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(max(p, LOG_FLOOR)), and where p > LOG_FLOOR: the gradient of the
+    clamped log is zero wherever the clamp is active."""
+    return np.log(np.maximum(p, LOG_FLOOR)), p > LOG_FLOOR
+
+
+def _mean(a: np.ndarray) -> float:
+    """The mean as the tape's ``tmean`` takes it: the sum times 1/n."""
+    return a.sum() * (1.0 / a.size)
+
+
+def _pick(a: np.ndarray, chan: np.ndarray) -> np.ndarray:
+    """a[..., chan[...]] with chan shaped like a minus its last axis."""
+    return np.take_along_axis(a, chan[..., None], axis=-1)[..., 0]
+
+
+def _onehot(chan: np.ndarray, k: int) -> np.ndarray:
+    return chan[..., None] == np.arange(k)
 
 
 def cross_entropy(logits: Tensor, mask: np.ndarray, class_order) -> Tensor:
     """Mean over pixels of -log q(y)."""
-    chan = _label_channels(mask, class_order, set(class_order), "cross_entropy")
-    q = nm.softmax(logits, axis=-1)
-    picked = nm.gather_last(q, chan)
-    return -_clamped_log(picked).mean()
+    chan = _label_channels(logits, mask, class_order, set(class_order), "cross_entropy")
+    q = _softmax(logits.data)
+    log_q, active = _clamped_log(_pick(q, chan))
+    # d/dz of -log q(y) is q - onehot(y)
+    grad = (q - _onehot(chan, q.shape[-1])) * (active / chan.size)[..., None]
+    return nm.scalar_with_grad(-_mean(log_q), logits, grad)
 
 
 def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext) -> Tensor:
@@ -117,13 +166,19 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext) -
             f"unbiased_cross_entropy: labels {stale} belong to earlier steps; "
             "the mask looks unrelabeled"
         )
-    chan = _label_channels(mask, ctx.class_order, ctx.new_classes, "unbiased_cross_entropy")
-    q = nm.softmax(logits, axis=-1)
-    old_mass = nm.take_channels(q, ctx.old_channels).sum(axis=-1)
-    is_bg = (mask == ctx.background_id).astype(q.data.dtype)
-    picked = nm.gather_last(q, chan)
-    target_prob = picked * (1.0 - is_bg) + old_mass * is_bg
-    return -_clamped_log(target_prob).mean()
+    chan = _label_channels(logits, mask, ctx.class_order, ctx.new_classes, "unbiased_cross_entropy")
+    q = _softmax(logits.data)
+    old = ctx.old_channels
+    is_bg = mask == ctx.background_id
+    # the target channels: the label's, or every old one on a background pixel
+    target = _onehot(chan, q.shape[-1])
+    target[..., old] |= is_bg[..., None]
+    t = np.where(is_bg, _channel_sum(q, old), _pick(q, chan))
+    log_t, active = _clamped_log(t)
+    # d/dz of -log t is q - q * target / t
+    n = chan.size
+    grad = q * (active / n)[..., None] - (q * target) * (active / (n * np.maximum(t, LOG_FLOOR)))[..., None]
+    return nm.scalar_with_grad(-_mean(log_t), logits, grad)
 
 
 def _check_old_probs(logits: Tensor, probs_old: np.ndarray, n_old: int):
@@ -133,16 +188,26 @@ def _check_old_probs(logits: Tensor, probs_old: np.ndarray, n_old: int):
         )
 
 
+def _distillation_grad(q_hat: np.ndarray, probs_old: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Gradient of -mean(sum(p * log q_hat)) per entry of q_hat, where q_hat
+    is built from the logits' softmax (old channels renormalized, or summed
+    into one entry): q_hat * sum(c) - c, with c = p where the clamp lets the
+    gradient through. The caller maps each entry back onto its channels."""
+    c = probs_old * active
+    return (q_hat * _channel_sum(c, range(c.shape[-1]))[..., None] - c) * (1.0 / c[..., 0].size)
+
+
 def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext) -> Tensor:
     """Distillation with the current probabilities renormalized over the old
     label space (incoming foreground channels dropped)."""
     old_idx = ctx.old_channels
     _check_old_probs(logits_new, probs_old, old_idx.size)
-    q = nm.softmax(logits_new, axis=-1)
-    q_old = nm.take_channels(q, old_idx)
-    q_hat = q_old / q_old.sum(axis=-1, keepdims=True)
-    per_pixel = -(nm.as_tensor(probs_old) * _clamped_log(q_hat)).sum(axis=-1)
-    return per_pixel.mean()
+    q_old = _softmax(logits_new.data)[..., old_idx]
+    q_hat = q_old / _channel_sum(q_old, range(old_idx.size))[..., None]
+    log_q, active = _clamped_log(q_hat)
+    grad = np.zeros_like(logits_new.data)
+    grad[..., old_idx] = _distillation_grad(q_hat, probs_old, active)
+    return nm.scalar_with_grad(_mean(-(probs_old * log_q).sum(axis=-1)), logits_new, grad)
 
 
 def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext) -> Tensor:
@@ -151,20 +216,21 @@ def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     old foreground channels are compared unrenormalized."""
     old_idx = ctx.old_channels
     _check_old_probs(logits_new, probs_old, old_idx.size)
-    q = nm.softmax(logits_new, axis=-1)
+    q = _softmax(logits_new.data)
     # background (channel 0 of both models) is matched against the summed
     # mass of the incoming classes + background; old foreground is unaltered
-    bg_mass = nm.take_channels(q, ctx.new_channels).sum(axis=-1)
-    old_fg = nm.take_channels(q, ctx.old_fg_channels)
-    terms = _clamped_log(bg_mass) * probs_old[..., 0] + (
-        _clamped_log(old_fg) * probs_old[..., 1:]
-    ).sum(axis=-1)
-    return -terms.mean()
-
-
-def _bce(s: Tensor, target) -> Tensor:
-    t = nm.as_tensor(target)
-    return -(t * _clamped_log(s) + (1.0 - t) * _clamped_log(1.0 - s))
+    new, old_fg = ctx.new_channels, ctx.old_fg_channels
+    q_hat = np.concatenate([_channel_sum(q, new)[..., None], q[..., old_fg]], axis=-1)
+    log_q, active = _clamped_log(q_hat)
+    terms = log_q[..., 0] * probs_old[..., 0] + (log_q[..., 1:] * probs_old[..., 1:]).sum(axis=-1)
+    g_hat = _distillation_grad(q_hat, probs_old, active)
+    grad = np.empty_like(q)
+    grad[..., old_fg] = g_hat[..., 1:]
+    # the background entry spreads over the incoming channels by their share
+    # of its mass (all zero where the mass is)
+    mass = q_hat[..., 0]
+    grad[..., new] = q[..., new] * (g_hat[..., 0] / np.where(mass > 0, mass, 1.0))[..., None]
+    return nm.scalar_with_grad(-_mean(terms), logits_new, grad)
 
 
 def lwf_mc_loss(
@@ -181,31 +247,42 @@ def lwf_mc_loss(
     if variant not in ("full", "C", "D"):
         raise ConfigError(f"unknown LwF-MC variant {variant!r}")
     mask = np.asarray(mask)
-    _label_channels(mask, ctx.class_order, set(ctx.class_order), "lwf_mc_loss")
+    _label_channels(logits_new, mask, ctx.class_order, set(ctx.class_order), "lwf_mc_loss")
     old_idx = ctx.old_channels
     _check_old_probs(logits_new, sigmoid_old, old_idx.size)
     w_cls = float(ctx.method_weights.get("w_cls", 1.0))
     w_kd = float(ctx.method_weights.get("w_kd", 1.0))
 
-    s = nm.sigmoid(logits_new)
-    dtype = s.data.dtype
+    x = logits_new.data
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    k = len(ctx.class_order)
+    scale = 1.0 / (mask.size * k)
+    grad = np.empty_like(x)
     total = None
     for i, c in enumerate(ctx.class_order):
-        s_c = nm.gather_last(s, np.full(mask.shape, i, dtype=np.intp))
         if c == ctx.background_id:
-            term = None
+            targets = []
             if variant in ("full", "C"):
-                term = w_cls * _bce(s_c, (mask == c).astype(dtype))
+                targets.append((w_cls, (mask == c).astype(x.dtype)))
             if variant in ("full", "D"):
-                kd = w_kd * _bce(s_c, sigmoid_old[..., 0])
-                term = kd if term is None else term + kd
+                targets.append((w_kd, sigmoid_old[..., 0]))
         elif c in ctx.new_classes:
-            term = w_cls * _bce(s_c, (mask == c).astype(dtype))
+            targets = [(w_cls, (mask == c).astype(x.dtype))]
         else:
-            old_pos = int(np.where(old_idx == i)[0][0])
-            term = w_kd * _bce(s_c, sigmoid_old[..., old_pos])
+            targets = [(w_kd, sigmoid_old[..., int(np.where(old_idx == i)[0][0])])]
+        s_c = s[..., i]
+        log_s, on_s = _clamped_log(s_c)
+        log_1s, on_1s = _clamped_log(1.0 - s_c)
+        term, g = None, 0.0
+        for w, t in targets:
+            bce = w * -(t * log_s + (1.0 - t) * log_1s)
+            term = bce if term is None else term + bce
+            # d/dx of the BCE is s - t, masked where either log is clamped
+            g = g + w * ((1.0 - t) * on_1s * s_c - t * on_s * (1.0 - s_c))
         total = term if total is None else total + term
-    return total.mean() * (1.0 / len(ctx.class_order))
+        grad[..., i] = g * scale
+    return nm.scalar_with_grad(_mean(total) * (1.0 / k), logits_new, grad)
 
 
 def feature_distillation(features_new: Tensor, features_old: np.ndarray) -> Tensor:
@@ -214,8 +291,9 @@ def feature_distillation(features_new: Tensor, features_old: np.ndarray) -> Tens
         raise AlignmentError(
             f"feature shapes differ: {features_new.data.shape} vs {np.asarray(features_old).shape}"
         )
-    diff = features_new - nm.as_tensor(features_old)
-    return (diff * diff).sum(axis=-1).mean()
+    diff = features_new.data - features_old
+    per_pixel = (diff * diff).sum(axis=-1)
+    return nm.scalar_with_grad(_mean(per_pixel), features_new, diff * (2.0 / per_pixel.size))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +421,7 @@ def composite_objective(
         loss = cross_entropy(logits, masks, model.known_classes)
 
     if method.kd_mode != "none" and method.lambda_kd > 0:
-        probs_old = _softmax_np(old_logits)
+        probs_old = _softmax(old_logits)
         if method.kd_mode == "unbiased":
             kd = unbiased_distillation(logits, probs_old, ctx)
         else:
@@ -357,7 +435,3 @@ def composite_objective(
         loss = loss + reg_penalty
     return loss
 
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)

@@ -6,6 +6,11 @@ backward closure on the result, so the tape is implicit in the parent links.
 accumulates into ``.grad``. 64-bit floats are the default; float32 can be
 requested per tensor. ``finite_difference_gradient`` is the independent
 oracle used to check every differentiable op.
+
+A scalar whose gradient has a closed form is one fused node:
+``scalar_with_grad(value, x, grad)`` records ``value`` with ``grad`` as its
+derivative with respect to ``x``, so the tape holds one node instead of the
+chain of elementary ops that would compute the same value. The losses use it.
 """
 from __future__ import annotations
 
@@ -250,6 +255,20 @@ def log(a) -> Tensor:
     return _from_op(data, (a,), bw)
 
 
+def scalar_with_grad(value, x: Tensor, grad: np.ndarray) -> Tensor:
+    """A scalar computed outside the tape, with ``grad`` = d value / d ``x``.
+
+    The node's only parent is ``x``; its backward scales ``grad`` by the
+    incoming gradient.
+    """
+    x = as_tensor(x)
+
+    def bw(g):
+        return (grad * g,)
+
+    return _from_op(np.asarray(value, dtype=x.data.dtype), (x,), bw)
+
+
 def clip_min(a, lo: float) -> Tensor:
     """Elementwise max(a, lo); gradient passes only where a > lo."""
     a = as_tensor(a)
@@ -406,7 +425,11 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """3x3 same-padding convolution on [B,H,W,Cin] with kernel [3,3,Cin,Cout]."""
+    """3x3 same-padding convolution on [B,H,W,Cin] with kernel [3,3,Cin,Cout].
+
+    The gradient with respect to ``x`` is computed only when ``x`` requires
+    one; the image fed to the first layer never does.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
     if xd.ndim != 4:
@@ -417,17 +440,18 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cout = wd.shape[3]
     xp = np.zeros((B, H + 2, W + 2, cin), dtype=xd.dtype)
     xp[:, 1:-1, 1:-1, :] = xd
-    cols = np.empty((B, H, W, 3, 3, cin), dtype=xd.dtype)
-    for di in range(3):
-        for dj in range(3):
-            cols[:, :, :, di, dj, :] = xp[:, di : di + H, dj : dj + W, :]
-    flat = cols.reshape(B * H * W, 9 * cin)
+    # one copy of the strided windows, columns ordered (di, dj, cin)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    flat = windows.transpose(0, 1, 2, 4, 5, 3).reshape(B * H * W, 9 * cin)
     data = (flat @ wd.reshape(9 * cin, cout) + b.data).reshape(B, H, W, cout)
+    need_x = x.requires_grad
 
     def bw(g):
         gf = g.reshape(B * H * W, cout)
         gw = (flat.T @ gf).reshape(3, 3, cin, cout)
         gb = gf.sum(axis=0)
+        if not need_x:
+            return None, gw, gb
         gcols = (gf @ wd.reshape(9 * cin, cout).T).reshape(B, H, W, 3, 3, cin)
         gxp = np.zeros_like(xp)
         for di in range(3):

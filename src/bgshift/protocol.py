@@ -67,7 +67,9 @@ def scan_weight_grid(
     """Largest grid weight whose metric stays >= (1 - decay) * reference.
 
     Falls back to the smallest grid value (flagged) when nothing qualifies,
-    so sweeps keep running.
+    so sweeps keep running. A reference <= 0 means fine-tuning learned
+    nothing to measure decay against, so nothing qualifies; the trace is
+    still taken.
     """
     grid = sorted(grid if grid is not None else hparam_grid())
     if not grid:
@@ -76,13 +78,10 @@ def scan_weight_grid(
         raise ConfigError("tolerated_decay must lie in [0, 1]")
     threshold = (1.0 - tolerated_decay) * reference
     trace = [(w, float(metric_fn(w))) for w in grid]
-    best = None
-    for w, metric in trace:
-        if metric >= threshold:
-            best = w
-    if best is None:
+    qualifying = [w for w, metric in trace if metric >= threshold] if reference > 0 else []
+    if not qualifying:
         return SelectionResult(grid[0], False, trace, reference, threshold)
-    return SelectionResult(best, True, trace, reference, threshold)
+    return SelectionResult(qualifying[-1], True, trace, reference, threshold)
 
 
 def select_method_weight(

@@ -10,6 +10,7 @@ from bgshift import trainer as tr
 from bgshift.cli import main as cli_main
 from bgshift.exceptions import ComparisonError, ConfigError
 from bgshift.losses import method_preset
+from bgshift.scenario import SyntheticConfig, generate_synthetic, save_dataset
 
 TINY_CFG = """
 # tiny experiment used by the harness tests
@@ -406,6 +407,29 @@ def test_cli_generate_and_run(tmp_path):
         ["report", "--report", str(out_dir / "report.json"), "--baseline", "FT", "--target", "FT"]
     )
     assert rc == 0
+
+
+def dir_datasets(tmp_path, train_ids, eval_ids):
+    samples = generate_synthetic(0, SyntheticConfig(num_fg_classes=2, num_images=4, height=16, width=16))
+    for name, ids in (("train", train_ids), ("eval", eval_ids)):
+        save_dataset([replace(samples[i], id=sid) for i, sid in enumerate(ids)], tmp_path / name, 2)
+    return str(tmp_path / "train"), str(tmp_path / "eval")
+
+
+def test_eval_dir_equal_to_train_dir_is_a_config_error(tmp_path):
+    train, _ = dir_datasets(tmp_path, ["a", "b"], ["c"])
+    same = os.path.join(train, "..", "train")  # another spelling of the same directory
+    with pytest.raises(ConfigError, match="is the training directory"):
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=same))
+
+
+def test_eval_dir_sharing_sample_ids_is_a_config_error(tmp_path):
+    train, heldout = dir_datasets(tmp_path, ["a", "b", "c"], ["x", "b"])
+    with pytest.raises(ConfigError, match=r"share 1 sample ids, first \['b'\]"):
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout))
+    train, heldout = dir_datasets(tmp_path / "ok", ["a", "b"], ["c", "d"])
+    corpus, eval_corpus = hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout))
+    assert [s.id for s in corpus] == ["a", "b"] and [s.id for s in eval_corpus] == ["c", "d"]
 
 
 def test_cli_exit_code_2_on_cell_failure(tmp_path, monkeypatch):

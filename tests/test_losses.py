@@ -357,6 +357,48 @@ def test_loss_gradients_match_finite_differences(name):
     assert worst < 1e-4, f"{name}: rel err {worst}"
 
 
+def saturated_case(seed):
+    """random_case with logits near +-40: many probabilities fall below LOG_FLOOR."""
+    logits, mask, full_mask, probs_old, sig_old, ctx = random_case(seed)
+    rng = np.random.default_rng(1000 + seed)
+    logits.data[...] = rng.choice([-40.0, 40.0], size=logits.shape) + rng.normal(size=logits.shape)
+    return logits, mask, full_mask, probs_old, sig_old, ctx
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_FNS))
+def test_loss_gradients_match_finite_differences_where_clamped(name, monkeypatch):
+    fn = LOSS_FNS[name]
+    worst, clamped = 0.0, False
+    for seed in range(20):
+        logits, mask, full_mask, probs_old, sig_old, ctx = saturated_case(seed)
+        loss = lambda t: fn(t, mask, full_mask, probs_old, sig_old, ctx)
+        worst = max(worst, nm.check_gradient(loss, logits))
+        value = loss(logits).item()
+        with monkeypatch.context() as m:
+            m.setattr(L, "LOG_FLOOR", 1e-300)
+            clamped |= loss(logits).item() != value
+    assert clamped, f"{name}: no case reached the LOG_FLOOR clamp"
+    assert worst < 1e-4, f"{name}: rel err {worst}"
+
+
+def test_feature_distillation_gradient_matches_finite_differences():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        feats = Tensor(rng.choice([-40.0, 40.0], size=(3, 3, 4)) + rng.normal(size=(3, 3, 4)), requires_grad=True)
+        old = rng.normal(size=(3, 3, 4)) * 40.0
+        assert nm.check_gradient(lambda t: L.feature_distillation(t, old), feats) < 1e-4
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_FNS))
+def test_each_loss_is_one_tape_node_on_its_logits(name):
+    logits, mask, full_mask, probs_old, sig_old, ctx = random_case(0)
+    out = LOSS_FNS[name](logits, mask, full_mask, probs_old, sig_old, ctx)
+    assert len(out._parents) == 1 and out._parents[0] is logits
+    feats = Tensor(np.ones((2, 2, 3)), requires_grad=True)
+    out = L.feature_distillation(feats, np.zeros((2, 2, 3)))
+    assert len(out._parents) == 1 and out._parents[0] is feats
+
+
 def test_losses_are_nonnegative():
     for seed in range(10):
         logits, mask, full_mask, probs_old, sig_old, ctx = random_case(100 + seed)

@@ -136,6 +136,21 @@ def test_conv3x3_gradient_all_inputs():
     assert nm.check_gradient(lambda t: (nm.conv3x3(x, w, t) * r).sum(), b) < 1e-4
 
 
+def test_conv3x3_skips_the_gradient_of_an_input_that_needs_none():
+    rng = np.random.default_rng(12)
+    xd, wd, bd = rng.normal(size=(2, 5, 5, 2)), rng.normal(size=(3, 3, 2, 3)), rng.normal(size=3)
+    r = rng.normal(size=(2, 5, 5, 3))
+    grads = {}
+    for need in (False, True):
+        x = Tensor(xd, requires_grad=need)
+        w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+        (nm.conv3x3(x, w, b) * r).sum().backward()
+        grads[need] = (x.grad, w.grad, b.grad)
+    assert grads[False][0] is None and grads[True][0] is not None
+    assert np.array_equal(grads[False][1], grads[True][1])
+    assert np.array_equal(grads[False][2], grads[True][2])
+
+
 def test_conv3x3_matches_direct_convolution():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(1, 6, 7, 2))

@@ -87,6 +87,14 @@ def test_scan_unsatisfiable_falls_back_with_flag():
     assert not result.satisfied
 
 
+def test_scan_zero_reference_is_unsatisfied():
+    # fine-tuning learned nothing: a zero threshold must not pass every weight
+    result = pr.scan_weight_grid(lambda w: 0.0, reference=0.0)
+    assert result.weight == 0.001
+    assert not result.satisfied
+    assert [w for w, _ in result.trace] == pr.hparam_grid()
+
+
 def test_scan_monotone_in_tolerated_decay():
     prev = None
     for decay in (0.0, 0.1, 0.2, 0.5, 0.9, 1.0):

@@ -219,3 +219,64 @@ def test_shared_first_step_matches_chained_run_step(method):
         assert got.reg_state.importance.keys() == want.reg_state.importance.keys()
         for name, imp in want.reg_state.importance.items():
             assert np.array_equal(got.reg_state.importance[name], imp), name
+
+
+# -- pinned loss traces ------------------------------------------------------------
+
+# loss_trace per step of one short [1,1,1] overlapped run per method, recorded
+# with each loss built from elementary tape ops; the fused closed-form losses
+# must reproduce them up to float64 summation order
+PINNED_TRACES = {
+    'FT': [
+        [0.6755332129045039, 0.6108107098111322],
+        [0.9488771810552737, 0.9291424847545713],
+        [1.1958157282181554, 1.1563050571078337],
+    ],
+    'LwF': [
+        [0.6755332129045039, 0.6108107098111322],
+        [68.565323690906, 68.56306887464564],
+        [109.83373936630339, 109.8068113824727],
+    ],
+    'ILT': [
+        [0.6755332129045039, 0.6108107098111322],
+        [68.57240772169827, 72.90889811791824],
+        [109.71620788246481, 112.14528189568922],
+    ],
+    'LwF-MC': [
+        [0.6755332129045039, 0.6108107098111322],
+        [5.03265804642564, 5.031275700256997],
+        [5.5055279796323715, 5.501930405087855],
+    ],
+    'MiB': [
+        [0.6755332129045039, 0.6108107098111322],
+        [7.245723336175175, 7.244219521354652],
+        [11.382790339540174, 11.30123704063365],
+    ],
+    'RW': [
+        [0.6755332129045039, 0.6108107098111322],
+        [0.9557951291039574, 0.9522795530047395],
+        [1.3216188936931472, 14.883040611073985],
+    ],
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_TRACES))
+def test_loss_traces_match_the_pinned_ones(method):
+    samples = generate_synthetic(
+        0, SyntheticConfig(num_fg_classes=3, num_images=24, height=16, width=16, blobs_per_image=2)
+    )
+    config = tr.TrainConfig(
+        epochs_per_step=2,
+        batch_size=4,
+        lr_step0=0.05,
+        lr_later=0.01,
+        method=method_preset(method),
+        backbone=BackboneConfig(hidden=4, features=4),
+    )
+    run = tr.run_incremental(samples[:20], samples[20:], build_schedule(3, [1, 1, 1]), "overlapped", config)
+    got = [r.loss_trace for r in run.results]
+    want = PINNED_TRACES[method]
+    assert [len(t) for t in got] == [len(t) for t in want]
+    for g_step, w_step in zip(got, want):
+        for g, w in zip(g_step, w_step):
+            assert abs(g - w) <= 1e-9 * abs(w), (method, got)
