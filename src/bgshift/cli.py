@@ -88,7 +88,7 @@ def _dispatch(args, overrides: list[str]) -> int:
 
     if args.command == "select":
         config = load_experiment_config(args.config, overrides)
-        method = method_preset(args.method)
+        method = config.method_config(args.method)
         method.with_weight(1.0)  # FT/Joint have no weight to select: fail before training
         inputs = RunInputs.build(config)
         if inputs.schedule.num_steps < 2:

@@ -70,6 +70,9 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     out_dir: str | None = None
     save_checkpoints: bool = True
+    # the train.method.* keys the config sets; each method's preset is the
+    # base they override (``method_config``)
+    method_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.methods or not self.seeds:
@@ -79,7 +82,11 @@ class ExperimentConfig:
                 f"schedule {self.schedule_sizes} does not cover {self.dataset.num_fg_classes} classes"
             )
         for m in self.methods:
-            method_preset(m)  # validate names early
+            self.method_config(m)  # validate names and overrides early
+
+    def method_config(self, name: str) -> MethodConfig:
+        """The preset of method ``name`` with ``method_overrides`` on top."""
+        return replace(method_preset(name), **self.method_overrides)
 
 
 def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
@@ -141,7 +148,7 @@ def _step0_spec(config: ExperimentConfig, inputs: RunInputs, seed: int) -> dict:
     # step 0 runs under the first incremental method's name; its training
     # does not depend on the method (see trainer.first_step)
     method = next(m for m in config.methods if not _is_joint(m))
-    cfg = replace(config.train, seed=seed, method=method_preset(method))
+    cfg = replace(config.train, seed=seed, method=config.method_config(method))
     return {"train": cfg, "inputs": inputs}
 
 
@@ -167,7 +174,7 @@ def run_cell(spec: dict) -> dict:
     """
     config, inputs, step0 = spec["config"], spec["inputs"], spec["step0"]
     method_name, seed = spec["method"], spec["seed"]
-    cfg = replace(config.train, seed=seed, method=method_preset(method_name))
+    cfg = replace(config.train, seed=seed, method=config.method_config(method_name))
     schedule = inputs.schedule.joint() if _is_joint(method_name) else inputs.schedule
     started = time.perf_counter()
     run = run_incremental(
@@ -395,7 +402,10 @@ def compare_report(report: dict, baseline_method: str, target_method: str) -> di
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)
+    d = asdict(config)
+    # the method section holds the keys set on top of the presets
+    d["train"]["method"] = d.pop("method_overrides")
+    return d
 
 
 def _section(cls, d, prefix: str) -> dict:
@@ -412,17 +422,16 @@ def _section(cls, d, prefix: str) -> dict:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     d = _section(ExperimentConfig, d, "")
+    if "method_overrides" in d:  # spelled train.method.* in a config
+        raise ConfigError("unknown config key 'method_overrides'")
     dataset = DatasetSpec(**_section(DatasetSpec, d.pop("dataset", {}), "dataset."))
     train_d = _section(TrainConfig, d.pop("train", {}), "train.")
-    method_d = train_d.pop("method", None)
+    method_d = _section(MethodConfig, train_d.pop("method", {}), "train.method.")
     backbone_d = train_d.pop("backbone", None)
     train = TrainConfig(**train_d)
-    if method_d:
-        method_d = _section(MethodConfig, method_d, "train.method.")
-        train = replace(train, method=replace(train.method, **method_d))
     if backbone_d:
         train = replace(train, backbone=BackboneConfig(**_section(BackboneConfig, backbone_d, "train.backbone.")))
-    return ExperimentConfig(dataset=dataset, train=train, **d)
+    return ExperimentConfig(dataset=dataset, train=train, method_overrides=method_d, **d)
 
 
 def _parse_scalar(text: str):

@@ -12,7 +12,9 @@ Every loss computes its value and its gradient with respect to its input (the
 logits, or the features for ILT) in numpy, from the closed form of that
 gradient, and returns one tape node (``numerics.scalar_with_grad``). Where a
 probability is clamped at ``LOG_FLOOR`` before the log, no gradient flows
-through it.
+through it. A loss of the logits computes their softmax itself; the
+composite objective computes it once per batch and hands it to each loss
+through the private ``_q`` argument.
 """
 from __future__ import annotations
 
@@ -88,18 +90,21 @@ class LossContext:
 
 
 def _label_channels(logits: Tensor, mask: np.ndarray, class_order, allowed, what: str) -> np.ndarray:
-    """Map label ids to channel indices, rejecting labels outside ``allowed``."""
+    """Map label ids to channel indices, rejecting labels outside ``allowed``
+    (a subset of ``class_order``)."""
     mask = np.asarray(mask)
     if mask.shape != logits.data.shape[:-1]:
         raise ShapeError(f"{what}: mask {mask.shape} does not match logits {logits.data.shape}")
-    present = np.unique(mask)
-    bad = [int(c) for c in present if c not in allowed]
-    if bad:
-        raise LabelDomainError(f"{what}: labels {bad} are outside the allowed set {sorted(allowed)}")
     lut = np.full(int(max(class_order)) + 1, -1, dtype=np.intp)
     for i, c in enumerate(class_order):
-        lut[c] = i
-    return lut[mask]
+        if c in allowed:
+            lut[c] = i
+    in_range = mask.size == 0 or (mask.min() >= 0 and mask.max() < lut.size)
+    chan = lut[mask] if in_range else None
+    if chan is None or (chan < 0).any():
+        bad = [int(c) for c in np.unique(mask) if c not in allowed]
+        raise LabelDomainError(f"{what}: labels {bad} are outside the allowed set {sorted(allowed)}")
+    return chan
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -145,29 +150,32 @@ def _onehot(chan: np.ndarray, k: int) -> np.ndarray:
     return chan[..., None] == np.arange(k)
 
 
-def cross_entropy(logits: Tensor, mask: np.ndarray, class_order) -> Tensor:
+def cross_entropy(logits: Tensor, mask: np.ndarray, class_order, *, _q=None) -> Tensor:
     """Mean over pixels of -log q(y)."""
     chan = _label_channels(logits, mask, class_order, set(class_order), "cross_entropy")
-    q = _softmax(logits.data)
+    q = _softmax(logits.data) if _q is None else _q
     log_q, active = _clamped_log(_pick(q, chan))
     # d/dz of -log q(y) is q - onehot(y)
     grad = (q - _onehot(chan, q.shape[-1])) * (active / chan.size)[..., None]
     return nm.scalar_with_grad(-_mean(log_q), logits, grad)
 
 
-def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext) -> Tensor:
+def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
     """Cross-entropy where a background pixel is scored against the summed
     probability of every previously-known class (background included)."""
     mask = np.asarray(mask)
-    present = np.unique(mask)
-    stale = [int(c) for c in present if c in ctx.old_classes and c != ctx.background_id]
-    if stale:
-        raise LabelDomainError(
-            f"unbiased_cross_entropy: labels {stale} belong to earlier steps; "
-            "the mask looks unrelabeled"
-        )
-    chan = _label_channels(logits, mask, ctx.class_order, ctx.new_classes, "unbiased_cross_entropy")
-    q = _softmax(logits.data)
+    try:
+        chan = _label_channels(logits, mask, ctx.class_order, ctx.new_classes, "unbiased_cross_entropy")
+    except (ShapeError, LabelDomainError):
+        # a label of an earlier step is named first
+        stale = [int(c) for c in np.unique(mask) if c in ctx.old_classes and c != ctx.background_id]
+        if stale:
+            raise LabelDomainError(
+                f"unbiased_cross_entropy: labels {stale} belong to earlier steps; "
+                "the mask looks unrelabeled"
+            ) from None
+        raise
+    q = _softmax(logits.data) if _q is None else _q
     old = ctx.old_channels
     is_bg = mask == ctx.background_id
     # the target channels: the label's, or every old one on a background pixel
@@ -197,12 +205,12 @@ def _distillation_grad(q_hat: np.ndarray, probs_old: np.ndarray, active: np.ndar
     return (q_hat * _channel_sum(c, range(c.shape[-1]))[..., None] - c) * (1.0 / c[..., 0].size)
 
 
-def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext) -> Tensor:
+def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
     """Distillation with the current probabilities renormalized over the old
     label space (incoming foreground channels dropped)."""
     old_idx = ctx.old_channels
     _check_old_probs(logits_new, probs_old, old_idx.size)
-    q_old = _softmax(logits_new.data)[..., old_idx]
+    q_old = (_softmax(logits_new.data) if _q is None else _q)[..., old_idx]
     q_hat = q_old / _channel_sum(q_old, range(old_idx.size))[..., None]
     log_q, active = _clamped_log(q_hat)
     grad = np.zeros_like(logits_new.data)
@@ -210,13 +218,13 @@ def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     return nm.scalar_with_grad(_mean(-(probs_old * log_q).sum(axis=-1)), logits_new, grad)
 
 
-def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext) -> Tensor:
+def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
     """Distillation where the old model's background probability is matched
     against the summed current probability of incoming classes + background;
     old foreground channels are compared unrenormalized."""
     old_idx = ctx.old_channels
     _check_old_probs(logits_new, probs_old, old_idx.size)
-    q = _softmax(logits_new.data)
+    q = _softmax(logits_new.data) if _q is None else _q
     # background (channel 0 of both models) is matched against the summed
     # mass of the incoming classes + background; old foreground is unaltered
     new, old_fg = ctx.new_channels, ctx.old_fg_channels
@@ -415,17 +423,18 @@ def composite_objective(
         sig_old = 1.0 / (1.0 + np.exp(-old_logits))
         return lwf_mc_loss(logits, masks, sig_old, method.lwfmc_variant, ctx)
 
+    q = _softmax(logits.data)  # one softmax of the student serves CE and KD
     if method.ce_mode == "unbiased":
-        loss = unbiased_cross_entropy(logits, masks, ctx)
+        loss = unbiased_cross_entropy(logits, masks, ctx, _q=q)
     else:
-        loss = cross_entropy(logits, masks, model.known_classes)
+        loss = cross_entropy(logits, masks, model.known_classes, _q=q)
 
     if method.kd_mode != "none" and method.lambda_kd > 0:
         probs_old = _softmax(old_logits)
         if method.kd_mode == "unbiased":
-            kd = unbiased_distillation(logits, probs_old, ctx)
+            kd = unbiased_distillation(logits, probs_old, ctx, _q=q)
         else:
-            kd = standard_distillation(logits, probs_old, ctx)
+            kd = standard_distillation(logits, probs_old, ctx, _q=q)
         loss = loss + method.lambda_kd * kd
 
     if method.feature_kd_weight > 0:

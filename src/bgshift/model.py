@@ -6,6 +6,10 @@ order they were added). ``extend_classifier`` grows the head for a new step,
 either copying the background classifier with a shifted bias (so the old
 background probability is spread uniformly over the incoming classes) or with
 plain random initialization.
+
+A forward pass records two tape nodes, the backbone (``numerics.conv_dense``)
+and the head (``numerics.affine_last``); the tape keeps only what their
+hand-written backward passes read.
 """
 from __future__ import annotations
 
@@ -28,14 +32,6 @@ class BackboneConfig:
     hidden: int = 16
     features: int = 16
     activation: str = "tanh"
-
-
-def _act(name: str):
-    if name == "tanh":
-        return nm.tanh
-    if name == "relu":
-        return nm.relu
-    raise ShapeError(f"unknown activation {name!r}")
 
 
 class Backbone:
@@ -61,10 +57,10 @@ class Backbone:
             Tensor(np.zeros(d), requires_grad=True),
         )
 
-    def forward(self, x: Tensor) -> Tensor:
-        act = _act(self.config.activation)
-        h = act(nm.conv3x3(x, self.w1, self.b1))
-        return act(nm.affine_last(h, self.w2, self.b2))
+    def forward(self, images: np.ndarray) -> Tensor:
+        """[B,H,W,ch] images -> [B,H,W,D] features, one tape node."""
+        c = self.config
+        return nm.conv_dense(images, self.w1, self.b1, self.w2, self.b2, c.activation)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"backbone.w1": self.w1, "backbone.b1": self.b1, "backbone.w2": self.w2, "backbone.b2": self.b2}
@@ -126,7 +122,7 @@ class SegModel:
             raise ShapeError(
                 f"expected [B,H,W,{self.backbone.config.in_channels}] input, got {images.shape}"
             )
-        feats = self.backbone.forward(nm.as_tensor(images))
+        feats = self.backbone.forward(images)
         logits = nm.affine_last(feats, self.head_w, self.head_b)
         return logits, feats
 

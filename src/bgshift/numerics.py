@@ -11,6 +11,9 @@ A scalar whose gradient has a closed form is one fused node:
 ``scalar_with_grad(value, x, grad)`` records ``value`` with ``grad`` as its
 derivative with respect to ``x``, so the tape holds one node instead of the
 chain of elementary ops that would compute the same value. The losses use it.
+The model's layers are fused the same way: ``conv_dense`` is the whole
+backbone (conv3x3 -> act -> 1x1 -> act) and ``affine_last`` the classifier
+head, each one node with a hand-written backward.
 """
 from __future__ import annotations
 
@@ -72,9 +75,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def backward(self):
         if self.data.size != 1:
@@ -269,34 +269,12 @@ def scalar_with_grad(value, x: Tensor, grad: np.ndarray) -> Tensor:
     return _from_op(np.asarray(value, dtype=x.data.dtype), (x,), bw)
 
 
-def clip_min(a, lo: float) -> Tensor:
-    """Elementwise max(a, lo); gradient passes only where a > lo."""
-    a = as_tensor(a)
-    data = np.maximum(a.data, lo)
-
-    def bw(g):
-        return (g * (a.data > lo),)
-
-    return _from_op(data, (a,), bw)
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     data = np.tanh(a.data)
 
     def bw(g):
         return (g * (1.0 - data * data),)
-
-    return _from_op(data, (a,), bw)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def bw(g):
-        return (g * data * (1.0 - data),)
 
     return _from_op(data, (a,), bw)
 
@@ -340,42 +318,6 @@ def reshape(a, shape) -> Tensor:
     return _from_op(data, (a,), bw)
 
 
-def take_channels(a: Tensor, idx) -> Tensor:
-    """Select channels ``idx`` (unique ints) along the last axis."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1 or len(np.unique(idx)) != idx.size:
-        raise ShapeError("take_channels expects a 1-D list of unique channel indices")
-    data = a.data[..., idx]
-
-    def bw(g):
-        z = np.zeros_like(a.data)
-        z[..., idx] = g
-        return (z,)
-
-    return _from_op(data, (a,), bw)
-
-
-def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
-    """out[...] = a[..., idx[...]] with idx shaped like a minus its last axis."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.shape != a.data.shape[:-1]:
-        raise ShapeError("gather_last index shape must match the leading dims")
-    k = a.data.shape[-1]
-    flat = a.data.reshape(-1, k)
-    fidx = idx.reshape(-1)
-    rows = np.arange(flat.shape[0])
-    data = flat[rows, fidx].reshape(idx.shape)
-
-    def bw(g):
-        z = np.zeros_like(flat)
-        z[rows, fidx] = g.reshape(-1)
-        return (z.reshape(a.data.shape),)
-
-    return _from_op(data, (a,), bw)
-
-
 def narrow_last(a: Tensor, start: int, size: int) -> Tensor:
     """Slice [start, start+size) along the last axis."""
     a = as_tensor(a)
@@ -391,58 +333,32 @@ def narrow_last(a: Tensor, start: int, size: int) -> Tensor:
     return _from_op(data, (a,), bw)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Stable softmax (max-subtracted) along ``axis``."""
-    a = as_tensor(a)
-    if a.data.shape[axis] == 0:
-        raise ShapeError("softmax over an empty axis")
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot),)
-
-    return _from_op(data, (a,), bw)
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """Fused log(softmax), stable for large-magnitude logits."""
-    a = as_tensor(a)
-    if a.data.shape[axis] == 0:
-        raise ShapeError("log_softmax over an empty axis")
-    m = a.data.max(axis=axis, keepdims=True)
-    z = a.data - m
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    data = z - lse
-
-    def bw(g):
-        p = np.exp(data)
-        return (g - p * g.sum(axis=axis, keepdims=True),)
-
-    return _from_op(data, (a,), bw)
+def _conv_columns(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """The [B*H*W, 9*Cin] im2col columns of a 3x3 same-padding convolution of
+    ``xd`` [B,H,W,Cin] with kernel ``wd`` [3,3,Cin,Cout], ordered (di, dj, cin):
+    one copy of the strided windows of the zero-padded input."""
+    if xd.ndim != 4:
+        raise ShapeError("conv3x3 input must be [B,H,W,Cin]")
+    if wd.shape[:2] != (3, 3) or wd.shape[2] != xd.shape[3]:
+        raise ShapeError("conv3x3 kernel must be [3,3,Cin,Cout] matching input channels")
+    B, H, W, cin = xd.shape
+    xp = np.zeros((B, H + 2, W + 2, cin), dtype=xd.dtype)
+    xp[:, 1:-1, 1:-1, :] = xd
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(B * H * W, 9 * cin)
 
 
 def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """3x3 same-padding convolution on [B,H,W,Cin] with kernel [3,3,Cin,Cout].
 
     The gradient with respect to ``x`` is computed only when ``x`` requires
-    one; the image fed to the first layer never does.
+    one.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
-    if xd.ndim != 4:
-        raise ShapeError("conv3x3 input must be [B,H,W,Cin]")
-    if wd.shape[:2] != (3, 3) or wd.shape[2] != xd.shape[3]:
-        raise ShapeError("conv3x3 kernel must be [3,3,Cin,Cout] matching input channels")
+    flat = _conv_columns(xd, wd)
     B, H, W, cin = xd.shape
     cout = wd.shape[3]
-    xp = np.zeros((B, H + 2, W + 2, cin), dtype=xd.dtype)
-    xp[:, 1:-1, 1:-1, :] = xd
-    # one copy of the strided windows, columns ordered (di, dj, cin)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    flat = windows.transpose(0, 1, 2, 4, 5, 3).reshape(B * H * W, 9 * cin)
     data = (flat @ wd.reshape(9 * cin, cout) + b.data).reshape(B, H, W, cout)
     need_x = x.requires_grad
 
@@ -453,7 +369,7 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if not need_x:
             return None, gw, gb
         gcols = (gf @ wd.reshape(9 * cin, cout).T).reshape(B, H, W, 3, 3, cin)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((B, H + 2, W + 2, cin), dtype=xd.dtype)
         for di in range(3):
             for dj in range(3):
                 gxp[:, di : di + H, dj : dj + W, :] += gcols[:, :, :, di, dj, :]
@@ -462,13 +378,71 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (x, w, b), bw)
 
 
+def _activate(a: np.ndarray, activation: str) -> None:
+    """Apply ``activation`` to ``a`` in place."""
+    if activation == "tanh":
+        np.tanh(a, out=a)
+    else:
+        np.maximum(a, 0.0, out=a)
+
+
+def _activation_grad(y: np.ndarray, g: np.ndarray, activation: str) -> np.ndarray:
+    """The gradient reaching an activation's input, from its output ``y`` and
+    the gradient ``g`` reaching that output; the same arithmetic as the
+    ``tanh``/``relu`` nodes (relu's y > 0 exactly where its input is)."""
+    if activation == "tanh":
+        t = y * y
+        np.subtract(1.0, t, out=t)
+        t *= g
+        return t
+    return g * (y > 0)
+
+
+def conv_dense(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, activation: str) -> Tensor:
+    """act(act(conv3x3(x, w1, b1)) @ w2 + b2) as one tape node.
+
+    ``x`` is [B,H,W,Cin] data: no gradient flows to it. ``w2`` [Cmid, Cout]
+    is a dense map over the channels (a 1x1 convolution); ``activation`` is
+    "tanh" or "relu". The result and the gradients of ``w1, b1, w2, b2``
+    equal, bit for bit, those of the composition ``conv3x3 -> act ->
+    affine_last -> act``: the forward works in place, the node keeps only the
+    im2col columns and the two activation outputs, and its backward makes
+    the numpy calls that composition's nodes make.
+    """
+    if activation not in ("tanh", "relu"):
+        raise ShapeError(f"unknown activation {activation!r}")
+    xd = as_tensor(x).data
+    w1, b1, w2, b2 = (as_tensor(t) for t in (w1, b1, w2, b2))
+    cols = _conv_columns(xd, w1.data)
+    h = cols @ w1.data.reshape(cols.shape[1], -1)
+    h += b1.data
+    _activate(h, activation)
+    f = h @ w2.data
+    f += b2.data
+    _activate(f, activation)
+
+    def bw(g):
+        gf = _activation_grad(f, g.reshape(f.shape), activation)
+        gh = _activation_grad(h, gf @ w2.data.T, activation)
+        return (cols.T @ gh).reshape(w1.data.shape), gh.sum(axis=0), h.T @ gf, gf.sum(axis=0)
+
+    return _from_op(f.reshape(xd.shape[:3] + f.shape[-1:]), (w1, b1, w2, b2), bw)
+
+
 def affine_last(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Dense map over the last axis: [..., Cin] @ [Cin, Cout] + [Cout]."""
-    x, w = as_tensor(x), as_tensor(w)
-    lead = x.data.shape[:-1]
-    flat = reshape(x, (-1, x.data.shape[-1]))
-    out = add(matmul(flat, w), b)
-    return reshape(out, lead + (w.data.shape[-1],))
+    """Dense map over the last axis, [..., Cin] @ [Cin, Cout] + [Cout], as
+    one tape node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    flat = x.data.reshape(-1, x.data.shape[-1])
+    out = flat @ w.data
+    out += b.data
+
+    def bw(g):
+        gf = g.reshape(out.shape)
+        gx = (gf @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        return gx, flat.T @ gf, gf.sum(axis=0)
+
+    return _from_op(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, w, b), bw)
 
 
 def finite_difference_gradient(f, x: Tensor, eps: float = 1e-5) -> np.ndarray:

@@ -134,17 +134,18 @@ def run_step(
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_iters = config.epochs_per_step * batches_per_epoch
 
+    # the step's samples stacked once: a batch is an index gather
+    all_images = np.stack([item.image for item in dataset.items])
+    all_masks = np.stack([item.mask for item in dataset.items])
     # frozen teacher outputs can be cached when inputs are not augmented
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    use_cache = teacher is not None and not config.hflip
-    if use_cache:
+    cache = None
+    if teacher is not None and not config.hflip:
         with nm.no_grad():
             for start in range(0, n, config.batch_size):
-                idx = np.arange(start, min(start + config.batch_size, n))
-                images = np.stack([dataset.items[i].image for i in idx])
-                logits, feats = teacher.forward_batch(images)
-                for j, i in enumerate(idx):
-                    cache[int(i)] = (logits.data[j], feats.data[j])
+                out = [t.data for t in teacher.forward_batch(all_images[start : start + config.batch_size])]
+                cache = cache or tuple(np.empty((n,) + a.shape[1:], a.dtype) for a in out)
+                for whole, part in zip(cache, out):
+                    whole[start : start + len(part)] = part
 
     params = model.parameters()
     velocity: dict[str, np.ndarray] = {}
@@ -158,22 +159,14 @@ def run_step(
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            images = np.stack([dataset.items[i].image for i in idx])
-            masks = np.stack([dataset.items[i].mask for i in idx])
+            images, masks = all_images[idx], all_masks[idx]
             if config.hflip:
                 flips = rngs["aug"].random(len(idx)) < 0.5
-                images = images.copy()
-                masks = masks.copy()
                 for j, f in enumerate(flips):
                     if f:
                         images[j] = images[j, :, ::-1]
                         masks[j] = masks[j, :, ::-1]
-            old_outputs = None
-            if use_cache:
-                old_outputs = (
-                    np.stack([cache[int(i)][0] for i in idx]),
-                    np.stack([cache[int(i)][1] for i in idx]),
-                )
+            old_outputs = None if cache is None else (cache[0][idx], cache[1][idx])
 
             penalty = None
             if method.reg_kind != "none" and reg_state is not None and t > 0:

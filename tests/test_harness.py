@@ -10,6 +10,7 @@ from bgshift import trainer as tr
 from bgshift.cli import main as cli_main
 from bgshift.exceptions import ComparisonError, ConfigError
 from bgshift.losses import method_preset
+from bgshift.protocol import hparam_grid
 from bgshift.scenario import SyntheticConfig, generate_synthetic, save_dataset
 
 TINY_CFG = """
@@ -62,6 +63,33 @@ def test_overrides_win(tmp_path):
     cfg = hz.load_experiment_config(cfg_file, ["--train.epochs_per_step=3", "--seeds=1,2"])
     assert cfg.train.epochs_per_step == 3
     assert cfg.seeds == [1, 2]
+
+
+def _step1_traces(tmp_path, overrides):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    report = hz.run_experiment(hz.load_experiment_config(cfg_file, overrides))
+    return {c["method"]: c["steps"][1]["loss_trace"] for c in report["cells"]}
+
+
+def test_method_override_applies_on_top_of_the_preset(tmp_path):
+    base = _step1_traces(tmp_path, ["--methods=FT,LwF"])
+    weak = _step1_traces(tmp_path, ["--methods=LwF", "--train.method.lambda_kd=0.001"])
+    assert weak["LwF"] != base["LwF"]
+    # a key set to its default still overrides the preset: LwF without
+    # distillation is fine-tuning
+    off = _step1_traces(tmp_path, ["--methods=LwF", "--train.method.lambda_kd=0"])
+    assert off["LwF"] == base["FT"]
+
+
+def test_method_overrides_survive_the_config_round_trip(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    cfg = hz.load_experiment_config(cfg_file, ["--train.method.lambda_kd=0"])
+    back = hz.config_from_dict(hz.config_to_dict(cfg))
+    assert back.method_overrides == {"lambda_kd": 0}
+    assert back.method_config("LwF").lambda_kd == 0
+    assert back.method_config("LwF").kd_mode == "standard"
 
 
 def test_config_validates_schedule_against_classes():
@@ -459,6 +487,24 @@ def test_select_without_tunable_weight_fails_before_training(tmp_path, monkeypat
     assert cli_main(["select", "--config", str(cfg_file), "--method", method]) == 1
     assert "no tunable weight" in capsys.readouterr().err
     assert calls == []
+
+
+def test_select_keeps_a_non_weight_override(tmp_path, monkeypatch):
+    methods = []
+    real_run_step = tr.run_step
+
+    def recording_run_step(model_prev, dataset, config, *args, **kwargs):
+        methods.append(config.method)
+        return real_run_step(model_prev, dataset, config, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "run_step", recording_run_step)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    argv = ["select", "--config", str(cfg_file), "--method", "MiB", "--train.method.init_mode=random"]
+    assert cli_main(argv) == 0
+    candidates = [m for m in methods if m.name == "MiB"]
+    assert [m.lambda_kd for m in candidates] == hparam_grid()
+    assert all(m.init_mode == "random" and m.kd_mode == "unbiased" for m in candidates)
 
 
 def test_cli_rejects_unknown_positional(tmp_path, capsys):

@@ -56,6 +56,13 @@ def test_ce_rejects_unknown_label():
         L.cross_entropy(Tensor(np.zeros((1, 1, 2))), np.array([[7]]), [0, 1])
 
 
+@pytest.mark.parametrize("label", [-1, 3, 2**40])
+def test_ce_rejects_labels_outside_the_class_ids(label):
+    # below zero, above the largest id, and far beyond any lookup table
+    with pytest.raises(LabelDomainError, match=rf"labels \[{label}\] are outside the allowed set \[0, 1, 2\]"):
+        L.cross_entropy(Tensor(np.zeros((1, 3, 3))), np.array([[0, label, 2]]), [0, 1, 2])
+
+
 # -- unbiased cross entropy --------------------------------------------------
 
 
@@ -80,6 +87,21 @@ def test_uce_ignores_how_old_mass_splits():
 def test_uce_rejects_old_class_labels():
     with pytest.raises(LabelDomainError, match="unrelabeled"):
         L.unbiased_cross_entropy(Tensor(np.zeros((1, 1, 3))), np.array([[1]]), ctx_for())
+
+
+@pytest.mark.parametrize(
+    "mask, message",
+    [
+        ([[0, 2, 1]], r"labels \[1\] belong to earlier steps"),
+        # a label of an earlier step is named before a foreign one
+        ([[-1, 1, 7]], r"labels \[1\] belong to earlier steps"),
+        ([[0, 2, -1]], r"labels \[-1\] are outside the allowed set \[0, 2\]"),
+        ([[0, 2, 3]], r"labels \[3\] are outside the allowed set \[0, 2\]"),
+    ],
+)
+def test_uce_names_stale_and_foreign_labels(mask, message):
+    with pytest.raises(LabelDomainError, match=message):
+        L.unbiased_cross_entropy(Tensor(np.zeros((1, 3, 3))), np.array(mask), ctx_for())
 
 
 def test_uce_mass_redistribution_invariance():
@@ -198,7 +220,7 @@ def test_collapsed_distributions_are_partitions_of_unity():
     rng = np.random.default_rng(4)
     ctx = L.LossContext.for_step([0, 1, 2], [0, 1, 2, 3, 4])
     logits = rng.normal(size=(1000, 5)) * 3.0
-    probs = nm.softmax(Tensor(logits)).data
+    probs = L._softmax(logits)
     q_tilde = collapsed_new_probs(probs, ctx)
     q_hat = collapsed_old_probs(probs, ctx)
     assert q_tilde.shape == (1000, 3)  # background + 2 new classes

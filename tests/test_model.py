@@ -5,6 +5,7 @@ import pytest
 
 from bgshift import numerics as nm
 from bgshift.exceptions import ScheduleError, ShapeError
+from bgshift.losses import _softmax, cross_entropy, feature_distillation
 from bgshift.model import (
     BackboneConfig,
     SegModel,
@@ -26,7 +27,7 @@ def forward_one(model, image):
     """(probabilities, logits) of one [H,W,ch] image."""
     with nm.no_grad():
         logits, _ = model.forward_batch(image[None])
-    return nm.softmax(logits, axis=-1).data[0], logits.data[0]
+    return _softmax(logits.data)[0], logits.data[0]
 
 
 def predict(model, image):
@@ -205,6 +206,23 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(forward_one(loaded, img)[1], forward_one(model, img)[1])
     for name, t in model.parameters().items():
         assert np.array_equal(loaded.parameters()[name].data, t.data)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_every_parameter_gradient_matches_finite_differences(activation):
+    rng = np.random.default_rng(12)
+    model = SegModel.create(BackboneConfig(hidden=4, features=3, activation=activation), [1, 2], rng)
+    model.head_w.data[:] = rng.normal(size=model.head_w.shape)
+    images = rng.random((2, 5, 4, 3))
+    mask = rng.integers(0, 3, size=(2, 5, 4))
+    old_feats = rng.normal(size=(2, 5, 4, 3))
+
+    def loss(_):
+        logits, feats = model.forward_batch(images)
+        return cross_entropy(logits, mask, model.known_classes) + feature_distillation(feats, old_feats)
+
+    for name, p in model.parameters().items():
+        assert nm.check_gradient(loss, p) < 1e-4, name
 
 
 def test_frozen_copy_builds_no_graph():
