@@ -10,11 +10,12 @@ per-class binary CE and ILT feature distillation round out the baselines.
 
 Every loss computes its value and its gradient with respect to its input (the
 logits, or the features for ILT) in numpy, from the closed form of that
-gradient, and returns one tape node (``numerics.scalar_with_grad``). Where a
+gradient, and returns one tape node (``numerics.scalar_node``). Where a
 probability is clamped at ``LOG_FLOOR`` before the log, no gradient flows
 through it. A loss of the logits computes their softmax itself; the
 composite objective computes it once per batch and hands it to each loss
-through the private ``_q`` argument.
+through the private ``_q`` argument. The composite objective is one node
+too, over its weighted terms.
 """
 from __future__ import annotations
 
@@ -157,7 +158,7 @@ def cross_entropy(logits: Tensor, mask: np.ndarray, class_order, *, _q=None) -> 
     log_q, active = _clamped_log(_pick(q, chan))
     # d/dz of -log q(y) is q - onehot(y)
     grad = (q - _onehot(chan, q.shape[-1])) * (active / chan.size)[..., None]
-    return nm.scalar_with_grad(-_mean(log_q), logits, grad)
+    return nm.scalar_node(-_mean(log_q), (logits, grad))
 
 
 def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
@@ -186,7 +187,7 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *
     # d/dz of -log t is q - q * target / t
     n = chan.size
     grad = q * (active / n)[..., None] - (q * target) * (active / (n * np.maximum(t, LOG_FLOOR)))[..., None]
-    return nm.scalar_with_grad(-_mean(log_t), logits, grad)
+    return nm.scalar_node(-_mean(log_t), (logits, grad))
 
 
 def _check_old_probs(logits: Tensor, probs_old: np.ndarray, n_old: int):
@@ -215,7 +216,7 @@ def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     log_q, active = _clamped_log(q_hat)
     grad = np.zeros_like(logits_new.data)
     grad[..., old_idx] = _distillation_grad(q_hat, probs_old, active)
-    return nm.scalar_with_grad(_mean(-(probs_old * log_q).sum(axis=-1)), logits_new, grad)
+    return nm.scalar_node(_mean(-(probs_old * log_q).sum(axis=-1)), (logits_new, grad))
 
 
 def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
@@ -238,7 +239,7 @@ def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     # of its mass (all zero where the mass is)
     mass = q_hat[..., 0]
     grad[..., new] = q[..., new] * (g_hat[..., 0] / np.where(mass > 0, mass, 1.0))[..., None]
-    return nm.scalar_with_grad(-_mean(terms), logits_new, grad)
+    return nm.scalar_node(-_mean(terms), (logits_new, grad))
 
 
 def lwf_mc_loss(
@@ -290,7 +291,7 @@ def lwf_mc_loss(
             g = g + w * ((1.0 - t) * on_1s * s_c - t * on_s * (1.0 - s_c))
         total = term if total is None else total + term
         grad[..., i] = g * scale
-    return nm.scalar_with_grad(_mean(total) * (1.0 / k), logits_new, grad)
+    return nm.scalar_node(_mean(total) * (1.0 / k), (logits_new, grad))
 
 
 def feature_distillation(features_new: Tensor, features_old: np.ndarray) -> Tensor:
@@ -301,7 +302,7 @@ def feature_distillation(features_new: Tensor, features_old: np.ndarray) -> Tens
         )
     diff = features_new.data - features_old
     per_pixel = (diff * diff).sum(axis=-1)
-    return nm.scalar_with_grad(_mean(per_pixel), features_new, diff * (2.0 / per_pixel.size))
+    return nm.scalar_node(_mean(per_pixel), (features_new, diff * (2.0 / per_pixel.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +396,8 @@ def composite_objective(
     so without a previous model this is plain cross-entropy. Later steps need
     the frozen previous model whenever a distillation term is active;
     ``old_outputs`` may carry its precomputed (logits, features) for the batch.
+    Several terms (CE/UCE, lambda_kd * KD/UKD, feature_kd_weight * feature
+    KD, the regularizer's penalty) are summed by one tape node.
     """
     images, masks = batch
     logits, feats = model.forward_batch(images)
@@ -425,9 +428,9 @@ def composite_objective(
 
     q = _softmax(logits.data)  # one softmax of the student serves CE and KD
     if method.ce_mode == "unbiased":
-        loss = unbiased_cross_entropy(logits, masks, ctx, _q=q)
+        terms = [(unbiased_cross_entropy(logits, masks, ctx, _q=q), 1.0)]
     else:
-        loss = cross_entropy(logits, masks, model.known_classes, _q=q)
+        terms = [(cross_entropy(logits, masks, model.known_classes, _q=q), 1.0)]
 
     if method.kd_mode != "none" and method.lambda_kd > 0:
         probs_old = _softmax(old_logits)
@@ -435,12 +438,15 @@ def composite_objective(
             kd = unbiased_distillation(logits, probs_old, ctx, _q=q)
         else:
             kd = standard_distillation(logits, probs_old, ctx, _q=q)
-        loss = loss + method.lambda_kd * kd
+        terms.append((kd, method.lambda_kd))
 
     if method.feature_kd_weight > 0:
-        loss = loss + method.feature_kd_weight * feature_distillation(feats, old_feats)
+        terms.append((feature_distillation(feats, old_feats), method.feature_kd_weight))
 
     if reg_penalty is not None:
-        loss = loss + reg_penalty
-    return loss
-
+        terms.append((reg_penalty, 1.0))
+    # each term's gradient is its weight; the value adds them in this order
+    value = terms[0][0].data
+    for term, weight in terms[1:]:
+        value = value + term.data * weight
+    return nm.scalar_node(value, *terms)

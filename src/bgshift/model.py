@@ -7,9 +7,10 @@ either copying the background classifier with a shifted bias (so the old
 background probability is spread uniformly over the incoming classes) or with
 plain random initialization.
 
-A forward pass records two tape nodes, the backbone (``numerics.conv_dense``)
-and the head (``numerics.affine_last``); the tape keeps only what their
-hand-written backward passes read.
+A forward pass records two tape nodes, the backbone (``numerics.conv_dense``,
+tanh activations) and the head (``numerics.affine_last``); the tape keeps only
+what their hand-written backward passes read. A checkpoint is one npz file:
+the parameter arrays plus a JSON meta entry (format ``CHECKPOINT_FORMAT``).
 """
 from __future__ import annotations
 
@@ -20,10 +21,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nm
-from .exceptions import ScheduleError, ShapeError
+from .exceptions import BgshiftError, ScheduleError, ShapeError
 from .numerics import Tensor
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2  # 2: the backbone meta has no activation
 
 
 @dataclass
@@ -31,11 +32,10 @@ class BackboneConfig:
     in_channels: int = 3
     hidden: int = 16
     features: int = 16
-    activation: str = "tanh"
 
 
 class Backbone:
-    """conv3x3 -> act -> dense(1x1) -> act, producing per-pixel features."""
+    """conv3x3 -> tanh -> dense(1x1) -> tanh, producing per-pixel features."""
 
     def __init__(self, config: BackboneConfig, w1, b1, w2, b2):
         self.config = config
@@ -59,8 +59,7 @@ class Backbone:
 
     def forward(self, images: np.ndarray) -> Tensor:
         """[B,H,W,ch] images -> [B,H,W,D] features, one tape node."""
-        c = self.config
-        return nm.conv_dense(images, self.w1, self.b1, self.w2, self.b2, c.activation)
+        return nm.conv_dense(images, self.w1, self.b1, self.w2, self.b2)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"backbone.w1": self.w1, "backbone.b1": self.b1, "backbone.w2": self.w2, "backbone.b2": self.b2}
@@ -229,23 +228,30 @@ def save_checkpoint(model: SegModel, path) -> None:
 
 
 def load_checkpoint(path) -> SegModel:
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["meta"]).decode())
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ShapeError(f"unsupported checkpoint format {meta.get('format')!r}")
-        cfg = BackboneConfig(**meta["backbone"])
-        backbone = Backbone(
-            cfg,
-            Tensor(z["backbone__w1"].copy(), requires_grad=True),
-            Tensor(z["backbone__b1"].copy(), requires_grad=True),
-            Tensor(z["backbone__w2"].copy(), requires_grad=True),
-            Tensor(z["backbone__b2"].copy(), requires_grad=True),
-        )
-        return SegModel(
-            backbone,
-            Tensor(z["head__w"].copy(), requires_grad=True),
-            Tensor(z["head__b"].copy(), requires_grad=True),
-            [int(c) for c in meta["known_classes"]],
-            int(meta["step_index"]),
-            int(meta["background_id"]),
-        )
+    """Read a ``save_checkpoint`` file. A file that is not one, or is of
+    another format, raises ShapeError naming ``path``."""
+    try:
+        with np.load(path) as z:
+            meta = json.loads(bytes(z["meta"]).decode())
+            if meta.get("format") != CHECKPOINT_FORMAT:
+                raise ShapeError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
+            cfg = BackboneConfig(**meta["backbone"])
+            backbone = Backbone(
+                cfg,
+                Tensor(z["backbone__w1"].copy(), requires_grad=True),
+                Tensor(z["backbone__b1"].copy(), requires_grad=True),
+                Tensor(z["backbone__w2"].copy(), requires_grad=True),
+                Tensor(z["backbone__b2"].copy(), requires_grad=True),
+            )
+            return SegModel(
+                backbone,
+                Tensor(z["head__w"].copy(), requires_grad=True),
+                Tensor(z["head__b"].copy(), requires_grad=True),
+                [int(c) for c in meta["known_classes"]],
+                int(meta["step_index"]),
+                int(meta["background_id"]),
+            )
+    except BgshiftError:
+        raise
+    except (EOFError, KeyError, TypeError, ValueError) as e:
+        raise ShapeError(f"{path}: not a valid checkpoint ({type(e).__name__}: {e})") from e

@@ -1,19 +1,19 @@
 """Dense float tensors with taped reverse-mode gradients.
 
-A Tensor wraps a numpy array; every op that can influence a loss records a
+A Tensor wraps a numpy array; every node that can influence a loss records a
 backward closure on the result, so the tape is implicit in the parent links.
 ``Tensor.backward()`` walks the tape once in reverse topological order and
-accumulates into ``.grad``. 64-bit floats are the default; float32 can be
-requested per tensor. ``finite_difference_gradient`` is the independent
-oracle used to check every differentiable op.
+accumulates into ``.grad``.
 
-A scalar whose gradient has a closed form is one fused node:
-``scalar_with_grad(value, x, grad)`` records ``value`` with ``grad`` as its
-derivative with respect to ``x``, so the tape holds one node instead of the
-chain of elementary ops that would compute the same value. The losses use it.
-The model's layers are fused the same way: ``conv_dense`` is the whole
-backbone (conv3x3 -> act -> 1x1 -> act) and ``affine_last`` the classifier
-head, each one node with a hand-written backward.
+The tape has few kinds of node, each with a hand-written backward. The
+model's layers: ``conv_dense`` is the whole backbone (conv3x3 -> tanh -> 1x1
+-> tanh) and ``affine_last`` the classifier head. Every scalar is one
+``scalar_node(value, (parent, grad), ...)``, which records ``value`` with the
+closed-form gradient of each parent: a loss over the logits or the features,
+the drift penalty over the parameters, the objective over its weighted terms.
+``conv3x3``, ``tanh`` and the full sum ``tsum`` are the pieces the fused
+backbone is checked against. ``finite_difference_gradient`` is the
+independent oracle used to check every gradient.
 """
 from __future__ import annotations
 
@@ -43,14 +43,9 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    # keep numpy from hijacking `ndarray <op> Tensor`
-    __array_ufunc__ = None
-
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
@@ -61,14 +56,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
@@ -102,41 +89,6 @@ class Tensor:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.requires_grad else 'no'})"
 
@@ -154,119 +106,26 @@ def _from_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+def scalar_node(value, *terms) -> Tensor:
+    """A scalar computed outside the tape, from closed-form gradients.
 
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _from_op(data, (a, b), bw)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _from_op(data, (a, b), bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def bw(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return _from_op(data, (a, b), bw)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def bw(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return _from_op(data, (a, b), bw)
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    data = a.data**p
-
-    def bw(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _from_op(data, (a,), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    data = a.data @ b.data
-
-    def bw(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _from_op(data, (a, b), bw)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def bw(g):
-        return (g * data,)
-
-    return _from_op(data, (a,), bw)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-
-    def bw(g):
-        return (g / a.data,)
-
-    return _from_op(data, (a,), bw)
-
-
-def scalar_with_grad(value, x: Tensor, grad: np.ndarray) -> Tensor:
-    """A scalar computed outside the tape, with ``grad`` = d value / d ``x``.
-
-    The node's only parent is ``x``; its backward scales ``grad`` by the
-    incoming gradient.
+    Each term is ``(parent, grad)`` with ``grad`` = d value / d ``parent``; the
+    node's backward scales every ``grad`` by the incoming gradient. This is
+    the only way a scalar enters the tape: each loss, the penalty and the
+    objective that sums them are one node each.
     """
-    x = as_tensor(x)
+    parents = tuple(p for p, _ in terms)
+    grads = tuple(g for _, g in terms)
 
     def bw(g):
-        return (grad * g,)
+        return tuple(grad * g for grad in grads)
 
-    return _from_op(np.asarray(value, dtype=x.data.dtype), (x,), bw)
+    return _from_op(np.asarray(value, dtype=DEFAULT_DTYPE), parents, bw)
+
+
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every entry of ``a``, as one node."""
+    return scalar_node(a.data.sum(), (a, np.ones_like(a.data)))
 
 
 def tanh(a) -> Tensor:
@@ -275,60 +134,6 @@ def tanh(a) -> Tensor:
 
     def bw(g):
         return (g * (1.0 - data * data),)
-
-    return _from_op(data, (a,), bw)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def bw(g):
-        return (g * (a.data > 0),)
-
-    return _from_op(data, (a,), bw)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
-
-    return _from_op(data, (a,), bw)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        return (g.reshape(a.data.shape),)
-
-    return _from_op(data, (a,), bw)
-
-
-def narrow_last(a: Tensor, start: int, size: int) -> Tensor:
-    """Slice [start, start+size) along the last axis."""
-    a = as_tensor(a)
-    if start < 0 or start + size > a.data.shape[-1]:
-        raise ShapeError("narrow_last slice out of range")
-    data = a.data[..., start : start + size]
-
-    def bw(g):
-        z = np.zeros_like(a.data)
-        z[..., start : start + size] = g
-        return (z,)
 
     return _from_op(data, (a,), bw)
 
@@ -378,52 +183,40 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (x, w, b), bw)
 
 
-def _activate(a: np.ndarray, activation: str) -> None:
-    """Apply ``activation`` to ``a`` in place."""
-    if activation == "tanh":
-        np.tanh(a, out=a)
-    else:
-        np.maximum(a, 0.0, out=a)
+def _tanh_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient reaching a tanh's input, from its output ``y`` and the
+    gradient ``g`` reaching that output; the same arithmetic as the ``tanh``
+    node."""
+    t = y * y
+    np.subtract(1.0, t, out=t)
+    t *= g
+    return t
 
 
-def _activation_grad(y: np.ndarray, g: np.ndarray, activation: str) -> np.ndarray:
-    """The gradient reaching an activation's input, from its output ``y`` and
-    the gradient ``g`` reaching that output; the same arithmetic as the
-    ``tanh``/``relu`` nodes (relu's y > 0 exactly where its input is)."""
-    if activation == "tanh":
-        t = y * y
-        np.subtract(1.0, t, out=t)
-        t *= g
-        return t
-    return g * (y > 0)
-
-
-def conv_dense(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, activation: str) -> Tensor:
-    """act(act(conv3x3(x, w1, b1)) @ w2 + b2) as one tape node.
+def conv_dense(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """tanh(tanh(conv3x3(x, w1, b1)) @ w2 + b2) as one tape node.
 
     ``x`` is [B,H,W,Cin] data: no gradient flows to it. ``w2`` [Cmid, Cout]
-    is a dense map over the channels (a 1x1 convolution); ``activation`` is
-    "tanh" or "relu". The result and the gradients of ``w1, b1, w2, b2``
-    equal, bit for bit, those of the composition ``conv3x3 -> act ->
-    affine_last -> act``: the forward works in place, the node keeps only the
-    im2col columns and the two activation outputs, and its backward makes
-    the numpy calls that composition's nodes make.
+    is a dense map over the channels (a 1x1 convolution). The result and the
+    gradients of ``w1, b1, w2, b2`` equal, bit for bit, those of the
+    composition ``conv3x3 -> tanh -> affine_last -> tanh``: the forward works
+    in place, the node keeps only the im2col columns and the two tanh
+    outputs, and its backward makes the numpy calls that composition's nodes
+    make.
     """
-    if activation not in ("tanh", "relu"):
-        raise ShapeError(f"unknown activation {activation!r}")
     xd = as_tensor(x).data
     w1, b1, w2, b2 = (as_tensor(t) for t in (w1, b1, w2, b2))
     cols = _conv_columns(xd, w1.data)
     h = cols @ w1.data.reshape(cols.shape[1], -1)
     h += b1.data
-    _activate(h, activation)
+    np.tanh(h, out=h)
     f = h @ w2.data
     f += b2.data
-    _activate(f, activation)
+    np.tanh(f, out=f)
 
     def bw(g):
-        gf = _activation_grad(f, g.reshape(f.shape), activation)
-        gh = _activation_grad(h, gf @ w2.data.T, activation)
+        gf = _tanh_grad(f, g.reshape(f.shape))
+        gh = _tanh_grad(h, gf @ w2.data.T)
         return (cols.T @ gh).reshape(w1.data.shape), gh.sum(axis=0), h.T @ gf, gf.sum(axis=0)
 
     return _from_op(f.reshape(xd.shape[:3] + f.shape[-1:]), (w1, b1, w2, b2), bw)

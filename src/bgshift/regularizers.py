@@ -3,8 +3,9 @@
 Fisher importance is the mean squared gradient of the per-pixel cross-entropy
 at sampled pixels; the path-integral importance accumulates -grad * step over
 the training trajectory; their combination normalizes each score by its max
-and sums. ``quadratic_penalty`` turns an importance state into a
-differentiable drift penalty anchored at the previous step's parameters.
+and sums. ``quadratic_penalty`` turns an importance state into a drift
+penalty anchored at the previous step's parameters: one tape node whose
+gradient has the closed form 2 * w * importance * (theta - anchor).
 Classifier columns added after the anchor was taken have no anchor and are
 excluded from the penalty.
 """
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .exceptions import AlignmentError, EstimationError
-from .losses import cross_entropy
+from .exceptions import AlignmentError, EstimationError, LabelDomainError
+from .losses import _clamped_log, _softmax
 from .model import SegModel
 from .numerics import Tensor
 from .scenario import StepDataset
@@ -58,33 +59,29 @@ def fisher_diagonal(
         raise EstimationError("cannot estimate Fisher importance from an empty dataset")
     rng = rng or np.random.default_rng(0)
     acc = {name: np.zeros_like(t.data) for name, t in model.parameters().items()}
-    order = model.known_classes
     for _ in range(n_samples):
         item = items[int(rng.integers(len(items)))]
         image, mask = item.image, item.mask
         r = int(rng.integers(mask.shape[0]))
         c = int(rng.integers(mask.shape[1]))
-        flat_idx = r * mask.shape[1] + c
+        label = int(mask[r, c])
+        if label not in model.known_classes:
+            raise LabelDomainError(f"fisher_diagonal: label {label} is not a class of the model")
+        y = model.known_classes.index(label)
         model.zero_grad()
         logits, _ = model.forward_batch(image[None])
-        flat = nm.reshape(logits, (-1, logits.data.shape[-1]))
-        single = _row_slice(flat, flat_idx)
-        loss = cross_entropy(single, np.array([mask.reshape(-1)[flat_idx]]), order)
-        loss.backward()
+        q = _softmax(logits.data[0, r, c])
+        log_q, active = _clamped_log(q[y])
+        # the pixel's CE gradient: q - onehot(y) at that pixel, zero elsewhere
+        grad = np.zeros_like(logits.data)
+        grad[0, r, c] = (q - (np.arange(q.size) == y)) * active
+        nm.scalar_node(-log_q, (logits, grad)).backward()
         for name, t in model.parameters().items():
             if t.grad is not None:
                 acc[name] += t.grad**2
     model.zero_grad()
     importance = {name: a / n_samples for name, a in acc.items()}
     return ImportanceState("ewc", importance, _param_arrays(model), sample_count=n_samples)
-
-
-def _row_slice(flat_logits: Tensor, row: int) -> Tensor:
-    """Pick one row of a [N, K] tensor, keeping the graph (one-hot matmul)."""
-    n = flat_logits.data.shape[0]
-    sel = np.zeros((1, n))
-    sel[0, row] = 1.0
-    return nm.matmul(nm.as_tensor(sel), flat_logits)
 
 
 def new_path_state(model: SegModel) -> ImportanceState:
@@ -150,23 +147,23 @@ def quadratic_penalty(model: SegModel, state: ImportanceState, weight: float) ->
     Head columns beyond the anchor's width (classes added after the anchor
     was taken) are skipped.
     """
-    total = None
+    weight = float(weight)
+    total, terms = None, []
     for name, t in model.parameters().items():
         anchor = state.anchor.get(name)
         imp = state.importance.get(name)
         if anchor is None or imp is None:
             continue
-        cur = t
-        if t.data.shape != anchor.shape:
-            if t.data.shape[:-1] != anchor.shape[:-1] or t.data.shape[-1] < anchor.shape[-1]:
-                raise AlignmentError(f"anchor for {name} does not embed in the current shape")
-            cur = nm.narrow_last(t, 0, anchor.shape[-1])
-        diff = cur - nm.as_tensor(anchor)
-        term = (diff * diff * nm.as_tensor(imp)).sum()
+        k = anchor.shape[-1]
+        if t.data.shape[:-1] != anchor.shape[:-1] or t.data.shape[-1] < k:
+            raise AlignmentError(f"anchor for {name} does not embed in the current shape")
+        diff = t.data[..., :k] - anchor
+        term = (diff * diff * imp).sum()
         total = term if total is None else total + term
-    if total is None:
-        return nm.as_tensor(0.0)
-    return total * float(weight)
+        grad = np.zeros_like(t.data)
+        grad[..., :k] = 2.0 * ((weight * imp) * diff)
+        terms.append((t, grad))
+    return nm.scalar_node(0.0 if total is None else total * weight, *terms)
 
 
 def merge_importance(

@@ -2,6 +2,7 @@
 name and binds some of their arguments by name. A rename or deletion here
 would break ``perfbench/run.py --trace 1`` without failing any other test."""
 import importlib
+import math
 import inspect
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench import tracing  # noqa: E402
+from perfbench import kernels, tracing  # noqa: E402
 
 
 @pytest.mark.parametrize("module, attr", tracing.TARGETS, ids=[f"{m}.{a}" for m, a in tracing.TARGETS])
@@ -33,3 +34,11 @@ def test_every_trace_target_resolves(module, attr):
 def test_traced_parameters_keep_their_names(module, fn, params):
     signature = inspect.signature(getattr(importlib.import_module(f"bgshift.{module}"), fn))
     assert params <= set(signature.parameters)
+
+
+def test_the_kernel_probes_run_on_the_tape():
+    # the traced run times the tape through perfbench/kernels.py; a change to
+    # the tape's public surface must fail here, not only in the benchmark
+    metrics = kernels.kernel_metrics(8, 0)
+    assert len(metrics) == 13
+    assert all(math.isfinite(value) for value, _ in metrics.values())

@@ -109,6 +109,7 @@ def test_config_rejects_unknown_method():
         ("train.nope = 2", "train.nope"),
         ("train.method.nope = 3", "train.method.nope"),
         ("train.backbone.nope = 4", "train.backbone.nope"),
+        ("train.backbone.activation = relu", "train.backbone.activation"),
         ("methds = FT", "methds"),
         ("dataset = 3", "dataset"),
     ],

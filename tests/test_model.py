@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -208,10 +209,44 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(loaded.parameters()[name].data, t.data)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_every_parameter_gradient_matches_finite_differences(activation):
+def _rewrite_checkpoint(src, dst, meta_edit=None, drop=()):
+    """Copy the npz ``src`` to ``dst`` with ``meta_edit`` applied to its meta
+    and the arrays in ``drop`` left out."""
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files if k not in drop}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    if meta_edit:
+        meta_edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(dst, **arrays)
+
+
+def _format_1(meta):
+    meta["format"] = 1
+    meta["backbone"]["activation"] = "tanh"
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m["backbone"].update(activation="relu")), "TypeError"),
+        (lambda good, bad: _rewrite_checkpoint(good, bad, drop=("head__b",)), "KeyError"),
+        (lambda good, bad: bad.write_text("not a checkpoint"), "ValueError"),
+        (lambda good, bad: _rewrite_checkpoint(good, bad, _format_1), "format 1"),
+    ],
+    ids=["unknown-backbone-key", "missing-array", "not-npz", "format-1"],
+)
+def test_a_bad_checkpoint_is_rejected_naming_its_path(tmp_path, corrupt, match):
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(make_model(), good)
+    corrupt(good, bad)
+    with pytest.raises(ShapeError, match=f"bad.npz.*{match}"):
+        load_checkpoint(bad)
+
+
+def test_every_parameter_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
-    model = SegModel.create(BackboneConfig(hidden=4, features=3, activation=activation), [1, 2], rng)
+    model = SegModel.create(BackboneConfig(hidden=4, features=3), [1, 2], rng)
     model.head_w.data[:] = rng.normal(size=model.head_w.shape)
     images = rng.random((2, 5, 4, 3))
     mask = rng.integers(0, 3, size=(2, 5, 4))
@@ -219,7 +254,9 @@ def test_every_parameter_gradient_matches_finite_differences(activation):
 
     def loss(_):
         logits, feats = model.forward_batch(images)
-        return cross_entropy(logits, mask, model.known_classes) + feature_distillation(feats, old_feats)
+        ce = cross_entropy(logits, mask, model.known_classes)
+        fd = feature_distillation(feats, old_feats)
+        return nm.scalar_node(ce.data + fd.data, (ce, 1.0), (fd, 1.0))
 
     for name, p in model.parameters().items():
         assert nm.check_gradient(loss, p) < 1e-4, name

@@ -224,9 +224,15 @@ def test_shared_first_step_matches_chained_run_step(method):
 # -- pinned loss traces ------------------------------------------------------------
 
 # loss_trace per step of one short [1,1,1] overlapped run per method, recorded
-# with each loss built from elementary tape ops; the fused closed-form losses
-# must reproduce them up to float64 summation order
+# with each loss (and, for EWC and PI, the drift penalty and the Fisher
+# gradient) built from elementary tape ops; the closed-form nodes must
+# reproduce them up to float64 summation order
 PINNED_TRACES = {
+    'EWC': [
+        [0.6755332129045039, 0.6108107098111322],
+        [0.9521788766733846, 0.9480465644091242],
+        [1.2354002612984596, 1.2438729307572167],
+    ],
     'FT': [
         [0.6755332129045039, 0.6108107098111322],
         [0.9488771810552737, 0.9291424847545713],
@@ -246,6 +252,11 @@ PINNED_TRACES = {
         [0.6755332129045039, 0.6108107098111322],
         [5.03265804642564, 5.031275700256997],
         [5.5055279796323715, 5.501930405087855],
+    ],
+    'PI': [
+        [0.6755332129045039, 0.6108107098111322],
+        [0.9537390569279526, 0.9491572572330179],
+        [1.2337189848787713, 1.220736133830612],
     ],
     'MiB': [
         [0.6755332129045039, 0.6108107098111322],
