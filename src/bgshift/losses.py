@@ -16,6 +16,15 @@ through it. A loss of the logits computes their softmax itself; the
 composite objective computes it once per batch and hands it to each loss
 through the private ``_q`` argument. The composite objective is one node
 too, over its weighted terms.
+
+Each loss works on contiguous channel rows [K, pixels] (``_rows``): a free
+view of channel-major input such as the logits ``affine_last`` returns, one
+transposed copy of C-order input. Softmax, probabilities and gradients are
+stored that way and handed back as [..., K] views (``_cols``). Every
+element sees the same operations in the same order as over the last axis
+(sums over channels run left to right, as numpy's own reduction over fewer
+than 8 channels does), so the values and gradients do not depend on the
+layout, bit for bit.
 """
 from __future__ import annotations
 
@@ -108,26 +117,39 @@ def _label_channels(logits: Tensor, mask: np.ndarray, class_order, allowed, what
     return chan
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` [..., K] as contiguous channel rows [K, pixels]: a free view when
+    ``a`` is stored channel-major (as ``affine_last`` and ``_softmax`` return
+    it), else one transposed copy."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(a.shape[-1], -1)
+
+
+def _cols(rows: np.ndarray, shape) -> np.ndarray:
+    """Channel rows [K, pixels] as a [..., K] view of ``shape[:-1]`` pixels."""
+    return np.moveaxis(rows.reshape((rows.shape[0],) + tuple(shape[:-1])), 0, -1)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Stable (max-subtracted) softmax over the last axis.
+    """Stable (max-subtracted) softmax over the last axis, stored
+    channel-major and returned as a [..., K] view.
 
-    The max and the sum run one channel at a time: numpy reduces a narrow
-    last axis about three times slower. Below 8 channels this adds in the
-    order numpy's own reduction does, so the result is the same bit for bit.
+    The max and the sum run one channel row at a time, adding left to right
+    as numpy's own reduction over fewer than 8 channels does.
     """
-    m = z[..., 0]
-    for i in range(1, z.shape[-1]):
-        m = np.maximum(m, z[..., i])
-    e = np.exp(z - m[..., None])
-    return e / _channel_sum(e, range(e.shape[-1]))[..., None]
+    rows = _rows(z)
+    m = rows[0]
+    for i in range(1, rows.shape[0]):
+        m = np.maximum(m, rows[i])
+    e = np.exp(rows - m)
+    return _cols(e / _channel_sum(e, range(e.shape[0])), z.shape)
 
 
-def _channel_sum(a: np.ndarray, idx) -> np.ndarray:
-    """sum(a[..., idx], axis=-1), one channel at a time."""
+def _channel_sum(rows: np.ndarray, idx) -> np.ndarray:
+    """sum(rows[idx], axis=0), left to right."""
     idx = list(idx)
-    total = a[..., idx[0]].copy()
+    total = rows[idx[0]].copy()
     for i in idx[1:]:
-        total += a[..., i]
+        total += rows[i]
     return total
 
 
@@ -142,23 +164,24 @@ def _mean(a: np.ndarray) -> float:
     return a.sum() * (1.0 / a.size)
 
 
-def _pick(a: np.ndarray, chan: np.ndarray) -> np.ndarray:
-    """a[..., chan[...]] with chan shaped like a minus its last axis."""
-    return np.take_along_axis(a, chan[..., None], axis=-1)[..., 0]
+def _pick(rows: np.ndarray, chan: np.ndarray) -> np.ndarray:
+    """rows[chan[j], j] for every pixel j."""
+    return rows[chan, np.arange(chan.size)]
 
 
 def _onehot(chan: np.ndarray, k: int) -> np.ndarray:
-    return chan[..., None] == np.arange(k)
+    """[k, pixels] booleans, true at each pixel's channel."""
+    return chan == np.arange(k)[:, None]
 
 
 def cross_entropy(logits: Tensor, mask: np.ndarray, class_order, *, _q=None) -> Tensor:
     """Mean over pixels of -log q(y)."""
-    chan = _label_channels(logits, mask, class_order, set(class_order), "cross_entropy")
-    q = _softmax(logits.data) if _q is None else _q
+    chan = _label_channels(logits, mask, class_order, set(class_order), "cross_entropy").ravel()
+    q = _rows(_softmax(logits.data) if _q is None else _q)
     log_q, active = _clamped_log(_pick(q, chan))
     # d/dz of -log q(y) is q - onehot(y)
-    grad = (q - _onehot(chan, q.shape[-1])) * (active / chan.size)[..., None]
-    return nm.scalar_node(-_mean(log_q), (logits, grad))
+    grad = (q - _onehot(chan, q.shape[0])) * (active / chan.size)
+    return nm.scalar_node(-_mean(log_q), (logits, _cols(grad, logits.shape)))
 
 
 def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
@@ -176,18 +199,19 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *
                 "the mask looks unrelabeled"
             ) from None
         raise
-    q = _softmax(logits.data) if _q is None else _q
+    chan = chan.ravel()
+    q = _rows(_softmax(logits.data) if _q is None else _q)
     old = ctx.old_channels
-    is_bg = mask == ctx.background_id
+    is_bg = mask.ravel() == ctx.background_id
     # the target channels: the label's, or every old one on a background pixel
-    target = _onehot(chan, q.shape[-1])
-    target[..., old] |= is_bg[..., None]
+    target = _onehot(chan, q.shape[0])
+    target[old] |= is_bg
     t = np.where(is_bg, _channel_sum(q, old), _pick(q, chan))
     log_t, active = _clamped_log(t)
     # d/dz of -log t is q - q * target / t
     n = chan.size
-    grad = q * (active / n)[..., None] - (q * target) * (active / (n * np.maximum(t, LOG_FLOOR)))[..., None]
-    return nm.scalar_node(-_mean(log_t), (logits, grad))
+    grad = q * (active / n) - (q * target) * (active / (n * np.maximum(t, LOG_FLOOR)))
+    return nm.scalar_node(-_mean(log_t), (logits, _cols(grad, logits.shape)))
 
 
 def _check_old_probs(logits: Tensor, probs_old: np.ndarray, n_old: int):
@@ -197,13 +221,14 @@ def _check_old_probs(logits: Tensor, probs_old: np.ndarray, n_old: int):
         )
 
 
-def _distillation_grad(q_hat: np.ndarray, probs_old: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Gradient of -mean(sum(p * log q_hat)) per entry of q_hat, where q_hat
-    is built from the logits' softmax (old channels renormalized, or summed
-    into one entry): q_hat * sum(c) - c, with c = p where the clamp lets the
-    gradient through. The caller maps each entry back onto its channels."""
-    c = probs_old * active
-    return (q_hat * _channel_sum(c, range(c.shape[-1]))[..., None] - c) * (1.0 / c[..., 0].size)
+def _distillation_grad(q_hat: np.ndarray, p: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Gradient of -mean(sum(p * log q_hat)) per row of q_hat, where q_hat is
+    built from the logits' softmax (old channels renormalized, or summed into
+    one row): q_hat * sum(c) - c, with c = p where the clamp lets the gradient
+    through. All three are channel rows; the caller maps each row back onto
+    its channels."""
+    c = p * active
+    return (q_hat * _channel_sum(c, range(c.shape[0])) - c) * (1.0 / c.shape[1])
 
 
 def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
@@ -211,12 +236,14 @@ def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     label space (incoming foreground channels dropped)."""
     old_idx = ctx.old_channels
     _check_old_probs(logits_new, probs_old, old_idx.size)
-    q_old = (_softmax(logits_new.data) if _q is None else _q)[..., old_idx]
-    q_hat = q_old / _channel_sum(q_old, range(old_idx.size))[..., None]
+    p = _rows(probs_old)
+    q_old = _rows(_softmax(logits_new.data) if _q is None else _q)[old_idx]
+    q_hat = q_old / _channel_sum(q_old, range(old_idx.size))
     log_q, active = _clamped_log(q_hat)
-    grad = np.zeros_like(logits_new.data)
-    grad[..., old_idx] = _distillation_grad(q_hat, probs_old, active)
-    return nm.scalar_node(_mean(-(probs_old * log_q).sum(axis=-1)), (logits_new, grad))
+    grad = np.zeros((len(ctx.class_order), p.shape[1]), dtype=q_hat.dtype)
+    grad[old_idx] = _distillation_grad(q_hat, p, active)
+    value = _mean(-_channel_sum(p * log_q, range(old_idx.size)))
+    return nm.scalar_node(value, (logits_new, _cols(grad, logits_new.shape)))
 
 
 def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
@@ -225,21 +252,24 @@ def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     old foreground channels are compared unrenormalized."""
     old_idx = ctx.old_channels
     _check_old_probs(logits_new, probs_old, old_idx.size)
-    q = _softmax(logits_new.data) if _q is None else _q
+    p = _rows(probs_old)
+    q = _rows(_softmax(logits_new.data) if _q is None else _q)
     # background (channel 0 of both models) is matched against the summed
     # mass of the incoming classes + background; old foreground is unaltered
     new, old_fg = ctx.new_channels, ctx.old_fg_channels
-    q_hat = np.concatenate([_channel_sum(q, new)[..., None], q[..., old_fg]], axis=-1)
+    q_hat = np.concatenate([_channel_sum(q, new)[None], q[old_fg]])
     log_q, active = _clamped_log(q_hat)
-    terms = log_q[..., 0] * probs_old[..., 0] + (log_q[..., 1:] * probs_old[..., 1:]).sum(axis=-1)
-    g_hat = _distillation_grad(q_hat, probs_old, active)
+    # the background term plus the foreground terms' sum, in numpy's order
+    fg = log_q[1:] * p[1:]
+    terms = log_q[0] * p[0] + _channel_sum(fg, range(fg.shape[0]))
+    g_hat = _distillation_grad(q_hat, p, active)
     grad = np.empty_like(q)
-    grad[..., old_fg] = g_hat[..., 1:]
+    grad[old_fg] = g_hat[1:]
     # the background entry spreads over the incoming channels by their share
     # of its mass (all zero where the mass is)
-    mass = q_hat[..., 0]
-    grad[..., new] = q[..., new] * (g_hat[..., 0] / np.where(mass > 0, mass, 1.0))[..., None]
-    return nm.scalar_node(-_mean(terms), (logits_new, grad))
+    mass = q_hat[0]
+    grad[new] = q[new] * (g_hat[0] / np.where(mass > 0, mass, 1.0))
+    return nm.scalar_node(-_mean(terms), (logits_new, _cols(grad, logits_new.shape)))
 
 
 def lwf_mc_loss(
@@ -262,7 +292,9 @@ def lwf_mc_loss(
     w_cls = float(ctx.method_weights.get("w_cls", 1.0))
     w_kd = float(ctx.method_weights.get("w_kd", 1.0))
 
-    x = logits_new.data
+    x = _rows(logits_new.data)
+    sig_old = _rows(sigmoid_old)
+    labels = mask.ravel()
     e = np.exp(-np.abs(x))
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     k = len(ctx.class_order)
@@ -273,14 +305,14 @@ def lwf_mc_loss(
         if c == ctx.background_id:
             targets = []
             if variant in ("full", "C"):
-                targets.append((w_cls, (mask == c).astype(x.dtype)))
+                targets.append((w_cls, (labels == c).astype(x.dtype)))
             if variant in ("full", "D"):
-                targets.append((w_kd, sigmoid_old[..., 0]))
+                targets.append((w_kd, sig_old[0]))
         elif c in ctx.new_classes:
-            targets = [(w_cls, (mask == c).astype(x.dtype))]
+            targets = [(w_cls, (labels == c).astype(x.dtype))]
         else:
-            targets = [(w_kd, sigmoid_old[..., int(np.where(old_idx == i)[0][0])])]
-        s_c = s[..., i]
+            targets = [(w_kd, sig_old[int(np.where(old_idx == i)[0][0])])]
+        s_c = s[i]
         log_s, on_s = _clamped_log(s_c)
         log_1s, on_1s = _clamped_log(1.0 - s_c)
         term, g = None, 0.0
@@ -290,8 +322,8 @@ def lwf_mc_loss(
             # d/dx of the BCE is s - t, masked where either log is clamped
             g = g + w * ((1.0 - t) * on_1s * s_c - t * on_s * (1.0 - s_c))
         total = term if total is None else total + term
-        grad[..., i] = g * scale
-    return nm.scalar_node(_mean(total) * (1.0 / k), (logits_new, grad))
+        grad[i] = g * scale
+    return nm.scalar_node(_mean(total) * (1.0 / k), (logits_new, _cols(grad, logits_new.shape)))
 
 
 def feature_distillation(features_new: Tensor, features_old: np.ndarray) -> Tensor:
@@ -382,6 +414,38 @@ def method_preset(name: str) -> MethodConfig:
     return MethodConfig(name=name, **_PRESETS[key])
 
 
+def _teacher_targets(
+    method: MethodConfig,
+    model_prev: SegModel,
+    images: np.ndarray,
+    old_outputs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """What the method's losses read of the frozen teacher on ``images``.
+
+    That is its probabilities (the sigmoid of its logits for LwF-MC, their
+    softmax when distillation is on), stored channel-major, and its features
+    when feature distillation is on; None for what no loss reads, and the
+    teacher is run only if a loss reads something. ``old_outputs`` are its
+    (logits, features) on ``images`` if they are at hand.
+    """
+    lwfmc = method.lwfmc_variant is not None
+    kd = lwfmc or (method.kd_mode != "none" and method.lambda_kd > 0)
+    feature_kd = not lwfmc and method.feature_kd_weight > 0
+    if not (kd or feature_kd):
+        return None, None
+    if old_outputs is None:
+        with nm.no_grad():
+            old_outputs = tuple(t.data for t in model_prev.forward_batch(images))
+    logits, feats = old_outputs
+    if lwfmc:
+        probs = 1.0 / (1.0 + np.exp(-logits))
+    elif kd:
+        probs = _softmax(logits)
+    else:
+        probs = None
+    return probs, feats if feature_kd else None
+
+
 def composite_objective(
     method: MethodConfig,
     batch: tuple[np.ndarray, np.ndarray],
@@ -389,15 +453,19 @@ def composite_objective(
     model_prev: SegModel | None,
     reg_penalty: Tensor | None = None,
     old_outputs: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
+    _teacher: tuple[np.ndarray | None, np.ndarray | None] | None = None,
 ) -> Tensor:
     """Assemble the step objective for one batch.
 
     The first learning step is ordinary supervised training for every method,
     so without a previous model this is plain cross-entropy. Later steps need
     the frozen previous model whenever a distillation term is active;
-    ``old_outputs`` may carry its precomputed (logits, features) for the batch.
-    Several terms (CE/UCE, lambda_kd * KD/UKD, feature_kd_weight * feature
-    KD, the regularizer's penalty) are summed by one tape node.
+    ``old_outputs`` may carry its precomputed (logits, features) for the
+    batch, and the private ``_teacher`` what the losses read of them (see
+    ``_teacher_targets``), as ``run_step`` caches it once per step. The terms
+    (LwF-MC, or CE/UCE, lambda_kd * KD/UKD and feature_kd_weight * feature
+    KD; then the regularizer's penalty) are summed by one tape node.
     """
     images, masks = batch
     logits, feats = model.forward_batch(images)
@@ -414,34 +482,26 @@ def composite_objective(
         background_id=model.background_id,
         method_weights={"w_cls": method.w_cls, "w_kd": method.w_kd},
     )
-
-    if old_outputs is None:
-        with nm.no_grad():
-            out = model_prev.forward_batch(images)
-            old_logits, old_feats = out[0].data, out[1].data
-    else:
-        old_logits, old_feats = old_outputs
+    if _teacher is None:
+        _teacher = _teacher_targets(method, model_prev, images, old_outputs)
+    probs_old, old_feats = _teacher
 
     if method.lwfmc_variant is not None:
-        sig_old = 1.0 / (1.0 + np.exp(-old_logits))
-        return lwf_mc_loss(logits, masks, sig_old, method.lwfmc_variant, ctx)
-
-    q = _softmax(logits.data)  # one softmax of the student serves CE and KD
-    if method.ce_mode == "unbiased":
-        terms = [(unbiased_cross_entropy(logits, masks, ctx, _q=q), 1.0)]
+        terms = [(lwf_mc_loss(logits, masks, probs_old, method.lwfmc_variant, ctx), 1.0)]
     else:
-        terms = [(cross_entropy(logits, masks, model.known_classes, _q=q), 1.0)]
-
-    if method.kd_mode != "none" and method.lambda_kd > 0:
-        probs_old = _softmax(old_logits)
-        if method.kd_mode == "unbiased":
-            kd = unbiased_distillation(logits, probs_old, ctx, _q=q)
+        q = _softmax(logits.data)  # one softmax of the student serves CE and KD
+        if method.ce_mode == "unbiased":
+            terms = [(unbiased_cross_entropy(logits, masks, ctx, _q=q), 1.0)]
         else:
-            kd = standard_distillation(logits, probs_old, ctx, _q=q)
-        terms.append((kd, method.lambda_kd))
-
-    if method.feature_kd_weight > 0:
-        terms.append((feature_distillation(feats, old_feats), method.feature_kd_weight))
+            terms = [(cross_entropy(logits, masks, model.known_classes, _q=q), 1.0)]
+        if probs_old is not None:
+            if method.kd_mode == "unbiased":
+                kd = unbiased_distillation(logits, probs_old, ctx, _q=q)
+            else:
+                kd = standard_distillation(logits, probs_old, ctx, _q=q)
+            terms.append((kd, method.lambda_kd))
+        if old_feats is not None:
+            terms.append((feature_distillation(feats, old_feats), method.feature_kd_weight))
 
     if reg_penalty is not None:
         terms.append((reg_penalty, 1.0))

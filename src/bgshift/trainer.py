@@ -18,7 +18,7 @@ from . import numerics as nm
 from . import regularizers as rg
 from .evaluation import ConfusionMatrix, MiouReport, iou_per_class, miou_groups
 from .exceptions import ConfigError, DivergenceError
-from .losses import MethodConfig, composite_objective
+from .losses import MethodConfig, _teacher_targets, composite_objective
 from .model import BackboneConfig, SegModel, argmax_mask, extend_classifier
 from .scenario import LabelSchedule, Sample, SplitReport, StepDataset, relabel, split_corpus
 
@@ -137,15 +137,11 @@ def run_step(
     # the step's samples stacked once: a batch is an index gather
     all_images = np.stack([item.image for item in dataset.items])
     all_masks = np.stack([item.mask for item in dataset.items])
-    # frozen teacher outputs can be cached when inputs are not augmented
+    # what the losses read of the frozen teacher can be cached when inputs
+    # are not augmented
     cache = None
     if teacher is not None and not config.hflip:
-        with nm.no_grad():
-            for start in range(0, n, config.batch_size):
-                out = [t.data for t in teacher.forward_batch(all_images[start : start + config.batch_size])]
-                cache = cache or tuple(np.empty((n,) + a.shape[1:], a.dtype) for a in out)
-                for whole, part in zip(cache, out):
-                    whole[start : start + len(part)] = part
+        cache = _teacher_cache(teacher, method, all_images, config.batch_size)
 
     params = model.parameters()
     velocity: dict[str, np.ndarray] = {}
@@ -166,15 +162,13 @@ def run_step(
                     if f:
                         images[j] = images[j, :, ::-1]
                         masks[j] = masks[j, :, ::-1]
-            old_outputs = None if cache is None else (cache[0][idx], cache[1][idx])
+            cached = None if cache is None else _teacher_batch(cache, idx)
 
             penalty = None
             if method.reg_kind != "none" and reg_state is not None and t > 0:
                 penalty = rg.quadratic_penalty(model, reg_state, method.reg_weight)
             model.zero_grad()
-            loss = composite_objective(
-                method, (images, masks), model, teacher, penalty, old_outputs
-            )
+            loss = composite_objective(method, (images, masks), model, teacher, penalty, _teacher=cached)
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(f"step {t} iter {iteration}: loss is {value}")
@@ -193,6 +187,38 @@ def run_step(
 
     reg_out = update_importance(model, dataset, config, path_state, reg_state)
     return StepResult(model, trace, iteration, reg_out, path_state)
+
+
+def _teacher_cache(
+    teacher: SegModel, method: MethodConfig, images: np.ndarray, batch_size: int
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``_teacher_targets`` for every image of the step, computed once: the
+    probabilities channel-major [K, n, H, W] and the features [n, H, W, D],
+    each None where no loss reads it."""
+    n = len(images)
+    probs = feats = None
+    for start in range(0, n, batch_size):
+        p, f = _teacher_targets(method, teacher, images[start : start + batch_size])
+        if p is None and f is None:
+            break
+        if start == 0:
+            probs = None if p is None else np.empty((p.shape[-1], n) + p.shape[1:-1], p.dtype)
+            feats = None if f is None else np.empty((n,) + f.shape[1:], f.dtype)
+        if probs is not None:
+            probs[:, start : start + len(p)] = np.moveaxis(p, -1, 0)
+        if feats is not None:
+            feats[start : start + len(f)] = f
+    return probs, feats
+
+
+def _teacher_batch(cache, idx: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The cached teacher targets of the images ``idx``; the probabilities
+    as a [b, H, W, K] view of channel-major rows."""
+    probs, feats = cache
+    return (
+        None if probs is None else np.moveaxis(probs[:, idx], 0, -1),
+        None if feats is None else feats[idx],
+    )
 
 
 def update_importance(

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from bgshift import losses as L
 from bgshift import numerics as nm
+from bgshift import regularizers as rg
 from bgshift.exceptions import AlignmentError, ConfigError, LabelDomainError
 from bgshift.model import BackboneConfig, SegModel, extend_classifier
 from bgshift.numerics import Tensor
@@ -421,6 +424,70 @@ def test_each_loss_is_one_tape_node_on_its_logits(name):
     assert len(out._parents) == 1 and out._parents[0] is feats
 
 
+def pinned_case():
+    """Fixed 2x8x8 inputs of a [4,1] step (6 channels, 5 old), with logits
+    near +-40 on two rows so the LOG_FLOOR clamp is reached."""
+    rng = np.random.default_rng(2002)
+    logits = rng.normal(size=(2, 8, 8, 6)) * 3.0
+    logits[0, :2] = rng.choice([-40.0, 40.0], size=(2, 8, 6)) + rng.normal(size=(2, 8, 6))
+    mask = np.where(rng.random((2, 8, 8)) < 0.4, 5, 0)
+    full_mask = rng.integers(0, 6, size=(2, 8, 8))
+    old = rng.normal(size=(2, 8, 8, 5)) * 3.0
+    e = np.exp(old - old.max(axis=-1, keepdims=True))
+    probs_old = e / e.sum(axis=-1, keepdims=True)
+    sig_old = 1.0 / (1.0 + np.exp(-old))
+    ctx = L.LossContext.for_step([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5], method_weights={"w_cls": 1.0, "w_kd": 10.0})
+    return logits, mask, full_mask, probs_old, sig_old, ctx
+
+
+def channel_major(a):
+    """``a`` [..., K] as a view of channel-major storage, the layout
+    ``affine_last`` and ``_softmax`` return."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+def bits_of(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+# each loss's value, then the leading hex digits of the sha256 of its logit
+# gradient and of its values on each pixel alone (a mean over 128 pixels can
+# round away a one-ulp change in a pixel's term), on pinned_case(); recorded
+# when the losses read the logits in C order, and the channel-major
+# arithmetic must reproduce them bit for bit
+PINNED_BITS = {
+    "ce": ("0x1.7a01a6a3fac96p+2", "bcd098e76dddf215", "62d01d0ffe1f9c83"),
+    "uce": ("0x1.1c72309f64037p+1", "7c410189d144816f", "30c13336a679a576"),
+    "kd": ("0x1.5ff8db9656e8ep+2", "60ee148713f425d5", "e0e06b2b6f67e8f0"),
+    "ukd": ("0x1.57565df758656p+2", "e29a889355dc559c", "bea50ba5cbd0e499"),
+    "lwf_mc_full": ("0x1.b5824a6d8d32ep+4", "59b39a9c128caecd", "d0aa7b4ebe5e9ca1"),
+    "lwf_mc_C": ("0x1.66257d9740d55p+4", "c4c52008c76c5436", "209846694349562e"),
+    "lwf_mc_D": ("0x1.b0374c5e76b79p+4", "5fc458da72dbc53a", "3a8f144c95122340"),
+}
+PINNED_SOFTMAX_BITS = "269b411f77989301"
+
+
+@pytest.mark.parametrize("layout", [np.asarray, channel_major], ids=["c-order", "channel-major"])
+@pytest.mark.parametrize("name", sorted(PINNED_BITS))
+def test_loss_value_and_gradient_bits_match_the_pins(name, layout):
+    logits, mask, full_mask, probs_old, sig_old, ctx = pinned_case()
+    loss = LOSS_FNS[name]
+    t = Tensor(layout(logits), requires_grad=True)
+    out = loss(t, mask, full_mask, layout(probs_old), layout(sig_old), ctx)
+    out.backward()
+    assert t.grad.shape == logits.shape
+    pixels = []
+    for px in np.ndindex(mask.shape):
+        one = tuple(slice(i, i + 1) for i in px)
+        pixels.append(loss(Tensor(layout(logits[one])), mask[one], full_mask[one], layout(probs_old[one]), layout(sig_old[one]), ctx).item())
+    assert (out.item().hex(), bits_of(t.grad), bits_of(np.array(pixels))) == PINNED_BITS[name]
+
+
+@pytest.mark.parametrize("layout", [np.asarray, channel_major], ids=["c-order", "channel-major"])
+def test_softmax_bits_match_the_pin(layout):
+    assert bits_of(L._softmax(layout(pinned_case()[0]))) == PINNED_SOFTMAX_BITS
+
+
 def test_losses_are_nonnegative():
     for seed in range(10):
         logits, mask, full_mask, probs_old, sig_old, ctx = random_case(100 + seed)
@@ -520,6 +587,53 @@ def test_composite_ilt_adds_feature_term():
         _, old_feats = prev.forward_batch(images)
     fd = L.feature_distillation(feats, old_feats.data).item()
     assert abs(v_ilt - (v_lwf + 100.0 * fd)) < 1e-10
+
+
+def test_composite_lwf_mc_adds_its_regularizer():
+    prev, cur = small_models()
+    rng = np.random.default_rng(14)
+    images = rng.random((2, 4, 4, 3))
+    masks = np.where(rng.random((2, 4, 4)) < 0.5, 3, 0)
+    plain = L.method_preset("LwF-MC")
+    ewc = replace(plain, reg_kind="ewc", reg_weight=500.0)
+    # anchored at the previous model with unit importance; the grown head's
+    # shifted background bias has drifted from it
+    anchor = {name: t.data.copy() for name, t in prev.parameters().items()}
+    state = rg.ImportanceState("ewc", {name: np.ones_like(a) for name, a in anchor.items()}, anchor)
+    penalty = rg.quadratic_penalty(cur, state, ewc.reg_weight)
+    assert penalty.item() > 0.0
+    got = L.composite_objective(ewc, (images, masks), cur, prev, penalty)
+    got.backward()
+    got_grads = {name: t.grad for name, t in cur.parameters().items()}
+    cur.zero_grad()
+    base = L.composite_objective(plain, (images, masks), cur, prev)
+    assert got.item() == base.item() + penalty.item()
+    base.backward()
+    penalty.backward()
+    for name, t in cur.parameters().items():
+        assert np.allclose(got_grads[name], t.grad, rtol=1e-12, atol=0.0), name
+
+
+def test_composite_lwf_mc_without_regularizer_is_the_loss_bit_for_bit():
+    prev, cur = small_models()
+    rng = np.random.default_rng(15)
+    images = rng.random((2, 4, 4, 3))
+    masks = np.where(rng.random((2, 4, 4)) < 0.5, 3, 0)
+    method = L.method_preset("LwF-MC")
+    got = L.composite_objective(method, (images, masks), cur, prev)
+    got.backward()
+    got_grads = {name: t.grad for name, t in cur.parameters().items()}
+    cur.zero_grad()
+    logits, _ = cur.forward_batch(images)
+    with nm.no_grad():
+        old_logits, _ = prev.forward_batch(images)
+    sig_old = 1.0 / (1.0 + np.exp(-old_logits.data))
+    ctx = L.LossContext.for_step(prev.known_classes, cur.known_classes, method_weights={"w_cls": 1.0, "w_kd": 10.0})
+    want = L.lwf_mc_loss(logits, masks, sig_old, "full", ctx)
+    want.backward()
+    assert got.item() == want.item()
+    for name, t in cur.parameters().items():
+        assert np.array_equal(got_grads[name], t.grad), name
 
 
 def test_method_preset_unknown_name():

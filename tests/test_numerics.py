@@ -151,6 +151,48 @@ def test_conv_dense_equals_the_elementary_composition_bit_for_bit(feature_grad):
         assert np.array_equal(fused, composed)
 
 
+# small batches split over several tiles once TILE is 16 pixels: whole images
+# per tile (2 of 6 pixels, last tile short), row blocks of one image (3 rows
+# of a width that does not divide 16, last block short), one row per tile
+# (a width wider than a tile)
+MULTI_TILE_SHAPES = {"whole-images": (5, 2, 3, 3), "row-blocks": (2, 7, 5, 3), "wider-than-a-tile": (1, 3, 20, 2)}
+
+
+def multi_tile_case(name, seed):
+    rng = np.random.default_rng(seed)
+    B, H, W, cin = MULTI_TILE_SHAPES[name]
+    x = rng.random((B, H, W, cin))
+    weights = [rng.normal(size=(3, 3, cin, 4)), rng.normal(size=4) * 0.1, rng.normal(size=(4, 5)), rng.normal(size=5) * 0.1]
+    return x, weights, rng.normal(size=(B, H, W, 5))
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_TILE_SHAPES))
+def test_conv_dense_over_several_tiles_matches_the_composition(name, monkeypatch):
+    monkeypatch.setattr(nm, "TILE", 16)
+    x, weights, r = multi_tile_case(name, 14)
+    assert len(list(nm._tiles(*x.shape[:3]))) > 2
+    results = []
+    for op in (nm.conv_dense, _composed_backbone):
+        params = [Tensor(w.copy(), requires_grad=True) for w in weights]
+        feats = op(Tensor(x), *params)
+        weighted_sum((feats, r)).backward()
+        results.append([feats.data] + [p.grad for p in params])
+    (tiled, *tiled_grads), (composed, *composed_grads) = results
+    assert np.array_equal(tiled, composed)
+    # the tiles' sums are added tile by tile: only the summation order differs
+    for got, want in zip(tiled_grads, composed_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_TILE_SHAPES))
+def test_conv_dense_gradients_over_several_tiles_match_finite_differences(name, monkeypatch):
+    monkeypatch.setattr(nm, "TILE", 16)
+    x, weights, r = multi_tile_case(name, 15)
+    params = [Tensor(w, requires_grad=True) for w in weights]
+    for p in params:
+        assert nm.check_gradient(lambda t: weighted_sum((nm.conv_dense(x, *params), r)), p) < 1e-4
+
+
 def test_backward_requires_scalar():
     t = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):

@@ -221,6 +221,33 @@ def test_shared_first_step_matches_chained_run_step(method):
             assert np.array_equal(got.reg_state.importance[name], imp), name
 
 
+@pytest.mark.parametrize(
+    "method, probs, feats",
+    [("FT", None, False), ("EWC", None, False), ("MiB", "softmax", False), ("ILT", "softmax", True), ("LwF-MC", "sigmoid", False)],
+)
+def test_teacher_cache_holds_only_what_the_losses_read(method, probs, feats):
+    _, _, steps = small_world()
+    cfg = small_config(method, epochs=1)
+    teacher = tr.run_step(None, steps[0], cfg).model.frozen_copy()
+    images = np.stack([item.image for item in steps[1].items])
+    cached_probs, cached_feats = tr._teacher_cache(teacher, cfg.method, images, cfg.batch_size)
+    assert (cached_feats is not None) == feats
+    if probs is None:
+        assert cached_probs is None
+        return
+    logits, features = teacher.forward_batch(images)
+    z = logits.data
+    want = 1.0 / (1.0 + np.exp(-z)) if probs == "sigmoid" else np.exp(z) / np.exp(z).sum(-1, keepdims=True)
+    # stored channel-major: one contiguous row per channel
+    assert cached_probs.shape == (z.shape[-1],) + z.shape[:-1] and cached_probs.flags.c_contiguous
+    assert np.allclose(np.moveaxis(cached_probs, 0, -1), want, rtol=1e-12, atol=0.0)
+    if feats:
+        assert np.array_equal(cached_feats, features.data)
+    idx = np.array([2, 0])
+    got_probs, got_feats = tr._teacher_batch((cached_probs, cached_feats), idx)
+    assert np.array_equal(got_probs, np.moveaxis(cached_probs, 0, -1)[idx])
+
+
 # -- pinned loss traces ------------------------------------------------------------
 
 # loss_trace per step of one short [1,1,1] overlapped run per method, recorded
