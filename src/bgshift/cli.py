@@ -9,10 +9,9 @@ from pathlib import Path
 
 from .exceptions import BgshiftError
 from .harness import RunInputs, compare_report, load_experiment_config, run_experiment
-from .losses import method_preset
 from .protocol import select_method_weight, split_train_val
 from .scenario import SyntheticConfig, generate_synthetic, save_dataset
-from .trainer import first_step
+from .trainer import run_step, update_importance
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,19 +93,19 @@ def _dispatch(args, overrides: list[str]) -> int:
         if inputs.schedule.num_steps < 2:
             print("error: weight selection needs an incremental schedule", file=sys.stderr)
             return 1
-        base = first_step(
-            inputs.split,
-            inputs.eval_corpus,
-            inputs.schedule,
-            replace(config.train, method=method_preset("FT")),
-        ).result
-        train, val = split_train_val(inputs.split[0][1], seed=config.train.seed)
+        steps = inputs.split[0]
+        # step 0 is the same for every method; its importance is the method's
+        step0_config = replace(config.train, method=method)
+        base = run_step(None, steps[0], step0_config)
+        reg_state = update_importance(base.model, steps[0], step0_config, base.path_state, None)
+        train, val = split_train_val(steps[1], seed=config.train.seed)
         result = select_method_weight(
             train,
             val,
             method,
             train_config=config.train,
             model_prev=base.model,
+            reg_state=reg_state,
         )
         payload = {
             "method": args.method,

@@ -1,11 +1,14 @@
 """Segmentation predictor: small pixel-feature backbone plus per-class linear heads.
 
-Heads are stored packed as a [D, K] weight matrix and a [K] bias vector whose
-column order follows ``known_classes`` (background first, then classes in the
-order they were added). ``extend_classifier`` grows the head for a new step,
-either copying the background classifier with a shifted bias (so the old
-background probability is spread uniformly over the incoming classes) or with
-plain random initialization.
+The model's state is one dict of named parameters (``PARAM_NAMES``): the
+backbone's ``backbone.w1``/``b1`` (conv3x3) and ``backbone.w2``/``b2``
+(dense 1x1), and the packed heads ``head.w`` [D, K] and ``head.b`` [K]. The
+head columns follow ``known_classes`` (background first, then classes in the
+order they were added). Every consumer (SGD velocity, importance, the
+checkpoint's npz members) keys on these names. ``extend_classifier`` grows
+the head for a new step, either copying the background classifier with a
+shifted bias (so the old background probability is spread uniformly over the
+incoming classes) or with plain random initialization.
 
 A forward pass records two tape nodes, the backbone (``numerics.conv_dense``,
 tanh activations) and the head (``numerics.affine_last``); the tape keeps only
@@ -25,6 +28,7 @@ from .exceptions import BgshiftError, ScheduleError, ShapeError
 from .numerics import Tensor
 
 CHECKPOINT_FORMAT = 2  # 2: the backbone meta has no activation
+PARAM_NAMES = ("backbone.w1", "backbone.b1", "backbone.w2", "backbone.b2", "head.w", "head.b")
 
 
 @dataclass
@@ -34,51 +38,14 @@ class BackboneConfig:
     features: int = 16
 
 
-class Backbone:
-    """conv3x3 -> tanh -> dense(1x1) -> tanh, producing per-pixel features."""
-
-    def __init__(self, config: BackboneConfig, w1, b1, w2, b2):
-        self.config = config
-        self.w1 = w1
-        self.b1 = b1
-        self.w2 = w2
-        self.b2 = b2
-
-    @classmethod
-    def create(cls, config: BackboneConfig, rng: np.random.Generator) -> "Backbone":
-        cin, ch, d = config.in_channels, config.hidden, config.features
-        s1 = math.sqrt(1.0 / (9 * cin))
-        s2 = math.sqrt(1.0 / ch)
-        return cls(
-            config,
-            Tensor(rng.normal(0.0, s1, size=(3, 3, cin, ch)), requires_grad=True),
-            Tensor(np.zeros(ch), requires_grad=True),
-            Tensor(rng.normal(0.0, s2, size=(ch, d)), requires_grad=True),
-            Tensor(np.zeros(d), requires_grad=True),
-        )
-
-    def forward(self, images: np.ndarray) -> Tensor:
-        """[B,H,W,ch] images -> [B,H,W,D] features, one tape node."""
-        return nm.conv_dense(images, self.w1, self.b1, self.w2, self.b2)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"backbone.w1": self.w1, "backbone.b1": self.b1, "backbone.w2": self.w2, "backbone.b2": self.b2}
-
-    def clone(self) -> "Backbone":
-        return Backbone(
-            self.config,
-            *(Tensor(t.data.copy(), requires_grad=t.requires_grad) for t in (self.w1, self.b1, self.w2, self.b2)),
-        )
-
-
 class SegModel:
-    """Backbone plus per-class heads, versioned by learning step."""
+    """conv3x3 -> tanh -> dense(1x1) -> tanh per-pixel features, then per-class
+    heads; versioned by learning step."""
 
     def __init__(
         self,
-        backbone: Backbone,
-        head_w: Tensor,
-        head_b: Tensor,
+        config: BackboneConfig,
+        params: dict[str, Tensor],
         known_classes: list[int],
         step_index: int = 0,
         background_id: int = 0,
@@ -87,11 +54,11 @@ class SegModel:
             raise ScheduleError("background class must come first in known_classes")
         if len(set(known_classes)) != len(known_classes):
             raise ScheduleError("duplicate class id in known_classes")
-        if head_w.data.shape[1] != len(known_classes) or head_b.data.shape[0] != len(known_classes):
+        k = len(known_classes)
+        if params["head.w"].data.shape[1] != k or params["head.b"].data.shape[0] != k:
             raise ShapeError("head shape does not match class count")
-        self.backbone = backbone
-        self.head_w = head_w
-        self.head_b = head_b
+        self.config = config
+        self.params = params
         self.known_classes = list(known_classes)
         self.step_index = step_index
         self.background_id = background_id
@@ -99,57 +66,44 @@ class SegModel:
     @classmethod
     def create(
         cls,
-        backbone_config: BackboneConfig,
+        config: BackboneConfig,
         fg_classes: list[int],
         rng: np.random.Generator,
         background_id: int = 0,
         head_std: float = 0.01,
     ) -> "SegModel":
-        backbone = Backbone.create(backbone_config, rng)
+        cin, ch, d = config.in_channels, config.hidden, config.features
         known = [background_id] + list(fg_classes)
-        k = len(known)
-        d = backbone_config.features
-        head_w = Tensor(rng.normal(0.0, head_std, size=(d, k)), requires_grad=True)
-        head_b = Tensor(np.zeros(k), requires_grad=True)
-        return cls(backbone, head_w, head_b, known, step_index=0, background_id=background_id)
-
-    # -- forward paths ---------------------------------------------------
+        # the draw order w1, w2, head.w fixes a seed's initial weights
+        w1 = rng.normal(0.0, math.sqrt(1.0 / (9 * cin)), size=(3, 3, cin, ch))
+        w2 = rng.normal(0.0, math.sqrt(1.0 / ch), size=(ch, d))
+        head_w = rng.normal(0.0, head_std, size=(d, len(known)))
+        arrays = (w1, np.zeros(ch), w2, np.zeros(d), head_w, np.zeros(len(known)))
+        params = {name: Tensor(a, requires_grad=True) for name, a in zip(PARAM_NAMES, arrays)}
+        return cls(config, params, known, step_index=0, background_id=background_id)
 
     def forward_batch(self, images: np.ndarray) -> tuple[Tensor, Tensor]:
         """[B,H,W,ch] -> (logits [B,H,W,K], features [B,H,W,D])."""
-        if images.ndim != 4 or images.shape[-1] != self.backbone.config.in_channels:
-            raise ShapeError(
-                f"expected [B,H,W,{self.backbone.config.in_channels}] input, got {images.shape}"
-            )
-        feats = self.backbone.forward(images)
-        logits = nm.affine_last(feats, self.head_w, self.head_b)
-        return logits, feats
-
-    # -- growth and plumbing ----------------------------------------------
+        if images.ndim != 4 or images.shape[-1] != self.config.in_channels:
+            raise ShapeError(f"expected [B,H,W,{self.config.in_channels}] input, got {images.shape}")
+        p = self.params
+        feats = nm.conv_dense(images, p["backbone.w1"], p["backbone.b1"], p["backbone.w2"], p["backbone.b2"])
+        return nm.affine_last(feats, p["head.w"], p["head.b"]), feats
 
     def parameters(self) -> dict[str, Tensor]:
-        params = self.backbone.parameters()
-        params["head.w"] = self.head_w
-        params["head.b"] = self.head_b
-        return params
+        return self.params
 
     def zero_grad(self):
-        for t in self.parameters().values():
+        for t in self.params.values():
             t.zero_grad()
 
     def clone(self) -> "SegModel":
-        return SegModel(
-            self.backbone.clone(),
-            Tensor(self.head_w.data.copy(), requires_grad=self.head_w.requires_grad),
-            Tensor(self.head_b.data.copy(), requires_grad=self.head_b.requires_grad),
-            list(self.known_classes),
-            self.step_index,
-            self.background_id,
-        )
+        params = {name: Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in self.params.items()}
+        return SegModel(self.config, params, self.known_classes, self.step_index, self.background_id)
 
     def frozen_copy(self) -> "SegModel":
         frozen = self.clone()
-        for t in frozen.parameters().values():
+        for t in frozen.params.values():
             t.requires_grad = False
         return frozen
 
@@ -189,28 +143,29 @@ def extend_classifier(
     if not new_classes:
         return grown
 
-    d = model.head_w.data.shape[0]
-    bg_w = model.head_w.data[:, 0]
-    bg_b = float(model.head_b.data[0])
+    old_w, old_b = model.params["head.w"].data, model.params["head.b"].data
+    d = old_w.shape[0]
+    bg_w = old_w[:, 0]
+    bg_b = float(old_b[0])
     if init == "background":
         m = len(new_classes) + 1  # incoming set includes the background
         shift = math.log(m)
         new_w = np.tile(bg_w[:, None], (1, len(new_classes)))
         new_b = np.full(len(new_classes), bg_b - shift)
-        head_w = np.concatenate([model.head_w.data, new_w], axis=1)
-        head_b = np.concatenate([model.head_b.data, new_b])
+        head_w = np.concatenate([old_w, new_w], axis=1)
+        head_b = np.concatenate([old_b, new_b])
         head_b[0] = bg_b - shift
     elif init == "random":
         if rng is None:
             raise ScheduleError("random head init needs an rng")
         new_w = rng.normal(0.0, head_std, size=(d, len(new_classes)))
-        head_w = np.concatenate([model.head_w.data, new_w], axis=1)
-        head_b = np.concatenate([model.head_b.data, np.zeros(len(new_classes))])
+        head_w = np.concatenate([old_w, new_w], axis=1)
+        head_b = np.concatenate([old_b, np.zeros(len(new_classes))])
     else:
         raise ScheduleError(f"unknown head init {init!r}")
 
-    grown.head_w = Tensor(head_w, requires_grad=True)
-    grown.head_b = Tensor(head_b, requires_grad=True)
+    grown.params["head.w"] = Tensor(head_w, requires_grad=True)
+    grown.params["head.b"] = Tensor(head_b, requires_grad=True)
     grown.known_classes = list(model.known_classes) + new_classes
     return grown
 
@@ -221,9 +176,9 @@ def save_checkpoint(model: SegModel, path) -> None:
         "step_index": model.step_index,
         "known_classes": model.known_classes,
         "background_id": model.background_id,
-        "backbone": asdict(model.backbone.config),
+        "backbone": asdict(model.config),
     }
-    arrays = {name.replace(".", "__"): t.data for name, t in model.parameters().items()}
+    arrays = {name.replace(".", "__"): t.data for name, t in model.params.items()}
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
@@ -236,17 +191,12 @@ def load_checkpoint(path) -> SegModel:
             if meta.get("format") != CHECKPOINT_FORMAT:
                 raise ShapeError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
             cfg = BackboneConfig(**meta["backbone"])
-            backbone = Backbone(
-                cfg,
-                Tensor(z["backbone__w1"].copy(), requires_grad=True),
-                Tensor(z["backbone__b1"].copy(), requires_grad=True),
-                Tensor(z["backbone__w2"].copy(), requires_grad=True),
-                Tensor(z["backbone__b2"].copy(), requires_grad=True),
-            )
+            params = {
+                name: Tensor(z[name.replace(".", "__")].copy(), requires_grad=True) for name in PARAM_NAMES
+            }
             return SegModel(
-                backbone,
-                Tensor(z["head__w"].copy(), requires_grad=True),
-                Tensor(z["head__b"].copy(), requires_grad=True),
+                cfg,
+                params,
                 [int(c) for c in meta["known_classes"]],
                 int(meta["step_index"]),
                 int(meta["background_id"]),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DivergenceError
 from .scenario import StepDataset
 
 GRID_MANTISSAS = (1, 5)
@@ -53,7 +53,7 @@ def split_train_val(
 class SelectionResult:
     weight: float
     satisfied: bool  # False when no grid value met the constraint
-    trace: list[tuple[float, float]]  # (candidate, new-class metric)
+    trace: list[tuple[float, float | None]]  # (candidate, new-class metric; None: diverged)
     reference: float
     threshold: float
 
@@ -69,7 +69,8 @@ def scan_weight_grid(
     Falls back to the smallest grid value (flagged) when nothing qualifies,
     so sweeps keep running. A reference <= 0 means fine-tuning learned
     nothing to measure decay against, so nothing qualifies; the trace is
-    still taken.
+    still taken. A metric of None marks a candidate whose training diverged;
+    it never qualifies.
     """
     grid = sorted(grid if grid is not None else hparam_grid())
     if not grid:
@@ -77,8 +78,11 @@ def scan_weight_grid(
     if not 0.0 <= tolerated_decay <= 1.0:
         raise ConfigError("tolerated_decay must lie in [0, 1]")
     threshold = (1.0 - tolerated_decay) * reference
-    trace = [(w, float(metric_fn(w))) for w in grid]
-    qualifying = [w for w, metric in trace if metric >= threshold] if reference > 0 else []
+    trace = []
+    for w in grid:
+        metric = metric_fn(w)
+        trace.append((w, None if metric is None else float(metric)))
+    qualifying = [w for w, m in trace if m is not None and m >= threshold] if reference > 0 else []
     if not qualifying:
         return SelectionResult(grid[0], False, trace, reference, threshold)
     return SelectionResult(qualifying[-1], True, trace, reference, threshold)
@@ -93,11 +97,14 @@ def select_method_weight(
     *,
     train_config,
     model_prev,
+    reg_state,
     reference_metric: float | None = None,
 ) -> SelectionResult:
     """Run the weight scan with real trainings on ``train``/``val``.
 
-    ``model_prev`` is the frozen model of the previous step. The reference is
+    ``model_prev`` is the frozen model of the previous step and ``reg_state``
+    its importance (``trainer.update_importance``; None for a method without
+    a regularizer), which every candidate is penalized with. The reference is
     the fine-tuned model's new-class mIoU on ``val`` (computed here unless
     passed in).
     """
@@ -120,9 +127,13 @@ def select_method_weight(
         ft_cfg = replace(train_config, method=method_preset("FT"))
         reference_metric = new_class_miou(run_step(model_prev, train, ft_cfg).model)
 
-    def metric_at(w: float) -> float:
+    def metric_at(w: float) -> float | None:
         cfg = replace(train_config, method=method.with_weight(w))
-        return new_class_miou(run_step(model_prev, train, cfg).model)
+        try:
+            model = run_step(model_prev, train, cfg, reg_state).model
+        except DivergenceError:  # a penalty this strong makes SGD unstable
+            return None
+        return new_class_miou(model)
 
     return scan_weight_grid(metric_at, reference_metric, grid, tolerated_decay)
 

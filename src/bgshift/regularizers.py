@@ -7,7 +7,10 @@ and sums. ``quadratic_penalty`` turns an importance state into a drift
 penalty anchored at the previous step's parameters: one tape node whose
 gradient has the closed form 2 * w * importance * (theta - anchor).
 Classifier columns added after the anchor was taken have no anchor and are
-excluded from the penalty.
+excluded from the penalty. Every state is keyed by the model's parameter
+names (``model.PARAM_NAMES``). The trainer estimates a step's importance and
+merges it into the running state in one place, ``trainer.update_importance``,
+just before the next step trains.
 """
 from __future__ import annotations
 
@@ -27,11 +30,9 @@ from .scenario import StepDataset
 class ImportanceState:
     """Per-parameter importance plus the anchor it penalizes drift from."""
 
-    method: str
     importance: dict[str, np.ndarray]
     anchor: dict[str, np.ndarray]
-    sample_count: int = 0
-    # path-integral accumulators (only for method pi/rw)
+    # path-integral accumulators (only while a training is tracked)
     pi_omega: dict[str, np.ndarray] = field(default_factory=dict)
     pi_start: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -81,7 +82,7 @@ def fisher_diagonal(
                 acc[name] += t.grad**2
     model.zero_grad()
     importance = {name: a / n_samples for name, a in acc.items()}
-    return ImportanceState("ewc", importance, _param_arrays(model), sample_count=n_samples)
+    return ImportanceState(importance, _param_arrays(model))
 
 
 def new_path_state(model: SegModel) -> ImportanceState:
@@ -89,7 +90,6 @@ def new_path_state(model: SegModel) -> ImportanceState:
     zeros = {name: np.zeros_like(t.data) for name, t in model.parameters().items()}
     start = _param_arrays(model)
     return ImportanceState(
-        "pi",
         {name: np.zeros_like(v) for name, v in start.items()},
         dict(start),
         pi_omega=zeros,
@@ -120,7 +120,7 @@ def finalize_path_importance(
         omega = state.pi_omega[name]
         disp = t.data - state.pi_start[name]
         importance[name] = np.maximum(omega, 0.0) / (disp**2 + damping)
-    return ImportanceState("pi", importance, _param_arrays(model), sample_count=state.sample_count)
+    return ImportanceState(importance, _param_arrays(model))
 
 
 def rw_importance(fisher_state: ImportanceState, path_state: ImportanceState) -> ImportanceState:
@@ -133,7 +133,7 @@ def rw_importance(fisher_state: ImportanceState, path_state: ImportanceState) ->
         if f.shape != p.shape:
             raise AlignmentError(f"shape mismatch for {name} between fisher and path scores")
         combined[name] = _normalized(f) + _normalized(p)
-    return ImportanceState("rw", combined, dict(fisher_state.anchor))
+    return ImportanceState(combined, dict(fisher_state.anchor))
 
 
 def _normalized(a: np.ndarray) -> np.ndarray:
@@ -184,4 +184,4 @@ def merge_importance(
             padded = np.zeros_like(cur)
             padded[..., : old.shape[-1]] = old
             importance[name] = padded + cur
-    return ImportanceState(new.method, importance, _param_arrays(model))
+    return ImportanceState(importance, _param_arrays(model))

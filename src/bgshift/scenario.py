@@ -202,20 +202,20 @@ class SyntheticConfig:
     height: int = 64
     width: int = 64
     blobs_per_image: int = 3
-    noise: float = 0.05
-    saturation: float = 0.85  # lower = classes closer to the gray background
-    brightness: float = 0.85
-    min_radius_frac: float = 0.10
-    max_radius_frac: float = 0.26
-    max_attempts: int = 20
 
 
-def class_signature(
-    c: int, num_classes: int, saturation: float = 0.85, brightness: float = 0.85
-) -> tuple[np.ndarray, float, float]:
+NOISE = 0.05  # std of the gray background's pixel noise
+SATURATION = 0.85  # of the class colors; lower = closer to the gray background
+BRIGHTNESS = 0.85
+MIN_RADIUS_FRAC = 0.10  # blob radii, as fractions of the shorter image side
+MAX_RADIUS_FRAC = 0.26
+MAX_ATTEMPTS = 20  # corpus regenerations before giving up on class balance
+
+
+def class_signature(c: int, num_classes: int) -> tuple[np.ndarray, float, float]:
     """Deterministic (color, stripe frequency, stripe angle) for a class id."""
     hue = (c - 1) / max(num_classes, 1)
-    color = np.array(colorsys.hsv_to_rgb(hue, saturation, brightness))
+    color = np.array(colorsys.hsv_to_rgb(hue, SATURATION, BRIGHTNESS))
     freq = 0.55 + 0.22 * c
     angle = c * 2.39996323  # golden angle keeps orientations spread out
     return color, freq, angle
@@ -229,18 +229,18 @@ def generate_synthetic(seed: int, config: SyntheticConfig) -> list[Sample]:
     """
     if config.height < 16 or config.width < 16:
         raise GenerationError("images must be at least 16x16")
-    rmax = int(config.max_radius_frac * min(config.height, config.width))
-    rmin = max(3, int(config.min_radius_frac * min(config.height, config.width)))
+    rmax = int(MAX_RADIUS_FRAC * min(config.height, config.width))
+    rmin = max(3, int(MIN_RADIUS_FRAC * min(config.height, config.width)))
     if rmin >= rmax:
         raise GenerationError("blob radius range is empty; image too small for the config")
 
-    for attempt in range(config.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         samples = _generate_once(rng, config, rmin, rmax, seed)
         if _balanced(samples, config):
             return samples
     raise GenerationError(
-        f"could not satisfy class-balance constraints in {config.max_attempts} attempts"
+        f"could not satisfy class-balance constraints in {MAX_ATTEMPTS} attempts"
     )
 
 
@@ -253,11 +253,11 @@ def _generate_once(rng, config: SyntheticConfig, rmin: int, rmax: int, seed: int
 
     samples = []
     for i in range(config.num_images):
-        img = 0.5 + config.noise * rng.standard_normal((config.height, config.width, 3))
+        img = 0.5 + NOISE * rng.standard_normal((config.height, config.width, 3))
         mask = np.zeros((config.height, config.width), dtype=np.int64)
         blob_classes = class_pool[i * config.blobs_per_image : (i + 1) * config.blobs_per_image]
         for c in blob_classes:
-            color, freq, angle = class_signature(int(c), k, config.saturation, config.brightness)
+            color, freq, angle = class_signature(int(c), k)
             rx = rng.integers(rmin, rmax + 1)
             ry = rng.integers(rmin, rmax + 1)
             cx = rng.integers(rx, config.width - rx + 1)

@@ -2,15 +2,18 @@
 
 Each learning step starts from the previous model (classifier extended for
 the incoming classes), trains the method's composite objective with
-momentum-SGD under a polynomial learning-rate decay, keeps the previous model
-frozen as the distillation teacher, and maintains importance accumulators for
-the prior-focused baselines. All randomness is derived from (seed, step) so
-the first step is bit-identical across methods: ``first_step`` trains it once
-and ``run_incremental`` can continue any method from it.
+momentum-SGD under a polynomial learning-rate decay, and reads the previous
+model, untouched, as the distillation teacher. ``run_step`` keeps the
+path-integral accumulator of its training; the importance the prior-focused
+baselines penalize is computed in one place, ``update_importance``, which
+``run_incremental`` calls on each step just before it trains the next one.
+All randomness is derived from (seed, step) so the first step is
+bit-identical across methods: ``first_step`` trains it once and
+``run_incremental`` can continue any method from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +54,6 @@ class StepResult:
     model: SegModel
     loss_trace: list[float]
     iterations: int
-    reg_state: rg.ImportanceState | None = None
     # path-integral accumulator of the training: always kept at step 0, so a
     # shared step 0 can give PI/RW their importance afterwards
     path_state: rg.ImportanceState | None = None
@@ -122,12 +124,10 @@ def run_step(
         model = SegModel.create(
             config.backbone, dataset.new_fg, rngs["init"], dataset.background_id
         )
-        teacher = None
     else:
         model = extend_classifier(
             model_prev, dataset.new_fg, init=method.init_mode, rng=rngs["init"]
         )
-        teacher = model_prev.frozen_copy()
     base_lr = config.lr_step0 if t == 0 else config.lr_later
 
     n = len(dataset)
@@ -137,11 +137,11 @@ def run_step(
     # the step's samples stacked once: a batch is an index gather
     all_images = np.stack([item.image for item in dataset.items])
     all_masks = np.stack([item.mask for item in dataset.items])
-    # what the losses read of the frozen teacher can be cached when inputs
-    # are not augmented
+    # what the losses read of the teacher (model_prev, only ever run under
+    # no_grad) can be cached when inputs are not augmented
     cache = None
-    if teacher is not None and not config.hflip:
-        cache = _teacher_cache(teacher, method, all_images, config.batch_size)
+    if model_prev is not None and not config.hflip:
+        cache = _teacher_cache(model_prev, method, all_images, config.batch_size)
 
     params = model.parameters()
     velocity: dict[str, np.ndarray] = {}
@@ -168,7 +168,7 @@ def run_step(
             if method.reg_kind != "none" and reg_state is not None and t > 0:
                 penalty = rg.quadratic_penalty(model, reg_state, method.reg_weight)
             model.zero_grad()
-            loss = composite_objective(method, (images, masks), model, teacher, penalty, _teacher=cached)
+            loss = composite_objective(method, (images, masks), model, model_prev, penalty, _teacher=cached)
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(f"step {t} iter {iteration}: loss is {value}")
@@ -185,8 +185,7 @@ def run_step(
             iteration += 1
         trace.append(float(np.mean(epoch_losses)))
 
-    reg_out = update_importance(model, dataset, config, path_state, reg_state)
-    return StepResult(model, trace, iteration, reg_out, path_state)
+    return StepResult(model, trace, iteration, path_state)
 
 
 def _teacher_cache(
@@ -316,12 +315,11 @@ def first_step(
 
     Step 0 is plain cross-entropy for every method (see
     ``composite_objective``), so the result serves any method that uses this
-    seed and these settings. It is trained without the method's regularizer:
-    ``run_incremental`` computes the importance for the method it runs.
+    seed and these settings; ``run_incremental`` computes the importance for
+    the method it runs.
     """
     steps, split_report = split
-    plain = replace(config, method=replace(config.method, reg_kind="none"))
-    result = run_step(None, steps[0], plain)
+    result = run_step(None, steps[0], config)
     metrics = evaluate_model(result.model, eval_corpus, schedule, 0, group_schedule)
     return FirstStep(steps, split_report, result, metrics)
 
@@ -339,19 +337,20 @@ def run_incremental(
 
     ``first`` is a step 0 from ``first_step`` with the same seed and settings;
     the run then continues from it instead of splitting ``corpus`` and
-    training step 0 again.
+    training step 0 again. Each step's importance is merged into the state
+    that penalizes the next step just before that step trains.
     """
     if first is None:
         first = first_step(
             split_corpus(corpus, schedule, protocol), eval_corpus, schedule, config, group_schedule
         )
-    reg_state = update_importance(
-        first.result.model, first.steps[0], config, first.result.path_state, None
-    )
-    results = [replace(first.result, reg_state=reg_state)]
+    results = [first.result]
     metrics = [first.metrics]
-    for dataset in first.steps[1:]:
-        result = run_step(results[-1].model, dataset, config, results[-1].reg_state)
+    reg_state = None
+    for prev_dataset, dataset in zip(first.steps, first.steps[1:]):
+        prev = results[-1]
+        reg_state = update_importance(prev.model, prev_dataset, config, prev.path_state, reg_state)
+        result = run_step(prev.model, dataset, config, reg_state)
         results.append(result)
         metrics.append(
             evaluate_model(result.model, eval_corpus, schedule, dataset.step, group_schedule)

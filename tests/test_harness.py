@@ -3,6 +3,7 @@ import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bgshift import harness as hz
@@ -506,6 +507,32 @@ def test_select_keeps_a_non_weight_override(tmp_path, monkeypatch):
     candidates = [m for m in methods if m.name == "MiB"]
     assert [m.lambda_kd for m in candidates] == hparam_grid()
     assert all(m.init_mode == "random" and m.kd_mode == "unbiased" for m in candidates)
+
+
+@pytest.mark.parametrize("method", ["EWC", "PI", "RW"])
+def test_select_penalizes_regularizer_candidates_with_the_step0_importance(tmp_path, monkeypatch, method):
+    seen = []  # (candidate weight, reg_state received, trained model)
+    real_run_step = tr.run_step
+
+    def recording_run_step(model_prev, dataset, config, reg_state=None):
+        result = real_run_step(model_prev, dataset, config, reg_state)
+        seen.append((config.method.reg_weight, reg_state, result.model))
+        return result
+
+    monkeypatch.setattr(tr, "run_step", recording_run_step)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    assert cli_main(["select", "--config", str(cfg_file), "--method", method]) == 0
+    candidates = seen[-len(hparam_grid()) :]
+    assert [w for w, _, _ in candidates] == hparam_grid()
+    states = [state for _, state, _ in candidates]
+    assert states[0] is not None
+    assert all(state is states[0] for state in states)
+    # the penalty acts: the weakest and the strongest weight train different models
+    weakest, strongest = candidates[0][2], candidates[-1][2]
+    assert not all(
+        np.array_equal(t.data, strongest.params[name].data) for name, t in weakest.params.items()
+    )
 
 
 def test_cli_rejects_unknown_positional(tmp_path, capsys):

@@ -599,7 +599,7 @@ def test_composite_lwf_mc_adds_its_regularizer():
     # anchored at the previous model with unit importance; the grown head's
     # shifted background bias has drifted from it
     anchor = {name: t.data.copy() for name, t in prev.parameters().items()}
-    state = rg.ImportanceState("ewc", {name: np.ones_like(a) for name, a in anchor.items()}, anchor)
+    state = rg.ImportanceState({name: np.ones_like(a) for name, a in anchor.items()}, anchor)
     penalty = rg.quadratic_penalty(cur, state, ewc.reg_weight)
     assert penalty.item() > 0.0
     got = L.composite_objective(ewc, (images, masks), cur, prev, penalty)

@@ -38,7 +38,7 @@ def predict(model, image):
 def heads_of(model):
     """Class id -> (weight column, bias)."""
     return {
-        c: (model.head_w.data[:, i].copy(), float(model.head_b.data[i]))
+        c: (model.params["head.w"].data[:, i].copy(), float(model.params["head.b"].data[i]))
         for i, c in enumerate(model.known_classes)
     }
 
@@ -49,16 +49,16 @@ def param_count(model):
 
 def test_zero_heads_give_uniform_probabilities():
     model = make_model()
-    model.head_w.data[:] = 0.0
-    model.head_b.data[:] = 0.0
+    model.params["head.w"].data[:] = 0.0
+    model.params["head.b"].data[:] = 0.0
     probs, _ = forward_one(model, np.random.default_rng(1).random((9, 9, 3)))
     assert np.abs(probs - 1.0 / 3.0).max() < 1e-12
 
 
 def test_equal_heads_give_half_half():
     model = make_model(fg=(1,))
-    model.head_w.data[:, 1] = model.head_w.data[:, 0]
-    model.head_b.data[1] = model.head_b.data[0]
+    model.params["head.w"].data[:, 1] = model.params["head.w"].data[:, 0]
+    model.params["head.b"].data[1] = model.params["head.b"].data[0]
     probs, _ = forward_one(model, np.random.default_rng(2).random((7, 7, 3)))
     assert np.abs(probs - 0.5).max() < 1e-12
 
@@ -78,9 +78,9 @@ def test_forward_rejects_channel_mismatch():
 
 def test_predict_prefers_large_bias_head():
     model = make_model(fg=(1, 2))
-    model.head_w.data[:] = 0.0
-    model.head_b.data[:] = 0.0
-    model.head_b.data[2] = 50.0
+    model.params["head.w"].data[:] = 0.0
+    model.params["head.b"].data[:] = 0.0
+    model.params["head.b"].data[2] = 50.0
     pred = predict(model, np.random.default_rng(3).random((6, 6, 3)))
     assert (pred == 2).all()
 
@@ -118,9 +118,12 @@ def test_predicted_mask_invariant_to_head_permutation():
     perm = [0, 3, 1, 2]  # background stays first, foreground storage shuffled
     channels = [model.known_classes.index(c) for c in perm]
     shuffled = SegModel(
-        model.backbone,
-        Tensor(model.head_w.data[:, channels].copy(), requires_grad=True),
-        Tensor(model.head_b.data[channels].copy(), requires_grad=True),
+        model.config,
+        {
+            **model.params,
+            "head.w": Tensor(model.params["head.w"].data[:, channels].copy(), requires_grad=True),
+            "head.b": Tensor(model.params["head.b"].data[channels].copy(), requires_grad=True),
+        },
         perm,
         model.step_index,
     )
@@ -129,8 +132,8 @@ def test_predicted_mask_invariant_to_head_permutation():
 
 def test_extend_classifier_hand_arithmetic():
     model = make_model(fg=(1,), features=2, hidden=4)
-    model.head_w.data[:, 0] = [1.0, -1.0]
-    model.head_b.data[0] = 0.5
+    model.params["head.w"].data[:, 0] = [1.0, -1.0]
+    model.params["head.b"].data[0] = 0.5
     grown = extend_classifier(model, [2])
     heads = heads_of(grown)
     w2, b2 = heads[2]
@@ -147,8 +150,8 @@ def test_extend_with_no_new_classes_is_identity():
     model = make_model()
     grown = extend_classifier(model, [])
     assert grown.known_classes == model.known_classes
-    assert np.array_equal(grown.head_w.data, model.head_w.data)
-    assert np.array_equal(grown.head_b.data, model.head_b.data)
+    assert np.array_equal(grown.params["head.w"].data, model.params["head.w"].data)
+    assert np.array_equal(grown.params["head.b"].data, model.params["head.b"].data)
 
 
 def test_extend_rejects_duplicates():
@@ -183,14 +186,14 @@ def test_init_invariant_spreads_background_probability(new_count):
 def test_random_init_leaves_background_untouched():
     model = make_model(fg=(1,))
     grown = extend_classifier(model, [2], init="random", rng=np.random.default_rng(0))
-    assert grown.head_b.data[0] == model.head_b.data[0]
-    assert np.array_equal(grown.head_w.data[:, :2], model.head_w.data)
-    assert grown.head_b.data[2] == 0.0
+    assert grown.params["head.b"].data[0] == model.params["head.b"].data[0]
+    assert np.array_equal(grown.params["head.w"].data[:, :2], model.params["head.w"].data)
+    assert grown.params["head.b"].data[2] == 0.0
 
 
 def test_parameter_count_formula():
     model = make_model(fg=(1, 2, 3), hidden=8, features=8)
-    backbone = sum(t.data.size for t in model.backbone.parameters().values())
+    backbone = sum(t.data.size for name, t in model.params.items() if name.startswith("backbone."))
     assert param_count(model) == backbone + 4 * (8 + 1)
     grown = extend_classifier(model, [4, 5])
     assert param_count(grown) == backbone + 6 * (8 + 1)
@@ -207,6 +210,24 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(forward_one(loaded, img)[1], forward_one(model, img)[1])
     for name, t in model.parameters().items():
         assert np.array_equal(loaded.parameters()[name].data, t.data)
+
+
+def test_checkpoint_layout_is_pinned(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(make_model(), path)
+    with np.load(path) as z:
+        members = set(z.files)
+        meta = json.loads(bytes(z["meta"]).decode())
+    assert members == {
+        "meta",
+        "backbone__w1",
+        "backbone__b1",
+        "backbone__w2",
+        "backbone__b2",
+        "head__w",
+        "head__b",
+    }
+    assert set(meta) == {"format", "step_index", "known_classes", "background_id", "backbone"}
 
 
 def _rewrite_checkpoint(src, dst, meta_edit=None, drop=()):
@@ -247,7 +268,7 @@ def test_a_bad_checkpoint_is_rejected_naming_its_path(tmp_path, corrupt, match):
 def test_every_parameter_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     model = SegModel.create(BackboneConfig(hidden=4, features=3), [1, 2], rng)
-    model.head_w.data[:] = rng.normal(size=model.head_w.shape)
+    model.params["head.w"].data[:] = rng.normal(size=model.params["head.w"].shape)
     images = rng.random((2, 5, 4, 3))
     mask = rng.integers(0, 3, size=(2, 5, 4))
     old_feats = rng.normal(size=(2, 5, 4, 3))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bgshift import protocol as pr
-from bgshift.exceptions import ConfigError
+from bgshift import trainer as tr
+from bgshift.exceptions import ConfigError, DivergenceError
 from bgshift.losses import method_preset
 from bgshift.model import BackboneConfig
 from bgshift.scenario import StepDataset, StepItem, SyntheticConfig, build_schedule, generate_synthetic, split_corpus
@@ -95,6 +96,13 @@ def test_scan_zero_reference_is_unsatisfied():
     assert [w for w, _ in result.trace] == pr.hparam_grid()
 
 
+def test_scan_never_selects_a_diverged_candidate():
+    # None marks a diverged training; with full decay every number qualifies
+    result = pr.scan_weight_grid(lambda w: None if w > 10.0 else 0.5, reference=1.0, tolerated_decay=1.0)
+    assert result.weight == 10.0
+    assert result.trace[-1] == (5000.0, None)
+
+
 def test_scan_monotone_in_tolerated_decay():
     prev = None
     for decay in (0.0, 0.1, 0.2, 0.5, 0.9, 1.0):
@@ -133,9 +141,31 @@ def test_select_method_weight_runs_real_trainings():
         grid=[0.1, 10.0],
         train_config=tconf,
         model_prev=base.model,
+        reg_state=None,
     )
     assert result.weight in (0.1, 10.0)
     assert len(result.trace) == 2
     # selection never touches data of earlier steps: only step-1 items are used
     used = {i.id for i in train.items} | {i.id for i in val.items}
     assert used <= {i.id for i in steps[1].items}
+
+
+def test_a_diverging_candidate_scores_none_and_the_scan_goes_on(monkeypatch):
+    cfg = SyntheticConfig(num_fg_classes=2, num_images=14, height=16, width=16, blobs_per_image=2)
+    steps, _ = split_corpus(generate_synthetic(0, cfg), build_schedule(2, [1, 1]), "overlapped")
+    tconf = TrainConfig(epochs_per_step=1, batch_size=4, seed=0, backbone=BackboneConfig(hidden=4, features=4))
+    base = run_step(None, steps[0], tconf)
+    real_run_step = tr.run_step
+
+    def diverges_at_10(model_prev, dataset, config, reg_state=None):
+        if config.method.reg_weight == 10.0:
+            raise DivergenceError("loss is inf")
+        return real_run_step(model_prev, dataset, config, reg_state)
+
+    monkeypatch.setattr(tr, "run_step", diverges_at_10)
+    train, val = pr.split_train_val(steps[1], seed=0)
+    result = pr.select_method_weight(
+        train, val, method_preset("EWC"), grid=[0.1, 10.0], train_config=tconf, model_prev=base.model, reg_state=None
+    )
+    assert [w for w, _ in result.trace] == [0.1, 10.0]
+    assert result.trace[0][1] is not None and result.trace[1][1] is None

@@ -35,8 +35,8 @@ def tiny_dataset(model, n=3, size=5, seed=1, all_background=False):
 
 def test_fisher_saturated_model_has_tiny_importance():
     model = tiny_model()
-    model.head_w.data[:] = 0.0
-    model.head_b.data[:] = [60.0, -60.0]  # certain of background everywhere
+    model.params["head.w"].data[:] = 0.0
+    model.params["head.b"].data[:] = [60.0, -60.0]  # certain of background everywhere
     rng = np.random.default_rng(2)
     items = [StepItem("a", rng.random((4, 4, 3)), np.zeros((4, 4), dtype=int))]
     # an all-background item is no valid StepDataset; fisher only reads .items
@@ -50,8 +50,8 @@ def test_fisher_bias_mean_of_squares_hand_value():
     # zero head weights: logits = bias only, so grad(bias_c) = q_c - [y=c]
     # with zero bias q = 1/2; on all-background pixels both bias grads are +-1/2
     model = tiny_model()
-    model.head_w.data[:] = 0.0
-    model.head_b.data[:] = 0.0
+    model.params["head.w"].data[:] = 0.0
+    model.params["head.b"].data[:] = 0.0
     items = [StepItem("a", np.random.default_rng(2).random((4, 4, 3)), np.zeros((4, 4), dtype=int))]
     items[0].mask[0, 0] = 1  # keep the dataset valid; chance of sampling it is accounted below
     ds = StepDataset(items, 0, [1])
@@ -113,10 +113,10 @@ def test_path_hand_arithmetic_single_step():
     model = tiny_model()
     state = rg.new_path_state(model)
     name = "head.b"
-    grads = {name: np.full_like(model.head_b.data, -1.0)}
-    deltas = {name: np.full_like(model.head_b.data, 0.1)}
+    grads = {name: np.full_like(model.params["head.b"].data, -1.0)}
+    deltas = {name: np.full_like(model.params["head.b"].data, 0.1)}
     rg.path_integral_update(state, grads, deltas)
-    model.head_b.data += 0.1  # total displacement 0.1
+    model.params["head.b"].data += 0.1  # total displacement 0.1
     final = rg.finalize_path_importance(state, model, damping=0.1)
     expected = 0.1 / (0.1**2 + 0.1)
     assert np.allclose(final.importance[name], expected)
@@ -127,10 +127,10 @@ def test_path_negative_accumulation_clamped():
     model = tiny_model()
     state = rg.new_path_state(model)
     name = "head.b"
-    grads = {name: np.full_like(model.head_b.data, 1.0)}  # -g*d < 0
-    deltas = {name: np.full_like(model.head_b.data, 0.1)}
+    grads = {name: np.full_like(model.params["head.b"].data, 1.0)}  # -g*d < 0
+    deltas = {name: np.full_like(model.params["head.b"].data, 0.1)}
     rg.path_integral_update(state, grads, deltas)
-    model.head_b.data += 0.1
+    model.params["head.b"].data += 0.1
     final = rg.finalize_path_importance(state, model)
     assert np.all(final.importance[name] == 0.0)
 
@@ -145,21 +145,21 @@ def test_path_update_rejects_shape_mismatch():
 # -- rw combination -----------------------------------------------------------
 
 
-def fake_state(method, values):
+def fake_state(values):
     imp = {"p": np.asarray(values, dtype=float)}
-    return rg.ImportanceState(method, imp, {"p": np.zeros_like(imp["p"])})
+    return rg.ImportanceState(imp, {"p": np.zeros_like(imp["p"])})
 
 
 def test_rw_zero_path_equals_normalized_fisher():
-    fisher = fake_state("ewc", [2.0, 4.0])
-    path = fake_state("pi", [0.0, 0.0])
+    fisher = fake_state([2.0, 4.0])
+    path = fake_state([0.0, 0.0])
     combined = rg.rw_importance(fisher, path)
     assert np.allclose(combined.importance["p"], [0.5, 1.0])
 
 
 def test_rw_equal_states_double_the_normalized_score():
-    a = fake_state("ewc", [1.0, 3.0])
-    b = fake_state("pi", [1.0, 3.0])
+    a = fake_state([1.0, 3.0])
+    b = fake_state([1.0, 3.0])
     combined = rg.rw_importance(a, b)
     assert np.allclose(combined.importance["p"], 2.0 * np.array([1.0, 3.0]) / 3.0)
 
@@ -168,13 +168,13 @@ def test_rw_matches_elementwise_oracle():
     rng = np.random.default_rng(7)
     f = np.abs(rng.normal(size=6))
     p = np.abs(rng.normal(size=6))
-    combined = rg.rw_importance(fake_state("ewc", f), fake_state("pi", p))
+    combined = rg.rw_importance(fake_state(f), fake_state(p))
     assert np.allclose(combined.importance["p"], f / f.max() + p / p.max())
 
 
 def test_rw_rejects_parameter_mismatch():
-    a = fake_state("ewc", [1.0])
-    b = rg.ImportanceState("pi", {"q": np.ones(1)}, {"q": np.zeros(1)})
+    a = fake_state([1.0])
+    b = rg.ImportanceState({"q": np.ones(1)}, {"q": np.zeros(1)})
     with pytest.raises(AlignmentError):
         rg.rw_importance(a, b)
 
@@ -185,7 +185,7 @@ def test_rw_rejects_parameter_mismatch():
 def anchored_state(model, importance_value=1.0):
     params = {n: t.data.copy() for n, t in model.parameters().items()}
     imp = {n: np.full_like(v, importance_value) for n, v in params.items()}
-    return rg.ImportanceState("ewc", imp, params)
+    return rg.ImportanceState(imp, params)
 
 
 def test_penalty_zero_at_anchor():
@@ -198,7 +198,7 @@ def test_penalty_hand_product():
     model = tiny_model()
     state = anchored_state(model, importance_value=0.0)
     state.importance["head.b"][0] = 2.0
-    model.head_b.data[0] += 0.5
+    model.params["head.b"].data[0] += 0.5
     assert abs(rg.quadratic_penalty(model, state, 1.0).item() - 0.5) < 1e-12
 
 
@@ -209,12 +209,12 @@ def test_penalty_doubling_weight_doubles_value_and_gradient():
         t.data += 0.1
     v1 = rg.quadratic_penalty(model, state, 1.0)
     v1.backward()
-    g1 = model.head_w.grad.copy()
+    g1 = model.params["head.w"].grad.copy()
     model.zero_grad()
     v2 = rg.quadratic_penalty(model, state, 2.0)
     v2.backward()
     assert abs(v2.item() - 2.0 * v1.item()) < 1e-12
-    assert np.allclose(model.head_w.grad, 2.0 * g1)
+    assert np.allclose(model.params["head.w"].grad, 2.0 * g1)
 
 
 def test_penalty_gradient_matches_finite_differences():
@@ -224,7 +224,7 @@ def test_penalty_gradient_matches_finite_differences():
     for t in model.parameters().values():
         t.data += rng.normal(scale=0.05, size=t.data.shape)
     err = nm.check_gradient(
-        lambda t: rg.quadratic_penalty(model, state, 5.0), model.head_w
+        lambda t: rg.quadratic_penalty(model, state, 5.0), model.params["head.w"]
     )
     assert err < 1e-4
 
@@ -233,14 +233,14 @@ def test_penalty_skips_unanchored_head_columns():
     model = tiny_model(fg=(1,), seed=11)
     state = anchored_state(model)
     grown = extend_classifier(model, [2], init="random", rng=np.random.default_rng(12))
-    grown.head_w.data[:, 2] += 100.0  # drift in the new class head is free
-    grown.head_b.data[2] += 100.0
+    grown.params["head.w"].data[:, 2] += 100.0  # drift in the new class head is free
+    grown.params["head.b"].data[2] += 100.0
     assert rg.quadratic_penalty(grown, state, 1.0).item() < 1e-12
     grown.zero_grad()
     pen = rg.quadratic_penalty(grown, state, 1.0)
     # a zero second term gives head.w a gradient whatever the penalty does
-    nm.scalar_node(pen.data, (pen, 1.0), (grown.head_w, np.zeros_like(grown.head_w.data))).backward()
-    assert np.all(grown.head_w.grad[:, 2] == 0.0)
+    nm.scalar_node(pen.data, (pen, 1.0), (grown.params["head.w"], np.zeros_like(grown.params["head.w"].data))).backward()
+    assert np.all(grown.params["head.w"].grad[:, 2] == 0.0)
 
 
 def test_penalty_nonnegative_everywhere():
@@ -255,4 +255,4 @@ def test_penalty_nonnegative_everywhere():
 
 def test_importance_state_rejects_negative_importance():
     with pytest.raises(EstimationError):
-        rg.ImportanceState("ewc", {"p": np.array([-1.0])}, {"p": np.zeros(1)})
+        rg.ImportanceState({"p": np.array([-1.0])}, {"p": np.zeros(1)})

@@ -156,11 +156,13 @@ def test_regularizer_state_threading_pi():
     _, _, steps = small_world()
     cfg = small_config("PI")
     base = tr.run_step(None, steps[0], cfg)
-    assert base.reg_state is not None
-    assert all((v >= 0).all() for v in base.reg_state.importance.values())
-    inc = tr.run_step(base.model, steps[1], cfg, base.reg_state)
+    base_state = tr.update_importance(base.model, steps[0], cfg, base.path_state, None)
+    assert base_state is not None
+    assert all((v >= 0).all() for v in base_state.importance.values())
+    inc = tr.run_step(base.model, steps[1], cfg, base_state)
+    inc_state = tr.update_importance(inc.model, steps[1], cfg, inc.path_state, base_state)
     # importance grew to cover the extended head
-    assert inc.reg_state.importance["head.w"].shape == inc.model.head_w.data.shape
+    assert inc_state.importance["head.w"].shape == inc.model.params["head.w"].data.shape
 
 
 def test_run_incremental_pipeline_deterministic():
@@ -198,8 +200,8 @@ def test_hflip_changes_training_but_stays_deterministic():
 
 @pytest.mark.parametrize("method", ["EWC", "PI", "RW", "MiB"])
 def test_shared_first_step_matches_chained_run_step(method):
-    # importance computed after a step 0 trained under another method equals
-    # the importance run_step computes inline
+    # a step 0 trained under another method gives the same models, traces
+    # and importances as one trained under the method itself
     corpus, schedule, _ = small_world()
     train, eval_corpus = corpus[:-4], corpus[-4:]
     split = split_corpus(train, schedule, "overlapped")
@@ -209,16 +211,20 @@ def test_shared_first_step_matches_chained_run_step(method):
 
     steps = split[0]
     chained = [tr.run_step(None, steps[0], cfg)]
-    chained.append(tr.run_step(chained[0].model, steps[1], cfg, chained[0].reg_state))
-    for got, want in zip(run.results, chained):
+    state0 = tr.update_importance(chained[0].model, steps[0], cfg, chained[0].path_state, None)
+    chained.append(tr.run_step(chained[0].model, steps[1], cfg, state0))
+    got_state = want_state = None
+    for dataset, got, want in zip(steps, run.results, chained):
         assert params_equal(got.model, want.model)
         assert got.loss_trace == want.loss_trace
-        if want.reg_state is None:
-            assert got.reg_state is None
+        got_state = tr.update_importance(got.model, dataset, cfg, got.path_state, got_state)
+        want_state = tr.update_importance(want.model, dataset, cfg, want.path_state, want_state)
+        if want_state is None:
+            assert got_state is None
             continue
-        assert got.reg_state.importance.keys() == want.reg_state.importance.keys()
-        for name, imp in want.reg_state.importance.items():
-            assert np.array_equal(got.reg_state.importance[name], imp), name
+        assert got_state.importance.keys() == want_state.importance.keys()
+        for name, imp in want_state.importance.items():
+            assert np.array_equal(got_state.importance[name], imp), name
 
 
 @pytest.mark.parametrize(
