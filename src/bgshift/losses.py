@@ -341,6 +341,9 @@ def feature_distillation(features_new: Tensor, features_old: np.ndarray) -> Tens
 # method configuration and the composite objective
 
 
+W_CLS = 1.0  # LwF-MC's classification weight; its distillation weight is w_kd
+
+
 @dataclass
 class MethodConfig:
     """Which losses make up the per-step objective, and their weights."""
@@ -354,10 +357,7 @@ class MethodConfig:
     reg_kind: str = "none"  # none | ewc | pi | rw
     reg_weight: float = 0.0
     lwfmc_variant: str | None = None  # full | C | D; replaces ce/kd entirely
-    w_cls: float = 1.0
     w_kd: float = 10.0
-    fisher_samples: int = 64
-    pi_damping: float = 0.1
 
     def __post_init__(self):
         if self.ce_mode not in ("standard", "unbiased"):
@@ -480,7 +480,7 @@ def composite_objective(
         model_prev.known_classes,
         model.known_classes,
         background_id=model.background_id,
-        method_weights={"w_cls": method.w_cls, "w_kd": method.w_kd},
+        method_weights={"w_cls": W_CLS, "w_kd": method.w_kd},
     )
     if _teacher is None:
         _teacher = _teacher_targets(method, model_prev, images, old_outputs)

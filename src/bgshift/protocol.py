@@ -13,8 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import trainer
 from .exceptions import ConfigError, DivergenceError
-from .scenario import StepDataset
+from .losses import method_preset
+from .scenario import LabelSchedule, StepDataset
 
 GRID_MANTISSAS = (1, 5)
 GRID_EXPONENTS = range(-3, 4)
@@ -43,9 +45,7 @@ def split_train_val(
     val_idx = set(shuffled[:n_val])
     train_items = [dataset.items[i] for i in range(n) if i not in val_idx]
     val_items = [dataset.items[i] for i in range(n) if i in val_idx]
-    mk = lambda items: StepDataset(
-        items, dataset.step, list(dataset.new_fg), dataset.background_id, dict(dataset.shift_counts)
-    )
+    mk = lambda items: StepDataset(items, dataset.step, list(dataset.new_fg), dataset.background_id)
     return mk(train_items), mk(val_items)
 
 
@@ -108,29 +108,24 @@ def select_method_weight(
     the fine-tuned model's new-class mIoU on ``val`` (computed here unless
     passed in).
     """
-    from .losses import method_preset  # local import to avoid a cycle
-    from .scenario import LabelSchedule
-    from .trainer import evaluate_model, run_step
-
     eval_schedule = LabelSchedule(
         tuple(tuple(s) for s in _schedule_steps(model_prev, train)), train.background_id
     )
     step_t = eval_schedule.num_steps - 1
-    eval_samples = [_as_full_sample(item) for item in val.items]
 
     def new_class_miou(model) -> float:
-        report = evaluate_model(model, eval_samples, eval_schedule, step_t)
+        report = trainer.evaluate_model(model, val.items, eval_schedule, step_t)
         value = report.group_miou[step_t]
         return float(value) if value is not None else 0.0
 
     if reference_metric is None:
         ft_cfg = replace(train_config, method=method_preset("FT"))
-        reference_metric = new_class_miou(run_step(model_prev, train, ft_cfg).model)
+        reference_metric = new_class_miou(trainer.run_step(model_prev, train, ft_cfg).model)
 
     def metric_at(w: float) -> float | None:
         cfg = replace(train_config, method=method.with_weight(w))
         try:
-            model = run_step(model_prev, train, cfg, reg_state).model
+            model = trainer.run_step(model_prev, train, cfg, reg_state).model
         except DivergenceError:  # a penalty this strong makes SGD unstable
             return None
         return new_class_miou(model)
@@ -141,9 +136,3 @@ def select_method_weight(
 def _schedule_steps(model_prev, train: StepDataset) -> list[list[int]]:
     prev_fg = [c for c in model_prev.known_classes if c != train.background_id]
     return [prev_fg, list(train.new_fg)]
-
-
-def _as_full_sample(item):
-    from .scenario import Sample
-
-    return Sample(item.id, item.image, item.mask)

@@ -1,20 +1,20 @@
 """Prior-focused baselines: parameter-importance estimates and their penalty.
 
 Fisher importance is the mean squared gradient of the per-pixel cross-entropy
-at sampled pixels; the path-integral importance accumulates -grad * step over
-the training trajectory; their combination normalizes each score by its max
-and sums. ``quadratic_penalty`` turns an importance state into a drift
-penalty anchored at the previous step's parameters: one tape node whose
-gradient has the closed form 2 * w * importance * (theta - anchor).
-Classifier columns added after the anchor was taken have no anchor and are
-excluded from the penalty. Every state is keyed by the model's parameter
-names (``model.PARAM_NAMES``). The trainer estimates a step's importance and
-merges it into the running state in one place, ``trainer.update_importance``,
-just before the next step trains.
+at ``FISHER_SAMPLES`` sampled pixels; the path-integral importance divides
+the -grad * step a training accumulates by its squared displacement plus
+``PI_DAMPING``; their combination normalizes each score by its max and sums.
+Each estimator returns a dict of arrays keyed by ``model.PARAM_NAMES``.
+A training's path integral is a ``PathState`` (start, omega). A step is
+penalized with an ``ImportanceState`` (importance, anchor), which
+``merge_importance`` builds once per step, in ``trainer.update_importance``,
+anchored at the model just trained. ``quadratic_penalty`` is one tape node
+with the closed-form gradient 2 * w * importance * (theta - anchor); head
+columns added after the anchor was taken are not penalized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .model import SegModel
 from .numerics import Tensor
 from .scenario import StepDataset
 
+FISHER_SAMPLES = 64  # pixels drawn per Fisher estimate
+PI_DAMPING = 0.1  # added to the squared displacement in the path integral
+
 
 @dataclass
 class ImportanceState:
@@ -32,9 +35,6 @@ class ImportanceState:
 
     importance: dict[str, np.ndarray]
     anchor: dict[str, np.ndarray]
-    # path-integral accumulators (only while a training is tracked)
-    pi_omega: dict[str, np.ndarray] = field(default_factory=dict)
-    pi_start: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         for name, imp in self.importance.items():
@@ -44,6 +44,14 @@ class ImportanceState:
                 raise AlignmentError(f"importance/anchor shape mismatch for {name}")
 
 
+@dataclass
+class PathState:
+    """Path-integral accumulator of one training."""
+
+    start: dict[str, np.ndarray]  # the parameters the training started from
+    omega: dict[str, np.ndarray]  # sum over its optimizer steps of -grad * delta
+
+
 def _param_arrays(model: SegModel) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in model.parameters().items()}
 
@@ -51,9 +59,9 @@ def _param_arrays(model: SegModel) -> dict[str, np.ndarray]:
 def fisher_diagonal(
     model: SegModel,
     dataset: StepDataset,
-    n_samples: int = 64,
+    n_samples: int = FISHER_SAMPLES,
     rng: np.random.Generator | None = None,
-) -> ImportanceState:
+) -> dict[str, np.ndarray]:
     """Mean squared gradient of the single-pixel cross-entropy at sampled pixels."""
     items = dataset.items
     if not items:
@@ -81,59 +89,50 @@ def fisher_diagonal(
             if t.grad is not None:
                 acc[name] += t.grad**2
     model.zero_grad()
-    importance = {name: a / n_samples for name, a in acc.items()}
-    return ImportanceState(importance, _param_arrays(model))
+    return {name: a / n_samples for name, a in acc.items()}
 
 
-def new_path_state(model: SegModel) -> ImportanceState:
+def new_path_state(model: SegModel) -> PathState:
     """Start path-integral bookkeeping at the current parameters."""
-    zeros = {name: np.zeros_like(t.data) for name, t in model.parameters().items()}
-    start = _param_arrays(model)
-    return ImportanceState(
-        {name: np.zeros_like(v) for name, v in start.items()},
-        dict(start),
-        pi_omega=zeros,
-        pi_start={k: v.copy() for k, v in start.items()},
-    )
+    return PathState(_param_arrays(model), {n: np.zeros_like(t.data) for n, t in model.parameters().items()})
 
 
 def path_integral_update(
-    state: ImportanceState, grads: dict[str, np.ndarray], deltas: dict[str, np.ndarray]
-) -> ImportanceState:
+    state: PathState, grads: dict[str, np.ndarray], deltas: dict[str, np.ndarray]
+) -> PathState:
     """Accumulate omega += -grad * delta for one optimizer step."""
     for name, g in grads.items():
-        if name not in state.pi_omega:
+        if name not in state.omega:
             raise AlignmentError(f"unknown parameter {name} in path update")
         d = deltas[name]
-        if g.shape != state.pi_omega[name].shape or d.shape != g.shape:
+        if g.shape != state.omega[name].shape or d.shape != g.shape:
             raise AlignmentError(f"shape mismatch for {name} in path update")
-        state.pi_omega[name] += -g * d
+        state.omega[name] += -g * d
     return state
 
 
 def finalize_path_importance(
-    state: ImportanceState, model: SegModel, damping: float = 0.1
-) -> ImportanceState:
+    state: PathState, model: SegModel, damping: float = PI_DAMPING
+) -> dict[str, np.ndarray]:
     """Convert accumulated omega into importance, clamped non-negative."""
     importance = {}
     for name, t in model.parameters().items():
-        omega = state.pi_omega[name]
-        disp = t.data - state.pi_start[name]
-        importance[name] = np.maximum(omega, 0.0) / (disp**2 + damping)
-    return ImportanceState(importance, _param_arrays(model))
+        disp = t.data - state.start[name]
+        importance[name] = np.maximum(state.omega[name], 0.0) / (disp**2 + damping)
+    return importance
 
 
-def rw_importance(fisher_state: ImportanceState, path_state: ImportanceState) -> ImportanceState:
+def rw_importance(fisher: dict[str, np.ndarray], path: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Sum of the two scores, each normalized by its own max (if non-zero)."""
-    if set(fisher_state.importance) != set(path_state.importance):
-        raise AlignmentError("fisher and path states cover different parameters")
+    if set(fisher) != set(path):
+        raise AlignmentError("fisher and path scores cover different parameters")
     combined = {}
-    for name, f in fisher_state.importance.items():
-        p = path_state.importance[name]
+    for name, f in fisher.items():
+        p = path[name]
         if f.shape != p.shape:
             raise AlignmentError(f"shape mismatch for {name} between fisher and path scores")
         combined[name] = _normalized(f) + _normalized(p)
-    return ImportanceState(combined, dict(fisher_state.anchor))
+    return combined
 
 
 def _normalized(a: np.ndarray) -> np.ndarray:
@@ -167,13 +166,14 @@ def quadratic_penalty(model: SegModel, state: ImportanceState, weight: float) ->
 
 
 def merge_importance(
-    prev: ImportanceState | None, new: ImportanceState, model: SegModel
+    prev: ImportanceState | None, new: dict[str, np.ndarray], model: SegModel
 ) -> ImportanceState:
-    """Accumulate step importances; arrays grown since ``prev`` pad with zeros."""
+    """Add the step importance ``new`` to ``prev``, anchored at ``model``'s
+    parameters; arrays grown since ``prev`` pad with zeros."""
     if prev is None:
-        return new
+        return ImportanceState(new, _param_arrays(model))
     importance = {}
-    for name, cur in new.importance.items():
+    for name, cur in new.items():
         old = prev.importance.get(name)
         if old is None:
             importance[name] = cur.copy()

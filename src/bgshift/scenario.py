@@ -7,13 +7,16 @@ the disjoint protocol puts it only in the earliest candidate whose cumulative
 label space covers all its classes. An image left with no step is excluded.
 Either way the step masks only annotate that step's classes, everything else
 collapses to background, which is exactly the label shift the
-background-aware losses are built for.
+background-aware losses are built for. A ``Sample`` is an image and its
+mask: the full one in a corpus, the step's in a ``StepDataset``. How many
+background pixels of a step are really old or future foreground is counted
+in ``SplitReport.per_step``.
 """
 from __future__ import annotations
 
 import colorsys
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,33 +87,26 @@ def build_schedule(
 
 @dataclass
 class Sample:
-    """A fully-annotated image: every foreground class is labeled."""
+    """An image and its mask: the full annotation in a corpus, the step's
+    relabeled one in a ``StepDataset``."""
 
     id: str
     image: np.ndarray  # [H, W, ch] floats in [0, 1]
-    full_mask: np.ndarray  # [H, W] int class ids
+    mask: np.ndarray  # [H, W] int class ids
 
     def __post_init__(self):
-        if self.image.shape[:2] != self.full_mask.shape:
+        if self.image.shape[:2] != self.mask.shape:
             raise LabelDomainError(f"sample {self.id}: image/mask dims differ")
-
-
-@dataclass
-class StepItem:
-    id: str
-    image: np.ndarray
-    mask: np.ndarray  # relabeled for the step
 
 
 @dataclass
 class StepDataset:
     """The training set of one learning step (only its classes annotated)."""
 
-    items: list[StepItem]
+    items: list[Sample]
     step: int
     new_fg: list[int]  # incoming classes, schedule order
     background_id: int = 0
-    shift_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         visible = set(self.visible_classes)
@@ -166,11 +162,11 @@ def split_corpus(corpus: list[Sample], schedule: LabelSchedule, protocol: str):
     if protocol not in ("disjoint", "overlapped"):
         raise ScheduleError(f"unknown protocol {protocol!r}")
     b = schedule.background_id
-    buckets: list[list[StepItem]] = [[] for _ in range(schedule.num_steps)]
+    buckets: list[list[Sample]] = [[] for _ in range(schedule.num_steps)]
     stats = [dict(old_as_bg=0, future_as_bg=0, true_bg=0) for _ in range(schedule.num_steps)]
     excluded = []
     for sample in corpus:
-        labels = set(np.unique(sample.full_mask).tolist()) - {b}
+        labels = set(np.unique(sample.mask).tolist()) - {b}
         placed = [t for t in range(schedule.num_steps) if labels & set(schedule.new_fg(t))]
         if protocol == "disjoint":
             placed = [t for t in placed if labels <= set(schedule.fg_up_to(t))][:1]
@@ -178,16 +174,12 @@ def split_corpus(corpus: list[Sample], schedule: LabelSchedule, protocol: str):
             excluded.append(sample.id)
         for t in placed:
             step_fg = set(schedule.new_fg(t))
-            mask = relabel(sample.full_mask, step_fg, b)
-            buckets[t].append(StepItem(sample.id, sample.image, mask))
+            buckets[t].append(Sample(sample.id, sample.image, relabel(sample.mask, step_fg, b)))
             for key, v in _shift_counts(
-                sample.full_mask, step_fg, set(schedule.fg_up_to(t)), b
+                sample.mask, step_fg, set(schedule.fg_up_to(t)), b
             ).items():
                 stats[t][key] += v
-    steps = [
-        StepDataset(buckets[t], t, schedule.new_fg(t), b, stats[t])
-        for t in range(schedule.num_steps)
-    ]
+    steps = [StepDataset(buckets[t], t, schedule.new_fg(t), b) for t in range(schedule.num_steps)]
     return steps, SplitReport(excluded, stats)
 
 
@@ -281,7 +273,7 @@ def _balanced(samples: list[Sample], config: SyntheticConfig) -> bool:
     pixel_counts = np.zeros(k + 1, dtype=np.int64)
     image_counts = np.zeros(k + 1, dtype=np.int64)
     for s in samples:
-        binc = np.bincount(s.full_mask.reshape(-1), minlength=k + 1)
+        binc = np.bincount(s.mask.reshape(-1), minlength=k + 1)
         pixel_counts += binc
         image_counts += (binc > 0).astype(np.int64)
     fg = pixel_counts[1:]
@@ -316,7 +308,7 @@ def save_dataset(samples: list[Sample], directory, num_classes: int) -> None:
     for s in samples:
         img_name, mask_name = f"{s.id}.ppm", f"{s.id}.pgm"
         _write_pnm(directory / img_name, b"P6", np.round(s.image * 255.0))
-        _write_pnm(directory / mask_name, b"P5", s.full_mask)
+        _write_pnm(directory / mask_name, b"P5", s.mask)
         lines.append(f"{s.id} {img_name} {mask_name}")
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 

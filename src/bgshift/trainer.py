@@ -4,8 +4,9 @@ Each learning step starts from the previous model (classifier extended for
 the incoming classes), trains the method's composite objective with
 momentum-SGD under a polynomial learning-rate decay, and reads the previous
 model, untouched, as the distillation teacher. ``run_step`` keeps the
-path-integral accumulator of its training; the importance the prior-focused
-baselines penalize is computed in one place, ``update_importance``, which
+path-integral record of its training (``StepResult.path_state``, a
+``regularizers.PathState``); the importance the prior-focused baselines
+penalize is computed in one place, ``update_importance``, which
 ``run_incremental`` calls on each step just before it trains the next one.
 All randomness is derived from (seed, step) so the first step is
 bit-identical across methods: ``first_step`` trains it once and
@@ -54,9 +55,9 @@ class StepResult:
     model: SegModel
     loss_trace: list[float]
     iterations: int
-    # path-integral accumulator of the training: always kept at step 0, so a
+    # path-integral record of the training: always kept at step 0, so a
     # shared step 0 can give PI/RW their importance afterwards
-    path_state: rg.ImportanceState | None = None
+    path_state: rg.PathState | None = None
 
 
 def poly_lr(iteration: int, total_iters: int, base_lr: float, power: float) -> float:
@@ -224,7 +225,7 @@ def update_importance(
     model: SegModel,
     dataset: StepDataset,
     config: TrainConfig,
-    path_state: rg.ImportanceState | None,
+    path_state: rg.PathState | None,
     reg_state: rg.ImportanceState | None,
 ) -> rg.ImportanceState | None:
     """Merge the importance of the step just trained into ``reg_state``.
@@ -238,13 +239,12 @@ def update_importance(
         return reg_state
     fisher_rng = _rng_children(config.seed, dataset.step)["fisher"]
     if method.reg_kind == "ewc":
-        step_importance = rg.fisher_diagonal(model, dataset, method.fisher_samples, fisher_rng)
+        step_importance = rg.fisher_diagonal(model, dataset, rng=fisher_rng)
     elif method.reg_kind == "pi":
-        step_importance = rg.finalize_path_importance(path_state, model, method.pi_damping)
+        step_importance = rg.finalize_path_importance(path_state, model)
     else:  # rw
-        fisher = rg.fisher_diagonal(model, dataset, method.fisher_samples, fisher_rng)
-        path = rg.finalize_path_importance(path_state, model, method.pi_damping)
-        step_importance = rg.rw_importance(fisher, path)
+        fisher = rg.fisher_diagonal(model, dataset, rng=fisher_rng)
+        step_importance = rg.rw_importance(fisher, rg.finalize_path_importance(path_state, model))
     return rg.merge_importance(reg_state, step_importance, model)
 
 
@@ -270,7 +270,7 @@ def evaluate_model(
         for sample in eval_corpus:
             logits, _ = model.forward_batch(sample.image[None])
             pred = argmax_mask(logits.data[0], model.known_classes)
-            gt = relabel(sample.full_mask, schedule.fg_up_to(step_t), schedule.background_id)
+            gt = relabel(sample.mask, schedule.fg_up_to(step_t), schedule.background_id)
             cm.accumulate(lut[pred], lut[gt])
     return miou_groups(iou_per_class(cm), grouping, _group_step(grouping, schedule, step_t))
 

@@ -7,7 +7,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bgshift.scenario import Sample, build_schedule, split_corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import kernels, tracing  # noqa: E402
@@ -42,3 +45,15 @@ def test_the_kernel_probes_run_on_the_tape():
     metrics = kernels.kernel_metrics(8, 0)
     assert len(metrics) == 13
     assert all(math.isfinite(value) for value, _ in metrics.values())
+
+
+def test_the_dataset_key_reads_a_step_dataset():
+    # the tracer keys step-0 and teacher-cache reuse by the .id, .image and
+    # .mask of run_step's dataset items
+    mask = np.zeros((4, 4), dtype=np.int64)
+    mask[:2] = 1
+    mask[2:, :2] = 2
+    steps, _ = split_corpus([Sample("a", np.zeros((4, 4, 3)), mask)], build_schedule(2, [1, 1]), "overlapped")
+    key = tracing._dataset_key(steps[0])
+    assert len(key) == 64 and set(key) <= set("0123456789abcdef")
+    assert key != tracing._dataset_key(steps[1])

@@ -111,6 +111,9 @@ def test_config_rejects_unknown_method():
         ("train.method.nope = 3", "train.method.nope"),
         ("train.backbone.nope = 4", "train.backbone.nope"),
         ("train.backbone.activation = relu", "train.backbone.activation"),
+        ("train.method.w_cls = 2", "train.method.w_cls"),
+        ("train.method.fisher_samples = 8", "train.method.fisher_samples"),
+        ("train.method.pi_damping = 0.5", "train.method.pi_damping"),
         ("methds = FT", "methds"),
         ("dataset = 3", "dataset"),
     ],

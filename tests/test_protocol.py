@@ -6,7 +6,7 @@ from bgshift import trainer as tr
 from bgshift.exceptions import ConfigError, DivergenceError
 from bgshift.losses import method_preset
 from bgshift.model import BackboneConfig
-from bgshift.scenario import StepDataset, StepItem, SyntheticConfig, build_schedule, generate_synthetic, split_corpus
+from bgshift.scenario import Sample, StepDataset, SyntheticConfig, build_schedule, generate_synthetic, split_corpus
 from bgshift.trainer import TrainConfig, run_step
 
 
@@ -28,7 +28,7 @@ def make_dataset(n, seed=0):
     for i in range(n):
         mask = np.zeros((6, 6), dtype=int)
         mask[0, 0] = 1
-        items.append(StepItem(f"s{i:03d}", rng.random((6, 6, 3)), mask))
+        items.append(Sample(f"s{i:03d}", rng.random((6, 6, 3)), mask))
     return StepDataset(items, 0, [1])
 
 

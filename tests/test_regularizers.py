@@ -7,7 +7,7 @@ from bgshift import numerics as nm
 from bgshift import regularizers as rg
 from bgshift.exceptions import AlignmentError, EstimationError
 from bgshift.model import BackboneConfig, SegModel, extend_classifier
-from bgshift.scenario import StepDataset, StepItem
+from bgshift.scenario import Sample, StepDataset
 
 
 def tiny_model(fg=(1,), seed=0):
@@ -26,7 +26,7 @@ def tiny_dataset(model, n=3, size=5, seed=1, all_background=False):
         else:
             mask = rng.choice([0] + fg, size=(size, size))
             mask[0, 0] = fg[0]
-        items.append(StepItem(f"img{i}", image, mask))
+        items.append(Sample(f"img{i}", image, mask))
     return StepDataset(items, 0, fg)
 
 
@@ -38,10 +38,10 @@ def test_fisher_saturated_model_has_tiny_importance():
     model.params["head.w"].data[:] = 0.0
     model.params["head.b"].data[:] = [60.0, -60.0]  # certain of background everywhere
     rng = np.random.default_rng(2)
-    items = [StepItem("a", rng.random((4, 4, 3)), np.zeros((4, 4), dtype=int))]
+    items = [Sample("a", rng.random((4, 4, 3)), np.zeros((4, 4), dtype=int))]
     # an all-background item is no valid StepDataset; fisher only reads .items
     state = rg.fisher_diagonal(model, SimpleNamespace(items=items), n_samples=8)
-    for imp in state.importance.values():
+    for imp in state.values():
         assert np.isfinite(imp).all()
         assert imp.max() < 1e-10
 
@@ -52,15 +52,15 @@ def test_fisher_bias_mean_of_squares_hand_value():
     model = tiny_model()
     model.params["head.w"].data[:] = 0.0
     model.params["head.b"].data[:] = 0.0
-    items = [StepItem("a", np.random.default_rng(2).random((4, 4, 3)), np.zeros((4, 4), dtype=int))]
+    items = [Sample("a", np.random.default_rng(2).random((4, 4, 3)), np.zeros((4, 4), dtype=int))]
     items[0].mask[0, 0] = 1  # keep the dataset valid; chance of sampling it is accounted below
     ds = StepDataset(items, 0, [1])
     rng = np.random.default_rng(3)
     state = rg.fisher_diagonal(model, ds, n_samples=12, rng=rng)
     # grad magnitude is exactly 1/2 per sampled pixel regardless of its label
-    assert np.allclose(state.importance["head.b"], 0.25, atol=1e-12)
+    assert np.allclose(state["head.b"], 0.25, atol=1e-12)
     # zero head weights block gradient flow into the backbone
-    assert np.allclose(state.importance["backbone.w1"], 0.0)
+    assert np.allclose(state["backbone.w1"], 0.0)
 
 
 def test_fisher_matches_finite_difference_oracle():
@@ -87,7 +87,7 @@ def test_fisher_matches_finite_difference_oracle():
             acc[name] += nm.finite_difference_gradient(pixel_ce, p) ** 2
     for name in acc:
         want = acc[name] / n_samples
-        got = state.importance[name]
+        got = state[name]
         assert np.abs(got - want).max() < 1e-6, name
 
 
@@ -106,7 +106,7 @@ def test_path_zero_deltas_give_zero_importance():
     zeros = {n: np.zeros_like(t.data) for n, t in model.parameters().items()}
     rg.path_integral_update(state, zeros, zeros)
     final = rg.finalize_path_importance(state, model)
-    assert all(np.all(v == 0.0) for v in final.importance.values())
+    assert all(np.all(v == 0.0) for v in final.values())
 
 
 def test_path_hand_arithmetic_single_step():
@@ -119,7 +119,7 @@ def test_path_hand_arithmetic_single_step():
     model.params["head.b"].data += 0.1  # total displacement 0.1
     final = rg.finalize_path_importance(state, model, damping=0.1)
     expected = 0.1 / (0.1**2 + 0.1)
-    assert np.allclose(final.importance[name], expected)
+    assert np.allclose(final[name], expected)
     assert abs(expected - 0.9091) < 1e-4
 
 
@@ -132,7 +132,7 @@ def test_path_negative_accumulation_clamped():
     rg.path_integral_update(state, grads, deltas)
     model.params["head.b"].data += 0.1
     final = rg.finalize_path_importance(state, model)
-    assert np.all(final.importance[name] == 0.0)
+    assert np.all(final[name] == 0.0)
 
 
 def test_path_update_rejects_shape_mismatch():
@@ -146,22 +146,21 @@ def test_path_update_rejects_shape_mismatch():
 
 
 def fake_state(values):
-    imp = {"p": np.asarray(values, dtype=float)}
-    return rg.ImportanceState(imp, {"p": np.zeros_like(imp["p"])})
+    return {"p": np.asarray(values, dtype=float)}
 
 
 def test_rw_zero_path_equals_normalized_fisher():
     fisher = fake_state([2.0, 4.0])
     path = fake_state([0.0, 0.0])
     combined = rg.rw_importance(fisher, path)
-    assert np.allclose(combined.importance["p"], [0.5, 1.0])
+    assert np.allclose(combined["p"], [0.5, 1.0])
 
 
 def test_rw_equal_states_double_the_normalized_score():
     a = fake_state([1.0, 3.0])
     b = fake_state([1.0, 3.0])
     combined = rg.rw_importance(a, b)
-    assert np.allclose(combined.importance["p"], 2.0 * np.array([1.0, 3.0]) / 3.0)
+    assert np.allclose(combined["p"], 2.0 * np.array([1.0, 3.0]) / 3.0)
 
 
 def test_rw_matches_elementwise_oracle():
@@ -169,12 +168,12 @@ def test_rw_matches_elementwise_oracle():
     f = np.abs(rng.normal(size=6))
     p = np.abs(rng.normal(size=6))
     combined = rg.rw_importance(fake_state(f), fake_state(p))
-    assert np.allclose(combined.importance["p"], f / f.max() + p / p.max())
+    assert np.allclose(combined["p"], f / f.max() + p / p.max())
 
 
 def test_rw_rejects_parameter_mismatch():
     a = fake_state([1.0])
-    b = rg.ImportanceState({"q": np.ones(1)}, {"q": np.zeros(1)})
+    b = {"q": np.ones(1)}
     with pytest.raises(AlignmentError):
         rg.rw_importance(a, b)
 

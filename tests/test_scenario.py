@@ -141,11 +141,11 @@ def test_overlapped_membership_matches_bruteforce_scan():
     for t, ds in enumerate(steps):
         members = {it.id for it in ds.items}
         for s in corpus:
-            has_new = bool(set(np.unique(s.full_mask)) & set(schedule.new_fg(t)))
+            has_new = bool(set(np.unique(s.mask)) & set(schedule.new_fg(t)))
             assert (s.id in members) == has_new
     # union of memberships covers every image with foreground
     covered = set().union(*(set(it.id for it in s.items) for s in steps))
-    with_fg = {s.id for s in corpus if s.full_mask.max() > 0}
+    with_fg = {s.id for s in corpus if s.mask.max() > 0}
     assert covered == with_fg
     assert set(report.excluded_ids) == {s.id for s in corpus} - with_fg
 
@@ -156,12 +156,12 @@ def test_disjoint_membership_matches_bruteforce_scan():
         block_sample(f"s{i}", rng.choice([1, 2, 3, 4], size=rng.integers(0, 4), replace=False))
         for i in range(25)
     ]
-    assert any(s.full_mask.max() == 0 for s in corpus)  # background-only images included
+    assert any(s.mask.max() == 0 for s in corpus)  # background-only images included
     schedule = sc.build_schedule(4, [2, 1, 1])
     steps, report = sc.split_corpus(corpus, schedule, "disjoint")
     members = [{it.id for it in ds.items} for ds in steps]
     for s in corpus:
-        labels = set(np.unique(s.full_mask)) - {0}
+        labels = set(np.unique(s.mask)) - {0}
         want = [
             t
             for t in range(schedule.num_steps)
@@ -194,8 +194,8 @@ def test_background_shift_accounting_matches_recount():
         for i in range(20)
     ]
     schedule = sc.build_schedule(3, [1, 1, 1])
-    steps, _ = sc.split_corpus(corpus, schedule, "overlapped")
-    full_by_id = {s.id: s.full_mask for s in corpus}
+    steps, report = sc.split_corpus(corpus, schedule, "overlapped")
+    full_by_id = {s.id: s.mask for s in corpus}
     for t, ds in enumerate(steps):
         seen = set(schedule.fg_up_to(t)) - set(schedule.new_fg(t))
         old = future = 0
@@ -204,8 +204,8 @@ def test_background_shift_accounting_matches_recount():
             bg_now = it.mask == 0
             old += int((bg_now & np.isin(full, sorted(seen))).sum())
             future += int((bg_now & (full != 0) & ~np.isin(full, sorted(seen))).sum())
-        assert ds.shift_counts["old_as_bg"] == old
-        assert ds.shift_counts["future_as_bg"] == future
+        assert report.per_step[t]["old_as_bg"] == old
+        assert report.per_step[t]["future_as_bg"] == future
 
 
 def test_disjoint_has_no_future_classes_hidden_in_background():
@@ -214,9 +214,9 @@ def test_disjoint_has_no_future_classes_hidden_in_background():
         block_sample(f"s{i}", rng.choice([1, 2, 3], size=rng.integers(1, 4), replace=False))
         for i in range(30)
     ]
-    steps, _ = sc.split_corpus(corpus, sc.build_schedule(3, [1, 1, 1]), "disjoint")
-    for ds in steps:
-        assert ds.shift_counts["future_as_bg"] == 0
+    _, report = sc.split_corpus(corpus, sc.build_schedule(3, [1, 1, 1]), "disjoint")
+    for counts in report.per_step:
+        assert counts["future_as_bg"] == 0
 
 
 # -- the handcrafted six-image corpus ----------------------------------------
@@ -250,12 +250,12 @@ def test_six_image_hand_tables():
     # the protocols must differ on an image whose background hides a future
     # class: B sits in overlapped step 0 with class 2 relabeled to background
     b_ov = next(it for it in ov[0].items if it.id == "B")
-    b_full = next(s for s in corpus if s.id == "B").full_mask
+    b_full = next(s for s in corpus if s.id == "B").mask
     hidden = (b_ov.mask == 0) & (b_full == 2)
     assert hidden.sum() > 0
     assert all(it.id != "B" for it in dj[0].items)
-    assert ov[0].shift_counts["future_as_bg"] > 0
-    assert dj[0].shift_counts["future_as_bg"] == 0
+    assert ov_report.per_step[0]["future_as_bg"] > 0
+    assert dj_report.per_step[0]["future_as_bg"] == 0
 
 
 # -- synthetic generator ------------------------------------------------------
@@ -269,13 +269,13 @@ def test_generator_deterministic_bitwise():
     for x, y in zip(a, b):
         assert x.id == y.id
         assert np.array_equal(x.image, y.image)
-        assert np.array_equal(x.full_mask, y.full_mask)
+        assert np.array_equal(x.mask, y.mask)
 
 
 def test_generator_single_class_labels():
     cfg = sc.SyntheticConfig(num_fg_classes=1, num_images=4, height=20, width=20)
     for s in sc.generate_synthetic(1, cfg):
-        assert set(np.unique(s.full_mask)) <= {0, 1}
+        assert set(np.unique(s.mask)) <= {0, 1}
 
 
 def test_generator_class_coverage_100_images():
@@ -283,7 +283,7 @@ def test_generator_class_coverage_100_images():
     samples = sc.generate_synthetic(0, cfg)
     counts = np.zeros(6, dtype=int)
     for s in samples:
-        counts += np.bincount(np.unique(s.full_mask), minlength=6)
+        counts += np.bincount(np.unique(s.mask), minlength=6)
     assert (counts[1:] >= 10).all()
 
 
@@ -292,7 +292,7 @@ def test_generator_pixel_balance_within_30_percent():
     samples = sc.generate_synthetic(3, cfg)
     pix = np.zeros(6, dtype=np.int64)
     for s in samples:
-        pix += np.bincount(s.full_mask.reshape(-1), minlength=6)
+        pix += np.bincount(s.mask.reshape(-1), minlength=6)
     share = pix[1:] / pix[1:].sum()
     assert (np.abs(share - 0.2) <= 0.06 + 1e-12).all()
 
@@ -319,7 +319,7 @@ def test_dataset_roundtrip(tmp_path):
     assert loaded.num_classes == 3
     assert [s.id for s in loaded.samples] == [s.id for s in samples]
     for orig, back in zip(samples, loaded.samples):
-        assert np.array_equal(back.full_mask, orig.full_mask)
+        assert np.array_equal(back.mask, orig.mask)
         assert np.abs(back.image - orig.image).max() <= 0.5 / 255.0 + 1e-12
 
 
@@ -333,7 +333,7 @@ def test_empty_manifest_gives_empty_corpus(tmp_path):
 def test_ingestion_rejects_label_above_class_count(tmp_path):
     cfg = sc.SyntheticConfig(num_fg_classes=3, num_images=1, height=20, width=20)
     samples = sc.generate_synthetic(6, cfg)
-    samples[0].full_mask[0, 0] = 7
+    samples[0].mask[0, 0] = 7
     sc.save_dataset(samples, tmp_path, 5)
     with pytest.raises(IngestionError, match="label 7"):
         sc.load_dataset(tmp_path)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,88 @@ def test_loss_traces_match_the_pinned_ones(method):
     for g_step, w_step in zip(got, want):
         for g, w in zip(g_step, w_step):
             assert abs(g - w) <= 1e-9 * abs(w), (method, got)
+
+
+# -- pinned importance -----------------------------------------------------------
+
+# sha256 (first 16 hex digits) of every (importance, anchor) array that
+# update_importance returns after steps 0 and 1 in the world of the pinned
+# loss traces; the estimators and the merge must reproduce them bit for bit
+PINNED_IMPORTANCE = {
+    ('EWC', 0): {
+        'backbone.b1': ('465282f391941e4b', '6561f22e540ed4ea'),
+        'backbone.b2': ('5178ec587a835735', '81ee4e208ca33979'),
+        'backbone.w1': ('da092897180bb75a', 'b97264947162fe51'),
+        'backbone.w2': ('ef459b343a04e132', '04c47556ee9eb9e0'),
+        'head.b': ('4759a5f07ec87f9e', '0ee4128bf51a212f'),
+        'head.w': ('57c8f799dba30167', 'aab84202da6a7452'),
+    },
+    ('EWC', 1): {
+        'backbone.b1': ('865058db453ea58b', '19c5637abc372941'),
+        'backbone.b2': ('5521d143a0c4624e', '3d2bd483977b607e'),
+        'backbone.w1': ('d5c593b43c66e3dc', 'a0f6bf2496fc212d'),
+        'backbone.w2': ('1f6003653e968e7d', '6e0af1e8b06ceea9'),
+        'head.b': ('f8c3181684d16c84', '4d3ac0cbb98d566a'),
+        'head.w': ('8abee96da8fbed68', 'cc2af1a1ec98ef44'),
+    },
+    ('PI', 0): {
+        'backbone.b1': ('33827992b52500fe', '6561f22e540ed4ea'),
+        'backbone.b2': ('f2c2827510d35489', '81ee4e208ca33979'),
+        'backbone.w1': ('1f556e3e64575570', 'b97264947162fe51'),
+        'backbone.w2': ('e3ee1e1622070748', '04c47556ee9eb9e0'),
+        'head.b': ('bd3f138463153700', '0ee4128bf51a212f'),
+        'head.w': ('67eb3ce06918aca1', 'aab84202da6a7452'),
+    },
+    ('PI', 1): {
+        'backbone.b1': ('6f38c54c8a6647ee', '845cf4c96e8ce56c'),
+        'backbone.b2': ('f040c3e447e7d289', '01df0981aa1b443e'),
+        'backbone.w1': ('130b36faf65994d2', '1bc47a48ec4ccd46'),
+        'backbone.w2': ('6c081914699b48a0', 'de1faf769aa5e56f'),
+        'head.b': ('bcd0b181c431dd3e', '0f485dc2c31a7305'),
+        'head.w': ('040f998f224e2474', 'be451b40a706a2c2'),
+    },
+    ('RW', 0): {
+        'backbone.b1': ('771a8ec13a3e9bbf', '6561f22e540ed4ea'),
+        'backbone.b2': ('4930e050e7f0f343', '81ee4e208ca33979'),
+        'backbone.w1': ('d0bea33eb3c8316f', 'b97264947162fe51'),
+        'backbone.w2': ('155e4c396d990dc8', '04c47556ee9eb9e0'),
+        'head.b': ('f266388db081c554', '0ee4128bf51a212f'),
+        'head.w': ('ebaab9e5a08ccb7a', 'aab84202da6a7452'),
+    },
+    ('RW', 1): {
+        'backbone.b1': ('3b6bd7714f98dfe5', 'ba12bdf20a4aaeaf'),
+        'backbone.b2': ('1302f221deafffe2', 'b7c420c54f912e03'),
+        'backbone.w1': ('5d715877b9ec2543', '8fa9227a88dafec1'),
+        'backbone.w2': ('d5da9d86e009b218', '68f17b3d7ea6fd37'),
+        'head.b': ('5fbb25be70dda2f7', '6a015c843cb319a2'),
+        'head.w': ('0fc42620716e7aa7', 'a752c27a7a3c6468'),
+    },
+}
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("method", ["EWC", "PI", "RW"])
+def test_importance_arrays_match_the_pinned_ones(method):
+    samples = generate_synthetic(
+        0, SyntheticConfig(num_fg_classes=3, num_images=24, height=16, width=16, blobs_per_image=2)
+    )
+    config = tr.TrainConfig(
+        epochs_per_step=2,
+        batch_size=4,
+        lr_step0=0.05,
+        lr_later=0.01,
+        method=method_preset(method),
+        backbone=BackboneConfig(hidden=4, features=4),
+    )
+    steps, _ = split_corpus(samples[:20], build_schedule(3, [1, 1, 1]), "overlapped")
+    model, state = None, None
+    for t, dataset in enumerate(steps[:2]):
+        result = tr.run_step(model, dataset, config, state)
+        model = result.model
+        state = tr.update_importance(model, dataset, config, result.path_state, state)
+        got = {name: (_digest(imp), _digest(state.anchor[name])) for name, imp in state.importance.items()}
+        assert state.anchor.keys() == state.importance.keys()
+        assert got == PINNED_IMPORTANCE[(method, t)], (method, t)
