@@ -179,8 +179,9 @@ def cross_entropy(logits: Tensor, mask: np.ndarray, class_order, *, _q=None) -> 
     chan = _label_channels(logits, mask, class_order, set(class_order), "cross_entropy").ravel()
     q = _rows(_softmax(logits.data) if _q is None else _q)
     log_q, active = _clamped_log(_pick(q, chan))
-    # d/dz of -log q(y) is q - onehot(y)
-    grad = (q - _onehot(chan, q.shape[0])) * (active / chan.size)
+    # d/dz of -log q(y) is q - onehot(y); active / n is taken in q's dtype
+    # (a bool over an int would be float64)
+    grad = (q - _onehot(chan, q.shape[0])) * np.divide(active, chan.size, dtype=q.dtype)
     return nm.scalar_node(-_mean(log_q), (logits, _cols(grad, logits.shape)))
 
 
@@ -210,7 +211,8 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *
     log_t, active = _clamped_log(t)
     # d/dz of -log t is q - q * target / t
     n = chan.size
-    grad = q * (active / n) - (q * target) * (active / (n * np.maximum(t, LOG_FLOOR)))
+    share = np.divide(active, n, dtype=q.dtype)  # as in cross_entropy
+    grad = q * share - (q * target) * (active / (n * np.maximum(t, LOG_FLOOR)))
     return nm.scalar_node(-_mean(log_t), (logits, _cols(grad, logits.shape)))
 
 

@@ -14,6 +14,14 @@ A forward pass records two tape nodes, the backbone (``numerics.conv_dense``,
 tanh activations) and the head (``numerics.affine_last``); the tape keeps only
 what their hand-written backward passes read. A checkpoint is one npz file:
 the parameter arrays plus a JSON meta entry (format ``CHECKPOINT_FORMAT``).
+
+Every parameter has the dtype that ``BackboneConfig.dtype`` names
+(``SegModel.dtype``): float32 by default, float64 for the oracle checks and
+the pinned traces. ``forward_batch`` casts its images to it, so everything
+computed from a forward pass (activations, logits, the losses' gradients and
+whatever training accumulates from them) has it too. The initial draws are
+float64, in a fixed order, and cast afterwards, so a seed gives the same
+weights up to rounding in either dtype.
 """
 from __future__ import annotations
 
@@ -24,10 +32,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nm
-from .exceptions import BgshiftError, ScheduleError, ShapeError
+from .exceptions import BgshiftError, ConfigError, ScheduleError, ShapeError
 from .numerics import Tensor
 
-CHECKPOINT_FORMAT = 2  # 2: the backbone meta has no activation
+CHECKPOINT_FORMAT = 3  # 3: the backbone meta has the dtype
 PARAM_NAMES = ("backbone.w1", "backbone.b1", "backbone.w2", "backbone.b2", "head.w", "head.b")
 
 
@@ -36,6 +44,11 @@ class BackboneConfig:
     in_channels: int = 3
     hidden: int = 16
     features: int = 16
+    dtype: str = "float32"  # of the parameters, and so of training: float32 | float64
+
+    def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"train.backbone.dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
 
 class SegModel:
@@ -57,6 +70,9 @@ class SegModel:
         k = len(known_classes)
         if params["head.w"].data.shape[1] != k or params["head.b"].data.shape[0] != k:
             raise ShapeError("head shape does not match class count")
+        mixed = sorted(name for name, t in params.items() if t.data.dtype != config.dtype)
+        if mixed:
+            raise ShapeError(f"parameters {mixed} are not of the model's dtype {config.dtype}")
         self.config = config
         self.params = params
         self.known_classes = list(known_classes)
@@ -79,13 +95,22 @@ class SegModel:
         w2 = rng.normal(0.0, math.sqrt(1.0 / ch), size=(ch, d))
         head_w = rng.normal(0.0, head_std, size=(d, len(known)))
         arrays = (w1, np.zeros(ch), w2, np.zeros(d), head_w, np.zeros(len(known)))
-        params = {name: Tensor(a, requires_grad=True) for name, a in zip(PARAM_NAMES, arrays)}
+        params = {
+            name: Tensor(a.astype(config.dtype), requires_grad=True) for name, a in zip(PARAM_NAMES, arrays)
+        }
         return cls(config, params, known, step_index=0, background_id=background_id)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, and of what a forward pass computes."""
+        return np.dtype(self.config.dtype)
+
     def forward_batch(self, images: np.ndarray) -> tuple[Tensor, Tensor]:
-        """[B,H,W,ch] -> (logits [B,H,W,K], features [B,H,W,D])."""
+        """[B,H,W,ch] -> (logits [B,H,W,K], features [B,H,W,D]), in the
+        model's dtype; ``images`` are cast to it (not copied if they have it)."""
         if images.ndim != 4 or images.shape[-1] != self.config.in_channels:
             raise ShapeError(f"expected [B,H,W,{self.config.in_channels}] input, got {images.shape}")
+        images = images.astype(self.dtype, copy=False)
         p = self.params
         feats = nm.conv_dense(images, p["backbone.w1"], p["backbone.b1"], p["backbone.w2"], p["backbone.b2"])
         return nm.affine_last(feats, p["head.w"], p["head.b"]), feats
@@ -129,7 +154,7 @@ def extend_classifier(
     background bias minus log of the set size, so pre-training probabilities
     split the old background mass evenly across the newcomers and leave old
     classes untouched. ``init="random"`` draws fresh small heads instead and
-    leaves the background head alone.
+    leaves the background head alone. The grown head keeps the model's dtype.
     """
     new_classes = list(new_classes)
     if len(set(new_classes)) != len(new_classes):
@@ -164,8 +189,8 @@ def extend_classifier(
     else:
         raise ScheduleError(f"unknown head init {init!r}")
 
-    grown.params["head.w"] = Tensor(head_w, requires_grad=True)
-    grown.params["head.b"] = Tensor(head_b, requires_grad=True)
+    grown.params["head.w"] = Tensor(head_w.astype(model.dtype, copy=False), requires_grad=True)
+    grown.params["head.b"] = Tensor(head_b.astype(model.dtype, copy=False), requires_grad=True)
     grown.known_classes = list(model.known_classes) + new_classes
     return grown
 
@@ -183,13 +208,14 @@ def save_checkpoint(model: SegModel, path) -> None:
 
 
 def load_checkpoint(path) -> SegModel:
-    """Read a ``save_checkpoint`` file. A file that is not one, or is of
-    another format, raises ShapeError naming ``path``."""
+    """Read a ``save_checkpoint`` file. A file that is not one, is of
+    another format or does not describe a valid model raises ShapeError
+    naming ``path``."""
     try:
         with np.load(path) as z:
             meta = json.loads(bytes(z["meta"]).decode())
             if meta.get("format") != CHECKPOINT_FORMAT:
-                raise ShapeError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
+                raise ShapeError(f"unsupported checkpoint format {meta.get('format')!r}")
             cfg = BackboneConfig(**meta["backbone"])
             params = {
                 name: Tensor(z[name.replace(".", "__")].copy(), requires_grad=True) for name in PARAM_NAMES
@@ -201,7 +227,5 @@ def load_checkpoint(path) -> SegModel:
                 int(meta["step_index"]),
                 int(meta["background_id"]),
             )
-    except BgshiftError:
-        raise
-    except (EOFError, KeyError, TypeError, ValueError) as e:
+    except (BgshiftError, EOFError, KeyError, TypeError, ValueError) as e:
         raise ShapeError(f"{path}: not a valid checkpoint ({type(e).__name__}: {e})") from e

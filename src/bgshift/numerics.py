@@ -24,6 +24,15 @@ when the batch is one block (otherwise the blocks' sums are added in another
 order). ``affine_last`` stores its result channel-major, one contiguous row
 of pixels per output channel, behind the usual [..., C] view, which is the
 layout the losses read.
+
+Arrays keep the dtype they come in: a node computes in the dtype of its
+inputs (float32 or float64, the parameters' dtype during training; see
+``model``), and so does its backward. A scalar node stores its value as a
+float64 0-d array, and its backward scales the closed-form gradients by a
+Python float, which keeps their dtype. ``DEFAULT_DTYPE`` is only what a
+``Tensor`` makes of data that is not floating point. The finite-difference
+oracle needs float64: in float32 a central difference at ``eps=1e-5`` is
+off by about 1e-3 of the gradient.
 """
 from __future__ import annotations
 
@@ -125,14 +134,16 @@ def scalar_node(value, *terms) -> Tensor:
     """A scalar computed outside the tape, from closed-form gradients.
 
     Each term is ``(parent, grad)`` with ``grad`` = d value / d ``parent``; the
-    node's backward scales every ``grad`` by the incoming gradient. This is
-    the only way a scalar enters the tape: each loss, the penalty and the
-    objective that sums them are one node each.
+    node's backward scales every ``grad`` by the incoming gradient, in the
+    dtype of ``grad``. This is the only way a scalar enters the tape: each
+    loss, the penalty and the objective that sums them are one node each.
     """
     parents = tuple(p for p, _ in terms)
     grads = tuple(g for _, g in terms)
 
     def bw(g):
+        # a Python float: a 0-d float64 array would promote float32 grads
+        g = float(g)
         return tuple(grad * g for grad in grads)
 
     return _from_op(np.asarray(value, dtype=DEFAULT_DTYPE), parents, bw)

@@ -11,6 +11,12 @@ penalize is computed in one place, ``update_importance``, which
 All randomness is derived from (seed, step) so the first step is
 bit-identical across methods: ``first_step`` trains it once and
 ``run_incremental`` can continue any method from it.
+
+Training runs in the dtype of the model's parameters
+(``TrainConfig.backbone.dtype``, float32 unless set to float64): the step's
+images are cast to it once, so the batches, the teacher cache, the
+gradients, the SGD velocity, the ``PathState`` and the ``ImportanceState``
+all have it. Loss values are Python floats either way.
 """
 from __future__ import annotations
 
@@ -135,8 +141,9 @@ def run_step(
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_iters = config.epochs_per_step * batches_per_epoch
 
-    # the step's samples stacked once: a batch is an index gather
-    all_images = np.stack([item.image for item in dataset.items])
+    # the step's samples stacked once, the images in the model's dtype: a
+    # batch is an index gather, and forward_batch casts nothing
+    all_images = np.stack([item.image for item in dataset.items]).astype(model.dtype, copy=False)
     all_masks = np.stack([item.mask for item in dataset.items])
     # what the losses read of the teacher (model_prev, only ever run under
     # no_grad) can be cached when inputs are not augmented

@@ -127,6 +127,23 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["float16", "double", "32"])
+def test_a_bad_dtype_is_named(tmp_path, capsys, value):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG + f"train.backbone.dtype = {value}\n")
+    with pytest.raises(ConfigError, match="train.backbone.dtype"):
+        hz.load_experiment_config(cfg_file)
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_the_dtype_survives_the_config_round_trip():
+    cfg = hz.config_from_dict(hz.parse_config_text(TINY_CFG + "train.backbone.dtype = float64\n"))
+    assert cfg.train.backbone.dtype == "float64"
+    back = hz.config_from_dict(hz.config_to_dict(cfg))
+    assert back.train.backbone == cfg.train.backbone
+
+
 def test_config_dict_round_trip():
     cfg = tiny_config()
     back = hz.config_from_dict(hz.config_to_dict(cfg))
@@ -168,6 +185,12 @@ def test_report_files_written(tiny_report):
     ]
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["aggregate"].keys() == report["aggregate"].keys()
+
+
+def test_the_report_records_the_dtype(tiny_report):
+    _, out = tiny_report
+    on_disk = json.loads((out / "report.json").read_text())
+    assert on_disk["config"]["train"]["backbone"]["dtype"] == "float32"
 
 
 def test_csv_round_trips_to_6_significant_digits(tiny_report):

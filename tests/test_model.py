@@ -18,9 +18,9 @@ from bgshift.model import (
 from bgshift.numerics import Tensor
 
 
-def make_model(fg=(1, 2), seed=0, hidden=8, features=8):
+def make_model(fg=(1, 2), seed=0, hidden=8, features=8, dtype="float32"):
     return SegModel.create(
-        BackboneConfig(hidden=hidden, features=features), list(fg), np.random.default_rng(seed)
+        BackboneConfig(hidden=hidden, features=features, dtype=dtype), list(fg), np.random.default_rng(seed)
     )
 
 
@@ -131,7 +131,7 @@ def test_predicted_mask_invariant_to_head_permutation():
 
 
 def test_extend_classifier_hand_arithmetic():
-    model = make_model(fg=(1,), features=2, hidden=4)
+    model = make_model(fg=(1,), features=2, hidden=4, dtype="float64")
     model.params["head.w"].data[:, 0] = [1.0, -1.0]
     model.params["head.b"].data[0] = 0.5
     grown = extend_classifier(model, [2])
@@ -164,7 +164,7 @@ def test_extend_rejects_duplicates():
 
 @pytest.mark.parametrize("new_count", [1, 2, 5])
 def test_init_invariant_spreads_background_probability(new_count):
-    model = make_model(fg=(1, 2), seed=8)
+    model = make_model(fg=(1, 2), seed=8, dtype="float64")
     new_ids = list(range(3, 3 + new_count))
     grown = extend_classifier(model, new_ids)
     m = new_count + 1
@@ -212,6 +212,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(loaded.parameters()[name].data, t.data)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_round_trip_keeps_the_dtype(tmp_path, dtype):
+    model = extend_classifier(make_model(seed=10, dtype=dtype), [3])
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config and loaded.dtype == np.dtype(dtype)
+    for name, t in model.parameters().items():
+        got = loaded.parameters()[name].data
+        assert got.dtype == dtype and got.tobytes() == t.data.tobytes(), name
+
+
 def test_checkpoint_layout_is_pinned(tmp_path):
     path = tmp_path / "model.npz"
     save_checkpoint(make_model(), path)
@@ -247,6 +259,11 @@ def _format_1(meta):
     meta["backbone"]["activation"] = "tanh"
 
 
+def _format_2(meta):
+    meta["format"] = 2
+    del meta["backbone"]["dtype"]
+
+
 @pytest.mark.parametrize(
     "corrupt, match",
     [
@@ -254,8 +271,11 @@ def _format_1(meta):
         (lambda good, bad: _rewrite_checkpoint(good, bad, drop=("head__b",)), "KeyError"),
         (lambda good, bad: bad.write_text("not a checkpoint"), "ValueError"),
         (lambda good, bad: _rewrite_checkpoint(good, bad, _format_1), "format 1"),
+        (lambda good, bad: _rewrite_checkpoint(good, bad, _format_2), "format 2"),
+        (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m["backbone"].update(dtype="float16")), "dtype"),
+        (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m["backbone"].update(dtype="float64")), "dtype"),
     ],
-    ids=["unknown-backbone-key", "missing-array", "not-npz", "format-1"],
+    ids=["unknown-backbone-key", "missing-array", "not-npz", "format-1", "format-2", "bad-dtype", "dtype-mismatch"],
 )
 def test_a_bad_checkpoint_is_rejected_naming_its_path(tmp_path, corrupt, match):
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
@@ -267,7 +287,7 @@ def test_a_bad_checkpoint_is_rejected_naming_its_path(tmp_path, corrupt, match):
 
 def test_every_parameter_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
-    model = SegModel.create(BackboneConfig(hidden=4, features=3), [1, 2], rng)
+    model = SegModel.create(BackboneConfig(hidden=4, features=3, dtype="float64"), [1, 2], rng)
     model.params["head.w"].data[:] = rng.normal(size=model.params["head.w"].shape)
     images = rng.random((2, 5, 4, 3))
     mask = rng.integers(0, 3, size=(2, 5, 4))
@@ -281,6 +301,34 @@ def test_every_parameter_gradient_matches_finite_differences():
 
     for name, p in model.parameters().items():
         assert nm.check_gradient(loss, p) < 1e-4, name
+
+
+def test_float32_draws_are_the_float64_draws_cast():
+    f32, f64 = make_model(seed=3), make_model(seed=3, dtype="float64")
+    for name, t in f32.parameters().items():
+        assert t.data.dtype == np.float32
+        assert np.array_equal(t.data, f64.params[name].data.astype(np.float32)), name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("init", ["background", "random"])
+def test_extend_classifier_keeps_the_head_dtype(dtype, init):
+    grown = extend_classifier(make_model(dtype=dtype), [3, 4], init=init, rng=np.random.default_rng(0))
+    assert {t.data.dtype for t in grown.parameters().values()} == {np.dtype(dtype)}
+
+
+def test_forward_runs_in_the_parameter_dtype():
+    model = make_model()
+    images = np.random.default_rng(1).random((2, 5, 5, 3))  # float64, as a corpus stores them
+    logits, feats = model.forward_batch(images)
+    assert logits.data.dtype == feats.data.dtype == np.float32
+
+
+def test_a_model_rejects_parameters_of_another_dtype():
+    model = make_model()
+    params = dict(model.params, **{"head.b": Tensor(model.params["head.b"].data.astype(np.float64))})
+    with pytest.raises(ShapeError, match="head.b"):
+        SegModel(model.config, params, model.known_classes)
 
 
 def test_frozen_copy_builds_no_graph():

@@ -10,8 +10,9 @@ from bgshift.model import BackboneConfig, SegModel, extend_classifier
 from bgshift.scenario import Sample, StepDataset
 
 
-def tiny_model(fg=(1,), seed=0):
-    return SegModel.create(BackboneConfig(hidden=4, features=4), list(fg), np.random.default_rng(seed))
+def tiny_model(fg=(1,), seed=0, dtype="float32"):
+    config = BackboneConfig(hidden=4, features=4, dtype=dtype)
+    return SegModel.create(config, list(fg), np.random.default_rng(seed))
 
 
 def tiny_dataset(model, n=3, size=5, seed=1, all_background=False):
@@ -64,7 +65,7 @@ def test_fisher_bias_mean_of_squares_hand_value():
 
 
 def test_fisher_matches_finite_difference_oracle():
-    model = tiny_model(fg=(1, 2), seed=4)
+    model = tiny_model(fg=(1, 2), seed=4, dtype="float64")
     ds = tiny_dataset(model, n=2, size=4, seed=5)
     n_samples = 5
     state = rg.fisher_diagonal(model, ds, n_samples=n_samples, rng=np.random.default_rng(6))
@@ -217,7 +218,7 @@ def test_penalty_doubling_weight_doubles_value_and_gradient():
 
 
 def test_penalty_gradient_matches_finite_differences():
-    model = tiny_model(seed=9)
+    model = tiny_model(seed=9, dtype="float64")
     state = anchored_state(model, importance_value=0.3)
     rng = np.random.default_rng(10)
     for t in model.parameters().values():

@@ -65,13 +65,13 @@ def test_sgd_rejects_nonfinite_gradient():
 # -- run_step / run_incremental --------------------------------------------------
 
 
-def small_config(method="FT", epochs=2, seed=0):
+def small_config(method="FT", epochs=2, seed=0, dtype="float32"):
     return tr.TrainConfig(
         epochs_per_step=epochs,
         batch_size=4,
         seed=seed,
         method=method_preset(method),
-        backbone=BackboneConfig(hidden=6, features=6),
+        backbone=BackboneConfig(hidden=6, features=6, dtype=dtype),
     )
 
 
@@ -235,7 +235,7 @@ def test_shared_first_step_matches_chained_run_step(method):
 )
 def test_teacher_cache_holds_only_what_the_losses_read(method, probs, feats):
     _, _, steps = small_world()
-    cfg = small_config(method, epochs=1)
+    cfg = small_config(method, epochs=1, dtype="float64")
     teacher = tr.run_step(None, steps[0], cfg).model.frozen_copy()
     images = np.stack([item.image for item in steps[1].items])
     cached_probs, cached_feats = tr._teacher_cache(teacher, cfg.method, images, cfg.batch_size)
@@ -258,9 +258,32 @@ def test_teacher_cache_holds_only_what_the_losses_read(method, probs, feats):
 
 # -- pinned loss traces ------------------------------------------------------------
 
+
+def pinned_world(method, dtype):
+    """The samples and the config of the pinned runs, training in ``dtype``."""
+    samples = generate_synthetic(
+        0, SyntheticConfig(num_fg_classes=3, num_images=24, height=16, width=16, blobs_per_image=2)
+    )
+    config = tr.TrainConfig(
+        epochs_per_step=2,
+        batch_size=4,
+        lr_step0=0.05,
+        lr_later=0.01,
+        method=method_preset(method),
+        backbone=BackboneConfig(hidden=4, features=4, dtype=dtype),
+    )
+    return samples, config
+
+
+def pinned_run(method, dtype):
+    """One short [1,1,1] overlapped run of ``method`` in the pinned world."""
+    samples, config = pinned_world(method, dtype)
+    return tr.run_incremental(samples[:20], samples[20:], build_schedule(3, [1, 1, 1]), "overlapped", config)
+
+
 # loss_trace per step of one short [1,1,1] overlapped run per method, recorded
-# with each loss (and, for EWC and PI, the drift penalty and the Fisher
-# gradient) built from elementary tape ops; the closed-form nodes must
+# in float64 with each loss (and, for EWC and PI, the drift penalty and the
+# Fisher gradient) built from elementary tape ops; the closed-form nodes must
 # reproduce them up to float64 summation order
 PINNED_TRACES = {
     'EWC': [
@@ -308,19 +331,7 @@ PINNED_TRACES = {
 
 @pytest.mark.parametrize("method", sorted(PINNED_TRACES))
 def test_loss_traces_match_the_pinned_ones(method):
-    samples = generate_synthetic(
-        0, SyntheticConfig(num_fg_classes=3, num_images=24, height=16, width=16, blobs_per_image=2)
-    )
-    config = tr.TrainConfig(
-        epochs_per_step=2,
-        batch_size=4,
-        lr_step0=0.05,
-        lr_later=0.01,
-        method=method_preset(method),
-        backbone=BackboneConfig(hidden=4, features=4),
-    )
-    run = tr.run_incremental(samples[:20], samples[20:], build_schedule(3, [1, 1, 1]), "overlapped", config)
-    got = [r.loss_trace for r in run.results]
+    got = [r.loss_trace for r in pinned_run(method, "float64").results]
     want = PINNED_TRACES[method]
     assert [len(t) for t in got] == [len(t) for t in want]
     for g_step, w_step in zip(got, want):
@@ -391,17 +402,7 @@ def _digest(a: np.ndarray) -> str:
 
 @pytest.mark.parametrize("method", ["EWC", "PI", "RW"])
 def test_importance_arrays_match_the_pinned_ones(method):
-    samples = generate_synthetic(
-        0, SyntheticConfig(num_fg_classes=3, num_images=24, height=16, width=16, blobs_per_image=2)
-    )
-    config = tr.TrainConfig(
-        epochs_per_step=2,
-        batch_size=4,
-        lr_step0=0.05,
-        lr_later=0.01,
-        method=method_preset(method),
-        backbone=BackboneConfig(hidden=4, features=4),
-    )
+    samples, config = pinned_world(method, "float64")
     steps, _ = split_corpus(samples[:20], build_schedule(3, [1, 1, 1]), "overlapped")
     model, state = None, None
     for t, dataset in enumerate(steps[:2]):
@@ -411,3 +412,63 @@ def test_importance_arrays_match_the_pinned_ones(method):
         got = {name: (_digest(imp), _digest(state.anchor[name])) for name, imp in state.importance.items()}
         assert state.anchor.keys() == state.importance.keys()
         assert got == PINNED_IMPORTANCE[(method, t)], (method, t)
+
+
+# -- float32 training ------------------------------------------------------------
+
+# float32 against float64 in the pinned world: each loss_trace entry within
+# this relative distance of PINNED_TRACES (the worst measured is 2.3e-6, ILT),
+# each step's all-class mIoU within this absolute distance of the float64 run
+F32_TRACE_RTOL = 1e-4
+F32_MIOU_ATOL = 1e-3
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_TRACES))
+def test_float32_training_leaves_every_array_float32(method, monkeypatch):
+    seen = []  # (what, array) for every array training made
+
+    def spy(fn, arrays):
+        """Record ``arrays(args, result)`` of each call to the trainer's ``fn``."""
+
+        def wrapped(*args):
+            out = fn(*args)
+            seen.extend(arrays(args, out))
+            return out
+
+        monkeypatch.setattr(tr, fn.__name__, wrapped)
+
+    def sgd_arrays(args, out):
+        grads, velocity = args[1], out[1]
+        return [(f"grad {n}", g) for n, g in grads.items()] + [(f"velocity {n}", v) for n, v in velocity.items()]
+
+    def importance_arrays(args, state):
+        if state is None:
+            return []
+        return [(f"importance {n}", x) for n, x in state.importance.items()] + [
+            (f"anchor {n}", x) for n, x in state.anchor.items()
+        ]
+
+    spy(tr.sgd_step, sgd_arrays)
+    spy(tr._teacher_cache, lambda args, cache: [(f"teacher {i}", x) for i, x in enumerate(cache) if x is not None])
+    spy(tr.update_importance, importance_arrays)
+    for t, result in enumerate(pinned_run(method, "float32").results):
+        seen += [(f"param {n} step {t}", p.data) for n, p in result.model.parameters().items()]
+        if result.path_state is not None:
+            for part in ("start", "omega"):
+                seen += [(f"path {part} {n} step {t}", x) for n, x in getattr(result.path_state, part).items()]
+
+    kinds = {what.split()[0] for what, _ in seen}
+    assert {"grad", "velocity", "param", "path"} <= kinds
+    assert ("teacher" in kinds) == (method in ("LwF", "ILT", "LwF-MC", "MiB"))
+    assert ("importance" in kinds) == (method in ("EWC", "PI", "RW"))
+    assert [what for what, a in seen if a.dtype != np.float32] == []
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_TRACES))
+def test_float32_traces_and_miou_agree_with_float64(method):
+    f32, f64 = pinned_run(method, "float32"), pinned_run(method, "float64")
+    for result, want_trace in zip(f32.results, PINNED_TRACES[method], strict=True):
+        for g, w in zip(result.loss_trace, want_trace, strict=True):
+            assert abs(g - w) <= F32_TRACE_RTOL * abs(w), (method, result.loss_trace)
+    for a, b in zip(f32.metrics, f64.metrics, strict=True):
+        assert abs(a.all_miou - b.all_miou) <= F32_MIOU_ATOL, (method, a.all_miou, b.all_miou)
