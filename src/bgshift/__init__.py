@@ -33,7 +33,7 @@ from .scenario import (
     save_dataset,
     split_corpus,
 )
-from .trainer import TrainConfig, run_incremental, run_step
+from .trainer import TrainConfig, first_step, run_incremental, run_step
 
 __version__ = "0.1.0"
 
@@ -55,6 +55,7 @@ __all__ = [
     "extend_classifier",
     "feature_distillation",
     "finite_difference_gradient",
+    "first_step",
     "generate_synthetic",
     "load_dataset",
     "lwf_mc_loss",

@@ -106,6 +106,7 @@ def _dispatch(args, overrides: list[str]) -> int:
             train_config=config.train,
             model_prev=base.model,
             reg_state=reg_state,
+            schedule=inputs.schedule,
         )
         payload = {
             "method": args.method,

@@ -4,8 +4,9 @@ A run is a grid of cells (method, seed). The corpus and its split are built
 once per run. Step 0 does not depend on the method, so it is trained and
 evaluated once per seed; every incremental cell then continues from its
 seed's step 0 and yields per-step metrics. Every cell runs the same
-``run_incremental`` call; Joint only switches the schedule to its one-step
-form (``LabelSchedule.joint``), so it trains its own single step. The report
+``run_incremental`` call from a ``FirstStep``; Joint's is its own single
+step, trained on the split of the one-step schedule (``LabelSchedule.joint``)
+and grouped, like every cell, by the incremental schedule. The report
 aggregates seed means/stddevs per method. Step 0 and the cells may run in
 worker processes (BGSHIFT_WORKERS, default 1), in two phases; results are
 keyed, so the report is identical either way. A failure, including a worker
@@ -69,7 +70,6 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     train: TrainConfig = field(default_factory=TrainConfig)
     out_dir: str | None = None
-    save_checkpoints: bool = True
     # the train.method.* keys the config sets; each method's preset is the
     # base they override (``method_config``)
     method_overrides: dict = field(default_factory=dict)
@@ -175,17 +175,13 @@ def run_cell(spec: dict) -> dict:
     config, inputs, step0 = spec["config"], spec["inputs"], spec["step0"]
     method_name, seed = spec["method"], spec["seed"]
     cfg = replace(config.train, seed=seed, method=config.method_config(method_name))
-    schedule = inputs.schedule.joint() if _is_joint(method_name) else inputs.schedule
     started = time.perf_counter()
-    run = run_incremental(
-        inputs.corpus,
-        inputs.eval_corpus,
-        schedule,
-        config.protocol,
-        cfg,
-        inputs.schedule,
-        first=step0["first"] if step0 else None,
-    )
+    if step0:
+        first = step0["first"]
+    else:  # Joint trains its own single step
+        split = split_corpus(inputs.corpus, inputs.schedule.joint(), config.protocol)
+        first = first_step(split, inputs.eval_corpus, inputs.schedule, cfg)
+    run = run_incremental(first, inputs.eval_corpus, inputs.schedule, cfg)
     elapsed = time.perf_counter() - started + (step0["seconds"] if step0 else 0.0)
     record = {
         "method": method_name,
@@ -201,10 +197,10 @@ def run_cell(spec: dict) -> dict:
             }
             for i in range(len(run.results))
         ],
-        "excluded_images": list(run.split_report.excluded_ids),
-        "background_shift": run.split_report.per_step,
+        "excluded_images": list(first.split_report.excluded_ids),
+        "background_shift": first.split_report.per_step,
     }
-    if config.out_dir and config.save_checkpoints:
+    if config.out_dir:
         ckpt_dir = Path(config.out_dir) / "checkpoints"
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         for i, result in enumerate(run.results):

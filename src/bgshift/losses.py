@@ -343,7 +343,7 @@ def feature_distillation(features_new: Tensor, features_old: np.ndarray) -> Tens
 # method configuration and the composite objective
 
 
-W_CLS = 1.0  # LwF-MC's classification weight; its distillation weight is w_kd
+W_CLS = 1.0  # LwF-MC's classification weight; its distillation weight is lambda_kd
 
 
 @dataclass
@@ -353,13 +353,12 @@ class MethodConfig:
     name: str = "FT"
     ce_mode: str = "standard"  # standard | unbiased
     kd_mode: str = "none"  # none | standard | unbiased
-    lambda_kd: float = 0.0
+    lambda_kd: float = 0.0  # the KD/UKD weight, and LwF-MC's distillation weight
     init_mode: str = "random"  # random | background
     feature_kd_weight: float = 0.0
     reg_kind: str = "none"  # none | ewc | pi | rw
     reg_weight: float = 0.0
     lwfmc_variant: str | None = None  # full | C | D; replaces ce/kd entirely
-    w_kd: float = 10.0
 
     def __post_init__(self):
         if self.ce_mode not in ("standard", "unbiased"):
@@ -381,11 +380,9 @@ class MethodConfig:
         A method without distillation, LwF-MC or a regularizer (FT, Joint)
         has no such weight and raises ConfigError.
         """
-        if self.lwfmc_variant is not None:
-            return replace(self, w_kd=w)
         if self.reg_kind != "none":
             return replace(self, reg_weight=w)
-        if self.kd_mode == "none":
+        if self.kd_mode == "none" and self.lwfmc_variant is None:
             raise ConfigError(f"{self.name}: the method has no tunable weight to select")
         if self.feature_kd_weight > 0:
             return replace(self, lambda_kd=w, feature_kd_weight=w)
@@ -400,9 +397,9 @@ _PRESETS: dict[str, dict] = {
     "EWC": dict(reg_kind="ewc", reg_weight=500.0),
     "PI": dict(reg_kind="pi", reg_weight=500.0),
     "RW": dict(reg_kind="rw", reg_weight=100.0),
-    "LWFMC": dict(lwfmc_variant="full", w_kd=10.0),
-    "LWFMC-C": dict(lwfmc_variant="C", w_kd=10.0),
-    "LWFMC-D": dict(lwfmc_variant="D", w_kd=10.0),
+    "LWFMC": dict(lwfmc_variant="full", lambda_kd=10.0),
+    "LWFMC-C": dict(lwfmc_variant="C", lambda_kd=10.0),
+    "LWFMC-D": dict(lwfmc_variant="D", lambda_kd=10.0),
     "MIB-CE": dict(ce_mode="unbiased", kd_mode="standard", lambda_kd=100.0),
     "MIB-KD": dict(ce_mode="unbiased", kd_mode="unbiased", lambda_kd=10.0),
     "MIB": dict(ce_mode="unbiased", kd_mode="unbiased", lambda_kd=10.0, init_mode="background"),
@@ -482,7 +479,7 @@ def composite_objective(
         model_prev.known_classes,
         model.known_classes,
         background_id=model.background_id,
-        method_weights={"w_cls": W_CLS, "w_kd": method.w_kd},
+        method_weights={"w_cls": W_CLS, "w_kd": method.lambda_kd},
     )
     if _teacher is None:
         _teacher = _teacher_targets(method, model_prev, images, old_outputs)

@@ -98,24 +98,20 @@ def select_method_weight(
     train_config,
     model_prev,
     reg_state,
+    schedule: LabelSchedule,
     reference_metric: float | None = None,
 ) -> SelectionResult:
     """Run the weight scan with real trainings on ``train``/``val``.
 
     ``model_prev`` is the frozen model of the previous step and ``reg_state``
     its importance (``trainer.update_importance``; None for a method without
-    a regularizer), which every candidate is penalized with. The reference is
-    the fine-tuned model's new-class mIoU on ``val`` (computed here unless
-    passed in).
+    a regularizer), which every candidate is penalized with. ``schedule`` is
+    the run's, which groups the evaluation. The reference is the fine-tuned
+    model's new-class mIoU on ``val`` (computed here unless passed in).
     """
-    eval_schedule = LabelSchedule(
-        tuple(tuple(s) for s in _schedule_steps(model_prev, train)), train.background_id
-    )
-    step_t = eval_schedule.num_steps - 1
-
     def new_class_miou(model) -> float:
-        report = trainer.evaluate_model(model, val.items, eval_schedule, step_t)
-        value = report.group_miou[step_t]
+        # the last group is the classes of the step just trained
+        value = trainer.evaluate_model(model, val.items, schedule).group_miou[-1]
         return float(value) if value is not None else 0.0
 
     if reference_metric is None:
@@ -131,8 +127,3 @@ def select_method_weight(
         return new_class_miou(model)
 
     return scan_weight_grid(metric_at, reference_metric, grid, tolerated_decay)
-
-
-def _schedule_steps(model_prev, train: StepDataset) -> list[list[int]]:
-    prev_fg = [c for c in model_prev.known_classes if c != train.background_id]
-    return [prev_fg, list(train.new_fg)]

@@ -9,8 +9,9 @@ path-integral record of its training (``StepResult.path_state``, a
 penalize is computed in one place, ``update_importance``, which
 ``run_incremental`` calls on each step just before it trains the next one.
 All randomness is derived from (seed, step) so the first step is
-bit-identical across methods: ``first_step`` trains it once and
-``run_incremental`` can continue any method from it.
+bit-identical across methods: every run is a ``first_step``, trained once,
+that ``run_incremental`` continues under any method. ``evaluate_model``
+reads the model's label space from the model itself.
 
 Training runs in the dtype of the model's parameters
 (``TrainConfig.backbone.dtype``, float32 unless set to float64): the step's
@@ -27,10 +28,10 @@ import numpy as np
 from . import numerics as nm
 from . import regularizers as rg
 from .evaluation import ConfusionMatrix, MiouReport, iou_per_class, miou_groups
-from .exceptions import ConfigError, DivergenceError
+from .exceptions import AlignmentError, ConfigError, DivergenceError
 from .losses import MethodConfig, _teacher_targets, composite_objective
 from .model import BackboneConfig, SegModel, argmax_mask, extend_classifier
-from .scenario import LabelSchedule, Sample, SplitReport, StepDataset, relabel, split_corpus
+from .scenario import LabelSchedule, Sample, SplitReport, StepDataset, relabel
 
 
 @dataclass
@@ -259,16 +260,21 @@ def evaluate_model(
     model: SegModel,
     eval_corpus: list[Sample],
     schedule: LabelSchedule,
-    step_t: int,
-    group_schedule: LabelSchedule | None = None,
 ) -> MiouReport:
-    """mIoU of the model on fully-annotated samples.
+    """mIoU of the model on fully-annotated samples, grouped by ``schedule``.
 
-    Classes from steps after ``step_t`` are not in the model's label space
-    yet; their pixels count as background in the ground truth.
+    The model's channel order, ``known_classes``, must be the label space of
+    some step ``t`` of the schedule (AlignmentError otherwise). Classes of
+    later steps are not in it; their pixels count as background in the
+    ground truth. Joint's model knows every class, so it is grouped as the
+    last step of the incremental schedule.
     """
-    grouping = group_schedule or schedule
-    order = schedule.label_space(step_t)
+    order = model.known_classes
+    t = next((t for t in range(schedule.num_steps) if schedule.label_space(t) == order), None)
+    if t is None:
+        raise AlignmentError(
+            f"model classes {order} are the label space of no step of the schedule {schedule.steps}"
+        )
     lut = np.zeros(max(order) + 1, dtype=np.int64)
     for i, c in enumerate(order):
         lut[c] = i
@@ -276,29 +282,16 @@ def evaluate_model(
     with nm.no_grad():
         for sample in eval_corpus:
             logits, _ = model.forward_batch(sample.image[None])
-            pred = argmax_mask(logits.data[0], model.known_classes)
-            gt = relabel(sample.mask, schedule.fg_up_to(step_t), schedule.background_id)
+            pred = argmax_mask(logits.data[0], order)
+            gt = relabel(sample.mask, order, schedule.background_id)
             cm.accumulate(lut[pred], lut[gt])
-    return miou_groups(iou_per_class(cm), grouping, _group_step(grouping, schedule, step_t))
-
-
-def _group_step(grouping: LabelSchedule, schedule: LabelSchedule, step_t: int) -> int:
-    """Largest group index whose classes are all known at step_t."""
-    known = set(schedule.fg_up_to(step_t))
-    last = 0
-    for g in range(grouping.num_steps):
-        if set(grouping.new_fg(g)) <= known:
-            last = g
-        else:
-            break
-    return last
+    return miou_groups(iou_per_class(cm), schedule, t)
 
 
 @dataclass
 class IncrementalRun:
     results: list[StepResult]
     metrics: list[MiouReport]
-    split_report: object
 
 
 @dataclass
@@ -316,41 +309,34 @@ def first_step(
     eval_corpus: list[Sample],
     schedule: LabelSchedule,
     config: TrainConfig,
-    group_schedule: LabelSchedule | None = None,
 ) -> FirstStep:
     """Train and evaluate step 0 of ``split`` (the output of ``split_corpus``).
 
     Step 0 is plain cross-entropy for every method (see
     ``composite_objective``), so the result serves any method that uses this
     seed and these settings; ``run_incremental`` computes the importance for
-    the method it runs.
+    the method it runs. ``split`` may come from ``schedule.joint()``: its one
+    step is then Joint's whole training, evaluated by the groups of
+    ``schedule``.
     """
     steps, split_report = split
     result = run_step(None, steps[0], config)
-    metrics = evaluate_model(result.model, eval_corpus, schedule, 0, group_schedule)
-    return FirstStep(steps, split_report, result, metrics)
+    return FirstStep(steps, split_report, result, evaluate_model(result.model, eval_corpus, schedule))
 
 
 def run_incremental(
-    corpus: list[Sample],
+    first: FirstStep,
     eval_corpus: list[Sample],
     schedule: LabelSchedule,
-    protocol: str,
     config: TrainConfig,
-    group_schedule: LabelSchedule | None = None,
-    first: FirstStep | None = None,
 ) -> IncrementalRun:
-    """Split the corpus, train steps sequentially, evaluate after each.
+    """Continue ``first`` through the later steps of its split, evaluating
+    after each.
 
-    ``first`` is a step 0 from ``first_step`` with the same seed and settings;
-    the run then continues from it instead of splitting ``corpus`` and
-    training step 0 again. Each step's importance is merged into the state
-    that penalizes the next step just before that step trains.
+    ``first`` is a step 0 from ``first_step`` with the same seed and
+    settings. Each step's importance is merged into the state that penalizes
+    the next step just before that step trains.
     """
-    if first is None:
-        first = first_step(
-            split_corpus(corpus, schedule, protocol), eval_corpus, schedule, config, group_schedule
-        )
     results = [first.result]
     metrics = [first.metrics]
     reg_state = None
@@ -359,8 +345,5 @@ def run_incremental(
         reg_state = update_importance(prev.model, prev_dataset, config, prev.path_state, reg_state)
         result = run_step(prev.model, dataset, config, reg_state)
         results.append(result)
-        metrics.append(
-            evaluate_model(result.model, eval_corpus, schedule, dataset.step, group_schedule)
-        )
-    return IncrementalRun(results, metrics, first.split_report)
-
+        metrics.append(evaluate_model(result.model, eval_corpus, schedule))
+    return IncrementalRun(results, metrics)

@@ -2,6 +2,7 @@
 name and binds some of their arguments by name. A rename or deletion here
 would break ``perfbench/run.py --trace 1`` without failing any other test."""
 import importlib
+import json
 import math
 import inspect
 import sys
@@ -10,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bgshift.cli  # noqa: F401  the tracer wraps bgshift.protocol, which cli imports
+from bgshift import harness as hz
 from bgshift.scenario import Sample, build_schedule, split_corpus
+from bgshift.trainer import TrainConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import kernels, tracing  # noqa: E402
@@ -57,3 +61,24 @@ def test_the_dataset_key_reads_a_step_dataset():
     key = tracing._dataset_key(steps[0])
     assert len(key) == 64 and set(key) <= set("0123456789abcdef")
     assert key != tracing._dataset_key(steps[1])
+
+
+def test_a_traced_run_computes_the_same_cells_and_every_declared_metric():
+    # what ``perfbench/run.py --trace 1`` does, on a run small enough for tier 1
+    cfg = hz.ExperimentConfig(
+        dataset=hz.DatasetSpec(num_train=12, num_eval=4, height=16, width=16),
+        methods=["FT", "MiB", "RW"],
+        train=TrainConfig(epochs_per_step=1),
+    )
+    untraced = hz.run_experiment(cfg)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = hz.run_experiment(cfg)
+    assert untraced["ok"]
+    cells = lambda report: [{k: v for k, v in c.items() if k != "seconds"} for c in report["cells"]]
+    assert cells(traced) == cells(untraced)
+
+    metrics = {**tracer.per_layer(), **kernels.kernel_metrics(8, 0), "trace_overhead": (1.0, "ratio")}
+    declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["per_layer"]
+    assert {name: unit for name, (_, unit) in metrics.items()} == {m["name"]: m["unit"] for m in declared}
+    assert all(math.isfinite(value) for value, _ in metrics.values())

@@ -11,8 +11,10 @@ from bgshift import trainer as tr
 from bgshift.cli import main as cli_main
 from bgshift.exceptions import ComparisonError, ConfigError
 from bgshift.losses import method_preset
+from bgshift.model import load_checkpoint
 from bgshift.protocol import hparam_grid
 from bgshift.scenario import SyntheticConfig, generate_synthetic, save_dataset
+from helpers import run_from_scratch
 
 TINY_CFG = """
 # tiny experiment used by the harness tests
@@ -125,6 +127,18 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
         hz.load_experiment_config(cfg_file)
     assert cli_main(["run", "--config", str(cfg_file)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "override, key", [("--train.method.w_kd=1", "train.method.w_kd"), ("--save_checkpoints=false", "save_checkpoints")]
+)
+def test_a_removed_key_is_named(tmp_path, capsys, override, key):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    with pytest.raises(ConfigError, match=repr(key)):
+        hz.load_experiment_config(cfg_file, [override])
+    assert cli_main(["run", "--config", str(cfg_file), override]) == 1
+    assert repr(key) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["float16", "double", "32"])
@@ -276,10 +290,10 @@ def test_dead_worker_fails_cells_not_the_run(tmp_path, monkeypatch):
 def test_dead_worker_in_step0_fails_cells_not_the_run(tmp_path, monkeypatch):
     real_first_step = hz.first_step
 
-    def dies_on_seed1(split, eval_corpus, schedule, config, group_schedule=None):
+    def dies_on_seed1(split, eval_corpus, schedule, config):
         if config.seed == 1:
             os._exit(3)
-        return real_first_step(split, eval_corpus, schedule, config, group_schedule)
+        return real_first_step(split, eval_corpus, schedule, config)
 
     monkeypatch.setattr(hz, "first_step", dies_on_seed1)
     monkeypatch.setenv("BGSHIFT_WORKERS", "2")
@@ -294,10 +308,11 @@ def test_dead_worker_in_step0_fails_cells_not_the_run(tmp_path, monkeypatch):
 def test_failed_step0_fails_only_its_seed(monkeypatch):
     real_first_step = hz.first_step
 
-    def fails_on_seed1(split, eval_corpus, schedule, config, group_schedule=None):
-        if config.seed == 1:
+    def fails_on_seed1(split, eval_corpus, schedule, config):
+        # only the shared step 0: Joint's own first step trains a one-step split
+        if config.seed == 1 and len(split[0]) > 1:
             raise RuntimeError("induced step-0 failure")
-        return real_first_step(split, eval_corpus, schedule, config, group_schedule)
+        return real_first_step(split, eval_corpus, schedule, config)
 
     monkeypatch.setattr(hz, "first_step", fails_on_seed1)
     report = hz.run_experiment(tiny_config(seeds=[0, 1], methods=["FT", "MiB", "Joint"]))
@@ -329,9 +344,7 @@ def test_cells_equal_independent_runs(hflip):
     inputs = hz.RunInputs.build(cfg)
     for cell in report["cells"]:
         train = replace(cfg.train, seed=cell["seed"], method=method_preset(cell["method"]))
-        run = tr.run_incremental(
-            inputs.corpus, inputs.eval_corpus, inputs.schedule, cfg.protocol, train
-        )
+        first, run = run_from_scratch(inputs.corpus, inputs.eval_corpus, inputs.schedule, cfg.protocol, train)
         assert cell["steps"] == [
             {
                 "step": i,
@@ -341,8 +354,24 @@ def test_cells_equal_independent_runs(hflip):
             }
             for i in range(len(run.results))
         ], cell["method"]
-        assert cell["background_shift"] == run.split_report.per_step
-        assert cell["excluded_images"] == run.split_report.excluded_ids
+        assert cell["background_shift"] == first.split_report.per_step
+        assert cell["excluded_images"] == first.split_report.excluded_ids
+
+
+def test_joint_reports_the_groups_of_the_incremental_schedule(tmp_path):
+    text = TINY_CFG + "dataset.num_fg_classes = 5\nschedule_sizes = 3,1,1\nclass_order = permuted\nmethods = Joint\n"
+    cfg = replace(hz.config_from_dict(hz.parse_config_text(text)), out_dir=str(tmp_path))
+    report = hz.run_experiment(cfg)
+    assert report["ok"]
+    schedule = hz.RunInputs.build(cfg).schedule
+    assert schedule.all_fg() != sorted(schedule.all_fg())
+    (step,) = report["cells"][0]["steps"]
+    assert len(step["metrics"]["group_miou"]) == schedule.num_steps == 3
+    # checkpoints are written whenever out_dir is set
+    model = load_checkpoint(tmp_path / "checkpoints" / "Joint-seed0-step0.npz")
+    assert model.known_classes == schedule.label_space(2)
+    _, eval_corpus = hz.build_corpora(cfg.dataset)
+    assert step["metrics"] == tr.evaluate_model(model, eval_corpus, schedule).as_dict()
 
 
 def test_parallel_report_equals_serial(monkeypatch):

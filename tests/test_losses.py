@@ -639,3 +639,11 @@ def test_composite_lwf_mc_without_regularizer_is_the_loss_bit_for_bit():
 def test_method_preset_unknown_name():
     with pytest.raises(ConfigError):
         L.method_preset("nope")
+
+
+def test_lwf_mc_distillation_weight_is_lambda_kd():
+    lwfmc = L.method_preset("LwF-MC")
+    assert lwfmc.lambda_kd == 10.0
+    assert lwfmc.with_weight(0.5).lambda_kd == 0.5
+    with pytest.raises(ConfigError):
+        replace(lwfmc, lambda_kd=-5.0)

@@ -142,6 +142,7 @@ def test_select_method_weight_runs_real_trainings():
         train_config=tconf,
         model_prev=base.model,
         reg_state=None,
+        schedule=schedule,
     )
     assert result.weight in (0.1, 10.0)
     assert len(result.trace) == 2
@@ -152,7 +153,8 @@ def test_select_method_weight_runs_real_trainings():
 
 def test_a_diverging_candidate_scores_none_and_the_scan_goes_on(monkeypatch):
     cfg = SyntheticConfig(num_fg_classes=2, num_images=14, height=16, width=16, blobs_per_image=2)
-    steps, _ = split_corpus(generate_synthetic(0, cfg), build_schedule(2, [1, 1]), "overlapped")
+    schedule = build_schedule(2, [1, 1])
+    steps, _ = split_corpus(generate_synthetic(0, cfg), schedule, "overlapped")
     tconf = TrainConfig(epochs_per_step=1, batch_size=4, seed=0, backbone=BackboneConfig(hidden=4, features=4))
     base = run_step(None, steps[0], tconf)
     real_run_step = tr.run_step
@@ -165,7 +167,14 @@ def test_a_diverging_candidate_scores_none_and_the_scan_goes_on(monkeypatch):
     monkeypatch.setattr(tr, "run_step", diverges_at_10)
     train, val = pr.split_train_val(steps[1], seed=0)
     result = pr.select_method_weight(
-        train, val, method_preset("EWC"), grid=[0.1, 10.0], train_config=tconf, model_prev=base.model, reg_state=None
+        train,
+        val,
+        method_preset("EWC"),
+        grid=[0.1, 10.0],
+        train_config=tconf,
+        model_prev=base.model,
+        reg_state=None,
+        schedule=schedule,
     )
     assert [w for w, _ in result.trace] == [0.1, 10.0]
     assert result.trace[0][1] is not None and result.trace[1][1] is None

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from bgshift import trainer as tr
-from bgshift.exceptions import ConfigError, DivergenceError
+from bgshift.exceptions import AlignmentError, ConfigError, DivergenceError
 from bgshift.losses import method_preset
 from bgshift.model import BackboneConfig
 from bgshift.numerics import Tensor
 from bgshift.scenario import SyntheticConfig, build_schedule, generate_synthetic, split_corpus
+from helpers import run_from_scratch
 
 
 # -- poly lr -------------------------------------------------------------------
@@ -171,8 +172,8 @@ def test_run_incremental_pipeline_deterministic():
     corpus, schedule, _ = small_world()
     eval_corpus = corpus[-4:]
     cfg = small_config("MiB")
-    a = tr.run_incremental(corpus[:-4], eval_corpus, schedule, "overlapped", cfg)
-    b = tr.run_incremental(corpus[:-4], eval_corpus, schedule, "overlapped", cfg)
+    _, a = run_from_scratch(corpus[:-4], eval_corpus, schedule, "overlapped", cfg)
+    _, b = run_from_scratch(corpus[:-4], eval_corpus, schedule, "overlapped", cfg)
     assert len(a.results) == schedule.num_steps
     for ra, rb in zip(a.results, b.results):
         assert params_equal(ra.model, rb.model)
@@ -183,10 +184,18 @@ def test_run_incremental_pipeline_deterministic():
 def test_single_step_schedule_is_joint_training():
     corpus, _, _ = small_world()
     schedule = build_schedule(3, [3])
-    run = tr.run_incremental(corpus[:-4], corpus[-4:], schedule, "overlapped", small_config())
+    _, run = run_from_scratch(corpus[:-4], corpus[-4:], schedule, "overlapped", small_config())
     assert len(run.results) == 1
     assert run.results[0].model.known_classes == [0, 1, 2, 3]
     assert len(run.metrics[0].group_miou) == 1
+
+
+def test_evaluate_model_rejects_a_model_outside_the_schedule():
+    corpus, _, steps = small_world()
+    model = tr.run_step(None, steps[0], small_config(epochs=1)).model  # knows [0, 1, 2]
+    other = build_schedule(3, [1, 2])  # label spaces [0, 1] and [0, 1, 2, 3]
+    with pytest.raises(AlignmentError, match=r"\[0, 1, 2\].*\(\(1,\), \(2, 3\)\)"):
+        tr.evaluate_model(model, corpus[-4:], other)
 
 
 def test_hflip_changes_training_but_stays_deterministic():
@@ -209,7 +218,7 @@ def test_shared_first_step_matches_chained_run_step(method):
     split = split_corpus(train, schedule, "overlapped")
     shared = tr.first_step(split, eval_corpus, schedule, small_config("FT"))
     cfg = small_config(method)
-    run = tr.run_incremental(train, eval_corpus, schedule, "overlapped", cfg, first=shared)
+    run = tr.run_incremental(shared, eval_corpus, schedule, cfg)
 
     steps = split[0]
     chained = [tr.run_step(None, steps[0], cfg)]
@@ -278,7 +287,7 @@ def pinned_world(method, dtype):
 def pinned_run(method, dtype):
     """One short [1,1,1] overlapped run of ``method`` in the pinned world."""
     samples, config = pinned_world(method, dtype)
-    return tr.run_incremental(samples[:20], samples[20:], build_schedule(3, [1, 1, 1]), "overlapped", config)
+    return run_from_scratch(samples[:20], samples[20:], build_schedule(3, [1, 1, 1]), "overlapped", config)[1]
 
 
 # loss_trace per step of one short [1,1,1] overlapped run per method, recorded
