@@ -1,33 +1,29 @@
 """Experiment orchestration: methods x seeds x steps, reports and comparison.
 
-A run is a grid of cells (method, seed). The corpus and its split are built
-once per run. Step 0 does not depend on the method, so it is trained and
-evaluated once per seed; every incremental cell then continues from its
-seed's step 0 and yields per-step metrics. Every cell runs the same
-``run_incremental`` call from a ``FirstStep``; Joint's is its own single
-step, trained on the split of the one-step schedule (``LabelSchedule.joint``)
-and grouped, like every cell, by the incremental schedule. The report
-aggregates seed means/stddevs per method. Step 0 and the cells may run in
-worker processes (BGSHIFT_WORKERS, default 1), in two phases; results are
-keyed, so the report is identical either way. A failure, including a worker
-that dies, fails the cells it touches and no others.
+A run is a grid of cells (method, seed), run one after another in one
+process. The corpus and its split are built once per run. Step 0 does not
+depend on the method, so it is trained and evaluated once per seed; every
+incremental cell of that seed then continues from it and yields per-step
+metrics. Every cell runs the same ``run_incremental`` call from a
+``FirstStep``; Joint's is its own single step, trained on the split of the
+one-step schedule (``LabelSchedule.joint``) and grouped, like every cell, by
+the incremental schedule. The report aggregates seed means/stddevs per
+method. A failure fails the cells it touches and no others: a failed step 0
+fails its seed's incremental cells, a failed cell only itself.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import ComparisonError, ConfigError
-from .losses import MethodConfig, method_preset
+from .losses import MethodConfig, method_preset, preset_key
 from .model import BackboneConfig, save_checkpoint
 from .scenario import (
     LabelSchedule,
@@ -40,7 +36,7 @@ from .scenario import (
     load_dataset,
     split_corpus,
 )
-from .trainer import TrainConfig, first_step, run_incremental
+from .trainer import FirstStep, TrainConfig, first_step, run_incremental
 
 TIE_BAND = 0.5  # mIoU points
 
@@ -81,8 +77,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"schedule {self.schedule_sizes} does not cover {self.dataset.num_fg_classes} classes"
             )
+        bad = [s for s in self.seeds if not isinstance(s, int) or isinstance(s, bool) or s < 0]
+        if bad:
+            raise ConfigError(f"seeds must be non-negative integers, got {bad}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds {self.seeds} repeat a seed")
         for m in self.methods:
             self.method_config(m)  # validate names and overrides early
+        keys = [preset_key(m) for m in self.methods]
+        if len(set(keys)) < len(keys):
+            raise ConfigError(f"methods {self.methods} name the same preset twice")
 
     def method_config(self, name: str) -> MethodConfig:
         """The preset of method ``name`` with ``method_overrides`` on top."""
@@ -141,53 +145,27 @@ class RunInputs:
 
 
 def _is_joint(method: str) -> bool:
-    return method.upper() == "JOINT"
+    return preset_key(method) == "JOINT"
 
 
-def _step0_spec(config: ExperimentConfig, inputs: RunInputs, seed: int) -> dict:
-    # step 0 runs under the first incremental method's name; its training
-    # does not depend on the method (see trainer.first_step)
-    method = next(m for m in config.methods if not _is_joint(m))
-    cfg = replace(config.train, seed=seed, method=config.method_config(method))
-    return {"train": cfg, "inputs": inputs}
-
-
-def _run_step0(spec: dict) -> dict:
-    """Train and evaluate one seed's shared step 0; records the time it took."""
-    inputs = spec["inputs"]
-    started = time.perf_counter()
-    try:
-        first = first_step(inputs.split, inputs.eval_corpus, inputs.schedule, spec["train"])
-    except Exception as e:  # fails this seed's cells only
-        return {"error": _error_text(e)}
-    return {"first": first, "seconds": time.perf_counter() - started}
-
-
-def run_cell(spec: dict) -> dict:
+def run_cell(config: ExperimentConfig, inputs: RunInputs, method: str, seed: int, first: FirstStep | None) -> dict:
     """Execute one (method, seed) cell; returns a plain serializable record.
 
-    ``spec`` holds the ``config``, the ``method`` and ``seed``, the run's
-    ``inputs`` and ``step0``: the seed's ``_run_step0`` record, or None for
-    Joint. ``seconds`` counts the cell's own steps plus the time of the
-    shared step 0 it reused, so it stays comparable with a cell that trains
-    step 0 itself.
+    ``first`` is the seed's shared step 0, which the cell continues, or None
+    for Joint, which trains its own single step. ``seconds`` counts the
+    cell's own steps; ``run_experiment`` adds the time of a step 0 it reused.
     """
-    config, inputs, step0 = spec["config"], spec["inputs"], spec["step0"]
-    method_name, seed = spec["method"], spec["seed"]
-    cfg = replace(config.train, seed=seed, method=config.method_config(method_name))
+    cfg = replace(config.train, seed=seed, method=config.method_config(method))
     started = time.perf_counter()
-    if step0:
-        first = step0["first"]
-    else:  # Joint trains its own single step
+    if first is None:
         split = split_corpus(inputs.corpus, inputs.schedule.joint(), config.protocol)
         first = first_step(split, inputs.eval_corpus, inputs.schedule, cfg)
     run = run_incremental(first, inputs.eval_corpus, inputs.schedule, cfg)
-    elapsed = time.perf_counter() - started + (step0["seconds"] if step0 else 0.0)
     record = {
-        "method": method_name,
+        "method": method,
         "seed": seed,
         "status": "ok",
-        "seconds": elapsed,
+        "seconds": time.perf_counter() - started,
         "steps": [
             {
                 "step": i,
@@ -204,7 +182,7 @@ def run_cell(spec: dict) -> dict:
         ckpt_dir = Path(config.out_dir) / "checkpoints"
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         for i, result in enumerate(run.results):
-            save_checkpoint(result.model, ckpt_dir / f"{method_name}-seed{seed}-step{i}.npz")
+            save_checkpoint(result.model, ckpt_dir / f"{method}-seed{seed}-step{i}.npz")
     return record
 
 
@@ -216,86 +194,49 @@ def _failed_record(method: str, seed: int, error: str) -> dict:
     return {"method": method, "seed": seed, "status": "failed", "error": error, "steps": []}
 
 
-def _safe_run_cell(spec: dict) -> dict:
-    try:
-        return run_cell(spec)
-    except Exception as e:  # keep other cells running
-        return _failed_record(spec["method"], spec["seed"], _error_text(e))
-
-
-def _worker_count() -> int:
-    text = os.environ.get("BGSHIFT_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"BGSHIFT_WORKERS must be an integer >= 1, got {text!r}")
-    return workers
-
-
-def _submit(pool: ProcessPoolExecutor, fn, spec: dict) -> Future:
-    try:
-        return pool.submit(fn, spec)
-    except BrokenProcessPool as e:  # a worker died on an earlier item
-        failed = Future()
-        failed.set_exception(e)
-        return failed
-
-
-def _map(pool: ProcessPoolExecutor | None, fn, specs: list[dict]) -> list:
-    """``fn`` over ``specs``, in ``pool`` if there is one. An item whose
-    worker did not return a result (a worker died and broke the pool) yields
-    the exception instead."""
-    if pool is None:
-        return [fn(spec) for spec in specs]
-    futures = [_submit(pool, fn, spec) for spec in specs]
-    return [f.exception() or f.result() for f in futures]
-
-
-def _run_grid(config: ExperimentConfig, pool: ProcessPoolExecutor | None) -> dict:
-    """Records keyed by (method, seed): step 0 per seed, then every cell."""
-    keys = [(m, s) for m in config.methods for s in config.seeds]
+def _run_cells(config: ExperimentConfig) -> list[dict]:
+    """One record per cell, methods x seeds. A failure fails the cells it
+    touches and no others."""
     try:
         inputs = RunInputs.build(config)
     except Exception as e:  # nothing can run without the corpus
-        return {(m, s): _failed_record(m, s, _error_text(e)) for m, s in keys}
-
-    step0 = {}
-    if not all(_is_joint(m) for m in config.methods):
-        specs = [_step0_spec(config, inputs, s) for s in config.seeds]
-        for seed, rec in zip(config.seeds, _map(pool, _run_step0, specs)):
-            step0[seed] = {"error": _error_text(rec)} if isinstance(rec, Exception) else rec
-
-    records, todo = {}, []
-    for m, s in keys:
-        shared = None if _is_joint(m) else step0[s]
-        if shared is not None and "error" in shared:
-            records[(m, s)] = _failed_record(m, s, f"step 0 failed: {shared['error']}")
-        else:
-            todo.append({"config": config, "method": m, "seed": s, "inputs": inputs, "step0": shared})
-    for spec, rec in zip(todo, _map(pool, _safe_run_cell, todo)):
-        if isinstance(rec, Exception):
-            rec = _failed_record(spec["method"], spec["seed"], _error_text(rec))
-        records[(spec["method"], spec["seed"])] = rec
-    return records
+        return [_failed_record(m, s, _error_text(e)) for m in config.methods for s in config.seeds]
+    # step 0 runs under the first incremental method's name; its training
+    # does not depend on the method (see trainer.first_step)
+    shared = next((m for m in config.methods if not _is_joint(m)), None)
+    records = {}
+    for seed in config.seeds:
+        first, step0_seconds, step0_error = None, 0.0, None
+        if shared is not None:
+            started = time.perf_counter()
+            try:
+                cfg = replace(config.train, seed=seed, method=config.method_config(shared))
+                first = first_step(inputs.split, inputs.eval_corpus, inputs.schedule, cfg)
+            except Exception as e:  # fails this seed's incremental cells only
+                step0_error = f"step 0 failed: {_error_text(e)}"
+            step0_seconds = time.perf_counter() - started
+        for method in config.methods:
+            joint = _is_joint(method)
+            if step0_error and not joint:
+                records[(method, seed)] = _failed_record(method, seed, step0_error)
+                continue
+            try:
+                record = run_cell(config, inputs, method, seed, None if joint else first)
+                record["seconds"] += 0.0 if joint else step0_seconds
+            except Exception as e:  # keep other cells running
+                record = _failed_record(method, seed, _error_text(e))
+            records[(method, seed)] = record
+    return [records[(m, s)] for m in config.methods for s in config.seeds]
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all cells, aggregate, and (optionally) write report files."""
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = _run_grid(config, pool)
-    else:
-        records = _run_grid(config, None)
-
-    cells = [records[(m, s)] for m in config.methods for s in config.seeds]
+    cells = _run_cells(config)
     report = {
         "config": config_to_dict(config),
         "cells": cells,
         "aggregate": {m: _seed_stats(_ok_cells(cells, m)) for m in config.methods},
-        "ok": all(r["status"] == "ok" for r in records.values()),
+        "ok": all(r["status"] == "ok" for r in cells),
     }
     if config.out_dir:
         out = Path(config.out_dir)

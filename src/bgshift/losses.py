@@ -94,10 +94,6 @@ class LossContext:
     def old_fg_channels(self) -> np.ndarray:
         return self.channels(self.old_classes - {self.background_id})
 
-    @property
-    def new_fg_channels(self) -> np.ndarray:
-        return self.channels(self.new_classes - {self.background_id})
-
 
 def _label_channels(logits: Tensor, mask: np.ndarray, class_order, allowed, what: str) -> np.ndarray:
     """Map label ids to channel indices, rejecting labels outside ``allowed``
@@ -406,8 +402,14 @@ _PRESETS: dict[str, dict] = {
 }
 
 
+def preset_key(name: str) -> str:
+    """The preset that method ``name`` names; case, ``_`` for ``-`` and the
+    LwF-MC spelling do not matter."""
+    return name.upper().replace("_", "-").replace("LWF-MC", "LWFMC")
+
+
 def method_preset(name: str) -> MethodConfig:
-    key = name.upper().replace("_", "-").replace("LWF-MC", "LWFMC")
+    key = preset_key(name)
     if key not in _PRESETS:
         raise ConfigError(f"unknown method {name!r}; known: {sorted(_PRESETS)}")
     return MethodConfig(name=name, **_PRESETS[key])

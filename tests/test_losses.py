@@ -206,7 +206,7 @@ def test_ukd_reduces_to_kd_without_new_classes():
 def collapsed_new_probs(probs: np.ndarray, ctx: L.LossContext) -> np.ndarray:
     """The distribution over C^t used by the unbiased CE: new foreground
     probabilities kept, background channel replaced by the old-class sum."""
-    out = probs[..., np.concatenate(([0], ctx.new_fg_channels))].copy()
+    out = probs[..., np.concatenate(([0], ctx.channels(ctx.new_classes - {ctx.background_id})))].copy()
     out[..., 0] = probs[..., ctx.old_channels].sum(axis=-1)
     return out
 
