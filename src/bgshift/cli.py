@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .exceptions import BgshiftError
+from .exceptions import BgshiftError, ConfigError
 from .harness import RunInputs, compare_report, load_experiment_config, run_experiment
 from .protocol import select_method_weight, split_train_val
 from .scenario import SyntheticConfig, generate_synthetic, save_dataset
@@ -89,21 +89,23 @@ def _dispatch(args, overrides: list[str]) -> int:
         config = load_experiment_config(args.config, overrides)
         method = config.method_config(args.method)
         method.with_weight(1.0)  # FT/Joint have no weight to select: fail before training
+        if len(config.seeds) != 1:
+            raise ConfigError(f"seeds {config.seeds}: select trains with one seed")
         inputs = RunInputs.build(config)
         if inputs.schedule.num_steps < 2:
             print("error: weight selection needs an incremental schedule", file=sys.stderr)
             return 1
         steps = inputs.split[0]
         # step 0 is the same for every method; its importance is the method's
-        step0_config = replace(config.train, method=method)
-        base = run_step(None, steps[0], step0_config)
-        reg_state = update_importance(base.model, steps[0], step0_config, base.path_state, None)
-        train, val = split_train_val(steps[1], seed=config.train.seed)
+        train_config = replace(config.train, seed=config.seeds[0], method=method)
+        base = run_step(None, steps[0], train_config)
+        reg_state = update_importance(base.model, steps[0], train_config, base.path_state, None)
+        train, val = split_train_val(steps[1], seed=train_config.seed)
         result = select_method_weight(
             train,
             val,
             method,
-            train_config=config.train,
+            train_config=train_config,
             model_prev=base.model,
             reg_state=reg_state,
             schedule=inputs.schedule,

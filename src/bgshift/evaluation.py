@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AlignmentError, LabelDomainError
-from .scenario import LabelSchedule
+from .scenario import BACKGROUND, LabelSchedule
 
 
 class ConfusionMatrix:
@@ -82,12 +82,12 @@ def miou_groups(iou: IoUResult, schedule: LabelSchedule, step_t: int) -> MiouRep
     for g in range(step_t + 1):
         members = list(schedule.new_fg(g))
         if g == 0:
-            members = [schedule.background_id] + members
+            members = [BACKGROUND] + members
         vals = [iou.values[chan_of[c]] for c in members if iou.present[chan_of[c]]]
         groups.append(float(np.mean(vals)) if vals else None)
     all_vals = iou.values[iou.present]
     fg_sel = iou.present.copy()
-    fg_sel[chan_of[schedule.background_id]] = False
+    fg_sel[chan_of[BACKGROUND]] = False
     fg_vals = iou.values[fg_sel]
     per_class = {
         c: (float(iou.values[i]) if iou.present[i] else None) for c, i in chan_of.items()

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +117,11 @@ def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
         heldout = load_dataset(spec.eval_path)
         if train.num_classes != heldout.num_classes:
             raise ConfigError("train and eval directories declare different class counts")
+        if train.num_classes != spec.num_fg_classes:
+            raise ConfigError(
+                f"dataset.num_fg_classes is {spec.num_fg_classes} but the manifest of {spec.path} "
+                f"declares classes={train.num_classes}"
+            )
         shared = sorted({s.id for s in train.samples} & {s.id for s in heldout.samples})
         if shared:
             raise ConfigError(
@@ -345,15 +350,41 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return d
 
 
+def _check_type(key: str, value, default) -> None:
+    """ConfigError naming ``key`` unless ``value`` has the type of the field's
+    ``default``: an int passes for a float, a bool only for a bool, a str or
+    None for a None default, and a list's elements are checked in turn."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        for v in value:
+            _check_type(key, v, default[0])
+        return
+    if default is None:
+        expected = (str, type(None))
+    elif isinstance(default, float):
+        expected = (int, float)
+    else:
+        expected = type(default)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, expected):
+        names = "a str or None" if default is None else f"of type {type(default).__name__}"
+        raise ConfigError(f"{key} must be {names}, got {value!r}")
+
+
 def _section(cls, d, prefix: str) -> dict:
-    """``d`` as keyword arguments for dataclass ``cls``; an unknown key
-    raises ConfigError naming its dotted path."""
+    """``d`` as keyword arguments for dataclass ``cls``; an unknown key, or a
+    value not of the type of its field's default (``_check_type``), raises
+    ConfigError naming its dotted path."""
     if not isinstance(d, dict):
         raise ConfigError(f"config key {prefix.rstrip('.')!r} is a section, not a value")
-    names = {f.name for f in fields(cls)}
-    for key in d:
-        if key not in names:
+    by_name = {f.name: f for f in fields(cls)}
+    for key, value in d.items():
+        if key not in by_name:
             raise ConfigError(f"unknown config key {prefix + key!r}")
+        f = by_name[key]
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if not (is_dataclass(default) or isinstance(default, dict)):  # sections check their own keys
+            _check_type(prefix + key, value, default)
     return dict(d)
 
 

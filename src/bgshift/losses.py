@@ -36,63 +36,47 @@ from . import numerics as nm
 from .exceptions import AlignmentError, ConfigError, LabelDomainError, ShapeError
 from .model import SegModel
 from .numerics import Tensor
+from .scenario import BACKGROUND
 
 LOG_FLOOR = 1e-12  # probabilities are clamped here before log
 
 
 @dataclass(frozen=True)
 class LossContext:
-    """Class bookkeeping for one learning step.
+    """The channels of one learning step.
 
-    ``old_classes`` is the label space of the previous step and
-    ``new_classes`` the incoming set; both include the background id, and
-    they overlap only there. ``class_order`` is the channel order of the
-    current model's logits.
+    ``class_order`` is the channel order of the current model's logits. It
+    extends the previous step's label space, so the ``n_old`` classes known
+    before the step, background first, are channels ``0..n_old-1``, and the
+    incoming set, against which the background is scored, is channel 0 plus
+    channels ``n_old..K-1`` (``new_channels``). ``for_step`` checks that
+    layout.
     """
 
-    old_classes: frozenset
-    new_classes: frozenset
-    background_id: int
     class_order: tuple
+    n_old: int
     method_weights: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        b = self.background_id
-        if b not in self.old_classes or b not in self.new_classes:
-            raise ConfigError("background must belong to both old and new class sets")
-        if self.old_classes & self.new_classes != {b}:
-            raise ConfigError("old and new classes may only share the background")
-        if set(self.class_order) != self.old_classes | self.new_classes:
-            raise AlignmentError("class_order must cover exactly the old and new classes")
 
     @classmethod
     def for_step(
-        cls,
-        prev_order: list[int],
-        cur_order: list[int],
-        background_id: int = 0,
-        method_weights: dict | None = None,
+        cls, prev_order: list[int], cur_order: list[int], method_weights: dict | None = None
     ) -> "LossContext":
-        old = frozenset(prev_order)
-        new = frozenset(cur_order) - old | {background_id}
-        return cls(old, new, background_id, tuple(cur_order), dict(method_weights or {}))
-
-    # channel helpers (indices into class_order)
-    def channels(self, classes) -> np.ndarray:
-        lut = {c: i for i, c in enumerate(self.class_order)}
-        return np.array([lut[c] for c in self.class_order if c in classes], dtype=np.intp)
-
-    @property
-    def old_channels(self) -> np.ndarray:
-        return self.channels(self.old_classes)
-
-    @property
-    def new_channels(self) -> np.ndarray:
-        return self.channels(self.new_classes)
+        """The context of a step from the previous model's classes to the
+        current one's; AlignmentError unless ``cur_order`` extends
+        ``prev_order``, which starts with the background, and repeats no
+        class."""
+        prev, cur = list(prev_order), list(cur_order)
+        if prev[:1] != [BACKGROUND]:
+            raise AlignmentError(f"previous classes {prev} do not start with the background {BACKGROUND}")
+        if cur[: len(prev)] != prev:
+            raise AlignmentError(f"classes {cur} do not extend the previous model's classes {prev}")
+        if len(set(cur)) != len(cur):
+            raise AlignmentError(f"classes {cur} repeat a class")
+        return cls(tuple(cur), len(prev), dict(method_weights or {}))
 
     @property
-    def old_fg_channels(self) -> np.ndarray:
-        return self.channels(self.old_classes - {self.background_id})
+    def new_channels(self) -> list[int]:
+        return [0, *range(self.n_old, len(self.class_order))]
 
 
 def _label_channels(logits: Tensor, mask: np.ndarray, class_order, allowed, what: str) -> np.ndarray:
@@ -185,11 +169,12 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *
     """Cross-entropy where a background pixel is scored against the summed
     probability of every previously-known class (background included)."""
     mask = np.asarray(mask)
+    incoming = {ctx.class_order[i] for i in ctx.new_channels}
     try:
-        chan = _label_channels(logits, mask, ctx.class_order, ctx.new_classes, "unbiased_cross_entropy")
+        chan = _label_channels(logits, mask, ctx.class_order, incoming, "unbiased_cross_entropy")
     except (ShapeError, LabelDomainError):
         # a label of an earlier step is named first
-        stale = [int(c) for c in np.unique(mask) if c in ctx.old_classes and c != ctx.background_id]
+        stale = [int(c) for c in np.unique(mask) if c in ctx.class_order[1 : ctx.n_old]]
         if stale:
             raise LabelDomainError(
                 f"unbiased_cross_entropy: labels {stale} belong to earlier steps; "
@@ -198,12 +183,11 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *
         raise
     chan = chan.ravel()
     q = _rows(_softmax(logits.data) if _q is None else _q)
-    old = ctx.old_channels
-    is_bg = mask.ravel() == ctx.background_id
+    is_bg = mask.ravel() == BACKGROUND
     # the target channels: the label's, or every old one on a background pixel
     target = _onehot(chan, q.shape[0])
-    target[old] |= is_bg
-    t = np.where(is_bg, _channel_sum(q, old), _pick(q, chan))
+    target[: ctx.n_old] |= is_bg
+    t = np.where(is_bg, _channel_sum(q, range(ctx.n_old)), _pick(q, chan))
     log_t, active = _clamped_log(t)
     # d/dz of -log t is q - q * target / t
     n = chan.size
@@ -232,15 +216,15 @@ def _distillation_grad(q_hat: np.ndarray, p: np.ndarray, active: np.ndarray) -> 
 def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
     """Distillation with the current probabilities renormalized over the old
     label space (incoming foreground channels dropped)."""
-    old_idx = ctx.old_channels
-    _check_old_probs(logits_new, probs_old, old_idx.size)
+    n_old = ctx.n_old
+    _check_old_probs(logits_new, probs_old, n_old)
     p = _rows(probs_old)
-    q_old = _rows(_softmax(logits_new.data) if _q is None else _q)[old_idx]
-    q_hat = q_old / _channel_sum(q_old, range(old_idx.size))
+    q_old = _rows(_softmax(logits_new.data) if _q is None else _q)[:n_old]
+    q_hat = q_old / _channel_sum(q_old, range(n_old))
     log_q, active = _clamped_log(q_hat)
     grad = np.zeros((len(ctx.class_order), p.shape[1]), dtype=q_hat.dtype)
-    grad[old_idx] = _distillation_grad(q_hat, p, active)
-    value = _mean(-_channel_sum(p * log_q, range(old_idx.size)))
+    grad[:n_old] = _distillation_grad(q_hat, p, active)
+    value = _mean(-_channel_sum(p * log_q, range(n_old)))
     return nm.scalar_node(value, (logits_new, _cols(grad, logits_new.shape)))
 
 
@@ -248,13 +232,12 @@ def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     """Distillation where the old model's background probability is matched
     against the summed current probability of incoming classes + background;
     old foreground channels are compared unrenormalized."""
-    old_idx = ctx.old_channels
-    _check_old_probs(logits_new, probs_old, old_idx.size)
+    _check_old_probs(logits_new, probs_old, ctx.n_old)
     p = _rows(probs_old)
     q = _rows(_softmax(logits_new.data) if _q is None else _q)
     # background (channel 0 of both models) is matched against the summed
     # mass of the incoming classes + background; old foreground is unaltered
-    new, old_fg = ctx.new_channels, ctx.old_fg_channels
+    new, old_fg = ctx.new_channels, slice(1, ctx.n_old)
     q_hat = np.concatenate([_channel_sum(q, new)[None], q[old_fg]])
     log_q, active = _clamped_log(q_hat)
     # the background term plus the foreground terms' sum, in numpy's order
@@ -285,8 +268,7 @@ def lwf_mc_loss(
         raise ConfigError(f"unknown LwF-MC variant {variant!r}")
     mask = np.asarray(mask)
     _label_channels(logits_new, mask, ctx.class_order, set(ctx.class_order), "lwf_mc_loss")
-    old_idx = ctx.old_channels
-    _check_old_probs(logits_new, sigmoid_old, old_idx.size)
+    _check_old_probs(logits_new, sigmoid_old, ctx.n_old)
     w_cls = float(ctx.method_weights.get("w_cls", 1.0))
     w_kd = float(ctx.method_weights.get("w_kd", 1.0))
 
@@ -300,16 +282,16 @@ def lwf_mc_loss(
     grad = np.empty_like(x)
     total = None
     for i, c in enumerate(ctx.class_order):
-        if c == ctx.background_id:
+        if i == 0:  # the background
             targets = []
             if variant in ("full", "C"):
                 targets.append((w_cls, (labels == c).astype(x.dtype)))
             if variant in ("full", "D"):
                 targets.append((w_kd, sig_old[0]))
-        elif c in ctx.new_classes:
+        elif i >= ctx.n_old:
             targets = [(w_cls, (labels == c).astype(x.dtype))]
         else:
-            targets = [(w_kd, sig_old[int(np.where(old_idx == i)[0][0])])]
+            targets = [(w_kd, sig_old[i])]
         s_c = s[i]
         log_s, on_s = _clamped_log(s_c)
         log_1s, on_1s = _clamped_log(1.0 - s_c)
@@ -475,13 +457,8 @@ def composite_objective(
             raise ConfigError(f"{method.name}: incremental step {model.step_index} needs the previous model")
         return cross_entropy(logits, masks, model.known_classes)
 
-    if model_prev.known_classes != model.known_classes[: len(model_prev.known_classes)]:
-        raise AlignmentError("previous model's classes must be a prefix of the current ones")
     ctx = LossContext.for_step(
-        model_prev.known_classes,
-        model.known_classes,
-        background_id=model.background_id,
-        method_weights={"w_cls": W_CLS, "w_kd": method.lambda_kd},
+        model_prev.known_classes, model.known_classes, method_weights={"w_cls": W_CLS, "w_kd": method.lambda_kd}
     )
     if _teacher is None:
         _teacher = _teacher_targets(method, model_prev, images, old_outputs)

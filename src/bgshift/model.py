@@ -34,8 +34,11 @@ import numpy as np
 from . import numerics as nm
 from .exceptions import BgshiftError, ConfigError, ScheduleError, ShapeError
 from .numerics import Tensor
+from .scenario import BACKGROUND
 
 CHECKPOINT_FORMAT = 3  # 3: the backbone meta has the dtype
+HEAD_STD = 0.01  # of the step-0 head's initial weights
+NEW_HEAD_STD = 0.1  # of an incoming class head under random init
 PARAM_NAMES = ("backbone.w1", "backbone.b1", "backbone.w2", "backbone.b2", "head.w", "head.b")
 
 
@@ -61,9 +64,8 @@ class SegModel:
         params: dict[str, Tensor],
         known_classes: list[int],
         step_index: int = 0,
-        background_id: int = 0,
     ):
-        if known_classes[0] != background_id:
+        if known_classes[0] != BACKGROUND:
             raise ScheduleError("background class must come first in known_classes")
         if len(set(known_classes)) != len(known_classes):
             raise ScheduleError("duplicate class id in known_classes")
@@ -77,28 +79,20 @@ class SegModel:
         self.params = params
         self.known_classes = list(known_classes)
         self.step_index = step_index
-        self.background_id = background_id
 
     @classmethod
-    def create(
-        cls,
-        config: BackboneConfig,
-        fg_classes: list[int],
-        rng: np.random.Generator,
-        background_id: int = 0,
-        head_std: float = 0.01,
-    ) -> "SegModel":
+    def create(cls, config: BackboneConfig, fg_classes: list[int], rng: np.random.Generator) -> "SegModel":
         cin, ch, d = config.in_channels, config.hidden, config.features
-        known = [background_id] + list(fg_classes)
+        known = [BACKGROUND] + list(fg_classes)
         # the draw order w1, w2, head.w fixes a seed's initial weights
         w1 = rng.normal(0.0, math.sqrt(1.0 / (9 * cin)), size=(3, 3, cin, ch))
         w2 = rng.normal(0.0, math.sqrt(1.0 / ch), size=(ch, d))
-        head_w = rng.normal(0.0, head_std, size=(d, len(known)))
+        head_w = rng.normal(0.0, HEAD_STD, size=(d, len(known)))
         arrays = (w1, np.zeros(ch), w2, np.zeros(d), head_w, np.zeros(len(known)))
         params = {
             name: Tensor(a.astype(config.dtype), requires_grad=True) for name, a in zip(PARAM_NAMES, arrays)
         }
-        return cls(config, params, known, step_index=0, background_id=background_id)
+        return cls(config, params, known, step_index=0)
 
     @property
     def dtype(self) -> np.dtype:
@@ -124,7 +118,7 @@ class SegModel:
 
     def clone(self) -> "SegModel":
         params = {name: Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in self.params.items()}
-        return SegModel(self.config, params, self.known_classes, self.step_index, self.background_id)
+        return SegModel(self.config, params, self.known_classes, self.step_index)
 
     def frozen_copy(self) -> "SegModel":
         frozen = self.clone()
@@ -145,7 +139,6 @@ def extend_classifier(
     new_classes: list[int],
     init: str = "background",
     rng: np.random.Generator | None = None,
-    head_std: float = 0.1,
 ) -> SegModel:
     """Grow the head for step t.
 
@@ -183,7 +176,7 @@ def extend_classifier(
     elif init == "random":
         if rng is None:
             raise ScheduleError("random head init needs an rng")
-        new_w = rng.normal(0.0, head_std, size=(d, len(new_classes)))
+        new_w = rng.normal(0.0, NEW_HEAD_STD, size=(d, len(new_classes)))
         head_w = np.concatenate([old_w, new_w], axis=1)
         head_b = np.concatenate([old_b, np.zeros(len(new_classes))])
     else:
@@ -200,7 +193,7 @@ def save_checkpoint(model: SegModel, path) -> None:
         "format": CHECKPOINT_FORMAT,
         "step_index": model.step_index,
         "known_classes": model.known_classes,
-        "background_id": model.background_id,
+        "background_id": BACKGROUND,
         "backbone": asdict(model.config),
     }
     arrays = {name.replace(".", "__"): t.data for name, t in model.params.items()}
@@ -209,23 +202,19 @@ def save_checkpoint(model: SegModel, path) -> None:
 
 def load_checkpoint(path) -> SegModel:
     """Read a ``save_checkpoint`` file. A file that is not one, is of
-    another format or does not describe a valid model raises ShapeError
-    naming ``path``."""
+    another format, has another background label or does not describe a
+    valid model raises ShapeError naming ``path``."""
     try:
         with np.load(path) as z:
             meta = json.loads(bytes(z["meta"]).decode())
             if meta.get("format") != CHECKPOINT_FORMAT:
                 raise ShapeError(f"unsupported checkpoint format {meta.get('format')!r}")
+            if meta["background_id"] != BACKGROUND:
+                raise ShapeError(f"background_id {meta['background_id']!r} is not {BACKGROUND}")
             cfg = BackboneConfig(**meta["backbone"])
             params = {
                 name: Tensor(z[name.replace(".", "__")].copy(), requires_grad=True) for name in PARAM_NAMES
             }
-            return SegModel(
-                cfg,
-                params,
-                [int(c) for c in meta["known_classes"]],
-                int(meta["step_index"]),
-                int(meta["background_id"]),
-            )
+            return SegModel(cfg, params, [int(c) for c in meta["known_classes"]], int(meta["step_index"]))
     except (BgshiftError, EOFError, KeyError, TypeError, ValueError) as e:
         raise ShapeError(f"{path}: not a valid checkpoint ({type(e).__name__}: {e})") from e

@@ -20,6 +20,7 @@ from .scenario import LabelSchedule, StepDataset
 
 GRID_MANTISSAS = (1, 5)
 GRID_EXPONENTS = range(-3, 4)
+TRAIN_RATIO = 0.8  # of the first incremental step's samples; the rest validate
 
 
 def hparam_grid() -> list[float]:
@@ -27,16 +28,14 @@ def hparam_grid() -> list[float]:
     return sorted(a * 10.0**b for b in GRID_EXPONENTS for a in GRID_MANTISSAS)
 
 
-def split_train_val(
-    dataset: StepDataset, ratio: float = 0.8, seed: int = 0
-) -> tuple[StepDataset, StepDataset]:
-    """Seeded deterministic partition by sample id; val gets floor(n*(1-ratio)),
-    at least one sample each side."""
+def split_train_val(dataset: StepDataset, seed: int = 0) -> tuple[StepDataset, StepDataset]:
+    """Seeded deterministic partition by sample id; val gets
+    floor(n*(1-TRAIN_RATIO)), at least one sample each side."""
     n = len(dataset)
     if n < 2:
         raise ConfigError("cannot split a dataset with fewer than two samples")
     # the epsilon keeps 10 * (1 - 0.8) from flooring to 1
-    n_val = max(1, math.floor(n * (1.0 - ratio) + 1e-9))
+    n_val = max(1, math.floor(n * (1.0 - TRAIN_RATIO) + 1e-9))
     if n_val >= n:
         raise ConfigError("validation split would consume the whole dataset")
     order = sorted(range(n), key=lambda i: dataset.items[i].id)
@@ -45,7 +44,7 @@ def split_train_val(
     val_idx = set(shuffled[:n_val])
     train_items = [dataset.items[i] for i in range(n) if i not in val_idx]
     val_items = [dataset.items[i] for i in range(n) if i in val_idx]
-    mk = lambda items: StepDataset(items, dataset.step, list(dataset.new_fg), dataset.background_id)
+    mk = lambda items: StepDataset(items, dataset.step, list(dataset.new_fg))
     return mk(train_items), mk(val_items)
 
 
@@ -99,7 +98,6 @@ def select_method_weight(
     model_prev,
     reg_state,
     schedule: LabelSchedule,
-    reference_metric: float | None = None,
 ) -> SelectionResult:
     """Run the weight scan with real trainings on ``train``/``val``.
 
@@ -107,16 +105,15 @@ def select_method_weight(
     its importance (``trainer.update_importance``; None for a method without
     a regularizer), which every candidate is penalized with. ``schedule`` is
     the run's, which groups the evaluation. The reference is the fine-tuned
-    model's new-class mIoU on ``val`` (computed here unless passed in).
+    model's new-class mIoU on ``val``.
     """
     def new_class_miou(model) -> float:
         # the last group is the classes of the step just trained
         value = trainer.evaluate_model(model, val.items, schedule).group_miou[-1]
         return float(value) if value is not None else 0.0
 
-    if reference_metric is None:
-        ft_cfg = replace(train_config, method=method_preset("FT"))
-        reference_metric = new_class_miou(trainer.run_step(model_prev, train, ft_cfg).model)
+    ft_cfg = replace(train_config, method=method_preset("FT"))
+    reference = new_class_miou(trainer.run_step(model_prev, train, ft_cfg).model)
 
     def metric_at(w: float) -> float | None:
         cfg = replace(train_config, method=method.with_weight(w))
@@ -126,4 +123,4 @@ def select_method_weight(
             return None
         return new_class_miou(model)
 
-    return scan_weight_grid(metric_at, reference_metric, grid, tolerated_decay)
+    return scan_weight_grid(metric_at, reference, grid, tolerated_decay)

@@ -1,5 +1,10 @@
 """Label schedules, the incremental split of a corpus and the synthetic corpus.
 
+The label layout is fixed: label 0 (``BACKGROUND``) is the background, the
+foreground classes are 1..K, and the label space of a step is the
+background followed by every class scheduled up to that step, so it extends
+the previous step's. Masks, schedules, models and losses all use it.
+
 ``split_corpus`` turns a fully-annotated corpus into per-step training sets
 by one rule. The candidate steps of an image are those that introduce one of
 its classes. The overlapped protocol puts the image in every candidate step;
@@ -23,19 +28,20 @@ import numpy as np
 
 from .exceptions import GenerationError, IngestionError, LabelDomainError, ScheduleError
 
+BACKGROUND = 0  # the background's label, and channel 0 of every model
+
 
 @dataclass(frozen=True)
 class LabelSchedule:
     """Foreground class ids per learning step; background is implicit."""
 
     steps: tuple[tuple[int, ...], ...]
-    background_id: int = 0
 
     def __post_init__(self):
         if not self.steps or not self.steps[0]:
             raise ScheduleError("the first step must introduce at least one class")
         flat = [c for step in self.steps for c in step]
-        if self.background_id in flat:
+        if BACKGROUND in flat:
             raise ScheduleError("background id cannot be scheduled as a foreground class")
         if len(set(flat)) != len(flat):
             raise ScheduleError("class ids must be disjoint across steps")
@@ -51,13 +57,13 @@ class LabelSchedule:
         return [c for step in self.steps[: t + 1] for c in step]
 
     def label_space(self, t: int) -> list[int]:
-        return [self.background_id] + self.fg_up_to(t)
+        return [BACKGROUND] + self.fg_up_to(t)
 
     def all_fg(self) -> list[int]:
         return self.fg_up_to(self.num_steps - 1)
 
     def joint(self) -> "LabelSchedule":
-        return LabelSchedule((tuple(self.all_fg()),), self.background_id)
+        return LabelSchedule((tuple(self.all_fg()),))
 
 
 def build_schedule(
@@ -65,7 +71,6 @@ def build_schedule(
     sizes: list[int],
     order: str = "index",
     seed: int | None = None,
-    background_id: int = 0,
 ) -> LabelSchedule:
     """Slice the (optionally permuted) class order into consecutive steps."""
     if sum(sizes) != num_fg_classes:
@@ -82,7 +87,7 @@ def build_schedule(
     for s in sizes:
         steps.append(tuple(int(c) for c in ids[pos : pos + s]))
         pos += s
-    return LabelSchedule(tuple(steps), background_id)
+    return LabelSchedule(tuple(steps))
 
 
 @dataclass
@@ -106,7 +111,6 @@ class StepDataset:
     items: list[Sample]
     step: int
     new_fg: list[int]  # incoming classes, schedule order
-    background_id: int = 0
 
     def __post_init__(self):
         visible = set(self.visible_classes)
@@ -124,7 +128,7 @@ class StepDataset:
 
     @property
     def visible_classes(self) -> list[int]:
-        return [self.background_id] + list(self.new_fg)
+        return [BACKGROUND] + list(self.new_fg)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -136,18 +140,18 @@ class SplitReport:
     per_step: list[dict]  # old_as_bg / future_as_bg / true_bg pixel counts
 
 
-def relabel(full_mask: np.ndarray, visible_fg, background_id: int = 0) -> np.ndarray:
+def relabel(full_mask: np.ndarray, visible_fg) -> np.ndarray:
     """Keep labels in ``visible_fg``; everything else becomes background."""
-    visible = np.asarray(sorted(set(int(c) for c in visible_fg) - {background_id}), dtype=full_mask.dtype)
+    visible = np.asarray(sorted(set(int(c) for c in visible_fg) - {BACKGROUND}), dtype=full_mask.dtype)
     keep = np.isin(full_mask, visible)
-    return np.where(keep, full_mask, background_id)
+    return np.where(keep, full_mask, BACKGROUND)
 
 
-def _shift_counts(full_mask: np.ndarray, step_fg: set, seen_fg: set, background_id: int) -> dict:
+def _shift_counts(full_mask: np.ndarray, step_fg: set, seen_fg: set) -> dict:
     """How many background-labeled pixels are really old/future foreground."""
     relabeled_bg = ~np.isin(full_mask, np.asarray(sorted(step_fg), dtype=full_mask.dtype))
     old = np.isin(full_mask, np.asarray(sorted(seen_fg - step_fg), dtype=full_mask.dtype))
-    true_bg = full_mask == background_id
+    true_bg = full_mask == BACKGROUND
     future = relabeled_bg & ~old & ~true_bg
     return {
         "old_as_bg": int((relabeled_bg & old).sum()),
@@ -161,12 +165,11 @@ def split_corpus(corpus: list[Sample], schedule: LabelSchedule, protocol: str):
     overlapped); the placement rule is in the module docstring."""
     if protocol not in ("disjoint", "overlapped"):
         raise ScheduleError(f"unknown protocol {protocol!r}")
-    b = schedule.background_id
     buckets: list[list[Sample]] = [[] for _ in range(schedule.num_steps)]
     stats = [dict(old_as_bg=0, future_as_bg=0, true_bg=0) for _ in range(schedule.num_steps)]
     excluded = []
     for sample in corpus:
-        labels = set(np.unique(sample.mask).tolist()) - {b}
+        labels = set(np.unique(sample.mask).tolist()) - {BACKGROUND}
         placed = [t for t in range(schedule.num_steps) if labels & set(schedule.new_fg(t))]
         if protocol == "disjoint":
             placed = [t for t in placed if labels <= set(schedule.fg_up_to(t))][:1]
@@ -174,12 +177,10 @@ def split_corpus(corpus: list[Sample], schedule: LabelSchedule, protocol: str):
             excluded.append(sample.id)
         for t in placed:
             step_fg = set(schedule.new_fg(t))
-            buckets[t].append(Sample(sample.id, sample.image, relabel(sample.mask, step_fg, b)))
-            for key, v in _shift_counts(
-                sample.mask, step_fg, set(schedule.fg_up_to(t)), b
-            ).items():
+            buckets[t].append(Sample(sample.id, sample.image, relabel(sample.mask, step_fg)))
+            for key, v in _shift_counts(sample.mask, step_fg, set(schedule.fg_up_to(t))).items():
                 stats[t][key] += v
-    steps = [StepDataset(buckets[t], t, schedule.new_fg(t), b) for t in range(schedule.num_steps)]
+    steps = [StepDataset(buckets[t], t, schedule.new_fg(t)) for t in range(schedule.num_steps)]
     return steps, SplitReport(excluded, stats)
 
 

@@ -129,9 +129,7 @@ def run_step(
     if model_prev is None:
         if t != 0:
             raise ConfigError(f"step {t} needs the model of step {t - 1}")
-        model = SegModel.create(
-            config.backbone, dataset.new_fg, rngs["init"], dataset.background_id
-        )
+        model = SegModel.create(config.backbone, dataset.new_fg, rngs["init"])
     else:
         model = extend_classifier(
             model_prev, dataset.new_fg, init=method.init_mode, rng=rngs["init"]
@@ -283,7 +281,7 @@ def evaluate_model(
         for sample in eval_corpus:
             logits, _ = model.forward_batch(sample.image[None])
             pred = argmax_mask(logits.data[0], order)
-            gt = relabel(sample.mask, order, schedule.background_id)
+            gt = relabel(sample.mask, order)
             cm.accumulate(lut[pred], lut[gt])
     return miou_groups(iou_per_class(cm), schedule, t)
 

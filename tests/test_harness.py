@@ -146,6 +146,39 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
 
 
 @pytest.mark.parametrize(
+    "override, key",
+    [
+        ("--train.lr_step0=x", "train.lr_step0"),
+        ("--train.method.lambda_kd=abc", "train.method.lambda_kd"),
+        ("--train.hflip=yes", "train.hflip"),
+        ("--train.batch_size=2.5", "train.batch_size"),
+        ("--train.epochs_per_step=1.5", "train.epochs_per_step"),
+        ("--dataset.num_train=abc", "dataset.num_train"),
+        ("--train.backbone.hidden=true", "train.backbone.hidden"),
+        ("--schedule_sizes=1.0,1", "schedule_sizes"),
+        ("--methods=FT,3", "methods"),
+        ("--train.method.lwfmc_variant=1", "train.method.lwfmc_variant"),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_named(tmp_path, capsys, override, key):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        hz.load_experiment_config(cfg_file, [override])
+    assert cli_main(["run", "--config", str(cfg_file), override]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+
+def test_an_int_passes_for_a_float_and_none_for_an_optional_str(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    overrides = ["--train.lr_later=1", "--train.method.lwfmc_variant=none", "--dataset.path=none"]
+    cfg = hz.load_experiment_config(cfg_file, overrides)
+    assert cfg.train.lr_later == 1
+    assert cfg.method_overrides == {"lwfmc_variant": None} and cfg.dataset.path is None
+
+
+@pytest.mark.parametrize(
     "override, key", [("--train.method.w_kd=1", "train.method.w_kd"), ("--save_checkpoints=false", "save_checkpoints")]
 )
 def test_a_removed_key_is_named(tmp_path, capsys, override, key):
@@ -465,10 +498,12 @@ def test_cli_generate_and_run(tmp_path):
     assert rc == 0
 
 
-def dir_datasets(tmp_path, train_ids, eval_ids):
+def dir_datasets(tmp_path, train_ids, eval_ids, classes=2):
+    """Train and eval directories of 2-class images whose manifests declare
+    ``classes``."""
     samples = generate_synthetic(0, SyntheticConfig(num_fg_classes=2, num_images=4, height=16, width=16))
     for name, ids in (("train", train_ids), ("eval", eval_ids)):
-        save_dataset([replace(samples[i], id=sid) for i, sid in enumerate(ids)], tmp_path / name, 2)
+        save_dataset([replace(samples[i], id=sid) for i, sid in enumerate(ids)], tmp_path / name, classes)
     return str(tmp_path / "train"), str(tmp_path / "eval")
 
 
@@ -482,10 +517,22 @@ def test_eval_dir_equal_to_train_dir_is_a_config_error(tmp_path):
 def test_eval_dir_sharing_sample_ids_is_a_config_error(tmp_path):
     train, heldout = dir_datasets(tmp_path, ["a", "b", "c"], ["x", "b"])
     with pytest.raises(ConfigError, match=r"share 1 sample ids, first \['b'\]"):
-        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout))
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
     train, heldout = dir_datasets(tmp_path / "ok", ["a", "b"], ["c", "d"])
-    corpus, eval_corpus = hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout))
+    corpus, eval_corpus = hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
     assert [s.id for s in corpus] == ["a", "b"] and [s.id for s in eval_corpus] == ["c", "d"]
+
+
+def test_a_dir_corpus_with_more_classes_than_the_config_is_a_config_error(tmp_path):
+    train, heldout = dir_datasets(tmp_path, ["a", "b"], ["c"], classes=7)
+    with pytest.raises(ConfigError, match="dataset.num_fg_classes is 5 .* declares classes=7"):
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout))
+
+
+def test_a_dir_corpus_with_fewer_classes_than_the_config_is_a_config_error(tmp_path):
+    train, heldout = dir_datasets(tmp_path, ["a", "b"], ["c"], classes=3)
+    with pytest.raises(ConfigError, match="dataset.num_fg_classes is 5 .* declares classes=3"):
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout))
 
 
 def test_cli_exit_code_2_on_cell_failure(tmp_path, monkeypatch):
@@ -533,6 +580,27 @@ def test_select_keeps_a_non_weight_override(tmp_path, monkeypatch):
     candidates = [m for m in methods if m.name == "MiB"]
     assert [m.lambda_kd for m in candidates] == hparam_grid()
     assert all(m.init_mode == "random" and m.kd_mode == "unbiased" for m in candidates)
+
+
+def test_select_trains_with_the_seed_of_seeds(tmp_path, monkeypatch, capsys):
+    seeds = []
+    real_run_step = tr.run_step
+
+    def recording_run_step(model_prev, dataset, config, *args, **kwargs):
+        seeds.append(config.seed)
+        return real_run_step(model_prev, dataset, config, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "run_step", recording_run_step)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    argv = ["select", "--config", str(cfg_file), "--method", "LwF", "--seeds=3", "--train.seed=5"]
+    assert cli_main(argv) == 0
+    assert seeds and set(seeds) == {3}
+    capsys.readouterr()
+    seeds.clear()
+    assert cli_main(["select", "--config", str(cfg_file), "--method", "LwF", "--seeds=3,4"]) == 1
+    assert capsys.readouterr().err.startswith("error: seeds [3, 4]")
+    assert seeds == []
 
 
 @pytest.mark.parametrize("method", ["EWC", "PI", "RW"])

@@ -206,15 +206,15 @@ def test_ukd_reduces_to_kd_without_new_classes():
 def collapsed_new_probs(probs: np.ndarray, ctx: L.LossContext) -> np.ndarray:
     """The distribution over C^t used by the unbiased CE: new foreground
     probabilities kept, background channel replaced by the old-class sum."""
-    out = probs[..., np.concatenate(([0], ctx.channels(ctx.new_classes - {ctx.background_id})))].copy()
-    out[..., 0] = probs[..., ctx.old_channels].sum(axis=-1)
+    out = probs[..., ctx.new_channels].copy()
+    out[..., 0] = probs[..., : ctx.n_old].sum(axis=-1)
     return out
 
 
 def collapsed_old_probs(probs: np.ndarray, ctx: L.LossContext) -> np.ndarray:
     """The distribution over Y^{t-1} the unbiased distillation compares with:
     old foreground kept, background = summed mass of incoming classes + bg."""
-    out = probs[..., ctx.old_channels].copy()
+    out = probs[..., : ctx.n_old].copy()
     out[..., 0] = probs[..., ctx.new_channels].sum(axis=-1)
     return out
 
@@ -571,6 +571,28 @@ def test_composite_missing_old_model_raises():
     masks = np.zeros((1, 4, 4), dtype=int)
     with pytest.raises(ConfigError):
         L.composite_objective(L.method_preset("LwF"), (images, masks), cur, None)
+
+
+@pytest.mark.parametrize(
+    "prev, cur, match",
+    [
+        ([0, 1, 2], [0, 2, 1, 3], "do not extend"),
+        ([1, 0], [1, 0, 2], "do not start with the background"),
+        ([0, 1], [0, 1, 2, 2], "repeat a class"),
+    ],
+    ids=["not-an-extension", "background-not-first", "repeated-class"],
+)
+def test_for_step_rejects_a_label_space_that_does_not_extend_a_background_first_one(prev, cur, match):
+    with pytest.raises(AlignmentError, match=match):
+        L.LossContext.for_step(prev, cur)
+
+
+def test_composite_rejects_a_model_whose_classes_do_not_extend_the_teacher():
+    prev, _ = small_models()
+    reordered = SegModel.create(prev.config, [2, 1, 3], np.random.default_rng(13))
+    images = np.random.default_rng(14).random((1, 4, 4, 3))
+    with pytest.raises(AlignmentError, match="do not extend"):
+        L.composite_objective(L.method_preset("MiB"), (images, np.zeros((1, 4, 4), int)), reordered, prev)
 
 
 def test_composite_ilt_adds_feature_term():

@@ -274,8 +274,18 @@ def _format_2(meta):
         (lambda good, bad: _rewrite_checkpoint(good, bad, _format_2), "format 2"),
         (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m["backbone"].update(dtype="float16")), "dtype"),
         (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m["backbone"].update(dtype="float64")), "dtype"),
+        (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m.update(background_id=3)), "background_id 3"),
     ],
-    ids=["unknown-backbone-key", "missing-array", "not-npz", "format-1", "format-2", "bad-dtype", "dtype-mismatch"],
+    ids=[
+        "unknown-backbone-key",
+        "missing-array",
+        "not-npz",
+        "format-1",
+        "format-2",
+        "bad-dtype",
+        "dtype-mismatch",
+        "background-not-0",
+    ],
 )
 def test_a_bad_checkpoint_is_rejected_naming_its_path(tmp_path, corrupt, match):
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
