@@ -403,7 +403,13 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def _parse_scalar(text: str):
+    """A config value: a bool, None, an int, a float, a comma-separated list
+    of these, or else a str. A value in matching double or single quotes is
+    the str between them (``"2024"``, ``'none'``, ``"1,2"``); a list's items
+    are quoted one by one (``"a","b"``)."""
     s = text.strip()
+    if len(s) >= 2 and s[0] in "\"'" and s[-1] == s[0] and s[0] not in s[1:-1]:
+        return s[1:-1]
     low = s.lower()
     if low in ("true", "false"):
         return low == "true"

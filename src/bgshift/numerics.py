@@ -15,15 +15,20 @@ the drift penalty over the parameters, the objective over its weighted terms.
 backbone is checked against. ``finite_difference_gradient`` is the
 independent oracle used to check every gradient.
 
-Both layers are limited by memory traffic, not arithmetic, so they keep
-their working set in cache. ``conv_dense`` walks the pixels in blocks of
-about ``TILE`` (whole images while they fit, else rows of one image) and cuts
-each block's im2col columns from the padded input when it reaches it; its
-output is that of the composition bit for bit, its weight gradients only
-when the batch is one block (otherwise the blocks' sums are added in another
-order). ``affine_last`` stores its result channel-major, one contiguous row
-of pixels per output channel, behind the usual [..., C] view, which is the
-layout the losses read.
+Both layers are limited by memory traffic, not arithmetic, so each numpy
+call in them handles long contiguous runs and the working set stays in
+cache. The input is padded once into a channel-first copy, and a block's
+im2col columns are [9*Cin, pixels], copied a row of W pixels at a time
+(``_conv_columns``, shared by ``conv3x3`` and ``conv_dense``). A bias
+gradient is a column sum done as one matrix-vector product
+(``_column_sum``), not numpy's row loop. ``conv_dense`` walks the pixels in
+blocks of about ``TILE`` (whole images while they fit, else rows of one
+image), cuts each block's columns when it reaches it and adds the biases as
+arrays of the block's shape. Its output is that of the composition bit for bit,
+its weight gradients only when the batch is one block (otherwise the
+blocks' sums are added in another order). ``affine_last`` stores its result
+channel-major, one contiguous row of pixels per output channel, behind the
+usual [..., C] view, which is the layout the losses read.
 
 Arrays keep the dtype they come in: a node computes in the dtype of its
 inputs (float32 or float64, the parameters' dtype during training; see
@@ -44,9 +49,11 @@ from .exceptions import OracleError, ShapeError
 
 DEFAULT_DTYPE = np.float64
 # pixels per block of the backbone (conv_dense): a block's im2col columns,
-# activations and their gradients, about 1.7 MB at 3 input and 16 hidden
-# channels, stay in a 2 MB L2 cache; of 512 to 8192, 1024 and 2048 were the
-# fastest at 8x64x64 on an x86 core with 2 MB of L2
+# activations, their gradients and the repeated biases, about 1 MB in
+# float32 (2 MB in float64) at 3 input and 16 hidden channels, stay in a
+# 2 MB L2 cache; of 512 to 8192, 2048 was the fastest fwd+bwd at 8x64x64 in
+# float32 on an x86 core with 2 MB of L2 (5.4 ms, against 6.1 at 1024 and
+# 6.5 at 4096)
 TILE = 2048
 
 _grad_enabled = True
@@ -166,24 +173,32 @@ def tanh(a) -> Tensor:
 
 def _conv_windows(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     """The 3x3 windows of ``xd`` [B,H,W,Cin] zero-padded by one pixel, as a
-    strided [B,H,W,3,3,Cin] view (no copy), checked against the kernel
-    ``wd`` [3,3,Cin,Cout]."""
+    strided [3,3,Cin,B,H,W] view (no copy) of a channel-first padded copy
+    [Cin,B,H+2,W+2], checked against the kernel ``wd`` [3,3,Cin,Cout]."""
     if xd.ndim != 4:
         raise ShapeError("conv3x3 input must be [B,H,W,Cin]")
     if wd.shape[:2] != (3, 3) or wd.shape[2] != xd.shape[3]:
         raise ShapeError("conv3x3 kernel must be [3,3,Cin,Cout] matching input channels")
     B, H, W, cin = xd.shape
-    xp = np.zeros((B, H + 2, W + 2, cin), dtype=xd.dtype)
-    xp[:, 1:-1, 1:-1, :] = xd
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    return windows.transpose(0, 1, 2, 4, 5, 3)
+    xp = np.zeros((cin, B, H + 2, W + 2), dtype=xd.dtype)
+    xp[:, :, 1:-1, 1:-1] = xd.transpose(3, 0, 1, 2)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    return windows.transpose(4, 5, 0, 1, 2, 3)
 
 
-def _conv_columns(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
-    """The [B*H*W, 9*Cin] im2col columns of a 3x3 same-padding convolution of
-    ``xd`` [B,H,W,Cin] with kernel ``wd`` [3,3,Cin,Cout], ordered (di, dj, cin):
-    one copy of the strided windows of the zero-padded input."""
-    return _conv_windows(xd, wd).reshape(-1, 9 * xd.shape[3])
+def _conv_columns(windows: np.ndarray) -> np.ndarray:
+    """The im2col columns of a block of ``_conv_windows`` [3,3,Cin,b,h,W], as
+    one contiguous [9*Cin, b*h*W] copy: a row per (di, dj, cin), the row
+    order of the kernel reshaped to [9*Cin, Cout], and a column per pixel.
+    Each run copied is a row of W pixels."""
+    return windows.reshape(9 * windows.shape[2], -1)
+
+
+def _column_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)`` of a 2-D array as one matrix-vector product, which
+    is several times faster than numpy's row loop for a few columns; the
+    summation order, and so the last bits, differ."""
+    return np.ones(len(a), a.dtype) @ a
 
 
 def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -194,16 +209,16 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
-    flat = _conv_columns(xd, wd)
+    cols = _conv_columns(_conv_windows(xd, wd))
     B, H, W, cin = xd.shape
     cout = wd.shape[3]
-    data = (flat @ wd.reshape(9 * cin, cout) + b.data).reshape(B, H, W, cout)
+    data = (cols.T @ wd.reshape(9 * cin, cout) + b.data).reshape(B, H, W, cout)
     need_x = x.requires_grad
 
     def bw(g):
         gf = g.reshape(B * H * W, cout)
-        gw = (flat.T @ gf).reshape(3, 3, cin, cout)
-        gb = gf.sum(axis=0)
+        gw = (cols @ gf).reshape(3, 3, cin, cout)
+        gb = _column_sum(gf)
         if not need_x:
             return None, gw, gb
         gcols = (gf @ wd.reshape(9 * cin, cout).T).reshape(B, H, W, 3, 3, cin)
@@ -248,13 +263,18 @@ def conv_dense(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     ``x`` is [B,H,W,Cin] data: no gradient flows to it. ``w2`` [Cmid, Cout]
     is a dense map over the channels (a 1x1 convolution). Forward and
-    backward walk the pixels in blocks of about ``TILE`` (``_tiles``); each
-    block's im2col columns are cut from the padded input when the block is
-    reached, so the working set stays in cache and the full column matrix
-    never exists. The node keeps only the two tanh outputs. The result equals
-    that of the composition ``conv3x3 -> tanh -> affine_last -> tanh`` bit for
-    bit; the gradients of ``w1, b1, w2, b2`` do so when the batch is one
-    block, and otherwise differ only in the order the blocks' sums are added.
+    backward walk the pixels in blocks of about ``TILE`` (``_tiles``). Each
+    block's [9*Cin, pixels] im2col columns are copied from the channel-first
+    padded input when the block is reached, in the forward and again in the
+    backward, so the working set stays in cache and the full column matrix
+    never exists. The forward adds each bias as an array of the block's
+    shape, the same adds as a broadcast; the backward sums the bias
+    gradients with ``_column_sum``. The node keeps
+    only the two tanh outputs. The result equals that of the composition
+    ``conv3x3 -> tanh -> affine_last -> tanh`` bit for bit, as the two share
+    the column code; the gradients of ``w1, b1, w2, b2`` do so when the batch
+    is one block, and otherwise differ only in the order the blocks' sums are
+    added.
     """
     xd = as_tensor(x).data
     w1, b1, w2, b2 = (as_tensor(t) for t in (w1, b1, w2, b2))
@@ -263,25 +283,31 @@ def conv_dense(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     k1 = w1.data.reshape(9 * cin, -1)
     h = np.empty((B * H * W, k1.shape[1]), dtype=np.result_type(xd, k1))
     f = np.empty((h.shape[0], w2.data.shape[1]), dtype=h.dtype)
-    for bs, rs, ps in _tiles(B, H, W):
+    tiles = list(_tiles(B, H, W))
+    # the biases repeated for each pixel of the longest tile: an add of two
+    # contiguous arrays of one shape runs as one flat loop, where a broadcast
+    # add loops over the pixels
+    n = max((ps.stop - ps.start for _, _, ps in tiles), default=0)
+    bias1, bias2 = np.tile(b1.data, (n, 1)), np.tile(b2.data, (n, 1))
+    for bs, rs, ps in tiles:
         ht, ft = h[ps], f[ps]
-        np.matmul(windows[bs, rs].reshape(-1, 9 * cin), k1, out=ht)
-        ht += b1.data
+        np.matmul(_conv_columns(windows[:, :, :, bs, rs]).T, k1, out=ht)
+        ht += bias1[: len(ht)]
         np.tanh(ht, out=ht)
         np.matmul(ht, w2.data, out=ft)
-        ft += b2.data
+        ft += bias2[: len(ft)]
         np.tanh(ft, out=ft)
 
     def bw(g):
         g = g.reshape(f.shape)
         gw1, gb1, gw2, gb2 = (np.zeros_like(a) for a in (k1, b1.data, w2.data, b2.data))
-        for bs, rs, ps in _tiles(B, H, W):
+        for bs, rs, ps in tiles:
             gf = _tanh_grad(f[ps], g[ps])
             gh = _tanh_grad(h[ps], gf @ w2.data.T)
-            gw1 += windows[bs, rs].reshape(-1, 9 * cin).T @ gh
-            gb1 += gh.sum(axis=0)
+            gw1 += _conv_columns(windows[:, :, :, bs, rs]) @ gh
+            gb1 += _column_sum(gh)
             gw2 += h[ps].T @ gf
-            gb2 += gf.sum(axis=0)
+            gb2 += _column_sum(gf)
         return gw1.reshape(w1.data.shape), gb1, gw2, gb2
 
     return _from_op(f.reshape(xd.shape[:3] + f.shape[-1:]), (w1, b1, w2, b2), bw)
@@ -305,7 +331,7 @@ def affine_last(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         gf = g.reshape(out.shape)
         gx = (gf @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
-        return gx, flat.T @ gf, gf.sum(axis=0)
+        return gx, flat.T @ gf, _column_sum(gf)
 
     return _from_op(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, w, b), bw)
 

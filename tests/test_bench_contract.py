@@ -17,7 +17,7 @@ from bgshift.scenario import Sample, build_schedule, split_corpus
 from bgshift.trainer import TrainConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench import kernels, tracing  # noqa: E402
+from perfbench import kernels, tracing, workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("module, attr", tracing.TARGETS, ids=[f"{m}.{a}" for m, a in tracing.TARGETS])
@@ -82,3 +82,16 @@ def test_a_traced_run_computes_the_same_cells_and_every_declared_metric():
     declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["per_layer"]
     assert {name: unit for name, (_, unit) in metrics.items()} == {m["name"]: m["unit"] for m in declared}
     assert all(math.isfinite(value) for value, _ in metrics.values())
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_each_workload_passes_its_own_output_checks_at_the_tiny_scale(name, tmp_path):
+    # setup -> call -> evaluate, as ``perfbench/run.py --scale tiny`` does in
+    # its own process; a second mib call must compute the same results
+    workload = workloads.WORKLOADS[name](0, "tiny", tmp_path)
+    workload.setup()
+    outcomes = [workload.evaluate(workload.call()) for _ in range(2 if name == "mib-3-1-1-disjoint" else 1)]
+    for outcome in outcomes:
+        assert (outcome.failed, outcome.errors) == (0, [])
+        assert outcome.attempted == workload.expected_units()
+    assert len({outcome.signature for outcome in outcomes}) == 1

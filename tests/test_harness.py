@@ -178,6 +178,22 @@ def test_an_int_passes_for_a_float_and_none_for_an_optional_str(tmp_path):
     assert cfg.method_overrides == {"lwfmc_variant": None} and cfg.dataset.path is None
 
 
+def test_a_quoted_value_is_the_str_between_the_quotes(tmp_path):
+    # in a config line and in an override; a shell passes the override
+    # --dataset.path='"2024"' on as --dataset.path="2024"
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG + 'dataset.path = "2024"\ndataset.eval_path = \'none\'\n')
+    cfg = hz.load_experiment_config(cfg_file)
+    assert (cfg.dataset.path, cfg.dataset.eval_path) == ("2024", "none")
+    cfg = hz.load_experiment_config(cfg_file, ['--dataset.path="1,2"', '--dataset.eval_path="none"'])
+    assert (cfg.dataset.path, cfg.dataset.eval_path) == ("1,2", "none")
+
+
+def test_unquoted_values_parse_as_before_and_list_items_are_quoted_one_by_one():
+    tree = hz.parse_config_text('a = 2024\nb = none\nc = 1,2\nd = "x\ne = "FT","MiB"\nf = ""\n')
+    assert tree == {"a": 2024, "b": None, "c": [1, 2], "d": '"x', "e": ["FT", "MiB"], "f": ""}
+
+
 @pytest.mark.parametrize(
     "override, key", [("--train.method.w_kd=1", "train.method.w_kd"), ("--save_checkpoints=false", "save_checkpoints")]
 )

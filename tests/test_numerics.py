@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bgshift import numerics as nm
 from bgshift.exceptions import OracleError, ShapeError
 from bgshift.losses import _softmax
-from bgshift.numerics import Tensor
+from bgshift.numerics import Tensor, _column_sum
 
 
 # the softmax shared by the losses and the teacher (numpy, outside the tape)
@@ -132,23 +132,57 @@ def _composed_backbone(x, w1, b1, w2, b2):
 
 
 @pytest.mark.parametrize("feature_grad", [False, True])
-def test_conv_dense_equals_the_elementary_composition_bit_for_bit(feature_grad):
+def test_conv_dense_equals_the_elementary_composition_bit_for_bit(feature_grad, dtype=np.float64):
     rng = np.random.default_rng(13)
-    x = rng.random((2, 6, 5, 3))
+    x = rng.random((2, 6, 5, 3)).astype(dtype)
     weights = [rng.normal(size=(3, 3, 3, 4)), rng.normal(size=4) * 0.1, rng.normal(size=(4, 5)), rng.normal(size=5) * 0.1]
-    head_w, r = rng.normal(size=(5, 3)), rng.normal(size=(2, 6, 5, 5))
+    weights = [w.astype(dtype) for w in weights]
+    head_w, r = rng.normal(size=(5, 3)).astype(dtype), rng.normal(size=(2, 6, 5, 5)).astype(dtype)
     results = []
     for op in (nm.conv_dense, _composed_backbone):
         params = [Tensor(w.copy(), requires_grad=True) for w in weights]
         feats = op(Tensor(x), *params)
         # a head on the features, and (as ILT's feature distillation does) a
         # second gradient into them
-        logits = nm.affine_last(feats, Tensor(head_w), Tensor(np.zeros(3)))
-        terms = [(logits, np.full(logits.shape, 0.5))] + ([(feats, r)] if feature_grad else [])
+        logits = nm.affine_last(feats, Tensor(head_w), Tensor(np.zeros(3, dtype)))
+        terms = [(logits, np.full(logits.shape, 0.5, dtype))] + ([(feats, r)] if feature_grad else [])
         weighted_sum(*terms).backward()
         results.append([feats.data] + [p.grad for p in params])
     for fused, composed in zip(*results):
-        assert np.array_equal(fused, composed)
+        assert fused.dtype == dtype and np.array_equal(fused, composed)
+
+
+@pytest.mark.parametrize("feature_grad", [False, True])
+def test_conv_dense_equals_the_elementary_composition_bit_for_bit_in_float32(feature_grad):
+    # float32 is the training dtype
+    test_conv_dense_equals_the_elementary_composition_bit_for_bit(feature_grad, np.float32)
+
+
+def direct_columns(x, images, rows):
+    """The im2col columns [9*Cin, pixels] of the pixels (b, i, j) for b in
+    ``images``, i in ``rows`` and every j, one window at a time."""
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    windows = [xp[b, i : i + 3, j : j + 3, :].reshape(-1) for b in images for i in rows for j in range(x.shape[2])]
+    return np.array(windows).T
+
+
+@pytest.mark.parametrize("bs, rs", [(slice(1, 2), slice(2, 5)), (slice(1, 3), slice(0, 4))], ids=["row-block", "whole-images"])
+def test_conv_columns_equal_a_direct_im2col(bs, rs):
+    x = np.random.default_rng(16).random((3, 4, 5, 2)).astype(np.float32)
+    cols = nm._conv_columns(nm._conv_windows(x, np.zeros((3, 3, 2, 1)))[:, :, :, bs, rs])
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, direct_columns(x, range(3)[bs], range(4)[rs]))
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 7, 2048, 6149])
+def test_column_sum_matches_numpy_sum(n, order, dtype, rtol):
+    a = np.asarray(np.random.default_rng(n).normal(size=(n, 16)), dtype=dtype, order=order)
+    got = _column_sum(a)
+    assert got.dtype == dtype
+    # relative to the sum of magnitudes, the scale of any summation's rounding
+    assert np.all(np.abs(got - a.sum(axis=0)) <= rtol * np.abs(a).sum(axis=0))
 
 
 # small batches split over several tiles once TILE is 16 pixels: whole images

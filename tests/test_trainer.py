@@ -355,52 +355,52 @@ def test_loss_traces_match_the_pinned_ones(method):
 # loss traces; the estimators and the merge must reproduce them bit for bit
 PINNED_IMPORTANCE = {
     ('EWC', 0): {
-        'backbone.b1': ('465282f391941e4b', '6561f22e540ed4ea'),
-        'backbone.b2': ('5178ec587a835735', '81ee4e208ca33979'),
-        'backbone.w1': ('da092897180bb75a', 'b97264947162fe51'),
-        'backbone.w2': ('ef459b343a04e132', '04c47556ee9eb9e0'),
-        'head.b': ('4759a5f07ec87f9e', '0ee4128bf51a212f'),
-        'head.w': ('57c8f799dba30167', 'aab84202da6a7452'),
+        'backbone.b1': ('975eff4cb4fa6474', 'af45568d4f070293'),
+        'backbone.b2': ('6eaf2f3cf6efff33', 'a1912c81d3fb1385'),
+        'backbone.w1': ('f1b4293bf837b8a9', '40207719699fa2a2'),
+        'backbone.w2': ('f4c2ef368b08b459', '04c47556ee9eb9e0'),
+        'head.b': ('4759a5f07ec87f9e', '46445aa5a901e494'),
+        'head.w': ('50c37cc190eb2f87', '448a927d38f1fd12'),
     },
     ('EWC', 1): {
-        'backbone.b1': ('865058db453ea58b', '19c5637abc372941'),
-        'backbone.b2': ('5521d143a0c4624e', '3d2bd483977b607e'),
-        'backbone.w1': ('d5c593b43c66e3dc', 'a0f6bf2496fc212d'),
-        'backbone.w2': ('1f6003653e968e7d', '6e0af1e8b06ceea9'),
-        'head.b': ('f8c3181684d16c84', '4d3ac0cbb98d566a'),
-        'head.w': ('8abee96da8fbed68', 'cc2af1a1ec98ef44'),
+        'backbone.b1': ('6d679d5edbf4ca5a', 'ff11a8f89aee66e2'),
+        'backbone.b2': ('1c8f9ed39707cb19', '315ec717a9131351'),
+        'backbone.w1': ('ac8b3e68619a7938', 'cf7c8646838950b1'),
+        'backbone.w2': ('3320fce1d4d057a8', '6e0af1e8b06ceea9'),
+        'head.b': ('f8c3181684d16c84', '35e905b78a6d5c98'),
+        'head.w': ('11614e3b083d5479', '607249d71b1f5799'),
     },
     ('PI', 0): {
-        'backbone.b1': ('33827992b52500fe', '6561f22e540ed4ea'),
-        'backbone.b2': ('f2c2827510d35489', '81ee4e208ca33979'),
-        'backbone.w1': ('1f556e3e64575570', 'b97264947162fe51'),
-        'backbone.w2': ('e3ee1e1622070748', '04c47556ee9eb9e0'),
-        'head.b': ('bd3f138463153700', '0ee4128bf51a212f'),
-        'head.w': ('67eb3ce06918aca1', 'aab84202da6a7452'),
+        'backbone.b1': ('b4202f4e5d7e3a71', 'af45568d4f070293'),
+        'backbone.b2': ('7c0d5b6aac485492', 'a1912c81d3fb1385'),
+        'backbone.w1': ('b68f72876e23bdc7', '40207719699fa2a2'),
+        'backbone.w2': ('eba83307066d27ea', '04c47556ee9eb9e0'),
+        'head.b': ('e07ad65aca91e713', '46445aa5a901e494'),
+        'head.w': ('2ec767a3502c54aa', '448a927d38f1fd12'),
     },
     ('PI', 1): {
-        'backbone.b1': ('6f38c54c8a6647ee', '845cf4c96e8ce56c'),
-        'backbone.b2': ('f040c3e447e7d289', '01df0981aa1b443e'),
-        'backbone.w1': ('130b36faf65994d2', '1bc47a48ec4ccd46'),
-        'backbone.w2': ('6c081914699b48a0', 'de1faf769aa5e56f'),
-        'head.b': ('bcd0b181c431dd3e', '0f485dc2c31a7305'),
-        'head.w': ('040f998f224e2474', 'be451b40a706a2c2'),
+        'backbone.b1': ('877abea5898bbfd8', '7b1501c2b0629ab3'),
+        'backbone.b2': ('af791d709403ba94', 'ff8b9758de5d2050'),
+        'backbone.w1': ('2a4e4c5f4583ccca', '495236b56dbf7d29'),
+        'backbone.w2': ('a8a6fe0ae20ea4e3', 'de1faf769aa5e56f'),
+        'head.b': ('0beda125390c8f15', '4699a5e8a06059ad'),
+        'head.w': ('205d9364b661a64f', '365bf9dddb3506d5'),
     },
     ('RW', 0): {
-        'backbone.b1': ('771a8ec13a3e9bbf', '6561f22e540ed4ea'),
-        'backbone.b2': ('4930e050e7f0f343', '81ee4e208ca33979'),
-        'backbone.w1': ('d0bea33eb3c8316f', 'b97264947162fe51'),
-        'backbone.w2': ('155e4c396d990dc8', '04c47556ee9eb9e0'),
-        'head.b': ('f266388db081c554', '0ee4128bf51a212f'),
-        'head.w': ('ebaab9e5a08ccb7a', 'aab84202da6a7452'),
+        'backbone.b1': ('9c13cd995e57d605', 'af45568d4f070293'),
+        'backbone.b2': ('6c48a2980740d4cd', 'a1912c81d3fb1385'),
+        'backbone.w1': ('49b44a7786294b49', '40207719699fa2a2'),
+        'backbone.w2': ('7f713354325a2f53', '04c47556ee9eb9e0'),
+        'head.b': ('f266388db081c554', '46445aa5a901e494'),
+        'head.w': ('0de4b793c99b4cd8', '448a927d38f1fd12'),
     },
     ('RW', 1): {
-        'backbone.b1': ('3b6bd7714f98dfe5', 'ba12bdf20a4aaeaf'),
-        'backbone.b2': ('1302f221deafffe2', 'b7c420c54f912e03'),
-        'backbone.w1': ('5d715877b9ec2543', '8fa9227a88dafec1'),
-        'backbone.w2': ('d5da9d86e009b218', '68f17b3d7ea6fd37'),
-        'head.b': ('5fbb25be70dda2f7', '6a015c843cb319a2'),
-        'head.w': ('0fc42620716e7aa7', 'a752c27a7a3c6468'),
+        'backbone.b1': ('75c47ca8d9feb889', 'd3f39f0ed99b2877'),
+        'backbone.b2': ('26c25718b4e2dd6a', 'fe6c871f85953f36'),
+        'backbone.w1': ('c285ac91f9e7afb1', 'e70942bf19bc141b'),
+        'backbone.w2': ('6c128fdc3d318714', '68f17b3d7ea6fd37'),
+        'head.b': ('6869a9c543708bae', 'b20ed63c6af1e4b4'),
+        'head.w': ('91deceb5221beed8', '8be7177a86e44ef6'),
     },
 }
 
