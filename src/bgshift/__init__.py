@@ -20,7 +20,7 @@ from .losses import (
     unbiased_distillation,
 )
 from .model import BackboneConfig, SegModel, extend_classifier
-from .numerics import Tensor, finite_difference_gradient
+from .numerics import Tensor
 from .scenario import (
     LabelSchedule,
     Sample,
@@ -54,7 +54,6 @@ __all__ = [
     "cross_entropy",
     "extend_classifier",
     "feature_distillation",
-    "finite_difference_gradient",
     "first_step",
     "generate_synthetic",
     "load_dataset",

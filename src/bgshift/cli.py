@@ -91,10 +91,9 @@ def _dispatch(args, overrides: list[str]) -> int:
         method.with_weight(1.0)  # FT/Joint have no weight to select: fail before training
         if len(config.seeds) != 1:
             raise ConfigError(f"seeds {config.seeds}: select trains with one seed")
+        if len(config.schedule_sizes) < 2:
+            raise ConfigError(f"schedule_sizes {config.schedule_sizes}: select needs an incremental step")
         inputs = RunInputs.build(config)
-        if inputs.schedule.num_steps < 2:
-            print("error: weight selection needs an incremental schedule", file=sys.stderr)
-            return 1
         steps = inputs.split[0]
         # step 0 is the same for every method; its importance is the method's
         train_config = replace(config.train, seed=config.seeds[0], method=method)
@@ -104,7 +103,6 @@ def _dispatch(args, overrides: list[str]) -> int:
         result = select_method_weight(
             train,
             val,
-            method,
             train_config=train_config,
             model_prev=base.model,
             reg_state=reg_state,

@@ -37,10 +37,6 @@ class DivergenceError(BgshiftError, RuntimeError):
     """Training produced non-finite values."""
 
 
-class OracleError(BgshiftError, RuntimeError):
-    """The finite-difference oracle hit a non-finite evaluation."""
-
-
 class EstimationError(BgshiftError, ValueError):
     """Importance estimation got unusable inputs (e.g. empty dataset)."""
 

@@ -22,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ComparisonError, ConfigError
+from .exceptions import ComparisonError, ConfigError, ScheduleError
 from .losses import MethodConfig, method_preset, preset_key
 from .model import BackboneConfig, save_checkpoint
 from .scenario import (
+    PROTOCOLS,
     LabelSchedule,
     Sample,
     SplitReport,
@@ -54,6 +55,14 @@ class DatasetSpec:
     width: int = 64
     blobs_per_image: int = 3
 
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "dir"):
+            raise ConfigError(f"dataset.kind {self.kind!r} is neither synthetic nor dir")
+        if self.kind == "dir":
+            for key in ("path", "eval_path"):
+                if not getattr(self, key):
+                    raise ConfigError(f"dataset.{key} is not set; a dir dataset reads it")
+
 
 @dataclass
 class ExperimentConfig:
@@ -73,10 +82,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods or not self.seeds:
             raise ConfigError("need at least one method and one seed")
-        if sum(self.schedule_sizes) != self.dataset.num_fg_classes:
-            raise ConfigError(
-                f"schedule {self.schedule_sizes} does not cover {self.dataset.num_fg_classes} classes"
-            )
+        try:  # its errors name a bad schedule_sizes or class_order
+            build_schedule(self.dataset.num_fg_classes, self.schedule_sizes, self.class_order, self.order_seed)
+        except ScheduleError as e:
+            raise ConfigError(str(e)) from None
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError(f"protocol {self.protocol!r} is none of {PROTOCOLS}")
         bad = [s for s in self.seeds if not isinstance(s, int) or isinstance(s, bool) or s < 0]
         if bad:
             raise ConfigError(f"seeds must be non-negative integers, got {bad}")
@@ -94,7 +105,8 @@ class ExperimentConfig:
 
 
 def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
-    """(train corpus, eval corpus) from a synthetic config or a directory."""
+    """(train corpus, eval corpus) from a synthetic config or the two
+    directories of a dir one."""
     if spec.kind == "synthetic":
         cfg = SyntheticConfig(
             num_fg_classes=spec.num_fg_classes,
@@ -105,30 +117,26 @@ def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
         )
         samples = generate_synthetic(spec.seed, cfg)
         return samples[: spec.num_train], samples[spec.num_train :]
-    if spec.kind == "dir":
-        if not spec.path or not spec.eval_path:
-            raise ConfigError("dir datasets need both path and eval_path")
-        # mIoU must not be measured on training images
-        if Path(spec.path).resolve() == Path(spec.eval_path).resolve():
-            raise ConfigError(
-                f"dataset.eval_path {spec.eval_path!r} is the training directory {spec.path!r}"
-            )
-        train = load_dataset(spec.path)
-        heldout = load_dataset(spec.eval_path)
-        if train.num_classes != heldout.num_classes:
-            raise ConfigError("train and eval directories declare different class counts")
-        if train.num_classes != spec.num_fg_classes:
-            raise ConfigError(
-                f"dataset.num_fg_classes is {spec.num_fg_classes} but the manifest of {spec.path} "
-                f"declares classes={train.num_classes}"
-            )
-        shared = sorted({s.id for s in train.samples} & {s.id for s in heldout.samples})
-        if shared:
-            raise ConfigError(
-                f"{spec.path} and {spec.eval_path} share {len(shared)} sample ids, first {shared[:3]}"
-            )
-        return train.samples, heldout.samples
-    raise ConfigError(f"unknown dataset kind {spec.kind!r}")
+    # mIoU must not be measured on training images
+    if Path(spec.path).resolve() == Path(spec.eval_path).resolve():
+        raise ConfigError(
+            f"dataset.eval_path {spec.eval_path!r} is the training directory {spec.path!r}"
+        )
+    train = load_dataset(spec.path)
+    heldout = load_dataset(spec.eval_path)
+    if train.num_classes != heldout.num_classes:
+        raise ConfigError("train and eval directories declare different class counts")
+    if train.num_classes != spec.num_fg_classes:
+        raise ConfigError(
+            f"dataset.num_fg_classes is {spec.num_fg_classes} but the manifest of {spec.path} "
+            f"declares classes={train.num_classes}"
+        )
+    shared = sorted({s.id for s in train.samples} & {s.id for s in heldout.samples})
+    if shared:
+        raise ConfigError(
+            f"{spec.path} and {spec.eval_path} share {len(shared)} sample ids, first {shared[:3]}"
+        )
+    return train.samples, heldout.samples
 
 
 @dataclass

@@ -5,8 +5,10 @@ besides the plain cross-entropy / distillation pair there are background-aware
 variants: the unbiased cross-entropy scores a background ground-truth pixel
 against the *summed* probability of all previously-known classes, and the
 unbiased distillation scores the old model's background probability against
-the summed probability of the incoming classes plus background. LwF-MC style
-per-class binary CE and ILT feature distillation round out the baselines.
+the summed probability of the incoming classes plus background. LwF-MC
+(``lwf_mc_loss``: a per-class binary CE whose background channel gets both
+the classification and the distillation term, in that order) and ILT feature
+distillation round out the baselines.
 
 Every loss computes its value and its gradient with respect to its input (the
 logits, or the features for ILT) in numpy, from the closed form of that
@@ -261,10 +263,10 @@ def lwf_mc_loss(
     ctx: LossContext,
 ) -> Tensor:
     """Per-class binary CE blend: ground-truth targets for incoming classes,
-    old-model sigmoids for old ones; the background term follows the variant
-    (full = both streams, C = classification only, D = distillation only).
+    old-model sigmoids for old ones, and both for the background. ``variant``
+    must be ``"full"``, the one form of LwF-MC.
     """
-    if variant not in ("full", "C", "D"):
+    if variant != "full":
         raise ConfigError(f"unknown LwF-MC variant {variant!r}")
     mask = np.asarray(mask)
     _label_channels(logits_new, mask, ctx.class_order, set(ctx.class_order), "lwf_mc_loss")
@@ -282,16 +284,13 @@ def lwf_mc_loss(
     grad = np.empty_like(x)
     total = None
     for i, c in enumerate(ctx.class_order):
-        if i == 0:  # the background
-            targets = []
-            if variant in ("full", "C"):
-                targets.append((w_cls, (labels == c).astype(x.dtype)))
-            if variant in ("full", "D"):
-                targets.append((w_kd, sig_old[0]))
-        elif i >= ctx.n_old:
-            targets = [(w_cls, (labels == c).astype(x.dtype))]
-        else:
-            targets = [(w_kd, sig_old[i])]
+        # the background (i == 0) takes the classification term, then the
+        # distillation term
+        targets = []
+        if i == 0 or i >= ctx.n_old:
+            targets.append((w_cls, (labels == c).astype(x.dtype)))
+        if i < ctx.n_old:
+            targets.append((w_kd, sig_old[i]))
         s_c = s[i]
         log_s, on_s = _clamped_log(s_c)
         log_1s, on_1s = _clamped_log(1.0 - s_c)
@@ -336,7 +335,7 @@ class MethodConfig:
     feature_kd_weight: float = 0.0
     reg_kind: str = "none"  # none | ewc | pi | rw
     reg_weight: float = 0.0
-    lwfmc_variant: str | None = None  # full | C | D; replaces ce/kd entirely
+    lwfmc_variant: str | None = None  # full (LwF-MC) replaces ce/kd entirely
 
     def __post_init__(self):
         if self.ce_mode not in ("standard", "unbiased"):
@@ -347,7 +346,7 @@ class MethodConfig:
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
         if self.reg_kind not in ("none", "ewc", "pi", "rw"):
             raise ConfigError(f"unknown reg_kind {self.reg_kind!r}")
-        if self.lwfmc_variant not in (None, "full", "C", "D"):
+        if self.lwfmc_variant not in (None, "full"):
             raise ConfigError(f"unknown LwF-MC variant {self.lwfmc_variant!r}")
         if self.lambda_kd < 0 or self.reg_weight < 0 or self.feature_kd_weight < 0:
             raise ConfigError("loss weights must be non-negative")
@@ -376,8 +375,6 @@ _PRESETS: dict[str, dict] = {
     "PI": dict(reg_kind="pi", reg_weight=500.0),
     "RW": dict(reg_kind="rw", reg_weight=100.0),
     "LWFMC": dict(lwfmc_variant="full", lambda_kd=10.0),
-    "LWFMC-C": dict(lwfmc_variant="C", lambda_kd=10.0),
-    "LWFMC-D": dict(lwfmc_variant="D", lambda_kd=10.0),
     "MIB-CE": dict(ce_mode="unbiased", kd_mode="standard", lambda_kd=100.0),
     "MIB-KD": dict(ce_mode="unbiased", kd_mode="unbiased", lambda_kd=10.0),
     "MIB": dict(ce_mode="unbiased", kd_mode="unbiased", lambda_kd=10.0, init_mode="background"),

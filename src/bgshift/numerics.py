@@ -12,8 +12,8 @@ model's layers: ``conv_dense`` is the whole backbone (conv3x3 -> tanh -> 1x1
 closed-form gradient of each parent: a loss over the logits or the features,
 the drift penalty over the parameters, the objective over its weighted terms.
 ``conv3x3``, ``tanh`` and the full sum ``tsum`` are the pieces the fused
-backbone is checked against. ``finite_difference_gradient`` is the
-independent oracle used to check every gradient.
+backbone is checked against; the tests check every gradient against a
+finite-difference oracle.
 
 Both layers are limited by memory traffic, not arithmetic, so each numpy
 call in them handles long contiguous runs and the working set stays in
@@ -45,7 +45,7 @@ import contextlib
 
 import numpy as np
 
-from .exceptions import OracleError, ShapeError
+from .exceptions import ShapeError
 
 DEFAULT_DTYPE = np.float64
 # pixels per block of the backbone (conv_dense): a block's im2col columns,
@@ -334,41 +334,3 @@ def affine_last(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, flat.T @ gf, _column_sum(gf)
 
     return _from_op(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, w, b), bw)
-
-
-def finite_difference_gradient(f, x: Tensor, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar f at x; the oracle for all ops."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    def evaluate() -> float:
-        out = f(x)
-        v = float(out.data) if isinstance(out, Tensor) else float(out)
-        if not np.isfinite(v):
-            raise OracleError("objective returned a non-finite value during probing")
-        return v
-
-    grad = np.zeros_like(x.data)
-    it = np.nditer(x.data, flags=["multi_index"])
-    while not it.finished:
-        ix = it.multi_index
-        orig = x.data[ix]
-        x.data[ix] = orig + eps
-        fp = evaluate()
-        x.data[ix] = orig - eps
-        fm = evaluate()
-        x.data[ix] = orig
-        grad[ix] = (fp - fm) / (2.0 * eps)
-        it.iternext()
-    return grad
-
-
-def check_gradient(f, x: Tensor, eps: float = 1e-5) -> float:
-    """Max |reverse-mode - central difference| normalized by the oracle scale."""
-    x.zero_grad()
-    out = f(x)
-    out.backward()
-    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-    numeric = finite_difference_gradient(f, x, eps)
-    scale = max(np.abs(numeric).max(), 1e-8)
-    return float(np.abs(analytic - numeric).max() / scale)

@@ -3,8 +3,8 @@
 The method-specific weight is chosen on the first incremental step: train the
 candidate weights (a fixed log-spaced grid) on 80% of that step's data and
 keep the largest weight whose new-class mIoU on the held-out 20% stays within
-a tolerated decay of the fine-tuning reference. Larger weights forget less,
-so the scan returns the most conservative weight that still learns.
+``TOLERATED_DECAY`` (20%) of the fine-tuning reference. Larger weights forget
+less, so the scan returns the most conservative weight that still learns.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .scenario import LabelSchedule, StepDataset
 GRID_MANTISSAS = (1, 5)
 GRID_EXPONENTS = range(-3, 4)
 TRAIN_RATIO = 0.8  # of the first incremental step's samples; the rest validate
+TOLERATED_DECAY = 0.2  # of the fine-tuning reference's new-class mIoU
 
 
 def hparam_grid() -> list[float]:
@@ -57,13 +58,9 @@ class SelectionResult:
     threshold: float
 
 
-def scan_weight_grid(
-    metric_fn,
-    reference: float,
-    grid: list[float] | None = None,
-    tolerated_decay: float = 0.2,
-) -> SelectionResult:
-    """Largest grid weight whose metric stays >= (1 - decay) * reference.
+def scan_weight_grid(metric_fn, reference: float) -> SelectionResult:
+    """Largest ``hparam_grid()`` weight whose metric stays >= (1 -
+    TOLERATED_DECAY) * reference.
 
     Falls back to the smallest grid value (flagged) when nothing qualifies,
     so sweeps keep running. A reference <= 0 means fine-tuning learned
@@ -71,12 +68,8 @@ def scan_weight_grid(
     still taken. A metric of None marks a candidate whose training diverged;
     it never qualifies.
     """
-    grid = sorted(grid if grid is not None else hparam_grid())
-    if not grid:
-        raise ConfigError("empty hyperparameter grid")
-    if not 0.0 <= tolerated_decay <= 1.0:
-        raise ConfigError("tolerated_decay must lie in [0, 1]")
-    threshold = (1.0 - tolerated_decay) * reference
+    grid = hparam_grid()
+    threshold = (1.0 - TOLERATED_DECAY) * reference
     trace = []
     for w in grid:
         metric = metric_fn(w)
@@ -90,16 +83,14 @@ def scan_weight_grid(
 def select_method_weight(
     train: StepDataset,
     val: StepDataset,
-    method,
-    grid: list[float] | None = None,
-    tolerated_decay: float = 0.2,
     *,
     train_config,
     model_prev,
     reg_state,
     schedule: LabelSchedule,
 ) -> SelectionResult:
-    """Run the weight scan with real trainings on ``train``/``val``.
+    """Run the weight scan of ``train_config.method`` with real trainings on
+    ``train``/``val``.
 
     ``model_prev`` is the frozen model of the previous step and ``reg_state``
     its importance (``trainer.update_importance``; None for a method without
@@ -116,11 +107,11 @@ def select_method_weight(
     reference = new_class_miou(trainer.run_step(model_prev, train, ft_cfg).model)
 
     def metric_at(w: float) -> float | None:
-        cfg = replace(train_config, method=method.with_weight(w))
+        cfg = replace(train_config, method=train_config.method.with_weight(w))
         try:
             model = trainer.run_step(model_prev, train, cfg, reg_state).model
         except DivergenceError:  # a penalty this strong makes SGD unstable
             return None
         return new_class_miou(model)
 
-    return scan_weight_grid(metric_at, reference, grid, tolerated_decay)
+    return scan_weight_grid(metric_at, reference)

@@ -56,19 +56,14 @@ def _param_arrays(model: SegModel) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in model.parameters().items()}
 
 
-def fisher_diagonal(
-    model: SegModel,
-    dataset: StepDataset,
-    n_samples: int = FISHER_SAMPLES,
-    rng: np.random.Generator | None = None,
-) -> dict[str, np.ndarray]:
-    """Mean squared gradient of the single-pixel cross-entropy at sampled pixels."""
+def fisher_diagonal(model: SegModel, dataset: StepDataset, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Mean squared gradient of the single-pixel cross-entropy at
+    ``FISHER_SAMPLES`` sampled pixels."""
     items = dataset.items
     if not items:
         raise EstimationError("cannot estimate Fisher importance from an empty dataset")
-    rng = rng or np.random.default_rng(0)
     acc = {name: np.zeros_like(t.data) for name, t in model.parameters().items()}
-    for _ in range(n_samples):
+    for _ in range(FISHER_SAMPLES):
         item = items[int(rng.integers(len(items)))]
         image, mask = item.image, item.mask
         r = int(rng.integers(mask.shape[0]))
@@ -89,7 +84,7 @@ def fisher_diagonal(
             if t.grad is not None:
                 acc[name] += t.grad**2
     model.zero_grad()
-    return {name: a / n_samples for name, a in acc.items()}
+    return {name: a / FISHER_SAMPLES for name, a in acc.items()}
 
 
 def new_path_state(model: SegModel) -> PathState:
@@ -111,14 +106,12 @@ def path_integral_update(
     return state
 
 
-def finalize_path_importance(
-    state: PathState, model: SegModel, damping: float = PI_DAMPING
-) -> dict[str, np.ndarray]:
+def finalize_path_importance(state: PathState, model: SegModel) -> dict[str, np.ndarray]:
     """Convert accumulated omega into importance, clamped non-negative."""
     importance = {}
     for name, t in model.parameters().items():
         disp = t.data - state.start[name]
-        importance[name] = np.maximum(state.omega[name], 0.0) / (disp**2 + damping)
+        importance[name] = np.maximum(state.omega[name], 0.0) / (disp**2 + PI_DAMPING)
     return importance
 
 

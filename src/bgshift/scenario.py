@@ -29,6 +29,7 @@ import numpy as np
 from .exceptions import GenerationError, IngestionError, LabelDomainError, ScheduleError
 
 BACKGROUND = 0  # the background's label, and channel 0 of every model
+PROTOCOLS = ("disjoint", "overlapped")
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,14 @@ def build_schedule(
 ) -> LabelSchedule:
     """Slice the (optionally permuted) class order into consecutive steps."""
     if sum(sizes) != num_fg_classes:
-        raise ScheduleError(f"step sizes {sizes} do not sum to {num_fg_classes} classes")
+        raise ScheduleError(f"schedule_sizes {sizes} do not sum to {num_fg_classes} classes")
     if any(s <= 0 for s in sizes):
-        raise ScheduleError("step sizes must be positive")
+        raise ScheduleError(f"schedule_sizes {sizes} are not all positive")
     ids = np.arange(1, num_fg_classes + 1)
     if order == "permuted":
         ids = np.random.default_rng(0 if seed is None else seed).permutation(ids)
     elif order != "index":
-        raise ScheduleError(f"unknown class order {order!r}")
+        raise ScheduleError(f"class_order {order!r} is neither index nor permuted")
     steps = []
     pos = 0
     for s in sizes:
@@ -163,7 +164,7 @@ def _shift_counts(full_mask: np.ndarray, step_fg: set, seen_fg: set) -> dict:
 def split_corpus(corpus: list[Sample], schedule: LabelSchedule, protocol: str):
     """(per-step datasets, report) under ``protocol`` (disjoint or
     overlapped); the placement rule is in the module docstring."""
-    if protocol not in ("disjoint", "overlapped"):
+    if protocol not in PROTOCOLS:
         raise ScheduleError(f"unknown protocol {protocol!r}")
     buckets: list[list[Sample]] = [[] for _ in range(schedule.num_steps)]
     stats = [dict(old_as_bg=0, future_as_bg=0, true_bg=0) for _ in range(schedule.num_steps)]

@@ -2,8 +2,9 @@
 
 Each learning step starts from the previous model (classifier extended for
 the incoming classes), trains the method's composite objective with
-momentum-SGD under a polynomial learning-rate decay, and reads the previous
-model, untouched, as the distillation teacher. ``run_step`` keeps the
+momentum-SGD (``MOMENTUM``, ``WEIGHT_DECAY``) under a polynomial
+learning-rate decay (``POLY_POWER``), and reads the previous model,
+untouched, as the distillation teacher. ``run_step`` keeps the
 path-integral record of its training (``StepResult.path_state``, a
 ``regularizers.PathState``); the importance the prior-focused baselines
 penalize is computed in one place, ``update_importance``, which
@@ -33,16 +34,17 @@ from .losses import MethodConfig, _teacher_targets, composite_objective
 from .model import BackboneConfig, SegModel, argmax_mask, extend_classifier
 from .scenario import LabelSchedule, Sample, SplitReport, StepDataset, relabel
 
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
+POLY_POWER = 0.9  # of the learning-rate decay
+
 
 @dataclass
 class TrainConfig:
     lr_step0: float = 1e-2
     lr_later: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     epochs_per_step: int = 20
     batch_size: int = 8
-    poly_power: float = 0.9
     seed: int = 0
     method: MethodConfig = field(default_factory=MethodConfig)
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
@@ -183,8 +185,8 @@ def run_step(
             grads = {
                 name: p.grad for name, p in params.items() if p.grad is not None
             }
-            lr = poly_lr(iteration, total_iters, base_lr, config.poly_power)
-            sgd_step(params, grads, lr, config.momentum, config.weight_decay, velocity)
+            lr = poly_lr(iteration, total_iters, base_lr, POLY_POWER)
+            sgd_step(params, grads, lr, MOMENTUM, WEIGHT_DECAY, velocity)
             if track_path:
                 deltas = {name: -lr * velocity[name] for name in grads}
                 rg.path_integral_update(path_state, grads, deltas)

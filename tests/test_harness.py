@@ -101,8 +101,9 @@ def test_config_validates_schedule_against_classes():
 
 
 def test_config_rejects_unknown_method():
-    with pytest.raises(ConfigError):
-        tiny_config(methods=["FT", "bogus"])
+    for method in ("bogus", "LwF-MC-C"):
+        with pytest.raises(ConfigError, match="unknown method"):
+            tiny_config(methods=["FT", method])
 
 
 @pytest.mark.parametrize("seeds", ["0,0", "-1", "x", "1.5", "true"])
@@ -132,6 +133,9 @@ def test_methods_naming_one_preset_twice_are_a_config_error(methods):
         ("train.method.w_cls = 2", "train.method.w_cls"),
         ("train.method.fisher_samples = 8", "train.method.fisher_samples"),
         ("train.method.pi_damping = 0.5", "train.method.pi_damping"),
+        ("train.momentum = 0.5", "train.momentum"),
+        ("train.weight_decay = 0", "train.weight_decay"),
+        ("train.poly_power = 1.0", "train.poly_power"),
         ("methds = FT", "methds"),
         ("dataset = 3", "dataset"),
     ],
@@ -143,6 +147,29 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
         hz.load_experiment_config(cfg_file)
     assert cli_main(["run", "--config", str(cfg_file)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["--dataset.kind=dir"], "dataset.path"),
+        (["--dataset.kind=dir", '--dataset.eval_path="2024"'], "dataset.path"),
+        (["--dataset.kind=dir", '--dataset.path="2024"'], "dataset.eval_path"),
+        (["--dataset.kind=web"], "dataset.kind"),
+        (["--protocol=foo"], "protocol"),
+        (["--class_order=foo"], "class_order"),
+        (["--schedule_sizes=2,0"], "schedule_sizes"),
+        (["--schedule_sizes=3,-1"], "schedule_sizes"),
+        (["--schedule_sizes=1,2"], "schedule_sizes"),
+    ],
+)
+def test_a_config_that_would_train_nothing_is_rejected_when_loaded(tmp_path, capsys, overrides, key):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_file), "--out", str(out), *overrides]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -578,6 +605,17 @@ def test_select_without_tunable_weight_fails_before_training(tmp_path, monkeypat
     assert cli_main(["select", "--config", str(cfg_file), "--method", method]) == 1
     assert "no tunable weight" in capsys.readouterr().err
     assert calls == []
+
+
+def test_select_on_a_one_step_schedule_fails_before_building_the_corpus(tmp_path, monkeypatch, capsys):
+    def build(cls, config):
+        raise AssertionError("the corpus was built")
+
+    monkeypatch.setattr(hz.RunInputs, "build", classmethod(build))
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    assert cli_main(["select", "--config", str(cfg_file), "--method", "MiB", "--schedule_sizes=2"]) == 1
+    assert capsys.readouterr().err.startswith("error: schedule_sizes [2]")
 
 
 def test_select_keeps_a_non_weight_override(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from bgshift import regularizers as rg
 from bgshift.exceptions import AlignmentError, ConfigError, LabelDomainError
 from bgshift.model import BackboneConfig, SegModel, extend_classifier
 from bgshift.numerics import Tensor
+from helpers import check_gradient
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -247,7 +248,7 @@ def test_collapsed_distributions_are_partitions_of_unity():
 # -- LwF-MC ------------------------------------------------------------------
 
 
-def brute_force_lwf_mc(logits, mask, sig_old, variant, w_cls=1.0, w_kd=1.0):
+def brute_force_lwf_mc(logits, mask, sig_old, w_cls=1.0, w_kd=1.0):
     """Scalar-by-scalar enumeration over pixels and classes."""
     s = 1.0 / (1.0 + np.exp(-logits))
     order = [0, 1, 2]  # b, old fg 1, new fg 2
@@ -261,11 +262,8 @@ def brute_force_lwf_mc(logits, mask, sig_old, variant, w_cls=1.0, w_kd=1.0):
     for pix in it:
         for i, c in enumerate(order):
             if c == 0:
-                v = 0.0
-                if variant in ("full", "C"):
-                    v += w_cls * bce(s[pix + (i,)], 1.0 if mask[pix] == c else 0.0)
-                if variant in ("full", "D"):
-                    v += w_kd * bce(s[pix + (i,)], sig_old[pix + (0,)])
+                v = w_cls * bce(s[pix + (i,)], 1.0 if mask[pix] == c else 0.0)
+                v += w_kd * bce(s[pix + (i,)], sig_old[pix + (0,)])
             elif c == 2:
                 v = w_cls * bce(s[pix + (i,)], 1.0 if mask[pix] == c else 0.0)
             else:
@@ -275,7 +273,7 @@ def brute_force_lwf_mc(logits, mask, sig_old, variant, w_cls=1.0, w_kd=1.0):
     return total / count
 
 
-@pytest.mark.parametrize("variant", ["full", "C", "D"])
+@pytest.mark.parametrize("variant", ["full"])
 def test_lwf_mc_matches_bruteforce(variant):
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(2, 3, 3))
@@ -283,7 +281,7 @@ def test_lwf_mc_matches_bruteforce(variant):
     mask[mask == 1] = 0  # step masks never carry old-class labels
     sig_old = 1.0 / (1.0 + np.exp(-rng.normal(size=(2, 3, 2))))
     got = L.lwf_mc_loss(Tensor(logits), mask, sig_old, variant, ctx_for()).item()
-    want = brute_force_lwf_mc(logits, mask, sig_old, variant)
+    want = brute_force_lwf_mc(logits, mask, sig_old)
     assert abs(got - want) < 1e-10
 
 
@@ -304,14 +302,17 @@ def test_lwf_mc_half_sigmoid_gives_ln2_per_term():
     mask = np.zeros((1, 1), dtype=int)
     sig_old = np.zeros((1, 1, 2))
     sig_old[..., 0] = 1.0
-    # variant C: 3 classes, each one BCE term against a binary target = ln 2
-    got = L.lwf_mc_loss(Tensor(logits), mask, sig_old, "C", ctx_for()).item()
-    assert abs(got - LN2) < 1e-12
+    # 3 classes, 4 BCE terms of ln 2 each: the background's classification
+    # and distillation terms, the old class's distillation term and the new
+    # class's classification term
+    got = L.lwf_mc_loss(Tensor(logits), mask, sig_old, "full", ctx_for()).item()
+    assert abs(got - 4 * LN2 / 3) < 1e-12
 
 
 def test_lwf_mc_unknown_variant_rejected():
-    with pytest.raises(ConfigError):
-        L.lwf_mc_loss(Tensor(np.zeros((1, 1, 3))), np.zeros((1, 1), int), np.zeros((1, 1, 2)), "X", ctx_for())
+    for variant in ("X", "C"):
+        with pytest.raises(ConfigError):
+            L.lwf_mc_loss(Tensor(np.zeros((1, 1, 3))), np.zeros((1, 1), int), np.zeros((1, 1, 2)), variant, ctx_for())
 
 
 # -- feature distillation ----------------------------------------------------
@@ -364,8 +365,6 @@ LOSS_FNS = {
     "kd": lambda lg, m, fm, po, so, ctx: L.standard_distillation(lg, po, ctx),
     "ukd": lambda lg, m, fm, po, so, ctx: L.unbiased_distillation(lg, po, ctx),
     "lwf_mc_full": lambda lg, m, fm, po, so, ctx: L.lwf_mc_loss(lg, m, so, "full", ctx),
-    "lwf_mc_C": lambda lg, m, fm, po, so, ctx: L.lwf_mc_loss(lg, m, so, "C", ctx),
-    "lwf_mc_D": lambda lg, m, fm, po, so, ctx: L.lwf_mc_loss(lg, m, so, "D", ctx),
 }
 
 
@@ -377,7 +376,7 @@ def test_loss_gradients_match_finite_differences(name):
         logits, mask, full_mask, probs_old, sig_old, ctx = random_case(seed)
         worst = max(
             worst,
-            nm.check_gradient(lambda t: fn(t, mask, full_mask, probs_old, sig_old, ctx), logits),
+            check_gradient(lambda t: fn(t, mask, full_mask, probs_old, sig_old, ctx), logits),
         )
     assert worst < 1e-4, f"{name}: rel err {worst}"
 
@@ -397,7 +396,7 @@ def test_loss_gradients_match_finite_differences_where_clamped(name, monkeypatch
     for seed in range(20):
         logits, mask, full_mask, probs_old, sig_old, ctx = saturated_case(seed)
         loss = lambda t: fn(t, mask, full_mask, probs_old, sig_old, ctx)
-        worst = max(worst, nm.check_gradient(loss, logits))
+        worst = max(worst, check_gradient(loss, logits))
         value = loss(logits).item()
         with monkeypatch.context() as m:
             m.setattr(L, "LOG_FLOOR", 1e-300)
@@ -411,7 +410,7 @@ def test_feature_distillation_gradient_matches_finite_differences():
         rng = np.random.default_rng(seed)
         feats = Tensor(rng.choice([-40.0, 40.0], size=(3, 3, 4)) + rng.normal(size=(3, 3, 4)), requires_grad=True)
         old = rng.normal(size=(3, 3, 4)) * 40.0
-        assert nm.check_gradient(lambda t: L.feature_distillation(t, old), feats) < 1e-4
+        assert check_gradient(lambda t: L.feature_distillation(t, old), feats) < 1e-4
 
 
 @pytest.mark.parametrize("name", sorted(LOSS_FNS))
@@ -461,8 +460,6 @@ PINNED_BITS = {
     "kd": ("0x1.5ff8db9656e8ep+2", "60ee148713f425d5", "e0e06b2b6f67e8f0"),
     "ukd": ("0x1.57565df758656p+2", "e29a889355dc559c", "bea50ba5cbd0e499"),
     "lwf_mc_full": ("0x1.b5824a6d8d32ep+4", "59b39a9c128caecd", "d0aa7b4ebe5e9ca1"),
-    "lwf_mc_C": ("0x1.66257d9740d55p+4", "c4c52008c76c5436", "209846694349562e"),
-    "lwf_mc_D": ("0x1.b0374c5e76b79p+4", "5fc458da72dbc53a", "3a8f144c95122340"),
 }
 PINNED_SOFTMAX_BITS = "269b411f77989301"
 
@@ -659,8 +656,9 @@ def test_composite_lwf_mc_without_regularizer_is_the_loss_bit_for_bit():
 
 
 def test_method_preset_unknown_name():
-    with pytest.raises(ConfigError):
-        L.method_preset("nope")
+    for name in ("nope", "LwF-MC-C"):
+        with pytest.raises(ConfigError):
+            L.method_preset(name)
 
 
 def test_lwf_mc_distillation_weight_is_lambda_kd():

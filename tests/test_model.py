@@ -16,6 +16,7 @@ from bgshift.model import (
     save_checkpoint,
 )
 from bgshift.numerics import Tensor
+from helpers import check_gradient
 
 
 def make_model(fg=(1, 2), seed=0, hidden=8, features=8, dtype="float32"):
@@ -310,7 +311,7 @@ def test_every_parameter_gradient_matches_finite_differences():
         return nm.scalar_node(ce.data + fd.data, (ce, 1.0), (fd, 1.0))
 
     for name, p in model.parameters().items():
-        assert nm.check_gradient(loss, p) < 1e-4, name
+        assert check_gradient(loss, p) < 1e-4, name
 
 
 def test_float32_draws_are_the_float64_draws_cast():

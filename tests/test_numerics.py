@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgshift import numerics as nm
-from bgshift.exceptions import OracleError, ShapeError
+from bgshift.exceptions import ShapeError
 from bgshift.losses import _softmax
 from bgshift.numerics import Tensor, _column_sum
+from helpers import OracleError, check_gradient, finite_difference_gradient
 
 
 # the softmax shared by the losses and the teacher (numpy, outside the tape)
@@ -45,25 +46,25 @@ def weighted_sum(*pairs):
 
 def test_finite_difference_quadratic():
     x = Tensor([1.0, 2.0])
-    grad = nm.finite_difference_gradient(lambda t: (t.data * t.data).sum(), x)
+    grad = finite_difference_gradient(lambda t: (t.data * t.data).sum(), x)
     assert np.allclose(grad, [2.0, 4.0], atol=1e-6)
 
 
 def test_finite_difference_constant_function():
     x = Tensor(np.ones((2, 3)))
-    grad = nm.finite_difference_gradient(lambda t: 5.0, x)
+    grad = finite_difference_gradient(lambda t: 5.0, x)
     assert np.all(grad == 0.0)
 
 
 def test_finite_difference_rejects_nonfinite():
     x = Tensor([0.0])
     with pytest.raises(OracleError):
-        nm.finite_difference_gradient(lambda t: float("nan"), x)
+        finite_difference_gradient(lambda t: float("nan"), x)
 
 
 def test_finite_difference_rejects_bad_eps():
     with pytest.raises(ValueError):
-        nm.finite_difference_gradient(lambda t: t.data.sum(), Tensor([1.0]), eps=0.0)
+        finite_difference_gradient(lambda t: t.data.sum(), Tensor([1.0]), eps=0.0)
 
 
 # one scalar-reduced gradient check per differentiable node, many seeds
@@ -82,7 +83,7 @@ def test_op_gradients_match_finite_differences(name):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(3, 4)) + 0.1, requires_grad=True)
         weights = rng.normal(size=(3, 4))
-        worst = max(worst, nm.check_gradient(lambda t: op(t, weights), x))
+        worst = max(worst, check_gradient(lambda t: op(t, weights), x))
     assert worst < 1e-4, f"{name}: rel err {worst}"
 
 
@@ -92,9 +93,9 @@ def test_conv3x3_gradient_all_inputs():
     w = Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
     r = rng.normal(size=(2, 5, 5, 3))
-    assert nm.check_gradient(lambda t: weighted_sum((nm.conv3x3(t, w, b), r)), x) < 1e-4
-    assert nm.check_gradient(lambda t: weighted_sum((nm.conv3x3(x, t, b), r)), w) < 1e-4
-    assert nm.check_gradient(lambda t: weighted_sum((nm.conv3x3(x, w, t), r)), b) < 1e-4
+    assert check_gradient(lambda t: weighted_sum((nm.conv3x3(t, w, b), r)), x) < 1e-4
+    assert check_gradient(lambda t: weighted_sum((nm.conv3x3(x, t, b), r)), w) < 1e-4
+    assert check_gradient(lambda t: weighted_sum((nm.conv3x3(x, w, t), r)), b) < 1e-4
 
 
 def test_conv3x3_skips_the_gradient_of_an_input_that_needs_none():
@@ -224,7 +225,7 @@ def test_conv_dense_gradients_over_several_tiles_match_finite_differences(name, 
     x, weights, r = multi_tile_case(name, 15)
     params = [Tensor(w, requires_grad=True) for w in weights]
     for p in params:
-        assert nm.check_gradient(lambda t: weighted_sum((nm.conv_dense(x, *params), r)), p) < 1e-4
+        assert check_gradient(lambda t: weighted_sum((nm.conv_dense(x, *params), r)), p) < 1e-4
 
 
 def test_backward_requires_scalar():

@@ -8,6 +8,7 @@ from bgshift import regularizers as rg
 from bgshift.exceptions import AlignmentError, EstimationError
 from bgshift.model import BackboneConfig, SegModel, extend_classifier
 from bgshift.scenario import Sample, StepDataset
+from helpers import check_gradient, finite_difference_gradient
 
 
 def tiny_model(fg=(1,), seed=0, dtype="float32"):
@@ -34,20 +35,22 @@ def tiny_dataset(model, n=3, size=5, seed=1, all_background=False):
 # -- fisher -------------------------------------------------------------------
 
 
-def test_fisher_saturated_model_has_tiny_importance():
+def test_fisher_saturated_model_has_tiny_importance(monkeypatch):
+    monkeypatch.setattr(rg, "FISHER_SAMPLES", 8)
     model = tiny_model()
     model.params["head.w"].data[:] = 0.0
     model.params["head.b"].data[:] = [60.0, -60.0]  # certain of background everywhere
     rng = np.random.default_rng(2)
     items = [Sample("a", rng.random((4, 4, 3)), np.zeros((4, 4), dtype=int))]
     # an all-background item is no valid StepDataset; fisher only reads .items
-    state = rg.fisher_diagonal(model, SimpleNamespace(items=items), n_samples=8)
+    state = rg.fisher_diagonal(model, SimpleNamespace(items=items), rng)
     for imp in state.values():
         assert np.isfinite(imp).all()
         assert imp.max() < 1e-10
 
 
-def test_fisher_bias_mean_of_squares_hand_value():
+def test_fisher_bias_mean_of_squares_hand_value(monkeypatch):
+    monkeypatch.setattr(rg, "FISHER_SAMPLES", 12)
     # zero head weights: logits = bias only, so grad(bias_c) = q_c - [y=c]
     # with zero bias q = 1/2; on all-background pixels both bias grads are +-1/2
     model = tiny_model()
@@ -57,18 +60,19 @@ def test_fisher_bias_mean_of_squares_hand_value():
     items[0].mask[0, 0] = 1  # keep the dataset valid; chance of sampling it is accounted below
     ds = StepDataset(items, 0, [1])
     rng = np.random.default_rng(3)
-    state = rg.fisher_diagonal(model, ds, n_samples=12, rng=rng)
+    state = rg.fisher_diagonal(model, ds, rng=rng)
     # grad magnitude is exactly 1/2 per sampled pixel regardless of its label
     assert np.allclose(state["head.b"], 0.25, atol=1e-12)
     # zero head weights block gradient flow into the backbone
     assert np.allclose(state["backbone.w1"], 0.0)
 
 
-def test_fisher_matches_finite_difference_oracle():
+def test_fisher_matches_finite_difference_oracle(monkeypatch):
     model = tiny_model(fg=(1, 2), seed=4, dtype="float64")
     ds = tiny_dataset(model, n=2, size=4, seed=5)
     n_samples = 5
-    state = rg.fisher_diagonal(model, ds, n_samples=n_samples, rng=np.random.default_rng(6))
+    monkeypatch.setattr(rg, "FISHER_SAMPLES", n_samples)
+    state = rg.fisher_diagonal(model, ds, rng=np.random.default_rng(6))
 
     # replay the same pixel draws and square finite-difference gradients
     rng = np.random.default_rng(6)
@@ -85,7 +89,7 @@ def test_fisher_matches_finite_difference_oracle():
                 z = z - z.max()
                 return np.log(np.exp(z).sum()) - z[y]
 
-            acc[name] += nm.finite_difference_gradient(pixel_ce, p) ** 2
+            acc[name] += finite_difference_gradient(pixel_ce, p) ** 2
     for name in acc:
         want = acc[name] / n_samples
         got = state[name]
@@ -95,7 +99,7 @@ def test_fisher_matches_finite_difference_oracle():
 def test_fisher_empty_dataset_rejected():
     model = tiny_model()
     with pytest.raises(EstimationError):
-        rg.fisher_diagonal(model, StepDataset([], 0, [1]), n_samples=2)
+        rg.fisher_diagonal(model, StepDataset([], 0, [1]), np.random.default_rng(0))
 
 
 # -- path integral ------------------------------------------------------------
@@ -118,8 +122,8 @@ def test_path_hand_arithmetic_single_step():
     deltas = {name: np.full_like(model.params["head.b"].data, 0.1)}
     rg.path_integral_update(state, grads, deltas)
     model.params["head.b"].data += 0.1  # total displacement 0.1
-    final = rg.finalize_path_importance(state, model, damping=0.1)
-    expected = 0.1 / (0.1**2 + 0.1)
+    final = rg.finalize_path_importance(state, model)
+    expected = 0.1 / (0.1**2 + 0.1)  # PI_DAMPING is 0.1
     assert np.allclose(final[name], expected)
     assert abs(expected - 0.9091) < 1e-4
 
@@ -223,7 +227,7 @@ def test_penalty_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
     for t in model.parameters().values():
         t.data += rng.normal(scale=0.05, size=t.data.shape)
-    err = nm.check_gradient(
+    err = check_gradient(
         lambda t: rg.quadratic_penalty(model, state, 5.0), model.params["head.w"]
     )
     assert err < 1e-4
