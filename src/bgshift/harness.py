@@ -82,7 +82,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods or not self.seeds:
             raise ConfigError("need at least one method and one seed")
-        try:  # its errors name a bad schedule_sizes or class_order
+        try:  # its errors name a bad schedule_sizes, class_order or order_seed
             build_schedule(self.dataset.num_fg_classes, self.schedule_sizes, self.class_order, self.order_seed)
         except ScheduleError as e:
             raise ConfigError(str(e)) from None

@@ -80,6 +80,8 @@ def build_schedule(
         raise ScheduleError(f"schedule_sizes {sizes} are not all positive")
     ids = np.arange(1, num_fg_classes + 1)
     if order == "permuted":
+        if seed is not None and seed < 0:
+            raise ScheduleError(f"order_seed {seed} is negative")
         ids = np.random.default_rng(0 if seed is None else seed).permutation(ids)
     elif order != "index":
         raise ScheduleError(f"class_order {order!r} is neither index nor permuted")

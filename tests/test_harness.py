@@ -158,6 +158,7 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
         (["--dataset.kind=web"], "dataset.kind"),
         (["--protocol=foo"], "protocol"),
         (["--class_order=foo"], "class_order"),
+        (["--class_order=permuted", "--order_seed=-1"], "order_seed"),
         (["--schedule_sizes=2,0"], "schedule_sizes"),
         (["--schedule_sizes=3,-1"], "schedule_sizes"),
         (["--schedule_sizes=1,2"], "schedule_sizes"),
