@@ -4,14 +4,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .exceptions import BgshiftError, ConfigError
 from .harness import RunInputs, compare_report, load_experiment_config, run_experiment
-from .protocol import select_method_weight, split_train_val
+from .protocol import select_method_weight
 from .scenario import SyntheticConfig, generate_synthetic, save_dataset
-from .trainer import run_step, update_importance
+from .trainer import first_step
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,35 +87,16 @@ def _dispatch(args, overrides: list[str]) -> int:
 
     if args.command == "select":
         config = load_experiment_config(args.config, overrides)
-        method = config.method_config(args.method)
-        method.with_weight(1.0)  # FT/Joint have no weight to select: fail before training
+        train_config = config.cell_config(args.method, config.seeds[0])
+        train_config.method.with_weight(1.0)  # FT/Joint have no weight to select: fail before training
         if len(config.seeds) != 1:
             raise ConfigError(f"seeds {config.seeds}: select trains with one seed")
         if len(config.schedule_sizes) < 2:
             raise ConfigError(f"schedule_sizes {config.schedule_sizes}: select needs an incremental step")
         inputs = RunInputs.build(config)
-        steps = inputs.split[0]
-        # step 0 is the same for every method; its importance is the method's
-        train_config = replace(config.train, seed=config.seeds[0], method=method)
-        base = run_step(None, steps[0], train_config)
-        reg_state = update_importance(base.model, steps[0], train_config, base.path_state, None)
-        train, val = split_train_val(steps[1], seed=train_config.seed)
-        result = select_method_weight(
-            train,
-            val,
-            train_config=train_config,
-            model_prev=base.model,
-            reg_state=reg_state,
-            schedule=inputs.schedule,
-        )
-        payload = {
-            "method": args.method,
-            "weight": result.weight,
-            "satisfied": result.satisfied,
-            "reference": result.reference,
-            "threshold": result.threshold,
-            "trace": result.trace,
-        }
+        first = first_step(inputs.split, inputs.eval_corpus, inputs.schedule, train_config)
+        result = select_method_weight(first, train_config, inputs.schedule)
+        payload = {"method": args.method, **asdict(result)}
         print(json.dumps(payload, indent=2))
         if args.out:
             out = Path(args.out)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ComparisonError, ConfigError, ScheduleError
+from .exceptions import ComparisonError, ConfigError, GenerationError, ScheduleError
 from .losses import MethodConfig, method_preset, preset_key
 from .model import BackboneConfig, save_checkpoint
 from .scenario import (
@@ -33,6 +33,7 @@ from .scenario import (
     StepDataset,
     SyntheticConfig,
     build_schedule,
+    check_synthetic,
     generate_synthetic,
     load_dataset,
     split_corpus,
@@ -62,6 +63,11 @@ class DatasetSpec:
             for key in ("path", "eval_path"):
                 if not getattr(self, key):
                     raise ConfigError(f"dataset.{key} is not set; a dir dataset reads it")
+        else:
+            try:  # its errors name the dataset.* key
+                check_synthetic(vars(self))
+            except GenerationError as e:
+                raise ConfigError(str(e)) from None
 
 
 @dataclass
@@ -75,15 +81,15 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     train: TrainConfig = field(default_factory=TrainConfig)
     out_dir: str | None = None
-    # the train.method.* keys the config sets; each method's preset is the
-    # base they override (``method_config``)
+    # the train.method.* keys the config sets, on top of each method's
+    # preset in every cell's training config (``cell_config``)
     method_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.methods or not self.seeds:
             raise ConfigError("need at least one method and one seed")
         try:  # its errors name a bad schedule_sizes, class_order or order_seed
-            build_schedule(self.dataset.num_fg_classes, self.schedule_sizes, self.class_order, self.order_seed)
+            self.schedule()
         except ScheduleError as e:
             raise ConfigError(str(e)) from None
         if self.protocol not in PROTOCOLS:
@@ -94,14 +100,19 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds {self.seeds} repeat a seed")
         for m in self.methods:
-            self.method_config(m)  # validate names and overrides early
+            self.cell_config(m, self.seeds[0])  # validate names and overrides early
         keys = [preset_key(m) for m in self.methods]
         if len(set(keys)) < len(keys):
             raise ConfigError(f"methods {self.methods} name the same preset twice")
 
-    def method_config(self, name: str) -> MethodConfig:
-        """The preset of method ``name`` with ``method_overrides`` on top."""
-        return replace(method_preset(name), **self.method_overrides)
+    def schedule(self) -> LabelSchedule:
+        """The run's class schedule."""
+        return build_schedule(self.dataset.num_fg_classes, self.schedule_sizes, self.class_order, self.order_seed)
+
+    def cell_config(self, method: str, seed: int) -> TrainConfig:
+        """The training config of cell (``method``, ``seed``): the method's
+        preset with ``method_overrides`` on top."""
+        return replace(self.train, seed=seed, method=replace(method_preset(method), **self.method_overrides))
 
 
 def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
@@ -124,6 +135,8 @@ def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
         )
     train = load_dataset(spec.path)
     heldout = load_dataset(spec.eval_path)
+    if not heldout.samples:  # every mIoU would read 0
+        raise ConfigError(f"the manifest of dataset.eval_path {spec.eval_path!r} lists no sample")
     if train.num_classes != heldout.num_classes:
         raise ConfigError("train and eval directories declare different class counts")
     if train.num_classes != spec.num_fg_classes:
@@ -150,9 +163,7 @@ class RunInputs:
 
     @classmethod
     def build(cls, config: ExperimentConfig) -> "RunInputs":
-        schedule = build_schedule(
-            config.dataset.num_fg_classes, config.schedule_sizes, config.class_order, config.order_seed
-        )
+        schedule = config.schedule()
         corpus, eval_corpus = build_corpora(config.dataset)
         return cls(schedule, corpus, eval_corpus, split_corpus(corpus, schedule, config.protocol))
 
@@ -168,7 +179,7 @@ def run_cell(config: ExperimentConfig, inputs: RunInputs, method: str, seed: int
     for Joint, which trains its own single step. ``seconds`` counts the
     cell's own steps; ``run_experiment`` adds the time of a step 0 it reused.
     """
-    cfg = replace(config.train, seed=seed, method=config.method_config(method))
+    cfg = config.cell_config(method, seed)
     started = time.perf_counter()
     if first is None:
         split = split_corpus(inputs.corpus, inputs.schedule.joint(), config.protocol)
@@ -223,8 +234,7 @@ def _run_cells(config: ExperimentConfig) -> list[dict]:
         if shared is not None:
             started = time.perf_counter()
             try:
-                cfg = replace(config.train, seed=seed, method=config.method_config(shared))
-                first = first_step(inputs.split, inputs.eval_corpus, inputs.schedule, cfg)
+                first = first_step(inputs.split, inputs.eval_corpus, inputs.schedule, config.cell_config(shared, seed))
             except Exception as e:  # fails this seed's incremental cells only
                 step0_error = f"step 0 failed: {_error_text(e)}"
             step0_seconds = time.perf_counter() - started
@@ -248,7 +258,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     report = {
         "config": config_to_dict(config),
         "cells": cells,
-        "aggregate": {m: _seed_stats(_ok_cells(cells, m)) for m in config.methods},
+        "aggregate": {
+            m: _seed_stats([c for c in cells if c["method"] == m and c["status"] == "ok"]) for m in config.methods
+        },
         "ok": all(r["status"] == "ok" for r in cells),
     }
     if config.out_dir:
@@ -259,21 +271,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report
 
 
-def _ok_cells(cells: list[dict], method: str) -> list[dict]:
-    return [c for c in cells if c["method"] == method and c["status"] == "ok"]
-
-
 def _seed_stats(cells: list[dict]) -> dict:
     """Mean and std over ``cells`` (one method's ok cells) of the final-step
-    group and all-class mIoU; a group absent from every cell gets None."""
+    group and all-class mIoU; a group that is None in every cell gets None.
+    Every ok cell ends with the groups of the schedule's last step
+    (``evaluate_model``)."""
     if not cells:
         return {"status": "failed"}
     final = [c["steps"][-1]["metrics"] for c in cells]
-    n_groups = max(len(f["group_miou"]) for f in final)
     group_mean, group_std = [], []
-    for g in range(n_groups):
-        vals = [f["group_miou"][g] for f in final if g < len(f["group_miou"])]
-        vals = [v for v in vals if v is not None]
+    for g in range(len(final[0]["group_miou"])):
+        vals = [f["group_miou"][g] for f in final if f["group_miou"][g] is not None]
         group_mean.append(float(np.mean(vals)) if vals else None)
         group_std.append(float(np.std(vals)) if vals else None)
     alls = [f["all_miou"] for f in final]
@@ -318,8 +326,9 @@ def report_csv(report: dict) -> str:
 
 
 def final_seed_mean(report: dict, method: str) -> dict:
-    """Seed-mean final-step metrics {group{g}: x, all: y} for one method."""
-    stats = _seed_stats(_ok_cells(report["cells"], method))
+    """Seed-mean final-step metrics {group{g}: x, all: y} for one method,
+    read from the report's ``aggregate``."""
+    stats = report["aggregate"].get(method, {"status": "failed"})
     if stats["status"] != "ok":
         raise ComparisonError(f"method {method!r} has no successful cells")
     out = {f"group{g}": v for g, v in enumerate(stats["group_mean"])}
@@ -379,13 +388,13 @@ def _check_type(key: str, value, default) -> None:
         raise ConfigError(f"{key} must be {names}, got {value!r}")
 
 
-def _section(cls, d, prefix: str) -> dict:
-    """``d`` as keyword arguments for dataclass ``cls``; an unknown key, or a
-    value not of the type of its field's default (``_check_type``), raises
-    ConfigError naming its dotted path."""
+def _section(cls, d, prefix: str, hidden: str = "") -> dict:
+    """``d`` as keyword arguments for dataclass ``cls``; an unknown key (the
+    field ``hidden`` is one), or a value not of the type of its field's
+    default (``_check_type``), raises ConfigError naming its dotted path."""
     if not isinstance(d, dict):
         raise ConfigError(f"config key {prefix.rstrip('.')!r} is a section, not a value")
-    by_name = {f.name: f for f in fields(cls)}
+    by_name = {f.name: f for f in fields(cls) if f.name != hidden}
     for key, value in d.items():
         if key not in by_name:
             raise ConfigError(f"unknown config key {prefix + key!r}")
@@ -397,12 +406,11 @@ def _section(cls, d, prefix: str) -> dict:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = _section(ExperimentConfig, d, "")
-    if "method_overrides" in d:  # spelled train.method.* in a config
-        raise ConfigError("unknown config key 'method_overrides'")
+    # method_overrides is spelled train.method.*, and a method's name is its preset's
+    d = _section(ExperimentConfig, d, "", hidden="method_overrides")
     dataset = DatasetSpec(**_section(DatasetSpec, d.pop("dataset", {}), "dataset."))
     train_d = _section(TrainConfig, d.pop("train", {}), "train.")
-    method_d = _section(MethodConfig, train_d.pop("method", {}), "train.method.")
+    method_d = _section(MethodConfig, train_d.pop("method", {}), "train.method.", hidden="name")
     backbone_d = train_d.pop("backbone", None)
     train = TrainConfig(**train_d)
     if backbone_d:

@@ -5,6 +5,8 @@ candidate weights (a fixed log-spaced grid) on 80% of that step's data and
 keep the largest weight whose new-class mIoU on the held-out 20% stays within
 ``TOLERATED_DECAY`` (20%) of the fine-tuning reference. Larger weights forget
 less, so the scan returns the most conservative weight that still learns.
+A selection continues a ``trainer.FirstStep``, as a run's cells do, so it can
+continue the step 0 that a run shares across its methods.
 """
 from __future__ import annotations
 
@@ -53,9 +55,9 @@ def split_train_val(dataset: StepDataset, seed: int = 0) -> tuple[StepDataset, S
 class SelectionResult:
     weight: float
     satisfied: bool  # False when no grid value met the constraint
-    trace: list[tuple[float, float | None]]  # (candidate, new-class metric; None: diverged)
     reference: float
     threshold: float
+    trace: list[tuple[float, float | None]]  # (candidate, new-class metric; None: diverged)
 
 
 def scan_weight_grid(metric_fn, reference: float) -> SelectionResult:
@@ -76,28 +78,27 @@ def scan_weight_grid(metric_fn, reference: float) -> SelectionResult:
         trace.append((w, None if metric is None else float(metric)))
     qualifying = [w for w, m in trace if m is not None and m >= threshold] if reference > 0 else []
     if not qualifying:
-        return SelectionResult(grid[0], False, trace, reference, threshold)
-    return SelectionResult(qualifying[-1], True, trace, reference, threshold)
+        return SelectionResult(grid[0], False, reference, threshold, trace)
+    return SelectionResult(qualifying[-1], True, reference, threshold, trace)
 
 
 def select_method_weight(
-    train: StepDataset,
-    val: StepDataset,
-    *,
-    train_config,
-    model_prev,
-    reg_state,
-    schedule: LabelSchedule,
+    first: trainer.FirstStep, train_config: trainer.TrainConfig, schedule: LabelSchedule
 ) -> SelectionResult:
     """Run the weight scan of ``train_config.method`` with real trainings on
-    ``train``/``val``.
+    ``first.steps[1]``, split by ``split_train_val``.
 
-    ``model_prev`` is the frozen model of the previous step and ``reg_state``
-    its importance (``trainer.update_importance``; None for a method without
-    a regularizer), which every candidate is penalized with. ``schedule`` is
-    the run's, which groups the evaluation. The reference is the fine-tuned
-    model's new-class mIoU on ``val``.
+    ``first`` is a step 0 with the seed and settings of ``train_config``,
+    under any method. Its model is every candidate's previous model, and its
+    importance (``trainer.update_importance``, as before step 1 of a run)
+    penalizes every candidate. ``schedule`` is the run's, which groups the
+    evaluation. The reference is the fine-tuned model's new-class mIoU on
+    the held-out part.
     """
+    model_prev = first.result.model
+    reg_state = trainer.update_importance(model_prev, first.steps[0], train_config, first.result.path_state, None)
+    train, val = split_train_val(first.steps[1], seed=train_config.seed)
+
     def new_class_miou(model) -> float:
         # the last group is the classes of the step just trained
         value = trainer.evaluate_model(model, val.items, schedule).group_miou[-1]

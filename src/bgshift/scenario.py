@@ -206,6 +206,18 @@ BRIGHTNESS = 0.85
 MIN_RADIUS_FRAC = 0.10  # blob radii, as fractions of the shorter image side
 MAX_RADIUS_FRAC = 0.26
 MAX_ATTEMPTS = 20  # corpus regenerations before giving up on class balance
+# the least value of each setting with which a synthetic corpus can be
+# generated and scored, by its dataset.* key; from a side of 16 up, the blob
+# radius range is never empty
+SYNTHETIC_MINIMA = {"seed": 0, "height": 16, "width": 16, "num_train": 1, "num_eval": 1, "blobs_per_image": 1}
+
+
+def check_synthetic(values: dict) -> None:
+    """GenerationError naming ``dataset.<key>`` for the first key of
+    ``SYNTHETIC_MINIMA`` whose value in ``values`` is below its least value."""
+    for key, least in SYNTHETIC_MINIMA.items():
+        if key in values and values[key] < least:
+            raise GenerationError(f"dataset.{key} must be at least {least}, got {values[key]}")
 
 
 def class_signature(c: int, num_classes: int) -> tuple[np.ndarray, float, float]:
@@ -223,12 +235,9 @@ def generate_synthetic(seed: int, config: SyntheticConfig) -> list[Sample]:
     Regenerates (bounded retries) until every class appears in enough images
     and per-class pixel mass stays within +/-30% of uniform.
     """
-    if config.height < 16 or config.width < 16:
-        raise GenerationError("images must be at least 16x16")
+    check_synthetic({"seed": seed, **vars(config)})
     rmax = int(MAX_RADIUS_FRAC * min(config.height, config.width))
     rmin = max(3, int(MIN_RADIUS_FRAC * min(config.height, config.width)))
-    if rmin >= rmax:
-        raise GenerationError("blob radius range is empty; image too small for the config")
 
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))

@@ -87,10 +87,11 @@ def test_a_traced_run_computes_the_same_cells_and_every_declared_metric():
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_each_workload_passes_its_own_output_checks_at_the_tiny_scale(name, tmp_path):
     # setup -> call -> evaluate, as ``perfbench/run.py --scale tiny`` does in
-    # its own process; a second mib call must compute the same results
+    # its own process; a second call must compute the same results, or the
+    # benchmark's repeat check fails the run
     workload = workloads.WORKLOADS[name](0, "tiny", tmp_path)
     workload.setup()
-    outcomes = [workload.evaluate(workload.call()) for _ in range(2 if name == "mib-3-1-1-disjoint" else 1)]
+    outcomes = [workload.evaluate(workload.call()) for _ in range(2)]
     for outcome in outcomes:
         assert (outcome.failed, outcome.errors) == (0, [])
         assert outcome.attempted == workload.expected_units()

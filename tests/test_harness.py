@@ -91,8 +91,8 @@ def test_method_overrides_survive_the_config_round_trip(tmp_path):
     cfg = hz.load_experiment_config(cfg_file, ["--train.method.lambda_kd=0"])
     back = hz.config_from_dict(hz.config_to_dict(cfg))
     assert back.method_overrides == {"lambda_kd": 0}
-    assert back.method_config("LwF").lambda_kd == 0
-    assert back.method_config("LwF").kd_mode == "standard"
+    lwf = back.cell_config("LwF", 0).method
+    assert (lwf.name, lwf.lambda_kd, lwf.kd_mode) == ("LwF", 0, "standard")
 
 
 def test_config_validates_schedule_against_classes():
@@ -136,6 +136,7 @@ def test_methods_naming_one_preset_twice_are_a_config_error(methods):
         ("train.momentum = 0.5", "train.momentum"),
         ("train.weight_decay = 0", "train.weight_decay"),
         ("train.poly_power = 1.0", "train.poly_power"),
+        ("train.method.name = LwF", "train.method.name"),
         ("methds = FT", "methds"),
         ("dataset = 3", "dataset"),
     ],
@@ -162,6 +163,12 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
         (["--schedule_sizes=2,0"], "schedule_sizes"),
         (["--schedule_sizes=3,-1"], "schedule_sizes"),
         (["--schedule_sizes=1,2"], "schedule_sizes"),
+        (["--dataset.seed=-1"], "dataset.seed"),
+        (["--dataset.height=8"], "dataset.height"),
+        (["--dataset.width=15"], "dataset.width"),
+        (["--dataset.num_train=0"], "dataset.num_train"),
+        (["--dataset.num_eval=0"], "dataset.num_eval"),
+        (["--dataset.blobs_per_image=0"], "dataset.blobs_per_image"),
     ],
 )
 def test_a_config_that_would_train_nothing_is_rejected_when_loaded(tmp_path, capsys, overrides, key):
@@ -468,22 +475,14 @@ def test_compare_identical_reports_all_ties(tiny_report):
 
 def test_compare_shifted_report_all_target_higher(tiny_report):
     report, _ = tiny_report
+    # the verdicts read the report's aggregate, not its cells
     boosted = copy.deepcopy(report)
-    ft_steps = {
-        (c["seed"], s["step"]): s["metrics"]
-        for c in report["cells"]
-        if c["method"] == "FT"
-        for s in c["steps"]
+    ft = report["aggregate"]["FT"]
+    boosted["aggregate"]["MiB"] = {
+        **ft,
+        "all_mean": ft["all_mean"] + 0.10,
+        "group_mean": [None if g is None else g + 0.10 for g in ft["group_mean"]],
     }
-    for cell in boosted["cells"]:
-        if cell["method"] == "MiB":
-            for step in cell["steps"]:
-                ref = ft_steps[(cell["seed"], step["step"])]
-                m = step["metrics"]
-                m["all_miou"] = ref["all_miou"] + 0.10
-                m["group_miou"] = [
-                    None if g is None else g + 0.10 for g in ref["group_miou"]
-                ]
     verdicts = hz.compare_report(boosted, "FT", "MiB")
     assert set(verdicts.values()) == {"target_higher"}
 
@@ -624,7 +623,8 @@ def test_select_keeps_a_non_weight_override(tmp_path, monkeypatch):
     real_run_step = tr.run_step
 
     def recording_run_step(model_prev, dataset, config, *args, **kwargs):
-        methods.append(config.method)
+        if model_prev is not None:  # not step 0
+            methods.append(config.method)
         return real_run_step(model_prev, dataset, config, *args, **kwargs)
 
     monkeypatch.setattr(tr, "run_step", recording_run_step)
@@ -682,6 +682,18 @@ def test_select_penalizes_regularizer_candidates_with_the_step0_importance(tmp_p
     assert not all(
         np.array_equal(t.data, strongest.params[name].data) for name, t in weakest.params.items()
     )
+
+
+def test_cli_generate_with_a_negative_seed_is_an_error(tmp_path, capsys):
+    assert cli_main(["generate", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: dataset.seed ")
+    assert not (tmp_path / "data").exists()
+
+
+def test_an_eval_dir_without_samples_is_a_config_error(tmp_path):
+    train, heldout = dir_datasets(tmp_path, ["a", "b"], [])
+    with pytest.raises(ConfigError, match="lists no sample"):
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
 
 
 def test_cli_rejects_unknown_positional(tmp_path, capsys):

@@ -9,7 +9,7 @@ from bgshift.exceptions import ConfigError, DivergenceError
 from bgshift.losses import method_preset
 from bgshift.model import BackboneConfig
 from bgshift.scenario import Sample, StepDataset, SyntheticConfig, build_schedule, generate_synthetic, split_corpus
-from bgshift.trainer import TrainConfig, run_step
+from bgshift.trainer import TrainConfig
 
 
 def test_grid_is_the_fixed_14_value_ladder():
@@ -119,38 +119,63 @@ def test_scan_returns_grid_member_and_trace():
 # -- end-to-end selection on a tiny task ---------------------------------------
 
 
-def test_select_method_weight_runs_real_trainings(monkeypatch):
-    monkeypatch.setattr(pr, "hparam_grid", lambda: [0.1, 10.0])
-    cfg = SyntheticConfig(num_fg_classes=2, num_images=14, height=16, width=16, blobs_per_image=2)
+def tiny_first_step(method="FT", num_images=14, hidden=4, **train):
+    """(step 0 trained under ``method``, schedule, training config) of a
+    2-class [1,1] overlapped run that evaluates on 2 of ``num_images``
+    images; ``train`` sets TrainConfig fields."""
+    cfg = SyntheticConfig(num_fg_classes=2, num_images=num_images, height=16, width=16, blobs_per_image=2)
     corpus = generate_synthetic(0, cfg)
     schedule = build_schedule(2, [1, 1])
-    steps, _ = split_corpus(corpus, schedule, "overlapped")
     tconf = TrainConfig(
-        epochs_per_step=2, batch_size=4, seed=0, backbone=BackboneConfig(hidden=4, features=4)
+        **{"epochs_per_step": 2, "batch_size": 4, "seed": 0, **train},
+        method=method_preset(method),
+        backbone=BackboneConfig(hidden=hidden, features=hidden),
     )
-    base = run_step(None, steps[0], tconf)
-    train, val = pr.split_train_val(steps[1], seed=0)
-    result = pr.select_method_weight(
-        train,
-        val,
-        train_config=replace(tconf, method=method_preset("MiB")),
-        model_prev=base.model,
-        reg_state=None,
-        schedule=schedule,
-    )
+    first = tr.first_step(split_corpus(corpus[:-2], schedule, "overlapped"), corpus[-2:], schedule, tconf)
+    return first, schedule, tconf
+
+
+def test_select_method_weight_runs_real_trainings(monkeypatch):
+    monkeypatch.setattr(pr, "hparam_grid", lambda: [0.1, 10.0])
+    first, schedule, tconf = tiny_first_step()
+    used = set()  # sample ids that the selection trains or evaluates on
+    real_run_step, real_evaluate = tr.run_step, tr.evaluate_model
+
+    def recording_run_step(model_prev, dataset, config, reg_state=None):
+        used.update(i.id for i in dataset.items)
+        return real_run_step(model_prev, dataset, config, reg_state)
+
+    def recording_evaluate(model, eval_corpus, schedule):
+        used.update(s.id for s in eval_corpus)
+        return real_evaluate(model, eval_corpus, schedule)
+
+    monkeypatch.setattr(tr, "run_step", recording_run_step)
+    monkeypatch.setattr(tr, "evaluate_model", recording_evaluate)
+    result = pr.select_method_weight(first, replace(tconf, method=method_preset("MiB")), schedule)
     assert result.weight in (0.1, 10.0)
     assert len(result.trace) == 2
     # selection never touches data of earlier steps: only step-1 items are used
-    used = {i.id for i in train.items} | {i.id for i in val.items}
-    assert used <= {i.id for i in steps[1].items}
+    assert used == {i.id for i in first.steps[1].items}
+
+
+@pytest.mark.parametrize("method", ["EWC", "MiB"])
+def test_a_selection_can_continue_the_step0_a_run_shares(monkeypatch, method):
+    # a run trains its shared step 0 under its first method (FT here); the
+    # selection from it equals the one from a step 0 trained under the method.
+    # At these settings the reference and every candidate learn the new class.
+    monkeypatch.setattr(pr, "hparam_grid", lambda: [0.1, 10.0])
+    settings = {"num_images": 24, "hidden": 8, "epochs_per_step": 8, "lr_step0": 0.2, "lr_later": 0.1}
+    shared, schedule, tconf = tiny_first_step("FT", **settings)
+    own, _, _ = tiny_first_step(method, **settings)
+    train_config = replace(tconf, method=method_preset(method))
+    result = pr.select_method_weight(shared, train_config, schedule)
+    assert result == pr.select_method_weight(own, train_config, schedule)
+    assert [w for w, _ in result.trace] == [0.1, 10.0]
+    assert result.reference > 0 and all(m > 0 for _, m in result.trace)
 
 
 def test_a_diverging_candidate_scores_none_and_the_scan_goes_on(monkeypatch):
-    cfg = SyntheticConfig(num_fg_classes=2, num_images=14, height=16, width=16, blobs_per_image=2)
-    schedule = build_schedule(2, [1, 1])
-    steps, _ = split_corpus(generate_synthetic(0, cfg), schedule, "overlapped")
-    tconf = TrainConfig(epochs_per_step=1, batch_size=4, seed=0, backbone=BackboneConfig(hidden=4, features=4))
-    base = run_step(None, steps[0], tconf)
+    first, schedule, tconf = tiny_first_step(epochs_per_step=1)
     real_run_step = tr.run_step
 
     def diverges_at_10(model_prev, dataset, config, reg_state=None):
@@ -160,14 +185,6 @@ def test_a_diverging_candidate_scores_none_and_the_scan_goes_on(monkeypatch):
 
     monkeypatch.setattr(tr, "run_step", diverges_at_10)
     monkeypatch.setattr(pr, "hparam_grid", lambda: [0.1, 10.0])
-    train, val = pr.split_train_val(steps[1], seed=0)
-    result = pr.select_method_weight(
-        train,
-        val,
-        train_config=replace(tconf, method=method_preset("EWC")),
-        model_prev=base.model,
-        reg_state=None,
-        schedule=schedule,
-    )
+    result = pr.select_method_weight(first, replace(tconf, method=method_preset("EWC")), schedule)
     assert [w for w, _ in result.trace] == [0.1, 10.0]
     assert result.trace[0][1] is not None and result.trace[1][1] is None
