@@ -63,11 +63,6 @@ class DatasetSpec:
             for key in ("path", "eval_path"):
                 if not getattr(self, key):
                     raise ConfigError(f"dataset.{key} is not set; a dir dataset reads it")
-        else:
-            try:  # its errors name the dataset.* key
-                check_synthetic(vars(self))
-            except GenerationError as e:
-                raise ConfigError(str(e)) from None
 
 
 @dataclass
@@ -88,9 +83,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods or not self.seeds:
             raise ConfigError("need at least one method and one seed")
-        try:  # its errors name a bad schedule_sizes, class_order or order_seed
+        try:  # their errors name the bad dataset.* key, schedule_sizes, class_order or order_seed
+            if self.dataset.kind == "synthetic":
+                check_synthetic(vars(self.dataset))
             self.schedule()
-        except ScheduleError as e:
+        except (GenerationError, ScheduleError) as e:
             raise ConfigError(str(e)) from None
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol {self.protocol!r} is none of {PROTOCOLS}")

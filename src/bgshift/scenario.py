@@ -209,7 +209,9 @@ MAX_ATTEMPTS = 20  # corpus regenerations before giving up on class balance
 # the least value of each setting with which a synthetic corpus can be
 # generated and scored, by its dataset.* key; from a side of 16 up, the blob
 # radius range is never empty
-SYNTHETIC_MINIMA = {"seed": 0, "height": 16, "width": 16, "num_train": 1, "num_eval": 1, "blobs_per_image": 1}
+SYNTHETIC_MINIMA = {
+    "seed": 0, "num_fg_classes": 1, "height": 16, "width": 16, "num_train": 1, "num_eval": 1, "blobs_per_image": 1
+}
 
 
 def check_synthetic(values: dict) -> None:

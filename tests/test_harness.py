@@ -684,9 +684,10 @@ def test_select_penalizes_regularizer_candidates_with_the_step0_importance(tmp_p
     )
 
 
-def test_cli_generate_with_a_negative_seed_is_an_error(tmp_path, capsys):
-    assert cli_main(["generate", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 1
-    assert capsys.readouterr().err.startswith("error: dataset.seed ")
+@pytest.mark.parametrize("flags, key", [(["--seed", "-1"], "dataset.seed"), (["--classes", "0"], "dataset.num_fg_classes")])
+def test_cli_generate_with_a_bad_setting_is_an_error(tmp_path, capsys, flags, key):
+    assert cli_main(["generate", "--out", str(tmp_path / "data"), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
     assert not (tmp_path / "data").exists()
 
 
