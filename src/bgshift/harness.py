@@ -132,8 +132,9 @@ def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
         )
     train = load_dataset(spec.path)
     heldout = load_dataset(spec.eval_path)
-    if not heldout.samples:  # every mIoU would read 0
-        raise ConfigError(f"the manifest of dataset.eval_path {spec.eval_path!r} lists no sample")
+    for key, corpus in (("path", train), ("eval_path", heldout)):
+        if not corpus.samples:  # nothing to train on, or every mIoU would read 0
+            raise ConfigError(f"the manifest of dataset.{key} {getattr(spec, key)!r} lists no sample")
     if train.num_classes != heldout.num_classes:
         raise ConfigError("train and eval directories declare different class counts")
     if train.num_classes != spec.num_fg_classes:

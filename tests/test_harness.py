@@ -691,9 +691,10 @@ def test_cli_generate_with_a_bad_setting_is_an_error(tmp_path, capsys, flags, ke
     assert not (tmp_path / "data").exists()
 
 
-def test_an_eval_dir_without_samples_is_a_config_error(tmp_path):
-    train, heldout = dir_datasets(tmp_path, ["a", "b"], [])
-    with pytest.raises(ConfigError, match="lists no sample"):
+@pytest.mark.parametrize("train_ids, eval_ids, key", [(["a", "b"], [], "eval_path"), ([], ["c"], "path")])
+def test_a_dir_without_samples_is_a_config_error(tmp_path, train_ids, eval_ids, key):
+    train, heldout = dir_datasets(tmp_path, train_ids, eval_ids)
+    with pytest.raises(ConfigError, match=f"^the manifest of dataset.{key} .* lists no sample"):
         hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
 
 
