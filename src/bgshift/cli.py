@@ -79,8 +79,9 @@ def _dispatch(args, overrides: list[str]) -> int:
         for method, agg in report["aggregate"].items():
             if agg.get("status") == "ok":
                 print(f"{method}: all mIoU = {agg['all_mean']:.4f} (+/- {agg['all_std']:.4f})")
-            else:
-                print(f"{method}: FAILED")
+            else:  # no cell of the method is ok; its first one's error says why
+                error = next(c["error"] for c in report["cells"] if c["method"] == method)
+                print(f"{method}: FAILED: {error}")
         if config.out_dir:
             print(f"report written to {config.out_dir}")
         return 0 if report["ok"] else 2

@@ -85,7 +85,7 @@ class ExperimentConfig:
             raise ConfigError("need at least one method and one seed")
         try:  # their errors name the bad dataset.* key, schedule_sizes, class_order or order_seed
             if self.dataset.kind == "synthetic":
-                check_synthetic(vars(self.dataset))
+                check_synthetic({**vars(self.dataset), "num_images": self.dataset.num_train + self.dataset.num_eval})
             self.schedule()
         except (GenerationError, ScheduleError) as e:
             raise ConfigError(str(e)) from None

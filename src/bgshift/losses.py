@@ -22,11 +22,13 @@ too, over its weighted terms.
 Each loss works on contiguous channel rows [K, pixels] (``_rows``): a free
 view of channel-major input such as the logits ``affine_last`` returns, one
 transposed copy of C-order input. Softmax, probabilities and gradients are
-stored that way and handed back as [..., K] views (``_cols``). Every
-element sees the same operations in the same order as over the last axis
-(sums over channels run left to right, as numpy's own reduction over fewer
-than 8 channels does), so the values and gradients do not depend on the
-layout, bit for bit.
+stored that way and handed back as [..., K] views (``_cols``). A sum or
+max over channels is one numpy reduction over axis 0 of the rows. Over two
+or more pixels numpy adds the rows in channel order, so every element sees
+the same operations in the same order in either layout, bit for bit. Over
+one pixel the rows are one contiguous run, which numpy sums pairwise from 8
+channels on; so ``regularizers.fisher_diagonal`` reads its pixel from the
+softmax of the whole image.
 """
 from __future__ import annotations
 
@@ -113,26 +115,10 @@ def _cols(rows: np.ndarray, shape) -> np.ndarray:
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Stable (max-subtracted) softmax over the last axis, stored
-    channel-major and returned as a [..., K] view.
-
-    The max and the sum run one channel row at a time, adding left to right
-    as numpy's own reduction over fewer than 8 channels does.
-    """
+    channel-major and returned as a [..., K] view."""
     rows = _rows(z)
-    m = rows[0]
-    for i in range(1, rows.shape[0]):
-        m = np.maximum(m, rows[i])
-    e = np.exp(rows - m)
-    return _cols(e / _channel_sum(e, range(e.shape[0])), z.shape)
-
-
-def _channel_sum(rows: np.ndarray, idx) -> np.ndarray:
-    """sum(rows[idx], axis=0), left to right."""
-    idx = list(idx)
-    total = rows[idx[0]].copy()
-    for i in idx[1:]:
-        total += rows[i]
-    return total
+    e = np.exp(rows - rows.max(axis=0))
+    return _cols(e / e.sum(axis=0), z.shape)
 
 
 def _clamped_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +128,8 @@ def _clamped_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mean(a: np.ndarray) -> float:
-    """The mean as the tape's ``tmean`` takes it: the sum times 1/n."""
+    """The sum times 1/n, as every pinned value was taken (numpy's mean
+    divides by n)."""
     return a.sum() * (1.0 / a.size)
 
 
@@ -189,7 +176,7 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *
     # the target channels: the label's, or every old one on a background pixel
     target = _onehot(chan, q.shape[0])
     target[: ctx.n_old] |= is_bg
-    t = np.where(is_bg, _channel_sum(q, range(ctx.n_old)), _pick(q, chan))
+    t = np.where(is_bg, q[: ctx.n_old].sum(axis=0), _pick(q, chan))
     log_t, active = _clamped_log(t)
     # d/dz of -log t is q - q * target / t
     n = chan.size
@@ -212,7 +199,7 @@ def _distillation_grad(q_hat: np.ndarray, p: np.ndarray, active: np.ndarray) -> 
     through. All three are channel rows; the caller maps each row back onto
     its channels."""
     c = p * active
-    return (q_hat * _channel_sum(c, range(c.shape[0])) - c) * (1.0 / c.shape[1])
+    return (q_hat * c.sum(axis=0) - c) * (1.0 / c.shape[1])
 
 
 def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
@@ -222,11 +209,11 @@ def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     _check_old_probs(logits_new, probs_old, n_old)
     p = _rows(probs_old)
     q_old = _rows(_softmax(logits_new.data) if _q is None else _q)[:n_old]
-    q_hat = q_old / _channel_sum(q_old, range(n_old))
+    q_hat = q_old / q_old.sum(axis=0)
     log_q, active = _clamped_log(q_hat)
     grad = np.zeros((len(ctx.class_order), p.shape[1]), dtype=q_hat.dtype)
     grad[:n_old] = _distillation_grad(q_hat, p, active)
-    value = _mean(-_channel_sum(p * log_q, range(n_old)))
+    value = _mean(-(p * log_q).sum(axis=0))
     return nm.scalar_node(value, (logits_new, _cols(grad, logits_new.shape)))
 
 
@@ -240,11 +227,11 @@ def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     # background (channel 0 of both models) is matched against the summed
     # mass of the incoming classes + background; old foreground is unaltered
     new, old_fg = ctx.new_channels, slice(1, ctx.n_old)
-    q_hat = np.concatenate([_channel_sum(q, new)[None], q[old_fg]])
+    q_hat = np.concatenate([q[new].sum(axis=0)[None], q[old_fg]])
     log_q, active = _clamped_log(q_hat)
     # the background term plus the foreground terms' sum, in numpy's order
     fg = log_q[1:] * p[1:]
-    terms = log_q[0] * p[0] + _channel_sum(fg, range(fg.shape[0]))
+    terms = log_q[0] * p[0] + fg.sum(axis=0)
     g_hat = _distillation_grad(q_hat, p, active)
     grad = np.empty_like(q)
     grad[old_fg] = g_hat[1:]
@@ -275,34 +262,24 @@ def lwf_mc_loss(
     w_kd = float(ctx.method_weights.get("w_kd", 1.0))
 
     x = _rows(logits_new.data)
-    sig_old = _rows(sigmoid_old)
-    labels = mask.ravel()
     e = np.exp(-np.abs(x))
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    log_s, on_s = _clamped_log(s)
+    log_1s, on_1s = _clamped_log(1.0 - s)
+    new = ctx.new_channels
+    is_class = (np.asarray(ctx.class_order)[new, None] == mask.ravel()).astype(x.dtype)
+    sig_old = _rows(sigmoid_old)
+    term = np.zeros(x.shape, np.result_type(x, sig_old))
+    g = np.zeros_like(term)
+    # the classification rows, then the distillation rows: the background
+    # (row 0, in both) takes the classification term first
+    for rows, w, t in ((new, w_cls, is_class), (slice(0, ctx.n_old), w_kd, sig_old)):
+        term[rows] += w * -(t * log_s[rows] + (1.0 - t) * log_1s[rows])
+        # d/dx of the BCE is s - t, masked where either log is clamped
+        g[rows] += w * ((1.0 - t) * on_1s[rows] * s[rows] - t * on_s[rows] * (1.0 - s[rows]))
     k = len(ctx.class_order)
-    scale = 1.0 / (mask.size * k)
-    grad = np.empty_like(x)
-    total = None
-    for i, c in enumerate(ctx.class_order):
-        # the background (i == 0) takes the classification term, then the
-        # distillation term
-        targets = []
-        if i == 0 or i >= ctx.n_old:
-            targets.append((w_cls, (labels == c).astype(x.dtype)))
-        if i < ctx.n_old:
-            targets.append((w_kd, sig_old[i]))
-        s_c = s[i]
-        log_s, on_s = _clamped_log(s_c)
-        log_1s, on_1s = _clamped_log(1.0 - s_c)
-        term, g = None, 0.0
-        for w, t in targets:
-            bce = w * -(t * log_s + (1.0 - t) * log_1s)
-            term = bce if term is None else term + bce
-            # d/dx of the BCE is s - t, masked where either log is clamped
-            g = g + w * ((1.0 - t) * on_1s * s_c - t * on_s * (1.0 - s_c))
-        total = term if total is None else total + term
-        grad[i] = g * scale
-    return nm.scalar_node(_mean(total) * (1.0 / k), (logits_new, _cols(grad, logits_new.shape)))
+    grad = (g * (1.0 / (mask.size * k))).astype(x.dtype, copy=False)
+    return nm.scalar_node(_mean(term.sum(axis=0)) * (1.0 / k), (logits_new, _cols(grad, logits_new.shape)))
 
 
 def feature_distillation(features_new: Tensor, features_old: np.ndarray) -> Tensor:
@@ -329,25 +306,22 @@ class MethodConfig:
 
     name: str = "FT"
     ce_mode: str = "standard"  # standard | unbiased
-    kd_mode: str = "none"  # none | standard | unbiased
+    kd_mode: str = "none"  # none | standard | unbiased | lwfmc (LwF-MC replaces ce/kd entirely)
     lambda_kd: float = 0.0  # the KD/UKD weight, and LwF-MC's distillation weight
     init_mode: str = "random"  # random | background
     feature_kd_weight: float = 0.0
     reg_kind: str = "none"  # none | ewc | pi | rw
     reg_weight: float = 0.0
-    lwfmc_variant: str | None = None  # full (LwF-MC) replaces ce/kd entirely
 
     def __post_init__(self):
         if self.ce_mode not in ("standard", "unbiased"):
             raise ConfigError(f"unknown ce_mode {self.ce_mode!r}")
-        if self.kd_mode not in ("none", "standard", "unbiased"):
+        if self.kd_mode not in ("none", "standard", "unbiased", "lwfmc"):
             raise ConfigError(f"unknown kd_mode {self.kd_mode!r}")
         if self.init_mode not in ("random", "background"):
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
         if self.reg_kind not in ("none", "ewc", "pi", "rw"):
             raise ConfigError(f"unknown reg_kind {self.reg_kind!r}")
-        if self.lwfmc_variant not in (None, "full"):
-            raise ConfigError(f"unknown LwF-MC variant {self.lwfmc_variant!r}")
         if self.lambda_kd < 0 or self.reg_weight < 0 or self.feature_kd_weight < 0:
             raise ConfigError("loss weights must be non-negative")
 
@@ -359,7 +333,7 @@ class MethodConfig:
         """
         if self.reg_kind != "none":
             return replace(self, reg_weight=w)
-        if self.kd_mode == "none" and self.lwfmc_variant is None:
+        if self.kd_mode == "none":
             raise ConfigError(f"{self.name}: the method has no tunable weight to select")
         if self.feature_kd_weight > 0:
             return replace(self, lambda_kd=w, feature_kd_weight=w)
@@ -374,7 +348,7 @@ _PRESETS: dict[str, dict] = {
     "EWC": dict(reg_kind="ewc", reg_weight=500.0),
     "PI": dict(reg_kind="pi", reg_weight=500.0),
     "RW": dict(reg_kind="rw", reg_weight=100.0),
-    "LWFMC": dict(lwfmc_variant="full", lambda_kd=10.0),
+    "LWFMC": dict(kd_mode="lwfmc", lambda_kd=10.0),
     "MIB-CE": dict(ce_mode="unbiased", kd_mode="standard", lambda_kd=100.0),
     "MIB-KD": dict(ce_mode="unbiased", kd_mode="unbiased", lambda_kd=10.0),
     "MIB": dict(ce_mode="unbiased", kd_mode="unbiased", lambda_kd=10.0, init_mode="background"),
@@ -408,7 +382,7 @@ def _teacher_targets(
     teacher is run only if a loss reads something. ``old_outputs`` are its
     (logits, features) on ``images`` if they are at hand.
     """
-    lwfmc = method.lwfmc_variant is not None
+    lwfmc = method.kd_mode == "lwfmc"
     kd = lwfmc or (method.kd_mode != "none" and method.lambda_kd > 0)
     feature_kd = not lwfmc and method.feature_kd_weight > 0
     if not (kd or feature_kd):
@@ -450,7 +424,7 @@ def composite_objective(
     images, masks = batch
     logits, feats = model.forward_batch(images)
     if model_prev is None:
-        if model.step_index > 0 and (method.kd_mode != "none" or method.lwfmc_variant):
+        if model.step_index > 0 and method.kd_mode != "none":
             raise ConfigError(f"{method.name}: incremental step {model.step_index} needs the previous model")
         return cross_entropy(logits, masks, model.known_classes)
 
@@ -461,8 +435,8 @@ def composite_objective(
         _teacher = _teacher_targets(method, model_prev, images, old_outputs)
     probs_old, old_feats = _teacher
 
-    if method.lwfmc_variant is not None:
-        terms = [(lwf_mc_loss(logits, masks, probs_old, method.lwfmc_variant, ctx), 1.0)]
+    if method.kd_mode == "lwfmc":
+        terms = [(lwf_mc_loss(logits, masks, probs_old, "full", ctx), 1.0)]
     else:
         q = _softmax(logits.data)  # one softmax of the student serves CE and KD
         if method.ce_mode == "unbiased":

@@ -74,7 +74,9 @@ def fisher_diagonal(model: SegModel, dataset: StepDataset, rng: np.random.Genera
         y = model.known_classes.index(label)
         model.zero_grad()
         logits, _ = model.forward_batch(image[None])
-        q = _softmax(logits.data[0, r, c])
+        # read from the image's softmax, which sums the channels in order
+        # (see losses); one pixel's alone would be summed pairwise from 8 on
+        q = _softmax(logits.data[0])[r, c]
         log_q, active = _clamped_log(q[y])
         # the pixel's CE gradient: q - onehot(y) at that pixel, zero elsewhere
         grad = np.zeros_like(logits.data)

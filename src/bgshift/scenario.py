@@ -216,10 +216,18 @@ SYNTHETIC_MINIMA = {
 
 def check_synthetic(values: dict) -> None:
     """GenerationError naming ``dataset.<key>`` for the first key of
-    ``SYNTHETIC_MINIMA`` whose value in ``values`` is below its least value."""
+    ``SYNTHETIC_MINIMA`` whose value in ``values`` is below its least value,
+    or if the ``num_images`` images draw fewer class blobs than there are
+    classes: then some class is never drawn, and no corpus is balanced."""
     for key, least in SYNTHETIC_MINIMA.items():
         if key in values and values[key] < least:
             raise GenerationError(f"dataset.{key} must be at least {least}, got {values[key]}")
+    images, blobs, k = values["num_images"], values["blobs_per_image"], values["num_fg_classes"]
+    if images * blobs < k:
+        raise GenerationError(
+            f"dataset.blobs_per_image {blobs} on {images} images draws {images * blobs} class blobs, "
+            f"fewer than the {k} classes of dataset.num_fg_classes: some class is never drawn"
+        )
 
 
 def class_signature(c: int, num_classes: int) -> tuple[np.ndarray, float, float]:
@@ -247,7 +255,8 @@ def generate_synthetic(seed: int, config: SyntheticConfig) -> list[Sample]:
         if _balanced(samples, config):
             return samples
     raise GenerationError(
-        f"could not satisfy class-balance constraints in {MAX_ATTEMPTS} attempts"
+        f"could not satisfy class-balance constraints in {MAX_ATTEMPTS} attempts with {config.num_images} "
+        f"images, dataset.blobs_per_image {config.blobs_per_image} and dataset.num_fg_classes {config.num_fg_classes}"
     )
 
 

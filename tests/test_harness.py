@@ -169,6 +169,8 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
         (["--dataset.num_train=0"], "dataset.num_train"),
         (["--dataset.num_eval=0"], "dataset.num_eval"),
         (["--dataset.blobs_per_image=0"], "dataset.blobs_per_image"),
+        # 2 images of 2 blobs draw 4 class blobs, fewer than the 5 classes
+        (["--dataset.num_fg_classes=5", "--schedule_sizes=4,1", "--dataset.num_train=1", "--dataset.num_eval=1"], "dataset.blobs_per_image"),
     ],
 )
 def test_a_config_that_would_train_nothing_is_rejected_when_loaded(tmp_path, capsys, overrides, key):
@@ -192,7 +194,7 @@ def test_a_config_that_would_train_nothing_is_rejected_when_loaded(tmp_path, cap
         ("--train.backbone.hidden=true", "train.backbone.hidden"),
         ("--schedule_sizes=1.0,1", "schedule_sizes"),
         ("--methods=FT,3", "methods"),
-        ("--train.method.lwfmc_variant=1", "train.method.lwfmc_variant"),
+        ("--train.method.kd_mode=1", "train.method.kd_mode"),
     ],
 )
 def test_a_value_of_the_wrong_type_is_named(tmp_path, capsys, override, key):
@@ -207,10 +209,8 @@ def test_a_value_of_the_wrong_type_is_named(tmp_path, capsys, override, key):
 def test_an_int_passes_for_a_float_and_none_for_an_optional_str(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(TINY_CFG)
-    overrides = ["--train.lr_later=1", "--train.method.lwfmc_variant=none", "--dataset.path=none"]
-    cfg = hz.load_experiment_config(cfg_file, overrides)
-    assert cfg.train.lr_later == 1
-    assert cfg.method_overrides == {"lwfmc_variant": None} and cfg.dataset.path is None
+    cfg = hz.load_experiment_config(cfg_file, ["--train.lr_later=1", "--dataset.path=none"])
+    assert cfg.train.lr_later == 1 and cfg.dataset.path is None
 
 
 def test_a_quoted_value_is_the_str_between_the_quotes(tmp_path):
@@ -684,11 +684,35 @@ def test_select_penalizes_regularizer_candidates_with_the_step0_importance(tmp_p
     )
 
 
-@pytest.mark.parametrize("flags, key", [(["--seed", "-1"], "dataset.seed"), (["--classes", "0"], "dataset.num_fg_classes")])
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--seed", "-1"], "dataset.seed"),
+        (["--classes", "0"], "dataset.num_fg_classes"),
+        (["--num-images", "1", "--classes", "5"], "dataset.blobs_per_image"),  # 3 blobs, 5 classes
+    ],
+)
 def test_cli_generate_with_a_bad_setting_is_an_error(tmp_path, capsys, flags, key):
     assert cli_main(["generate", "--out", str(tmp_path / "data"), *flags]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} ")
     assert not (tmp_path / "data").exists()
+
+
+def test_a_failed_method_prints_its_first_cell_error(tmp_path, capsys):
+    # 2 images of 4 blobs draw a blob for each of the 5 classes, but none of
+    # the corpora seed 0 draws is balanced: the corpus, and so every cell, fails
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    overrides = [
+        "--dataset.num_fg_classes=5", "--schedule_sizes=4,1", "--dataset.num_train=1", "--dataset.num_eval=1",
+        "--dataset.blobs_per_image=4",
+    ]
+    assert cli_main(["run", "--config", str(cfg_file), *overrides]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[:3] for line in lines] == [
+        [m, "FAILED", "GenerationError"] for m in ("FT", "MiB")
+    ]
+    assert "2 images, dataset.blobs_per_image 4 and dataset.num_fg_classes 5" in lines[0]
 
 
 @pytest.mark.parametrize("train_ids, eval_ids, key", [(["a", "b"], [], "eval_path"), ([], ["c"], "path")])

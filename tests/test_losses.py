@@ -423,19 +423,23 @@ def test_each_loss_is_one_tape_node_on_its_logits(name):
     assert len(out._parents) == 1 and out._parents[0] is feats
 
 
-def pinned_case():
-    """Fixed 2x8x8 inputs of a [4,1] step (6 channels, 5 old), with logits
-    near +-40 on two rows so the LOG_FLOOR clamp is reached."""
+def pinned_case(n_old=5, n_new=1):
+    """Fixed 2x8x8 inputs of a step from ``n_old`` channels to ``n_old +
+    n_new`` (by default a [4,1] step: 6 channels, 5 old), with logits near
+    +-40 on two rows so the LOG_FLOOR clamp is reached. Background pixels
+    and the first and last incoming class make up the step's mask."""
+    k = n_old + n_new
     rng = np.random.default_rng(2002)
-    logits = rng.normal(size=(2, 8, 8, 6)) * 3.0
-    logits[0, :2] = rng.choice([-40.0, 40.0], size=(2, 8, 6)) + rng.normal(size=(2, 8, 6))
-    mask = np.where(rng.random((2, 8, 8)) < 0.4, 5, 0)
-    full_mask = rng.integers(0, 6, size=(2, 8, 8))
-    old = rng.normal(size=(2, 8, 8, 5)) * 3.0
+    logits = rng.normal(size=(2, 8, 8, k)) * 3.0
+    logits[0, :2] = rng.choice([-40.0, 40.0], size=(2, 8, k)) + rng.normal(size=(2, 8, k))
+    r = rng.random((2, 8, 8))
+    mask = np.where(r < 0.2, k - 1, np.where(r < 0.4, n_old, 0))
+    full_mask = rng.integers(0, k, size=(2, 8, 8))
+    old = rng.normal(size=(2, 8, 8, n_old)) * 3.0
     e = np.exp(old - old.max(axis=-1, keepdims=True))
     probs_old = e / e.sum(axis=-1, keepdims=True)
     sig_old = 1.0 / (1.0 + np.exp(-old))
-    ctx = L.LossContext.for_step([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5], method_weights={"w_cls": 1.0, "w_kd": 10.0})
+    ctx = L.LossContext.for_step(list(range(n_old)), list(range(k)), method_weights={"w_cls": 1.0, "w_kd": 10.0})
     return logits, mask, full_mask, probs_old, sig_old, ctx
 
 
@@ -483,6 +487,34 @@ def test_loss_value_and_gradient_bits_match_the_pins(name, layout):
 @pytest.mark.parametrize("layout", [np.asarray, channel_major], ids=["c-order", "channel-major"])
 def test_softmax_bits_match_the_pin(layout):
     assert bits_of(L._softmax(layout(pinned_case()[0]))) == PINNED_SOFTMAX_BITS
+
+
+# as PINNED_BITS, without the per-pixel values, on a step from 10 channels to
+# 12 (pinned_case(10, 2)): sums over 8 or more channels are where a change
+# of their order would show
+PINNED_BITS_12 = {
+    "ce": ("0x1.8c809ea173950p+2", "7bd5836e8e21d315"),
+    "uce": ("0x1.6ad02dc7f8156p+1", "8b635fa11052ebe7"),
+    "kd": ("0x1.866c5e9f034dep+2", "337f2d65c7b14d6e"),
+    "ukd": ("0x1.8605121ff72dap+2", "13ee112b4dabc8c0"),
+    "lwf_mc_full": ("0x1.7ed556b8a52cap+4", "cb334eb1b4387e23"),
+}
+PINNED_SOFTMAX_BITS_12 = "eae8fd051454e985"
+
+
+@pytest.mark.parametrize("layout", [np.asarray, channel_major], ids=["c-order", "channel-major"])
+@pytest.mark.parametrize("name", sorted(PINNED_BITS_12))
+def test_loss_bits_at_12_channels_match_the_pins(name, layout):
+    logits, mask, full_mask, probs_old, sig_old, ctx = pinned_case(10, 2)
+    t = Tensor(layout(logits), requires_grad=True)
+    out = LOSS_FNS[name](t, mask, full_mask, layout(probs_old), layout(sig_old), ctx)
+    out.backward()
+    assert (out.item().hex(), bits_of(t.grad)) == PINNED_BITS_12[name]
+
+
+@pytest.mark.parametrize("layout", [np.asarray, channel_major], ids=["c-order", "channel-major"])
+def test_softmax_bits_at_12_channels_match_the_pin(layout):
+    assert bits_of(L._softmax(layout(pinned_case(10, 2)[0]))) == PINNED_SOFTMAX_BITS_12
 
 
 def test_losses_are_nonnegative():

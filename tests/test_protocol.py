@@ -7,9 +7,8 @@ from bgshift import protocol as pr
 from bgshift import trainer as tr
 from bgshift.exceptions import ConfigError, DivergenceError
 from bgshift.losses import method_preset
-from bgshift.model import BackboneConfig
-from bgshift.scenario import Sample, StepDataset, SyntheticConfig, build_schedule, generate_synthetic, split_corpus
-from bgshift.trainer import TrainConfig
+from bgshift.scenario import Sample, StepDataset
+from helpers import tiny_first_step
 
 
 def test_grid_is_the_fixed_14_value_ladder():
@@ -117,22 +116,6 @@ def test_scan_returns_grid_member_and_trace():
 
 
 # -- end-to-end selection on a tiny task ---------------------------------------
-
-
-def tiny_first_step(method="FT", num_images=14, hidden=4, **train):
-    """(step 0 trained under ``method``, schedule, training config) of a
-    2-class [1,1] overlapped run that evaluates on 2 of ``num_images``
-    images; ``train`` sets TrainConfig fields."""
-    cfg = SyntheticConfig(num_fg_classes=2, num_images=num_images, height=16, width=16, blobs_per_image=2)
-    corpus = generate_synthetic(0, cfg)
-    schedule = build_schedule(2, [1, 1])
-    tconf = TrainConfig(
-        **{"epochs_per_step": 2, "batch_size": 4, "seed": 0, **train},
-        method=method_preset(method),
-        backbone=BackboneConfig(hidden=hidden, features=hidden),
-    )
-    first = tr.first_step(split_corpus(corpus[:-2], schedule, "overlapped"), corpus[-2:], schedule, tconf)
-    return first, schedule, tconf
 
 
 def test_select_method_weight_runs_real_trainings(monkeypatch):
