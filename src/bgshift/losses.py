@@ -250,8 +250,8 @@ def lwf_mc_loss(
     ctx: LossContext,
 ) -> Tensor:
     """Per-class binary CE blend: ground-truth targets for incoming classes,
-    old-model sigmoids for old ones, and both for the background. ``variant``
-    must be ``"full"``, the one form of LwF-MC.
+    old-model sigmoids for old ones, and both for the background, in the
+    logits' dtype. ``variant`` must be ``"full"``, the one form of LwF-MC.
     """
     if variant != "full":
         raise ConfigError(f"unknown LwF-MC variant {variant!r}")
@@ -269,8 +269,7 @@ def lwf_mc_loss(
     new = ctx.new_channels
     is_class = (np.asarray(ctx.class_order)[new, None] == mask.ravel()).astype(x.dtype)
     sig_old = _rows(sigmoid_old)
-    term = np.zeros(x.shape, np.result_type(x, sig_old))
-    g = np.zeros_like(term)
+    term, g = np.zeros_like(x), np.zeros_like(x)
     # the classification rows, then the distillation rows: the background
     # (row 0, in both) takes the classification term first
     for rows, w, t in ((new, w_cls, is_class), (slice(0, ctx.n_old), w_kd, sig_old)):
@@ -278,7 +277,7 @@ def lwf_mc_loss(
         # d/dx of the BCE is s - t, masked where either log is clamped
         g[rows] += w * ((1.0 - t) * on_1s[rows] * s[rows] - t * on_s[rows] * (1.0 - s[rows]))
     k = len(ctx.class_order)
-    grad = (g * (1.0 / (mask.size * k))).astype(x.dtype, copy=False)
+    grad = g * (1.0 / (mask.size * k))
     return nm.scalar_node(_mean(term.sum(axis=0)) * (1.0 / k), (logits_new, _cols(grad, logits_new.shape)))
 
 

@@ -489,9 +489,10 @@ def test_softmax_bits_match_the_pin(layout):
     assert bits_of(L._softmax(layout(pinned_case()[0]))) == PINNED_SOFTMAX_BITS
 
 
-# as PINNED_BITS, without the per-pixel values, on a step from 10 channels to
-# 12 (pinned_case(10, 2)): sums over 8 or more channels are where a change
-# of their order would show
+# as PINNED_BITS on a step from 10 channels to 12 (pinned_case(10, 2)), where
+# sums over 8 or more channels show a change of their order; recorded when
+# the sums ran one channel at a time. Without per-pixel values: on one pixel
+# numpy sums 8 or more channels pairwise (see the losses module)
 PINNED_BITS_12 = {
     "ce": ("0x1.8c809ea173950p+2", "7bd5836e8e21d315"),
     "uce": ("0x1.6ad02dc7f8156p+1", "8b635fa11052ebe7"),
