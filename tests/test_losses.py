@@ -309,6 +309,16 @@ def test_lwf_mc_half_sigmoid_gives_ln2_per_term():
     assert abs(got - 4 * LN2 / 3) < 1e-12
 
 
+def test_lwf_mc_with_a_zero_distillation_weight_keeps_positive_zero_gradients():
+    # the old foreground channels take the distillation term alone; weighted
+    # by 0.0 their gradient is 0.0, never the -0.0 of 0.0 times a negative
+    logits, mask, _, _, sig_old, ctx = pinned_case()
+    t = Tensor(logits, requires_grad=True)
+    L.lwf_mc_loss(t, mask, sig_old, "full", replace(ctx, method_weights={"w_cls": 1.0, "w_kd": 0.0})).backward()
+    old_fg = t.grad[..., 1 : ctx.n_old]
+    assert (old_fg == 0.0).all() and not np.signbit(old_fg).any()
+
+
 def test_lwf_mc_unknown_variant_rejected():
     for variant in ("X", "C"):
         with pytest.raises(ConfigError):
