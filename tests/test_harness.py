@@ -170,7 +170,10 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
         (["--dataset.num_eval=0"], "dataset.num_eval"),
         (["--dataset.blobs_per_image=0"], "dataset.blobs_per_image"),
         # 2 images of 2 blobs draw 4 class blobs, fewer than the 5 classes
-        (["--dataset.num_fg_classes=5", "--schedule_sizes=4,1", "--dataset.num_train=1", "--dataset.num_eval=1"], "dataset.blobs_per_image"),
+        (
+            ["--dataset.num_fg_classes=5", "--schedule_sizes=4,1", "--dataset.num_train=1", "--dataset.num_eval=1"],
+            "dataset.blobs_per_image",
+        ),
     ],
 )
 def test_a_config_that_would_train_nothing_is_rejected_when_loaded(tmp_path, capsys, overrides, key):
