@@ -7,7 +7,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .exceptions import BgshiftError, ConfigError
+from .exceptions import BgshiftError, ComparisonError, ConfigError
 from .harness import RunInputs, compare_report, load_experiment_config, run_experiment
 from .protocol import select_method_weight
 from .scenario import SyntheticConfig, generate_synthetic, save_dataset
@@ -106,7 +106,12 @@ def _dispatch(args, overrides: list[str]) -> int:
         return 0
 
     if args.command == "report":
-        report = json.loads(Path(args.report).read_text())
+        try:
+            report = json.loads(Path(args.report).read_text())
+        except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
+            raise ComparisonError(f"cannot read report {args.report}: {e}") from None
+        if not isinstance(report, dict) or "aggregate" not in report:
+            raise ComparisonError(f"report {args.report} has no 'aggregate' section")
         verdicts = compare_report(report, args.baseline, args.target)
         print(json.dumps(verdicts, indent=2))
         return 0

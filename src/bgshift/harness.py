@@ -474,7 +474,11 @@ def parse_config_text(text: str) -> dict:
 
 def load_experiment_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     """The config file at ``path`` with ``--key=value`` overrides on top."""
-    tree = parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
+    tree = parse_config_text(text)
     for item in overrides or []:
         body = item[2:] if item.startswith("--") else item
         if "=" not in body:

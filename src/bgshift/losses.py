@@ -105,12 +105,12 @@ def _rows(a: np.ndarray) -> np.ndarray:
     """``a`` [..., K] as contiguous channel rows [K, pixels]: a free view when
     ``a`` is stored channel-major (as ``affine_last`` and ``_softmax`` return
     it), else one transposed copy."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(a.shape[-1], -1)
+    return np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
 
 
 def _cols(rows: np.ndarray, shape) -> np.ndarray:
     """Channel rows [K, pixels] as a [..., K] view of ``shape[:-1]`` pixels."""
-    return np.moveaxis(rows.reshape((rows.shape[0],) + tuple(shape[:-1])), 0, -1)
+    return rows.T.reshape(shape)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -161,7 +161,7 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *
     incoming = {ctx.class_order[i] for i in ctx.new_channels}
     try:
         chan = _label_channels(logits, mask, ctx.class_order, incoming, "unbiased_cross_entropy")
-    except (ShapeError, LabelDomainError):
+    except LabelDomainError:
         # a label of an earlier step is named first
         stale = [int(c) for c in np.unique(mask) if c in ctx.class_order[1 : ctx.n_old]]
         if stale:
@@ -367,36 +367,49 @@ def method_preset(name: str) -> MethodConfig:
     return MethodConfig(name=name, **_PRESETS[key])
 
 
-def _teacher_targets(
+def teacher_targets(
     method: MethodConfig,
-    model_prev: SegModel,
+    teacher: SegModel,
     images: np.ndarray,
+    batch_size: int,
     old_outputs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """What the method's losses read of the frozen teacher on ``images``.
+    """What the method's losses read of the frozen ``teacher`` on ``images``.
 
     That is its probabilities (the sigmoid of its logits for LwF-MC, their
-    softmax when distillation is on), stored channel-major, and its features
-    when feature distillation is on; None for what no loss reads, and the
-    teacher is run only if a loss reads something. ``old_outputs`` are its
-    (logits, features) on ``images`` if they are at hand.
+    softmax when distillation is on) as channel rows [K, n, H, W], and its
+    features [n, H, W, D] when feature distillation is on; None for what no
+    loss reads. The teacher runs under no_grad, ``batch_size`` images at a
+    time (so that one chunk of its outputs is held at once), and only if a
+    loss reads something. ``old_outputs`` are its (logits, features) on all
+    of ``images`` if they are at hand; it does not run then.
     """
     lwfmc = method.kd_mode == "lwfmc"
     kd = lwfmc or (method.kd_mode != "none" and method.lambda_kd > 0)
     feature_kd = not lwfmc and method.feature_kd_weight > 0
     if not (kd or feature_kd):
         return None, None
-    if old_outputs is None:
-        with nm.no_grad():
-            old_outputs = tuple(t.data for t in model_prev.forward_batch(images))
-    logits, feats = old_outputs
-    if lwfmc:
-        probs = 1.0 / (1.0 + np.exp(-logits))
-    elif kd:
-        probs = _softmax(logits)
-    else:
+
+    def targets(logits, feats):
         probs = None
-    return probs, feats if feature_kd else None
+        if kd:
+            probs = 1.0 / (1.0 + np.exp(-logits)) if lwfmc else _softmax(logits)
+            probs = _rows(probs).reshape(probs.shape[-1:] + probs.shape[:-1])
+        return probs, feats if feature_kd else None
+
+    if old_outputs is not None:
+        return targets(*old_outputs)
+    probs = np.empty((len(teacher.known_classes),) + images.shape[:3], teacher.dtype) if kd else None
+    feats = np.empty(images.shape[:3] + (teacher.config.features,), teacher.dtype) if feature_kd else None
+    for start in range(0, len(images), batch_size):
+        chunk = slice(start, start + batch_size)
+        with nm.no_grad():
+            p, f = targets(*(t.data for t in teacher.forward_batch(images[chunk])))
+        if kd:
+            probs[:, chunk] = p
+        if feature_kd:
+            feats[chunk] = f
+    return probs, feats
 
 
 def composite_objective(
@@ -415,8 +428,8 @@ def composite_objective(
     so without a previous model this is plain cross-entropy. Later steps need
     the frozen previous model whenever a distillation term is active;
     ``old_outputs`` may carry its precomputed (logits, features) for the
-    batch, and the private ``_teacher`` what the losses read of them (see
-    ``_teacher_targets``), as ``run_step`` caches it once per step. The terms
+    batch, and the private ``_teacher`` the batch's ``teacher_targets``, as
+    ``run_step`` gathers them from its cache of the step's. The terms
     (LwF-MC, or CE/UCE, lambda_kd * KD/UKD and feature_kd_weight * feature
     KD; then the regularizer's penalty) are summed by one tape node.
     """
@@ -431,8 +444,9 @@ def composite_objective(
         model_prev.known_classes, model.known_classes, method_weights={"w_cls": W_CLS, "w_kd": method.lambda_kd}
     )
     if _teacher is None:
-        _teacher = _teacher_targets(method, model_prev, images, old_outputs)
-    probs_old, old_feats = _teacher
+        _teacher = teacher_targets(method, model_prev, images, len(images), old_outputs)
+    rows, old_feats = _teacher
+    probs_old = None if rows is None else np.moveaxis(rows, 0, -1)  # a [b, H, W, K] view
 
     if method.kd_mode == "lwfmc":
         terms = [(lwf_mc_loss(logits, masks, probs_old, "full", ctx), 1.0)]

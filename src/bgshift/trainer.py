@@ -30,7 +30,7 @@ from . import numerics as nm
 from . import regularizers as rg
 from .evaluation import ConfusionMatrix, MiouReport, iou_per_class, miou_groups
 from .exceptions import AlignmentError, ConfigError, DivergenceError
-from .losses import MethodConfig, _teacher_targets, composite_objective
+from .losses import MethodConfig, composite_objective, teacher_targets
 from .model import BackboneConfig, SegModel, argmax_mask, extend_classifier
 from .scenario import LabelSchedule, Sample, SplitReport, StepDataset, relabel
 
@@ -146,11 +146,11 @@ def run_step(
     # batch is an index gather, and forward_batch casts nothing
     all_images = np.stack([item.image for item in dataset.items]).astype(model.dtype, copy=False)
     all_masks = np.stack([item.mask for item in dataset.items])
-    # what the losses read of the teacher (model_prev, only ever run under
-    # no_grad) can be cached when inputs are not augmented
+    # what the losses read of the teacher (model_prev) is computed once per
+    # step when inputs are not augmented; a batch gathers its images' share
     cache = None
     if model_prev is not None and not config.hflip:
-        cache = _teacher_cache(model_prev, method, all_images, config.batch_size)
+        cache = teacher_targets(method, model_prev, all_images, config.batch_size)
 
     params = model.parameters()
     velocity: dict[str, np.ndarray] = {}
@@ -171,7 +171,10 @@ def run_step(
                     if f:
                         images[j] = images[j, :, ::-1]
                         masks[j] = masks[j, :, ::-1]
-            cached = None if cache is None else _teacher_batch(cache, idx)
+            cached = None
+            if cache is not None:
+                probs, feats = cache
+                cached = (None if probs is None else probs[:, idx], None if feats is None else feats[idx])
 
             penalty = None
             if method.reg_kind != "none" and reg_state is not None and t > 0:
@@ -195,38 +198,6 @@ def run_step(
         trace.append(float(np.mean(epoch_losses)))
 
     return StepResult(model, trace, iteration, path_state)
-
-
-def _teacher_cache(
-    teacher: SegModel, method: MethodConfig, images: np.ndarray, batch_size: int
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """``_teacher_targets`` for every image of the step, computed once: the
-    probabilities channel-major [K, n, H, W] and the features [n, H, W, D],
-    each None where no loss reads it."""
-    n = len(images)
-    probs = feats = None
-    for start in range(0, n, batch_size):
-        p, f = _teacher_targets(method, teacher, images[start : start + batch_size])
-        if p is None and f is None:
-            break
-        if start == 0:
-            probs = None if p is None else np.empty((p.shape[-1], n) + p.shape[1:-1], p.dtype)
-            feats = None if f is None else np.empty((n,) + f.shape[1:], f.dtype)
-        if probs is not None:
-            probs[:, start : start + len(p)] = np.moveaxis(p, -1, 0)
-        if feats is not None:
-            feats[start : start + len(f)] = f
-    return probs, feats
-
-
-def _teacher_batch(cache, idx: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The cached teacher targets of the images ``idx``; the probabilities
-    as a [b, H, W, K] view of channel-major rows."""
-    probs, feats = cache
-    return (
-        None if probs is None else np.moveaxis(probs[:, idx], 0, -1),
-        None if feats is None else feats[idx],
-    )
 
 
 def update_importance(

@@ -701,6 +701,26 @@ def test_cli_generate_with_a_bad_setting_is_an_error(tmp_path, capsys, flags, ke
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["run", "--config"], None),
+        (["select", "--method", "MiB", "--config"], None),
+        (["report", "--baseline", "FT", "--target", "MiB", "--report"], None),
+        (["report", "--baseline", "FT", "--target", "MiB", "--report"], "not json"),
+        (["report", "--baseline", "FT", "--target", "MiB", "--report"], '{"cells": []}'),
+    ],
+    ids=["run-missing", "select-missing", "report-missing", "report-not-json", "report-no-aggregate"],
+)
+def test_cli_names_a_missing_or_malformed_input_file(tmp_path, capsys, command, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    assert cli_main([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_a_failed_method_prints_its_first_cell_error(tmp_path, capsys):
     # 2 images of 4 blobs draw a blob for each of the 5 classes, but none of
     # the corpora seed 0 draws is balanced: the corpus, and so every cell, fails

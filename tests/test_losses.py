@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bgshift import losses as L
 from bgshift import numerics as nm
 from bgshift import regularizers as rg
-from bgshift.exceptions import AlignmentError, ConfigError, LabelDomainError
+from bgshift.exceptions import AlignmentError, ConfigError, LabelDomainError, ShapeError
 from bgshift.model import BackboneConfig, SegModel, extend_classifier
 from bgshift.numerics import Tensor
 from helpers import check_gradient
@@ -106,6 +106,12 @@ def test_uce_rejects_old_class_labels():
 def test_uce_names_stale_and_foreign_labels(mask, message):
     with pytest.raises(LabelDomainError, match=message):
         L.unbiased_cross_entropy(Tensor(np.zeros((1, 3, 3))), np.array(mask), ctx_for())
+
+
+def test_uce_names_a_mask_of_the_wrong_shape_before_its_stale_labels():
+    ctx = L.LossContext.for_step([0, 1, 2], [0, 1, 2, 3])
+    with pytest.raises(ShapeError, match=r"mask \(1, 4, 5\) does not match logits \(1, 4, 4, 4\)"):
+        L.unbiased_cross_entropy(Tensor(np.zeros((1, 4, 4, 4))), np.ones((1, 4, 5), dtype=int), ctx)
 
 
 def test_uce_mass_redistribution_invariance():

@@ -5,8 +5,8 @@ import pytest
 
 from bgshift import trainer as tr
 from bgshift.exceptions import AlignmentError, ConfigError, DivergenceError
-from bgshift.losses import method_preset
-from bgshift.model import BackboneConfig
+from bgshift.losses import method_preset, teacher_targets
+from bgshift.model import BackboneConfig, SegModel
 from bgshift.numerics import Tensor
 from bgshift.scenario import SyntheticConfig, build_schedule, generate_synthetic, split_corpus
 from helpers import run_from_scratch
@@ -247,7 +247,7 @@ def test_teacher_cache_holds_only_what_the_losses_read(method, probs, feats):
     cfg = small_config(method, epochs=1, dtype="float64")
     teacher = tr.run_step(None, steps[0], cfg).model.frozen_copy()
     images = np.stack([item.image for item in steps[1].items])
-    cached_probs, cached_feats = tr._teacher_cache(teacher, cfg.method, images, cfg.batch_size)
+    cached_probs, cached_feats = teacher_targets(cfg.method, teacher, images, cfg.batch_size)
     assert (cached_feats is not None) == feats
     if probs is None:
         assert cached_probs is None
@@ -260,9 +260,33 @@ def test_teacher_cache_holds_only_what_the_losses_read(method, probs, feats):
     assert np.allclose(np.moveaxis(cached_probs, 0, -1), want, rtol=1e-12, atol=0.0)
     if feats:
         assert np.array_equal(cached_feats, features.data)
-    idx = np.array([2, 0])
-    got_probs, got_feats = tr._teacher_batch((cached_probs, cached_feats), idx)
-    assert np.array_equal(got_probs, np.moveaxis(cached_probs, 0, -1)[idx])
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("size", [24, 64])  # whole images per backbone tile, and rows of one image
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("method", ["LwF", "ILT", "LwF-MC", "MiB"])
+def test_step_teacher_targets_sliced_to_a_batch_are_the_batch_targets(method, dtype, size):
+    # what run_step caches for the step and gathers per batch, against the
+    # per-batch path of composite_objective, with and without old_outputs
+    rng = np.random.default_rng(11)
+    teacher = SegModel.create(BackboneConfig(hidden=6, features=6, dtype=dtype), [1, 2], rng).frozen_copy()
+    images = rng.random((10, size, size, 3)).astype(dtype)
+    m = method_preset(method)
+    probs, feats = teacher_targets(m, teacher, images, 4)
+    assert (feats is not None) == (method == "ILT")
+    idx = rng.choice(len(images), size=5, replace=False)
+    outputs = tuple(t.data for t in teacher.forward_batch(images[idx]))
+    # given its outputs, the teacher (None here) does not run
+    for got_probs, got_feats in (
+        teacher_targets(m, teacher, images[idx], len(idx)),
+        teacher_targets(m, None, images[idx], 1, outputs),
+    ):
+        assert same_bits(got_probs, probs[:, idx])
+        assert got_feats is None if feats is None else same_bits(got_feats, feats[idx])
 
 
 # -- pinned loss traces ------------------------------------------------------------
@@ -458,7 +482,7 @@ def test_float32_training_leaves_every_array_float32(method, monkeypatch):
         ]
 
     spy(tr.sgd_step, sgd_arrays)
-    spy(tr._teacher_cache, lambda args, cache: [(f"teacher {i}", x) for i, x in enumerate(cache) if x is not None])
+    spy(tr.teacher_targets, lambda args, cache: [(f"teacher {i}", x) for i, x in enumerate(cache) if x is not None])
     spy(tr.update_importance, importance_arrays)
     for t, result in enumerate(pinned_run(method, "float32").results):
         seen += [(f"param {n} step {t}", p.data) for n, p in result.model.parameters().items()]
