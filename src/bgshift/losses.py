@@ -14,10 +14,10 @@ Every loss computes its value and its gradient with respect to its input (the
 logits, or the features for ILT) in numpy, from the closed form of that
 gradient, and returns one tape node (``numerics.scalar_node``). Where a
 probability is clamped at ``LOG_FLOOR`` before the log, no gradient flows
-through it. A loss of the logits computes their softmax itself; the
-composite objective computes it once per batch and hands it to each loss
-through the private ``_q`` argument. The composite objective is one node
-too, over its weighted terms.
+through it. A loss of the logits computes their softmax unless the composite
+objective, one node over its weighted terms, hands it over (the private
+``_q``), with what the loss reads of the frozen teacher (``teacher_targets``,
+once per step in ``trainer.run_step``).
 
 Each loss works on contiguous channel rows [K, pixels] (``_rows``): a free
 view of channel-major input such as the logits ``affine_last`` returns, one
@@ -390,12 +390,12 @@ def teacher_targets(
     if not (kd or feature_kd):
         return None, None
 
-    def targets(logits, feats):
-        probs = None
+    def targets(logits, features):
+        p = None
         if kd:
-            probs = 1.0 / (1.0 + np.exp(-logits)) if lwfmc else _softmax(logits)
-            probs = _rows(probs).reshape(probs.shape[-1:] + probs.shape[:-1])
-        return probs, feats if feature_kd else None
+            p = 1.0 / (1.0 + np.exp(-logits)) if lwfmc else _softmax(logits)
+            p = _rows(p).reshape(p.shape[-1:] + p.shape[:-1])
+        return p, features if feature_kd else None
 
     if old_outputs is not None:
         return targets(*old_outputs)
