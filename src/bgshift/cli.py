@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .exceptions import BgshiftError, ComparisonError, ConfigError
-from .harness import RunInputs, compare_report, load_experiment_config, run_experiment
+from .harness import RunInputs, compare_report, load_experiment_config, make_out_dir, run_experiment
 from .protocol import select_method_weight
 from .scenario import SyntheticConfig, generate_synthetic, save_dataset
 from .trainer import first_step
@@ -67,7 +67,7 @@ def _dispatch(args, overrides: list[str]) -> int:
             blobs_per_image=args.blobs,
         )
         samples = generate_synthetic(args.seed, cfg)
-        save_dataset(samples, args.out, args.classes)
+        save_dataset(samples, make_out_dir(args.out), args.classes)
         print(f"wrote {len(samples)} samples to {args.out}")
         return 0
 
@@ -94,14 +94,13 @@ def _dispatch(args, overrides: list[str]) -> int:
             raise ConfigError(f"seeds {config.seeds}: select trains with one seed")
         if len(config.schedule_sizes) < 2:
             raise ConfigError(f"schedule_sizes {config.schedule_sizes}: select needs an incremental step")
+        out = make_out_dir(args.out) if args.out else None  # before any training
         inputs = RunInputs.build(config)
         first = first_step(inputs.split, inputs.eval_corpus, inputs.schedule, train_config)
         result = select_method_weight(first, train_config, inputs.schedule)
         payload = {"method": args.method, **asdict(result)}
         print(json.dumps(payload, indent=2))
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
+        if out is not None:
             (out / "selection.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
         return 0
 
@@ -110,9 +109,10 @@ def _dispatch(args, overrides: list[str]) -> int:
             report = json.loads(Path(args.report).read_text())
         except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
             raise ComparisonError(f"cannot read report {args.report}: {e}") from None
-        if not isinstance(report, dict) or "aggregate" not in report:
-            raise ComparisonError(f"report {args.report} has no 'aggregate' section")
-        verdicts = compare_report(report, args.baseline, args.target)
+        try:
+            verdicts = compare_report(report, args.baseline, args.target)
+        except ComparisonError as e:
+            raise ComparisonError(f"report {args.report}: {e}") from None
         print(json.dumps(verdicts, indent=2))
         return 0
 

@@ -1,4 +1,9 @@
-"""Confusion-matrix accumulation and mIoU grouped by learning step."""
+"""Confusion-matrix accumulation and mIoU grouped by learning step.
+
+One path scores a model: ``ConfusionMatrix.accumulate`` counts its
+(ground truth, prediction) pixel pairs, and ``miou_groups`` computes each
+class's IoU from those counts and averages them by step group.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -33,22 +38,6 @@ class ConfusionMatrix:
 
 
 @dataclass
-class IoUResult:
-    values: np.ndarray  # per-channel IoU, zero where absent
-    present: np.ndarray  # bool per channel: class seen in gt or prediction
-
-
-def iou_per_class(matrix: ConfusionMatrix) -> IoUResult:
-    counts = matrix.counts
-    tp = np.diag(counts).astype(np.float64)
-    denom = counts.sum(axis=0) + counts.sum(axis=1) - np.diag(counts)
-    present = denom > 0
-    values = np.zeros(matrix.num_classes)
-    values[present] = tp[present] / denom[present]
-    return IoUResult(values, present)
-
-
-@dataclass
 class MiouReport:
     """Group means follow the schedule; background counts in group 0."""
 
@@ -66,36 +55,32 @@ class MiouReport:
         }
 
 
-def miou_groups(iou: IoUResult, schedule: LabelSchedule, step_t: int) -> MiouReport:
-    """Unweighted class means per step group and over all classes.
+def miou_groups(matrix: ConfusionMatrix, schedule: LabelSchedule, step_t: int) -> MiouReport:
+    """Per-class IoU of ``matrix``'s counts, and its unweighted class means
+    per step group and over all classes.
 
     Channel order is the model's label space at step_t: background first,
-    then classes in schedule order. Absent classes are excluded from means.
+    then classes in schedule order. A class absent from both ground truth
+    and prediction has no IoU and is excluded from means.
     """
     order = schedule.label_space(step_t)
-    if len(order) != iou.values.shape[0]:
+    if len(order) != matrix.num_classes:
         raise AlignmentError(
-            f"IoU vector has {iou.values.shape[0]} entries but step {step_t} has {len(order)} classes"
+            f"confusion matrix has {matrix.num_classes} classes but step {step_t} has {len(order)}"
         )
-    chan_of = {c: i for i, c in enumerate(order)}
-    groups = []
-    for g in range(step_t + 1):
-        members = list(schedule.new_fg(g))
-        if g == 0:
-            members = [BACKGROUND] + members
-        vals = [iou.values[chan_of[c]] for c in members if iou.present[chan_of[c]]]
-        groups.append(float(np.mean(vals)) if vals else None)
-    all_vals = iou.values[iou.present]
-    fg_sel = iou.present.copy()
-    fg_sel[chan_of[BACKGROUND]] = False
-    fg_vals = iou.values[fg_sel]
-    per_class = {
-        c: (float(iou.values[i]) if iou.present[i] else None) for c, i in chan_of.items()
-    }
+    counts = matrix.counts
+    tp = np.diag(counts)
+    denom = counts.sum(axis=0) + counts.sum(axis=1) - tp
+    per_class = {c: (float(tp[i] / denom[i]) if denom[i] else None) for i, c in enumerate(order)}
+
+    def mean(classes) -> float | None:
+        vals = [per_class[c] for c in classes if per_class[c] is not None]
+        return float(np.mean(vals)) if vals else None
+
+    groups = [mean(([BACKGROUND] if g == 0 else []) + list(schedule.new_fg(g))) for g in range(step_t + 1)]
     return MiouReport(
         groups,
-        float(np.mean(all_vals)) if all_vals.size else 0.0,
-        float(np.mean(fg_vals)) if fg_vals.size else 0.0,
+        mean(order) or 0.0,  # 0.0 when no class is present
+        mean([c for c in order if c != BACKGROUND]) or 0.0,
         per_class,
     )
-

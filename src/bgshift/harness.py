@@ -252,6 +252,7 @@ def _run_cells(config: ExperimentConfig) -> list[dict]:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all cells, aggregate, and (optionally) write report files."""
+    out = make_out_dir(config.out_dir) if config.out_dir else None  # before any training
     cells = _run_cells(config)
     report = {
         "config": config_to_dict(config),
@@ -261,12 +262,19 @@ def run_experiment(config: ExperimentConfig) -> dict:
         },
         "ok": all(r["status"] == "ok" for r in cells),
     }
-    if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
         (out / "miou.csv").write_text(report_csv(report))
     return report
+
+
+def make_out_dir(path) -> Path:
+    """Create the output directory ``path`` (ConfigError naming it if that fails)."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create the output directory {path}: {e}") from None
+    return Path(path)
 
 
 def _seed_stats(cells: list[dict]) -> dict:
@@ -325,10 +333,17 @@ def report_csv(report: dict) -> str:
 
 def final_seed_mean(report: dict, method: str) -> dict:
     """Seed-mean final-step metrics {group{g}: x, all: y} for one method,
-    read from the report's ``aggregate``."""
-    stats = report["aggregate"].get(method, {"status": "failed"})
-    if stats["status"] != "ok":
+    read from the report's ``aggregate`` (ComparisonError if it has none or
+    the method's entry is malformed)."""
+    aggregate = report.get("aggregate") if isinstance(report, dict) else None
+    if not isinstance(aggregate, dict):
+        raise ComparisonError(f"no 'aggregate' mapping of methods to read {method!r} from")
+    stats = aggregate.get(method, {"status": "failed"})
+    status = stats.get("status") if isinstance(stats, dict) else None
+    if status == "failed":
         raise ComparisonError(f"method {method!r} has no successful cells")
+    if status != "ok" or not isinstance(stats.get("group_mean"), list) or "all_mean" not in stats:
+        raise ComparisonError(f"method {method!r} has a malformed aggregate entry: {stats!r}")
     out = {f"group{g}": v for g, v in enumerate(stats["group_mean"])}
     out["all"] = stats["all_mean"]
     return out

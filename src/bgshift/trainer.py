@@ -2,13 +2,14 @@
 
 Each learning step starts from the previous model (classifier extended for
 the incoming classes), trains the method's composite objective with
-momentum-SGD (``MOMENTUM``, ``WEIGHT_DECAY``) under a polynomial
-learning-rate decay (``POLY_POWER``), and reads the previous model,
-untouched, as the distillation teacher. ``run_step`` keeps the
-path-integral record of its training (``StepResult.path_state``, a
-``regularizers.PathState``); the importance the prior-focused baselines
-penalize is computed in one place, ``update_importance``, which
-``run_incremental`` calls on each step just before it trains the next one.
+momentum-SGD (``sgd_step``, which reads ``MOMENTUM`` and ``WEIGHT_DECAY``)
+under a polynomial learning-rate decay (``poly_lr``, which reads
+``POLY_POWER``), and reads the previous model, untouched, as the
+distillation teacher. ``run_step`` keeps the path-integral record of its
+training (``StepResult.path_state``, a ``regularizers.PathState``); the
+importance the prior-focused baselines penalize is computed in one place,
+``update_importance``, which ``run_incremental`` calls on each step just
+before it trains the next one.
 All randomness is derived from (seed, step) so the first step is
 bit-identical across methods: every run is a ``first_step``, trained once,
 that ``run_incremental`` continues under any method. ``evaluate_model``
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import regularizers as rg
-from .evaluation import ConfusionMatrix, MiouReport, iou_per_class, miou_groups
+from .evaluation import ConfusionMatrix, MiouReport, miou_groups
 from .exceptions import AlignmentError, ConfigError, DivergenceError
 from .losses import MethodConfig, composite_objective, teacher_targets
 from .model import BackboneConfig, SegModel, argmax_mask, extend_classifier
@@ -69,39 +70,37 @@ class StepResult:
     path_state: rg.PathState | None = None
 
 
-def poly_lr(iteration: int, total_iters: int, base_lr: float, power: float) -> float:
-    """base_lr * (1 - iter/total)^power."""
+def poly_lr(iteration: int, total_iters: int, base_lr: float) -> float:
+    """base_lr * (1 - iter/total)^POLY_POWER."""
     if total_iters <= 0:
         raise ConfigError("total_iters must be positive")
     if not 0 <= iteration <= total_iters:
         raise ConfigError("iteration outside [0, total_iters]")
-    return base_lr * (1.0 - iteration / total_iters) ** power
+    return base_lr * (1.0 - iteration / total_iters) ** POLY_POWER
 
 
 def sgd_step(
     params: dict[str, nm.Tensor],
-    grads: dict[str, np.ndarray],
     lr: float,
-    momentum: float,
-    weight_decay: float,
     velocity: dict[str, np.ndarray],
-) -> tuple[dict[str, nm.Tensor], dict[str, np.ndarray]]:
-    """v <- m*v + g + wd*theta; theta <- theta - lr*v (in place)."""
+) -> dict[str, np.ndarray]:
+    """v <- MOMENTUM*v + g + WEIGHT_DECAY*theta; theta <- theta - lr*v (in
+    place) for each parameter with a gradient g (``p.grad``); returns the
+    gradients it applied, by name."""
+    grads = {}
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is None:
             continue
         if not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient for {name}")
         if g.shape != p.data.shape:
             raise ConfigError(f"gradient shape mismatch for {name}")
-        v = velocity.get(name)
-        if v is None:
-            v = np.zeros_like(p.data)
-        v = momentum * v + g + weight_decay * p.data
+        v = MOMENTUM * velocity.get(name, 0.0) + g + WEIGHT_DECAY * p.data
         velocity[name] = v
         p.data -= lr * v
-    return params, velocity
+        grads[name] = g
+    return grads
 
 
 def _rng_children(seed: int, step: int) -> dict[str, np.random.Generator]:
@@ -167,10 +166,8 @@ def run_step(
             images, masks = all_images[idx], all_masks[idx]
             if config.hflip:
                 flips = rngs["aug"].random(len(idx)) < 0.5
-                for j, f in enumerate(flips):
-                    if f:
-                        images[j] = images[j, :, ::-1]
-                        masks[j] = masks[j, :, ::-1]
+                images[flips] = images[flips, :, ::-1]
+                masks[flips] = masks[flips, :, ::-1]
             cached = None
             if cache is not None:
                 probs, feats = cache
@@ -185,11 +182,8 @@ def run_step(
             if not np.isfinite(value):
                 raise DivergenceError(f"step {t} iter {iteration}: loss is {value}")
             loss.backward()
-            grads = {
-                name: p.grad for name, p in params.items() if p.grad is not None
-            }
-            lr = poly_lr(iteration, total_iters, base_lr, POLY_POWER)
-            sgd_step(params, grads, lr, MOMENTUM, WEIGHT_DECAY, velocity)
+            lr = poly_lr(iteration, total_iters, base_lr)
+            grads = sgd_step(params, lr, velocity)
             if track_path:
                 deltas = {name: -lr * velocity[name] for name in grads}
                 rg.path_integral_update(path_state, grads, deltas)
@@ -256,7 +250,7 @@ def evaluate_model(
             pred = argmax_mask(logits.data[0], order)
             gt = relabel(sample.mask, order)
             cm.accumulate(lut[pred], lut[gt])
-    return miou_groups(iou_per_class(cm), schedule, t)
+    return miou_groups(cm, schedule, t)
 
 
 @dataclass

@@ -46,72 +46,97 @@ def test_accumulate_rejects_size_mismatch():
         ev.ConfusionMatrix(3).accumulate(np.zeros(3, int), np.zeros(4, int))
 
 
+def counts_of(matrix) -> ev.ConfusionMatrix:
+    cm = ev.ConfusionMatrix(len(matrix))
+    cm.counts[:] = matrix
+    return cm
+
+
+def iou_oracle(counts, schedule, step_t):
+    """(per-class IoU by class id, None if absent; group means; all mean; fg
+    mean), recomputed from ``counts`` with Python loops."""
+    order = schedule.label_space(step_t)
+    k = len(order)
+    iou = {}
+    for i, c in enumerate(order):
+        tp = int(counts[i][i])
+        fp = sum(int(counts[j][i]) for j in range(k)) - tp
+        fn = sum(int(counts[i][j]) for j in range(k)) - tp
+        iou[c] = tp / (tp + fp + fn) if tp + fp + fn else None
+
+    def mean(classes):
+        vals = [iou[c] for c in classes if iou[c] is not None]
+        return sum(vals) / len(vals) if vals else None
+
+    groups = [mean(([0] if g == 0 else []) + list(schedule.new_fg(g))) for g in range(step_t + 1)]
+    return iou, groups, mean(order) or 0.0, mean(order[1:]) or 0.0
+
+
 def test_iou_perfect_diagonal():
-    cm = ev.ConfusionMatrix(3)
-    cm.counts[:] = np.diag([4, 5, 6])
-    res = ev.iou_per_class(cm)
-    assert np.allclose(res.values, 1.0)
-    assert res.present.all()
+    report = ev.miou_groups(counts_of(np.diag([4, 5, 6])), build_schedule(2, [1, 1]), 1)
+    assert report.per_class == {0: 1.0, 1: 1.0, 2: 1.0}
+    assert report.group_miou == [1.0, 1.0]
 
 
 def test_iou_hand_formula():
     cm = ev.ConfusionMatrix(3)
     cm.counts[1, 1] = 5
     cm.counts[1, 2] = 5
-    res = ev.iou_per_class(cm)
-    assert res.values[1] == 0.5  # 5 / (10 + 5 - 5)
-    assert res.present[1] and res.present[2] and not res.present[0]
+    report = ev.miou_groups(cm, build_schedule(2, [1, 1]), 1)
+    # class 1: 5 / (10 + 5 - 5); class 2 is only predicted; background is absent
+    assert report.per_class == {0: None, 1: 0.5, 2: 0.0}
 
 
 def test_iou_absent_class_excluded():
     cm = ev.ConfusionMatrix(3)
     cm.counts[0, 0] = 7
-    res = ev.iou_per_class(cm)
-    assert not res.present[1] and not res.present[2]
-    schedule = build_schedule(2, [1, 1])
-    report = ev.miou_groups(res, schedule, 1)
+    report = ev.miou_groups(cm, build_schedule(2, [1, 1]), 1)
+    assert report.per_class == {0: 1.0, 1: None, 2: None}
     assert report.group_miou == [1.0, None]
     assert report.all_miou == 1.0
+    assert report.fg_miou == 0.0
 
 
 def test_miou_single_group_equals_all():
-    cm = ev.ConfusionMatrix(3)
-    cm.counts[:] = np.diag([1, 1, 1])
-    cm.counts[1, 2] = 1
-    res = ev.iou_per_class(cm)
-    report = ev.miou_groups(res, build_schedule(2, [2]), 0)
+    counts = np.diag([1, 1, 1])
+    counts[1, 2] = 1
+    report = ev.miou_groups(counts_of(counts), build_schedule(2, [2]), 0)
     assert abs(report.group_miou[0] - report.all_miou) < 1e-15
 
 
 def test_miou_equal_groups():
-    schedule = build_schedule(20, [19, 1])
-    values = np.full(21, 0.5)
-    res = ev.IoUResult(values, np.ones(21, dtype=bool))
-    report = ev.miou_groups(res, schedule, 1)
+    # each class: 2 right, 1 predicted as the next class, 1 taken from the previous
+    counts = 2 * np.eye(21, dtype=np.int64) + np.roll(np.eye(21, dtype=np.int64), 1, axis=1)
+    report = ev.miou_groups(counts_of(counts), build_schedule(20, [19, 1]), 1)
+    assert set(report.per_class.values()) == {0.5}
     assert report.group_miou == [0.5, 0.5]
     assert report.all_miou == 0.5
 
 
 def test_miou_cross_checked_hand_average():
-    schedule = build_schedule(20, [19, 1])
     rng = np.random.default_rng(1)
-    values = rng.random(21)
-    res = ev.IoUResult(values, np.ones(21, dtype=bool))
-    report = ev.miou_groups(res, schedule, 1)
-    assert abs(report.group_miou[0] - values[:20].mean()) < 1e-12  # bg + classes 1..19
-    assert abs(report.group_miou[1] - values[20]) < 1e-12
-    assert abs(report.all_miou - values.mean()) < 1e-12
-    assert abs(report.fg_miou - values[1:].mean()) < 1e-12
-    assert min(report.group_miou) - 1e-12 <= report.all_miou <= max(report.group_miou) + 1e-12
+    for sizes in ([19, 1], [3, 2], [2, 1, 1], [1]) * 20:
+        schedule = build_schedule(sum(sizes), sizes)
+        step_t = len(sizes) - 1
+        k = sum(sizes) + 1
+        counts = rng.integers(0, 50, size=(k, k)) * (rng.random((k, k)) < 0.4)
+        absent = rng.random(k) < 0.3  # neither labelled nor predicted
+        counts[absent, :] = 0
+        counts[:, absent] = 0
+        report = ev.miou_groups(counts_of(counts), schedule, step_t)
+        iou, groups, all_miou, fg_miou = iou_oracle(counts, schedule, step_t)
+        assert report.per_class == iou  # one division per class: exact
+        for got, want in zip(report.group_miou, groups, strict=True):
+            assert (got is None) == (want is None) and (want is None or abs(got - want) < 1e-12)
+        assert abs(report.all_miou - all_miou) < 1e-12
+        assert abs(report.fg_miou - fg_miou) < 1e-12
 
 
 def test_miou_bounds_and_group_sandwich():
     rng = np.random.default_rng(2)
     schedule = build_schedule(5, [3, 2])
     for _ in range(20):
-        values = rng.random(6)
-        res = ev.IoUResult(values, np.ones(6, dtype=bool))
-        report = ev.miou_groups(res, schedule, 1)
+        report = ev.miou_groups(counts_of(rng.integers(0, 20, size=(6, 6))), schedule, 1)
         groups = [g for g in report.group_miou if g is not None]
         assert min(groups) - 1e-12 <= report.all_miou <= max(groups) + 1e-12
-        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(0.0 <= v <= 1.0 for v in report.per_class.values() if v is not None)

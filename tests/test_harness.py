@@ -709,8 +709,17 @@ def test_cli_generate_with_a_bad_setting_is_an_error(tmp_path, capsys, flags, ke
         (["report", "--baseline", "FT", "--target", "MiB", "--report"], None),
         (["report", "--baseline", "FT", "--target", "MiB", "--report"], "not json"),
         (["report", "--baseline", "FT", "--target", "MiB", "--report"], '{"cells": []}'),
+        (["report", "--baseline", "FT", "--target", "MiB", "--report"], '{"aggregate": []}'),
+        (["report", "--baseline", "FT", "--target", "MiB", "--report"], '{"aggregate": {"FT": {}}}'),
+        (
+            ["report", "--baseline", "FT", "--target", "MiB", "--report"],
+            '{"aggregate": {"FT": {"status": "ok", "all_mean": 0.5}}}',
+        ),
     ],
-    ids=["run-missing", "select-missing", "report-missing", "report-not-json", "report-no-aggregate"],
+    ids=[
+        "run-missing", "select-missing", "report-missing", "report-not-json", "report-no-aggregate",
+        "report-aggregate-list", "report-entry-without-status", "report-ok-entry-without-group-mean",
+    ],
 )
 def test_cli_names_a_missing_or_malformed_input_file(tmp_path, capsys, command, content):
     path = tmp_path / "input"
@@ -719,6 +728,37 @@ def test_cli_names_a_missing_or_malformed_input_file(tmp_path, capsys, command, 
     assert cli_main([*command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    if content is not None and "aggregate" in content:
+        assert "'FT'" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["generate", "--num-images", "4", "--classes", "2", "--height", "16", "--width", "16"],
+        ["run", "--config", "CFG"],
+        ["select", "--method", "MiB", "--config", "CFG"],
+    ],
+    ids=["generate", "run", "select"],
+)
+def test_an_out_that_cannot_be_a_directory_fails_before_training(tmp_path, capsys, monkeypatch, command):
+    calls = []
+
+    def no_training(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("trained before checking --out")
+
+    monkeypatch.setattr(hz, "first_step", no_training)
+    monkeypatch.setattr("bgshift.cli.first_step", no_training)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    argv = [str(cfg_file) if a == "CFG" else a for a in command]
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create the output directory ") and str(out) in err
+    assert out.read_text() == "a file" and calls == []
 
 
 def test_a_failed_method_prints_its_first_cell_error(tmp_path, capsys):

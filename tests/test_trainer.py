@@ -16,51 +16,75 @@ from helpers import run_from_scratch
 
 
 def test_poly_lr_endpoints():
-    assert tr.poly_lr(0, 100, 0.01, 0.9) == 0.01
-    assert tr.poly_lr(100, 100, 0.01, 0.9) == 0.0
+    assert tr.poly_lr(0, 100, 0.01) == 0.01
+    assert tr.poly_lr(100, 100, 0.01) == 0.0
 
 
 def test_poly_lr_hand_value():
-    got = tr.poly_lr(50, 100, 0.01, 0.9)
-    assert abs(got - 0.005358867312681466) < 1e-15
+    got = tr.poly_lr(50, 100, 0.01)
+    assert tr.POLY_POWER == 0.9
+    assert abs(got - 0.005358867312681466) < 1e-15  # 0.01 * 0.5**0.9
     assert abs(got - 0.005359) < 1e-6
 
 
 def test_poly_lr_rejects_zero_total():
     with pytest.raises(ConfigError):
-        tr.poly_lr(0, 0, 0.01, 0.9)
+        tr.poly_lr(0, 0, 0.01)
 
 
 # -- sgd -----------------------------------------------------------------------
 
 
-def one_param(value):
-    return {"p": Tensor(np.array([value]), requires_grad=True)}
+def one_param(value, grad):
+    p = Tensor(np.array([value]), requires_grad=True)
+    p.grad = np.array([grad])
+    return {"p": p}
 
 
 def test_sgd_zero_grad_zero_velocity_is_noop():
-    params = one_param(1.5)
-    tr.sgd_step(params, {"p": np.zeros(1)}, 0.1, 0.0, 0.0, {})
-    assert params["p"].data[0] == 1.5
+    params = one_param(0.0, 0.0)
+    assert tr.sgd_step(params, 0.1, {})["p"] is params["p"].grad
+    assert params["p"].data[0] == 0.0
 
 
 def test_sgd_single_step_hand_value():
-    params = one_param(1.0)
-    tr.sgd_step(params, {"p": np.ones(1)}, 0.1, 0.0, 0.0, {})
-    assert abs(params["p"].data[0] - 0.9) < 1e-15
+    params = one_param(1.0, 1.0)
+    velocity = {}
+    tr.sgd_step(params, 0.1, velocity)
+    # v = 1 + WEIGHT_DECAY * 1; theta = 1 - 0.1 * v
+    assert velocity["p"][0] == 1.0 + tr.WEIGHT_DECAY
+    assert abs(params["p"].data[0] - (0.9 - 0.1 * tr.WEIGHT_DECAY)) < 1e-15
 
 
 def test_sgd_two_momentum_steps_hand_recursion():
-    params = one_param(0.0)
+    params = one_param(0.0, 1.0)
     velocity = {}
     for _ in range(2):
-        tr.sgd_step(params, {"p": np.ones(1)}, 0.1, 0.9, 0.0, velocity)
-    assert abs(params["p"].data[0] - (-0.29)) < 1e-15
+        tr.sgd_step(params, 0.1, velocity)
+    # v1 = 1, theta1 = -0.1; v2 = MOMENTUM * v1 + 1 + WEIGHT_DECAY * theta1, theta2 = theta1 - 0.1 * v2
+    v2 = tr.MOMENTUM + 1.0 - 0.1 * tr.WEIGHT_DECAY
+    assert abs(velocity["p"][0] - v2) < 1e-15
+    assert abs(params["p"].data[0] - (-0.1 - 0.1 * v2)) < 1e-15
+    assert abs(params["p"].data[0] - (-0.29 + 1e-6)) < 1e-15
 
 
 def test_sgd_rejects_nonfinite_gradient():
     with pytest.raises(DivergenceError):
-        tr.sgd_step(one_param(0.0), {"p": np.array([np.nan])}, 0.1, 0.9, 0.0, {})
+        tr.sgd_step(one_param(0.0, np.nan), 0.1, {})
+
+
+def test_sgd_rejects_a_gradient_of_the_wrong_shape():
+    params = one_param(0.0, 1.0)
+    params["p"].grad = np.ones(2)
+    with pytest.raises(ConfigError, match="shape mismatch for p"):
+        tr.sgd_step(params, 0.1, {})
+
+
+def test_sgd_skips_a_parameter_without_gradient():
+    params = {**one_param(1.0, 1.0), "q": Tensor(np.array([2.0]), requires_grad=True)}
+    velocity = {}
+    assert list(tr.sgd_step(params, 0.1, velocity)) == ["p"]
+    assert list(velocity) == ["p"] and params["q"].data[0] == 2.0
 
 
 # -- run_step / run_incremental --------------------------------------------------
@@ -308,9 +332,10 @@ def pinned_world(method, dtype):
     return samples, config
 
 
-def pinned_run(method, dtype):
+def pinned_run(method, dtype, hflip=False):
     """One short [1,1,1] overlapped run of ``method`` in the pinned world."""
     samples, config = pinned_world(method, dtype)
+    config.hflip = hflip
     return run_from_scratch(samples[:20], samples[20:], build_schedule(3, [1, 1, 1]), "overlapped", config)[1]
 
 
@@ -447,6 +472,38 @@ def test_importance_arrays_match_the_pinned_ones(method):
         assert got == PINNED_IMPORTANCE[(method, t)], (method, t)
 
 
+# -- pinned flips -----------------------------------------------------------------
+
+# (loss_trace, sha256 of the parameters) per step of the pinned run with
+# train.hflip on, in float64: the flips must reverse each chosen image and
+# mask along its width, for the same draws of the step's aug rng
+PINNED_HFLIP = {
+    "MiB": [
+        ([0.6755631578162898, 0.6107570100986898], "b8a5cd26fa322469"),
+        ([7.245975897645788, 7.244585353511819], "8ec5a61bb0414fd7"),
+        ([11.382628815898016, 11.301082727567577], "a01db8498aa756b5"),
+    ],
+    "ILT": [
+        ([0.6755631578162898, 0.6107570100986898], "b8a5cd26fa322469"),
+        ([68.57444457104971, 73.08440280998072], "2b70dcac2754c06c"),
+        ([109.71245115452422, 111.70731500088276], "1f402aa216c28140"),
+    ],
+}
+
+
+def _params_digest(model) -> str:
+    h = hashlib.sha256()
+    for _, p in sorted(model.parameters().items()):
+        h.update(np.ascontiguousarray(p.data).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_HFLIP))
+def test_hflip_runs_match_the_pinned_ones(method):
+    got = [(r.loss_trace, _params_digest(r.model)) for r in pinned_run(method, "float64", hflip=True).results]
+    assert got == PINNED_HFLIP[method]
+
+
 # -- float32 training ------------------------------------------------------------
 
 # float32 against float64 in the pinned world: each loss_trace entry within
@@ -470,8 +527,8 @@ def test_float32_training_leaves_every_array_float32(method, monkeypatch):
 
         monkeypatch.setattr(tr, fn.__name__, wrapped)
 
-    def sgd_arrays(args, out):
-        grads, velocity = args[1], out[1]
+    def sgd_arrays(args, grads):
+        velocity = args[2]
         return [(f"grad {n}", g) for n, g in grads.items()] + [(f"velocity {n}", v) for n, v in velocity.items()]
 
     def importance_arrays(args, state):
