@@ -346,6 +346,8 @@ def final_seed_mean(report: dict, method: str) -> dict:
         raise ComparisonError(f"method {method!r} has a malformed aggregate entry: {stats!r}")
     out = {f"group{g}": v for g, v in enumerate(stats["group_mean"])}
     out["all"] = stats["all_mean"]
+    if not all(v is None or isinstance(v, (int, float)) for v in out.values()):
+        raise ComparisonError(f"method {method!r} has a mean that is not a number: {stats!r}")
     return out
 
 

@@ -715,10 +715,15 @@ def test_cli_generate_with_a_bad_setting_is_an_error(tmp_path, capsys, flags, ke
             ["report", "--baseline", "FT", "--target", "MiB", "--report"],
             '{"aggregate": {"FT": {"status": "ok", "all_mean": 0.5}}}',
         ),
+        (
+            ["report", "--baseline", "FT", "--target", "MiB", "--report"],
+            '{"aggregate": {"FT": {"status": "ok", "group_mean": [0.5], "all_mean": "x"}}}',
+        ),
     ],
     ids=[
         "run-missing", "select-missing", "report-missing", "report-not-json", "report-no-aggregate",
         "report-aggregate-list", "report-entry-without-status", "report-ok-entry-without-group-mean",
+        "report-mean-not-a-number",
     ],
 )
 def test_cli_names_a_missing_or_malformed_input_file(tmp_path, capsys, command, content):
