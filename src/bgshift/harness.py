@@ -135,6 +135,14 @@ def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
     for key, corpus in (("path", train), ("eval_path", heldout)):
         if not corpus.samples:  # nothing to train on, or every mIoU would read 0
             raise ConfigError(f"the manifest of dataset.{key} {getattr(spec, key)!r} lists no sample")
+    # training stacks a step's images; eval scores them one at a time
+    first = train.samples[0]
+    odd = next((s for s in train.samples if s.image.shape != first.image.shape), None)
+    if odd is not None:
+        raise ConfigError(
+            f"dataset.path {spec.path!r}: sample {odd.id!r} is {odd.image.shape[:2]} pixels but {first.id!r} "
+            f"is {first.image.shape[:2]}; training images must share one size"
+        )
     if train.num_classes != heldout.num_classes:
         raise ConfigError("train and eval directories declare different class counts")
     if train.num_classes != spec.num_fg_classes:
@@ -355,6 +363,10 @@ def compare_report(report: dict, baseline_method: str, target_method: str) -> di
     """Per-cell verdicts on seed-mean final metrics (tie band 0.5 points)."""
     base = final_seed_mean(report, baseline_method)
     target = final_seed_mean(report, target_method)
+    if len(base) != len(target):  # each holds its groups and "all"
+        raise ComparisonError(
+            f"methods {baseline_method!r} and {target_method!r} have {len(base) - 1} and {len(target) - 1} groups"
+        )
     verdicts = {}
     for key in base:
         b, t = base.get(key), target.get(key)

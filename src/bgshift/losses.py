@@ -426,10 +426,11 @@ def composite_objective(
 
     The first learning step is ordinary supervised training for every method,
     so without a previous model this is plain cross-entropy. Later steps need
-    the frozen previous model whenever a distillation term is active;
-    ``old_outputs`` may carry its precomputed (logits, features) for the
-    batch, and the private ``_teacher`` the batch's ``teacher_targets``, as
-    ``run_step`` gathers them from its cache of the step's. The terms
+    the frozen previous model whenever a distillation term is active.
+    ``run_step`` hands over the private ``_teacher``: the batch's rows of the
+    ``teacher_targets`` it computes once per step. Without it, the teacher's
+    targets are computed for the batch, from ``old_outputs`` (its
+    precomputed logits and features) if given, else by running it. The terms
     (LwF-MC, or CE/UCE, lambda_kd * KD/UKD and feature_kd_weight * feature
     KD; then the regularizer's penalty) are summed by one tape node.
     """

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import colorsys
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -337,6 +338,11 @@ def save_dataset(samples: list[Sample], directory, num_classes: int) -> None:
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+# magic, then width, height and maxval, each after whitespace or comment
+# lines, then the one whitespace byte that ends the header
+_PNM_HEADER = re.compile(rb"P[56]" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
     try:
         raw = path.read_bytes()
@@ -344,35 +350,17 @@ def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
         raise IngestionError(f"{path}: {e}") from e
     if not raw.startswith(magic):
         raise IngestionError(f"{path}: expected {magic.decode()} header")
-    pos = len(magic)
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(raw):
-            raise IngestionError(f"{path}: truncated header")
-        ch = raw[pos : pos + 1]
-        if ch == b"#":
-            pos = raw.find(b"\n", pos)
-            if pos < 0:
-                raise IngestionError(f"{path}: unterminated comment")
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < len(raw) and not raw[end : end + 1].isspace():
-            end += 1
-        token = raw[pos:end]
-        if not token.isdigit():
-            raise IngestionError(f"{path}: malformed header token {token!r}")
-        fields.append(int(token))
-        pos = end
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = fields
+    header = _PNM_HEADER.match(raw)
+    if header is None:
+        raise IngestionError(f"{path}: malformed header, expected width, height and maxval")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise IngestionError(f"{path}: only 8-bit maxval 255 is supported")
+    if w == 0 or h == 0:
+        raise IngestionError(f"{path}: width and height must be positive, got {w}x{h}")
     channels = 3 if magic == b"P6" else 1
     need = w * h * channels
-    body = raw[pos : pos + need]
+    body = raw[header.end() : header.end() + need]
     if len(body) != need:
         raise IngestionError(f"{path}: raster has {len(body)} bytes, expected {need}")
     arr = np.frombuffer(body, dtype=np.uint8).reshape(h, w, channels)

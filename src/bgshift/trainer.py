@@ -5,11 +5,12 @@ the incoming classes), trains the method's composite objective with
 momentum-SGD (``sgd_step``, which reads ``MOMENTUM`` and ``WEIGHT_DECAY``)
 under a polynomial learning-rate decay (``poly_lr``, which reads
 ``POLY_POWER``), and reads the previous model, untouched, as the
-distillation teacher. ``run_step`` keeps the path-integral record of its
-training (``StepResult.path_state``, a ``regularizers.PathState``); the
-importance the prior-focused baselines penalize is computed in one place,
-``update_importance``, which ``run_incremental`` calls on each step just
-before it trains the next one.
+distillation teacher: what the losses read of it is computed once per step
+(``losses.teacher_targets``), and each batch gathers its rows. ``run_step``
+keeps the path-integral record of its training (``StepResult.path_state``,
+a ``regularizers.PathState``); the importance the prior-focused baselines
+penalize is computed in one place, ``update_importance``, which
+``run_incremental`` calls on each step just before it trains the next one.
 All randomness is derived from (seed, step) so the first step is
 bit-identical across methods: every run is a ``first_step``, trained once,
 that ``run_incremental`` continues under any method. ``evaluate_model``
@@ -49,7 +50,8 @@ class TrainConfig:
     seed: int = 0
     method: MethodConfig = field(default_factory=MethodConfig)
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    hflip: bool = False
+    # not a field: read by perfbench/tracing.py until ROADMAP item 10 unbinds it
+    hflip = False
 
     def __post_init__(self):
         if self.lr_step0 <= 0 or self.lr_later <= 0:
@@ -105,12 +107,11 @@ def sgd_step(
 
 def _rng_children(seed: int, step: int) -> dict[str, np.random.Generator]:
     ss = np.random.SeedSequence([int(seed), int(step)])
-    init, shuffle, fisher, aug = ss.spawn(4)
+    init, shuffle, fisher = ss.spawn(3)
     return {
         "init": np.random.default_rng(init),
         "shuffle": np.random.default_rng(shuffle),
         "fisher": np.random.default_rng(fisher),
-        "aug": np.random.default_rng(aug),
     }
 
 
@@ -146,10 +147,10 @@ def run_step(
     all_images = np.stack([item.image for item in dataset.items]).astype(model.dtype, copy=False)
     all_masks = np.stack([item.mask for item in dataset.items])
     # what the losses read of the teacher (model_prev) is computed once per
-    # step when inputs are not augmented; a batch gathers its images' share
-    cache = None
-    if model_prev is not None and not config.hflip:
-        cache = teacher_targets(method, model_prev, all_images, config.batch_size)
+    # step; a batch gathers its images' share
+    probs = feats = None
+    if model_prev is not None:
+        probs, feats = teacher_targets(method, model_prev, all_images, config.batch_size)
 
     params = model.parameters()
     velocity: dict[str, np.ndarray] = {}
@@ -163,21 +164,14 @@ def run_step(
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            images, masks = all_images[idx], all_masks[idx]
-            if config.hflip:
-                flips = rngs["aug"].random(len(idx)) < 0.5
-                images[flips] = images[flips, :, ::-1]
-                masks[flips] = masks[flips, :, ::-1]
-            cached = None
-            if cache is not None:
-                probs, feats = cache
-                cached = (None if probs is None else probs[:, idx], None if feats is None else feats[idx])
+            batch = (all_images[idx], all_masks[idx])
+            teacher = (None if probs is None else probs[:, idx], None if feats is None else feats[idx])
 
             penalty = None
             if method.reg_kind != "none" and reg_state is not None and t > 0:
                 penalty = rg.quadratic_penalty(model, reg_state, method.reg_weight)
             model.zero_grad()
-            loss = composite_objective(method, (images, masks), model, model_prev, penalty, _teacher=cached)
+            loss = composite_objective(method, batch, model, model_prev, penalty, _teacher=teacher)
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(f"step {t} iter {iteration}: loss is {value}")

@@ -1,7 +1,9 @@
 import copy
 import json
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from bgshift import harness as hz
 from bgshift import trainer as tr
 from bgshift.cli import main as cli_main
-from bgshift.exceptions import ComparisonError, ConfigError
+from bgshift.exceptions import ComparisonError, ConfigError, IngestionError
 from bgshift.losses import method_preset
 from bgshift.model import load_checkpoint
 from bgshift.protocol import hparam_grid
@@ -136,6 +138,7 @@ def test_methods_naming_one_preset_twice_are_a_config_error(methods):
         ("train.momentum = 0.5", "train.momentum"),
         ("train.weight_decay = 0", "train.weight_decay"),
         ("train.poly_power = 1.0", "train.poly_power"),
+        ("train.hflip = true", "train.hflip"),
         ("train.method.name = LwF", "train.method.name"),
         ("methds = FT", "methds"),
         ("dataset = 3", "dataset"),
@@ -190,7 +193,6 @@ def test_a_config_that_would_train_nothing_is_rejected_when_loaded(tmp_path, cap
     [
         ("--train.lr_step0=x", "train.lr_step0"),
         ("--train.method.lambda_kd=abc", "train.method.lambda_kd"),
-        ("--train.hflip=yes", "train.hflip"),
         ("--train.batch_size=2.5", "train.batch_size"),
         ("--train.epochs_per_step=1.5", "train.epochs_per_step"),
         ("--dataset.num_train=abc", "dataset.num_train"),
@@ -405,10 +407,8 @@ def test_failed_step0_fails_only_its_seed(tmp_path, monkeypatch):
 SHARED_METHODS = ["FT", "MiB", "EWC", "PI", "RW"]
 
 
-@pytest.mark.parametrize("hflip", [False, True])
-def test_cells_equal_independent_runs(hflip):
+def test_cells_equal_independent_runs():
     cfg = tiny_config(methods=SHARED_METHODS)
-    cfg.train.hflip = hflip
     report = hz.run_experiment(cfg)
     assert report["ok"]
     inputs = hz.RunInputs.build(cfg)
@@ -496,6 +496,21 @@ def test_compare_missing_method_raises(tiny_report):
         hz.compare_report(report, "FT", "LwF")
 
 
+def test_compare_methods_with_different_group_counts_raises(tmp_path, capsys):
+    aggregate = {"FT": {"status": "ok", "group_mean": [0.5], "all_mean": 0.5}}
+    aggregate["MiB"] = {"status": "ok", "group_mean": [0.5, 0.2], "all_mean": 0.4}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"aggregate": aggregate}))
+    for baseline, target, counts in (("FT", "MiB", "1 and 2"), ("MiB", "FT", "2 and 1")):
+        with pytest.raises(ComparisonError, match=f"'{baseline}' and '{target}' have {counts} groups"):
+            hz.compare_report({"aggregate": aggregate}, baseline, target)
+        assert cli_main(["report", "--report", str(path), "--baseline", baseline, "--target", target]) == 1
+        assert capsys.readouterr().err.startswith(f"error: report {path}: methods '{baseline}'")
+    # a mean that is None, in groups of equal length, is still missing
+    aggregate["FT"] = {"status": "ok", "group_mean": [0.5, None], "all_mean": 0.4}
+    assert hz.compare_report({"aggregate": aggregate}, "FT", "MiB") == {"group0": "tie", "group1": "missing", "all": "tie"}
+
+
 # -- cli -------------------------------------------------------------------------
 
 
@@ -567,6 +582,25 @@ def test_eval_dir_sharing_sample_ids_is_a_config_error(tmp_path):
     train, heldout = dir_datasets(tmp_path / "ok", ["a", "b"], ["c", "d"])
     corpus, eval_corpus = hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
     assert [s.id for s in corpus] == ["a", "b"] and [s.id for s in eval_corpus] == ["c", "d"]
+
+
+def test_a_dir_corpus_that_cannot_be_stacked_fails_before_training(tmp_path):
+    # a 0x0 image is rejected when it is read
+    train, heldout = dir_datasets(tmp_path, ["a", "b"], ["c"])
+    (Path(heldout) / "c.ppm").write_bytes(b"P6 0 0 255\n")
+    (Path(heldout) / "c.pgm").write_bytes(b"P5 0 0 255\n")
+    with pytest.raises(IngestionError, match=re.escape(f"{Path(heldout) / 'c.ppm'}: ")):
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
+    # training images of two sizes; eval images may differ, as each is scored alone
+    small = generate_synthetic(0, SyntheticConfig(num_fg_classes=2, num_images=2, height=16, width=16))
+    big = generate_synthetic(1, SyntheticConfig(num_fg_classes=2, num_images=2, height=20, width=20))
+    save_dataset([replace(small[1], id="d"), replace(big[1], id="e")], heldout, 2)
+    save_dataset([replace(small[0], id="a"), replace(big[0], id="b")], train, 2)
+    with pytest.raises(ConfigError, match=r"^dataset.path .*: sample 'b' is \(20, 20\) pixels but 'a' is \(16, 16\)"):
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
+    save_dataset([replace(small[0], id="a")], train, 2)
+    corpus, eval_corpus = hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
+    assert [s.image.shape for s in eval_corpus] == [(16, 16, 3), (20, 20, 3)]
 
 
 def test_a_dir_corpus_with_more_classes_than_the_config_is_a_config_error(tmp_path):

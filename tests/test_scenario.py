@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,6 +323,16 @@ def test_dataset_roundtrip(tmp_path):
     for orig, back in zip(samples, loaded.samples):
         assert np.array_equal(back.mask, orig.mask)
         assert np.abs(back.image - orig.image).max() <= 0.5 / 255.0 + 1e-12
+    # any whitespace separates the header fields, and a comment runs to the
+    # end of its line; one whitespace byte ends the header
+    first = samples[0]
+    files = [(tmp_path / f"{first.id}.{ext}", magic) for ext, magic in (("ppm", b"P6"), ("pgm", b"P5"))]
+    rasters = [path.read_bytes()[len(magic + b"\n20 20\n255\n") :] for path, magic in files]
+    for fields in (b" # comment\n20\t20\r\n255\n", b"#\n20\n# between\n20 255\t", b"\t20  20\r255\r"):
+        for (path, magic), raster in zip(files, rasters):
+            path.write_bytes(magic + fields + raster)
+        again = sc.load_dataset(tmp_path).samples[0]
+        assert np.array_equal(again.image, loaded.samples[0].image) and np.array_equal(again.mask, first.mask)
 
 
 def test_empty_manifest_gives_empty_corpus(tmp_path):
@@ -358,6 +370,12 @@ def test_ingestion_rejects_malformed_header(tmp_path):
     (tmp_path / "x.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
     with pytest.raises(IngestionError, match="P6"):
         sc.load_dataset(tmp_path)
+    # a truncated header, an unterminated comment, a field that is not a
+    # number and a 16-bit maxval each name the file
+    for bad in (b"P6\n2 2", b"P6\n2 2\n# no end", b"P6\n2 x 255\n" + bytes(12), b"P6\n2 2\n65535\n" + bytes(24)):
+        (tmp_path / "x.ppm").write_bytes(bad)
+        with pytest.raises(IngestionError, match=re.escape(f"{tmp_path / 'x.ppm'}: ")):
+            sc.load_dataset(tmp_path)
 
 
 def test_ingestion_rejects_missing_pair(tmp_path):

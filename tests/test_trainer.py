@@ -222,17 +222,6 @@ def test_evaluate_model_rejects_a_model_outside_the_schedule():
         tr.evaluate_model(model, corpus[-4:], other)
 
 
-def test_hflip_changes_training_but_stays_deterministic():
-    _, _, steps = small_world()
-    cfg = small_config("FT")
-    cfg.hflip = True
-    a = tr.run_step(None, steps[0], cfg)
-    b = tr.run_step(None, steps[0], cfg)
-    assert params_equal(a.model, b.model)
-    plain = tr.run_step(None, steps[0], small_config("FT"))
-    assert not params_equal(a.model, plain.model)
-
-
 @pytest.mark.parametrize("method", ["EWC", "PI", "RW", "MiB"])
 def test_shared_first_step_matches_chained_run_step(method):
     # a step 0 trained under another method gives the same models, traces
@@ -332,10 +321,9 @@ def pinned_world(method, dtype):
     return samples, config
 
 
-def pinned_run(method, dtype, hflip=False):
+def pinned_run(method, dtype):
     """One short [1,1,1] overlapped run of ``method`` in the pinned world."""
     samples, config = pinned_world(method, dtype)
-    config.hflip = hflip
     return run_from_scratch(samples[:20], samples[20:], build_schedule(3, [1, 1, 1]), "overlapped", config)[1]
 
 
@@ -470,38 +458,6 @@ def test_importance_arrays_match_the_pinned_ones(method):
         got = {name: (_digest(imp), _digest(state.anchor[name])) for name, imp in state.importance.items()}
         assert state.anchor.keys() == state.importance.keys()
         assert got == PINNED_IMPORTANCE[(method, t)], (method, t)
-
-
-# -- pinned flips -----------------------------------------------------------------
-
-# (loss_trace, sha256 of the parameters) per step of the pinned run with
-# train.hflip on, in float64: the flips must reverse each chosen image and
-# mask along its width, for the same draws of the step's aug rng
-PINNED_HFLIP = {
-    "MiB": [
-        ([0.6755631578162898, 0.6107570100986898], "b8a5cd26fa322469"),
-        ([7.245975897645788, 7.244585353511819], "8ec5a61bb0414fd7"),
-        ([11.382628815898016, 11.301082727567577], "a01db8498aa756b5"),
-    ],
-    "ILT": [
-        ([0.6755631578162898, 0.6107570100986898], "b8a5cd26fa322469"),
-        ([68.57444457104971, 73.08440280998072], "2b70dcac2754c06c"),
-        ([109.71245115452422, 111.70731500088276], "1f402aa216c28140"),
-    ],
-}
-
-
-def _params_digest(model) -> str:
-    h = hashlib.sha256()
-    for _, p in sorted(model.parameters().items()):
-        h.update(np.ascontiguousarray(p.data).tobytes())
-    return h.hexdigest()[:16]
-
-
-@pytest.mark.parametrize("method", sorted(PINNED_HFLIP))
-def test_hflip_runs_match_the_pinned_ones(method):
-    got = [(r.loss_trace, _params_digest(r.model)) for r in pinned_run(method, "float64", hflip=True).results]
-    assert got == PINNED_HFLIP[method]
 
 
 # -- float32 training ------------------------------------------------------------
