@@ -33,7 +33,8 @@ class ConfusionMatrix:
         for name, arr in (("prediction", pred), ("ground truth", gt)):
             if arr.size and (arr.min() < 0 or arr.max() >= k):
                 raise LabelDomainError(f"{name} labels fall outside [0, {k})")
-        self.counts += np.bincount(gt * k + pred, minlength=k * k).reshape(k, k)
+        # in intp: gt * k of a uint8 mask would wrap around in uint8
+        self.counts += np.bincount(gt.astype(np.intp) * k + pred, minlength=k * k).reshape(k, k)
         return self
 
 

@@ -26,6 +26,7 @@ from .exceptions import ComparisonError, ConfigError, GenerationError, ScheduleE
 from .losses import MethodConfig, method_preset, preset_key
 from .model import BackboneConfig, save_checkpoint
 from .scenario import (
+    MAX_CLASSES,
     PROTOCOLS,
     LabelSchedule,
     Sample,
@@ -59,6 +60,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("synthetic", "dir"):
             raise ConfigError(f"dataset.kind {self.kind!r} is neither synthetic nor dir")
+        if self.num_fg_classes > MAX_CLASSES:  # a class id is a mask byte
+            raise ConfigError(f"dataset.num_fg_classes must be at most {MAX_CLASSES}, got {self.num_fg_classes}")
         if self.kind == "dir":
             for key in ("path", "eval_path"):
                 if not getattr(self, key):

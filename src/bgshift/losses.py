@@ -321,8 +321,10 @@ class MethodConfig:
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
         if self.reg_kind not in ("none", "ewc", "pi", "rw"):
             raise ConfigError(f"unknown reg_kind {self.reg_kind!r}")
-        if self.lambda_kd < 0 or self.reg_weight < 0 or self.feature_kd_weight < 0:
-            raise ConfigError("loss weights must be non-negative")
+        for key in ("lambda_kd", "feature_kd_weight", "reg_weight"):
+            w = getattr(self, key)
+            if not (np.isfinite(w) and w >= 0):
+                raise ConfigError(f"train.method.{key} must be a finite non-negative number, got {w}")
 
     def with_weight(self, w: float) -> "MethodConfig":
         """Return a copy with the method's tunable weight set to ``w``.

@@ -50,6 +50,12 @@ class BackboneConfig:
     dtype: str = "float32"  # of the parameters, and so of training: float32 | float64
 
     def __post_init__(self):
+        # every image is RGB (scenario), and a layer of no channels trains nothing
+        if self.in_channels != 3:
+            raise ConfigError(f"train.backbone.in_channels must be 3 (RGB images), got {self.in_channels}")
+        for key in ("hidden", "features"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"train.backbone.{key} must be at least 1, got {getattr(self, key)}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"train.backbone.dtype must be 'float32' or 'float64', got {self.dtype!r}")
 

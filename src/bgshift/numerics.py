@@ -3,7 +3,12 @@
 A Tensor wraps a numpy array; every node that can influence a loss records a
 backward closure on the result, so the tape is implicit in the parent links.
 ``Tensor.backward()`` walks the tape once in reverse topological order and
-accumulates into ``.grad``.
+accumulates into ``.grad``. Only leaves keep a gradient (the parameters, or
+any tensor built with ``requires_grad`` and no parents): an interior node's
+``.grad`` is set back to None as soon as its backward has passed it on to
+its parents, so the output, the logits and the features hold None after
+``backward()``, and a second ``backward()`` on the same tape adds its
+gradient to the leaves once more, no stale interior gradient compounding it.
 
 The tape has few kinds of node, each with a hand-written backward. The
 model's layers: ``conv_dense`` is the whole backbone (conv3x3 -> tanh -> 1x1
@@ -119,6 +124,9 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
+            # passed on: an interior gradient is freed once used, and a
+            # second backward finds none left to add to
+            node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.requires_grad else 'no'})"

@@ -30,6 +30,9 @@ import numpy as np
 from .exceptions import GenerationError, IngestionError, LabelDomainError, ScheduleError
 
 BACKGROUND = 0  # the background's label, and channel 0 of every model
+# a mask is uint8, one byte per pixel as in the P5 files it is read from, so
+# a class id is at most this
+MAX_CLASSES = 255
 PROTOCOLS = ("disjoint", "overlapped")
 
 
@@ -97,11 +100,14 @@ def build_schedule(
 @dataclass
 class Sample:
     """An image and its mask: the full annotation in a corpus, the step's
-    relabeled one in a ``StepDataset``."""
+    relabeled one in a ``StepDataset``. Masks are uint8 wherever this module
+    makes them (``generate_synthetic``, ``load_dataset``), and ``relabel``
+    and ``split_corpus`` keep their dtype; the losses, the evaluation and
+    the Fisher estimate read a mask of any integer dtype."""
 
     id: str
     image: np.ndarray  # [H, W, ch] floats in [0, 1]
-    mask: np.ndarray  # [H, W] int class ids
+    mask: np.ndarray  # [H, W] uint8 class ids (see MAX_CLASSES)
 
     def __post_init__(self):
         if self.image.shape[:2] != self.mask.shape:
@@ -223,6 +229,8 @@ def check_synthetic(values: dict) -> None:
     for key, least in SYNTHETIC_MINIMA.items():
         if key in values and values[key] < least:
             raise GenerationError(f"dataset.{key} must be at least {least}, got {values[key]}")
+    if values["num_fg_classes"] > MAX_CLASSES:
+        raise GenerationError(f"dataset.num_fg_classes must be at most {MAX_CLASSES}, got {values['num_fg_classes']}")
     images, blobs, k = values["num_images"], values["blobs_per_image"], values["num_fg_classes"]
     if images * blobs < k:
         raise GenerationError(
@@ -271,7 +279,7 @@ def _generate_once(rng, config: SyntheticConfig, rmin: int, rmax: int, seed: int
     samples = []
     for i in range(config.num_images):
         img = 0.5 + NOISE * rng.standard_normal((config.height, config.width, 3))
-        mask = np.zeros((config.height, config.width), dtype=np.int64)
+        mask = np.zeros((config.height, config.width), dtype=np.uint8)
         blob_classes = class_pool[i * config.blobs_per_image : (i + 1) * config.blobs_per_image]
         for c in blob_classes:
             color, freq, angle = class_signature(int(c), k)
@@ -288,7 +296,7 @@ def _generate_once(rng, config: SyntheticConfig, rmin: int, rmax: int, seed: int
             tex = color[None, None, :] + stripes[:, :, None]
             tex = tex + 0.03 * rng.standard_normal(tex.shape)
             img = np.where(inside[:, :, None], tex, img)
-            mask = np.where(inside, int(c), mask)
+            mask[inside] = c
         samples.append(Sample(f"syn{seed}-{i:05d}", np.clip(img, 0.0, 1.0), mask))
     return samples
 
@@ -379,6 +387,8 @@ def load_dataset(directory) -> LoadedCorpus:
         num_classes = int(lines[0].split("=", 1)[1])
     except ValueError as e:
         raise IngestionError(f"{manifest}: bad class count") from e
+    if num_classes > MAX_CLASSES:
+        raise IngestionError(f"{manifest}: classes={num_classes} is above {MAX_CLASSES}, the most a mask byte holds")
     samples, seen = [], set()
     for ln in lines[1:]:
         parts = ln.split()
@@ -393,7 +403,7 @@ def load_dataset(directory) -> LoadedCorpus:
             missing = img_path if not img_path.exists() else mask_path
             raise IngestionError(f"{missing}: listed in manifest but missing")
         img = _read_pnm(img_path, b"P6").astype(np.float64) / 255.0
-        mask = _read_pnm(mask_path, b"P5").astype(np.int64)
+        mask = _read_pnm(mask_path, b"P5").copy()  # writable, off the file's bytes
         if img.shape[:2] != mask.shape:
             raise IngestionError(f"{mask_path}: dims {mask.shape} do not match image {img.shape[:2]}")
         if mask.max(initial=0) > num_classes:

@@ -18,7 +18,7 @@ reads the model's label space from the model itself.
 
 Training runs in the dtype of the model's parameters
 (``TrainConfig.backbone.dtype``, float32 unless set to float64): the step's
-images are cast to it once, so the batches, the teacher cache, the
+images are stacked into it once, so the batches, the teacher cache, the
 gradients, the SGD velocity, the ``PathState`` and the ``ImportanceState``
 all have it. Loss values are Python floats either way.
 """
@@ -54,8 +54,10 @@ class TrainConfig:
     hflip = False
 
     def __post_init__(self):
-        if self.lr_step0 <= 0 or self.lr_later <= 0:
-            raise ConfigError("learning rates must be positive")
+        for key in ("lr_step0", "lr_later"):
+            lr = getattr(self, key)
+            if not (np.isfinite(lr) and lr > 0):
+                raise ConfigError(f"train.{key} must be a finite positive number, got {lr}")
         if self.epochs_per_step < 1:
             raise ConfigError("need at least one epoch per step")
         if self.batch_size < 1:
@@ -88,7 +90,8 @@ def sgd_step(
 ) -> dict[str, np.ndarray]:
     """v <- MOMENTUM*v + g + WEIGHT_DECAY*theta; theta <- theta - lr*v (in
     place) for each parameter with a gradient g (``p.grad``); returns the
-    gradients it applied, by name."""
+    gradients it applied, by name. A non-finite gradient, or an update that
+    leaves a parameter non-finite, raises DivergenceError naming it."""
     grads = {}
     for name, p in params.items():
         g = p.grad
@@ -101,6 +104,8 @@ def sgd_step(
         v = MOMENTUM * velocity.get(name, 0.0) + g + WEIGHT_DECAY * p.data
         velocity[name] = v
         p.data -= lr * v
+        if not np.isfinite(p.data).all():
+            raise DivergenceError(f"the update at lr {lr} left {name} non-finite")
         grads[name] = g
     return grads
 
@@ -142,9 +147,9 @@ def run_step(
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_iters = config.epochs_per_step * batches_per_epoch
 
-    # the step's samples stacked once, the images in the model's dtype: a
-    # batch is an index gather, and forward_batch casts nothing
-    all_images = np.stack([item.image for item in dataset.items]).astype(model.dtype, copy=False)
+    # the step's samples stacked once, the images straight into the model's
+    # dtype: a batch is an index gather, and forward_batch casts nothing
+    all_images = np.stack([item.image for item in dataset.items], dtype=model.dtype)
     all_masks = np.stack([item.mask for item in dataset.items])
     # what the losses read of the teacher (model_prev) is computed once per
     # step; a batch gathers its images' share

@@ -33,6 +33,15 @@ def test_accumulate_matches_bruteforce_pair_count():
     assert np.array_equal(cm.counts, total)
 
 
+def test_accumulate_counts_byte_masks_as_wide_ones():
+    # a uint8 gt * k would wrap around at 256
+    rng = np.random.default_rng(1)
+    pred, gt = rng.integers(0, 200, size=(2, 50, 50))
+    wide = ev.ConfusionMatrix(200).accumulate(pred, gt)
+    byte = ev.ConfusionMatrix(200).accumulate(pred.astype(np.uint8), gt.astype(np.uint8))
+    assert np.array_equal(byte.counts, wide.counts)
+
+
 def test_accumulate_rejects_out_of_range_labels():
     cm = ev.ConfusionMatrix(3)
     with pytest.raises(LabelDomainError):

@@ -177,6 +177,20 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
             ["--dataset.num_fg_classes=5", "--schedule_sizes=4,1", "--dataset.num_train=1", "--dataset.num_eval=1"],
             "dataset.blobs_per_image",
         ),
+        (["--dataset.num_fg_classes=256", "--schedule_sizes=255,1"], "dataset.num_fg_classes"),
+        (
+            ["--dataset.kind=dir", "--dataset.path=a", "--dataset.eval_path=b", "--dataset.num_fg_classes=256"],
+            "dataset.num_fg_classes",
+        ),
+        (["--train.lr_step0=nan"], "train.lr_step0"),
+        (["--train.lr_step0=0"], "train.lr_step0"),
+        (["--train.lr_later=inf"], "train.lr_later"),
+        (["--train.method.lambda_kd=nan", "--methods=MiB"], "train.method.lambda_kd"),
+        (["--train.method.reg_weight=inf"], "train.method.reg_weight"),
+        (["--train.method.feature_kd_weight=-1"], "train.method.feature_kd_weight"),
+        (["--train.backbone.in_channels=1"], "train.backbone.in_channels"),
+        (["--train.backbone.hidden=0"], "train.backbone.hidden"),
+        (["--train.backbone.features=0"], "train.backbone.features"),
     ],
 )
 def test_a_config_that_would_train_nothing_is_rejected_when_loaded(tmp_path, capsys, overrides, key):
@@ -727,6 +741,7 @@ def test_select_penalizes_regularizer_candidates_with_the_step0_importance(tmp_p
         (["--seed", "-1"], "dataset.seed"),
         (["--classes", "0"], "dataset.num_fg_classes"),
         (["--num-images", "1", "--classes", "5"], "dataset.blobs_per_image"),  # 3 blobs, 5 classes
+        (["--classes", "256"], "dataset.num_fg_classes"),
     ],
 )
 def test_cli_generate_with_a_bad_setting_is_an_error(tmp_path, capsys, flags, key):

@@ -314,6 +314,18 @@ def test_every_parameter_gradient_matches_finite_differences():
         assert check_gradient(loss, p) < 1e-4, name
 
 
+def test_after_backward_only_the_parameters_hold_a_gradient():
+    rng = np.random.default_rng(13)
+    model = make_model()
+    logits, feats = model.forward_batch(rng.random((2, 5, 4, 3)))
+    ce = cross_entropy(logits, rng.integers(0, 3, size=(2, 5, 4)), model.known_classes)
+    fd = feature_distillation(feats, rng.normal(size=feats.shape))
+    loss = nm.scalar_node(ce.data + fd.data, (ce, 1.0), (fd, 1.0))
+    loss.backward()
+    assert all(p.grad is not None and p.grad.shape == p.shape for p in model.parameters().values())
+    assert [t.grad for t in (logits, feats, ce, fd, loss)] == [None] * 5
+
+
 def test_float32_draws_are_the_float64_draws_cast():
     f32, f64 = make_model(seed=3), make_model(seed=3, dtype="float64")
     for name, t in f32.parameters().items():

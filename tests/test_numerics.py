@@ -243,6 +243,19 @@ def test_gradient_accumulates_over_shared_subexpression():
     assert np.allclose(x.grad, [2 * 2.0 + 3.0])
 
 
+def test_a_second_backward_adds_the_gradient_once_more():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 5, 4, 3)))
+    w1, b1 = Tensor(rng.normal(size=(3, 3, 3, 4)), requires_grad=True), Tensor(rng.normal(size=4), requires_grad=True)
+    w2, b2 = Tensor(rng.normal(size=(4, 2)), requires_grad=True), Tensor(rng.normal(size=2), requires_grad=True)
+    out = nm.tsum(nm.affine_last(nm.tanh(nm.conv3x3(x, w1, b1)), w2, b2))
+    out.backward()
+    first = [p.grad.copy() for p in (w1, b1, w2, b2)]
+    out.backward()  # no interior gradient is left over from the first pass
+    for p, g in zip((w1, b1, w2, b2), first):
+        assert np.array_equal(p.grad, 2 * g)
+
+
 def test_no_grad_blocks_tape():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with nm.no_grad():

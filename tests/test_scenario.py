@@ -79,8 +79,9 @@ def test_relabel_idempotent(seed, visible):
 
 
 def block_sample(sid, regions):
-    """8x8 sample whose mask has one 2x2 block per (class, corner)."""
-    mask = np.zeros((8, 8), dtype=np.int64)
+    """8x8 sample whose mask has one 2x2 block per (class, corner); uint8,
+    as a corpus's masks are."""
+    mask = np.zeros((8, 8), dtype=np.uint8)
     corners = [(0, 0), (0, 6), (6, 0), (6, 6)]
     for (r, c), cls in zip(corners, regions):
         mask[r : r + 2, c : c + 2] = cls
@@ -184,6 +185,7 @@ def test_split_invariants_for_both_protocols():
         steps, _ = sc.split_corpus(corpus, schedule, protocol)
         for ds in steps:
             for it in ds.items:
+                assert it.mask.dtype == np.uint8  # split_corpus keeps the dtype
                 labels = set(np.unique(it.mask))
                 assert labels <= set(ds.visible_classes)
                 assert labels & set(ds.new_fg)
@@ -272,6 +274,7 @@ def test_generator_deterministic_bitwise():
         assert x.id == y.id
         assert np.array_equal(x.image, y.image)
         assert np.array_equal(x.mask, y.mask)
+        assert x.mask.dtype == np.uint8
 
 
 def test_generator_single_class_labels():
@@ -304,6 +307,11 @@ def test_generator_rejects_tiny_images():
         sc.generate_synthetic(0, sc.SyntheticConfig(num_images=2, height=8, width=8))
 
 
+def test_generator_rejects_a_class_id_above_a_byte():
+    with pytest.raises(GenerationError, match="dataset.num_fg_classes must be at most 255"):
+        sc.generate_synthetic(0, sc.SyntheticConfig(num_fg_classes=256, num_images=100))
+
+
 def test_generator_values_in_unit_range():
     cfg = sc.SyntheticConfig(num_fg_classes=2, num_images=3, height=20, width=20)
     for s in sc.generate_synthetic(2, cfg):
@@ -322,6 +330,7 @@ def test_dataset_roundtrip(tmp_path):
     assert [s.id for s in loaded.samples] == [s.id for s in samples]
     for orig, back in zip(samples, loaded.samples):
         assert np.array_equal(back.mask, orig.mask)
+        assert back.mask.dtype == np.uint8 and back.mask.flags.writeable
         assert np.abs(back.image - orig.image).max() <= 0.5 / 255.0 + 1e-12
     # any whitespace separates the header fields, and a comment runs to the
     # end of its line; one whitespace byte ends the header
@@ -348,6 +357,12 @@ def test_ingestion_rejects_label_above_class_count(tmp_path):
     samples[0].mask[0, 0] = 7
     sc.save_dataset(samples, tmp_path, 5)
     with pytest.raises(IngestionError, match="label 7"):
+        sc.load_dataset(tmp_path)
+
+
+def test_ingestion_rejects_a_class_count_above_a_byte(tmp_path):
+    (tmp_path / "manifest.txt").write_text("classes=256\n")
+    with pytest.raises(IngestionError, match=re.escape(f"{tmp_path / 'manifest.txt'}: classes=256")):
         sc.load_dataset(tmp_path)
 
 

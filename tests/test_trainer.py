@@ -73,6 +73,11 @@ def test_sgd_rejects_nonfinite_gradient():
         tr.sgd_step(one_param(0.0, np.nan), 0.1, {})
 
 
+def test_sgd_rejects_an_update_that_leaves_a_parameter_non_finite():
+    with pytest.raises(DivergenceError, match="left p non-finite"):
+        tr.sgd_step(one_param(1.0, 1.0), np.inf, {})
+
+
 def test_sgd_rejects_a_gradient_of_the_wrong_shape():
     params = one_param(0.0, 1.0)
     params["p"].grad = np.ones(2)
@@ -476,8 +481,8 @@ def test_float32_training_leaves_every_array_float32(method, monkeypatch):
     def spy(fn, arrays):
         """Record ``arrays(args, result)`` of each call to the trainer's ``fn``."""
 
-        def wrapped(*args):
-            out = fn(*args)
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
             seen.extend(arrays(args, out))
             return out
 
@@ -497,6 +502,8 @@ def test_float32_training_leaves_every_array_float32(method, monkeypatch):
     spy(tr.sgd_step, sgd_arrays)
     spy(tr.teacher_targets, lambda args, cache: [(f"teacher {i}", x) for i, x in enumerate(cache) if x is not None])
     spy(tr.update_importance, importance_arrays)
+    # run_step stacks each step's images in the model's dtype
+    spy(tr.composite_objective, lambda args, loss: [("images", args[1][0])])
     for t, result in enumerate(pinned_run(method, "float32").results):
         seen += [(f"param {n} step {t}", p.data) for n, p in result.model.parameters().items()]
         if result.path_state is not None:
@@ -504,7 +511,7 @@ def test_float32_training_leaves_every_array_float32(method, monkeypatch):
                 seen += [(f"path {part} {n} step {t}", x) for n, x in getattr(result.path_state, part).items()]
 
     kinds = {what.split()[0] for what, _ in seen}
-    assert {"grad", "velocity", "param", "path"} <= kinds
+    assert {"grad", "velocity", "param", "path", "images"} <= kinds
     assert ("teacher" in kinds) == (method in ("LwF", "ILT", "LwF-MC", "MiB"))
     assert ("importance" in kinds) == (method in ("EWC", "PI", "RW"))
     assert [what for what, a in seen if a.dtype != np.float32] == []
