@@ -163,7 +163,11 @@ def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
 
 @dataclass
 class RunInputs:
-    """What every cell of a run reads; built once per run."""
+    """What every cell of a run reads; built once per run. The images of
+    both corpora have the run's training dtype (``train.backbone.dtype``):
+    every forward pass casts its images to it, so a float32 run holds them
+    in half the memory and computes the same, and a float64 run keeps the
+    arrays ``build_corpora`` returned."""
 
     schedule: LabelSchedule
     corpus: list[Sample]
@@ -173,7 +177,11 @@ class RunInputs:
     @classmethod
     def build(cls, config: ExperimentConfig) -> "RunInputs":
         schedule = config.schedule()
-        corpus, eval_corpus = build_corpora(config.dataset)
+        dtype = config.train.backbone.dtype
+        corpus, eval_corpus = (
+            [Sample(s.id, s.image.astype(dtype, copy=False), s.mask) for s in samples]
+            for samples in build_corpora(config.dataset)
+        )
         return cls(schedule, corpus, eval_corpus, split_corpus(corpus, schedule, config.protocol))
 
 

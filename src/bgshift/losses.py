@@ -117,8 +117,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     """Stable (max-subtracted) softmax over the last axis, stored
     channel-major and returned as a [..., K] view."""
     rows = _rows(z)
-    e = np.exp(rows - rows.max(axis=0))
-    return _cols(e / e.sum(axis=0), z.shape)
+    e = rows - rows.max(axis=0)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0)
+    return _cols(e, z.shape)
 
 
 def _clamped_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +152,8 @@ def cross_entropy(logits: Tensor, mask: np.ndarray, class_order, *, _q=None) -> 
     log_q, active = _clamped_log(_pick(q, chan))
     # d/dz of -log q(y) is q - onehot(y); active / n is taken in q's dtype
     # (a bool over an int would be float64)
-    grad = (q - _onehot(chan, q.shape[0])) * np.divide(active, chan.size, dtype=q.dtype)
+    grad = q - _onehot(chan, q.shape[0])
+    grad *= np.divide(active, chan.size, dtype=q.dtype)
     return nm.scalar_node(-_mean(log_q), (logits, _cols(grad, logits.shape)))
 
 
@@ -181,7 +184,10 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *
     # d/dz of -log t is q - q * target / t
     n = chan.size
     share = np.divide(active, n, dtype=q.dtype)  # as in cross_entropy
-    grad = q * share - (q * target) * (active / (n * np.maximum(t, LOG_FLOOR)))
+    grad = q * share
+    sub = q * target
+    sub *= active / (n * np.maximum(t, LOG_FLOOR))
+    grad -= sub
     return nm.scalar_node(-_mean(log_t), (logits, _cols(grad, logits.shape)))
 
 
@@ -199,7 +205,10 @@ def _distillation_grad(q_hat: np.ndarray, p: np.ndarray, active: np.ndarray) -> 
     through. All three are channel rows; the caller maps each row back onto
     its channels."""
     c = p * active
-    return (q_hat * c.sum(axis=0) - c) * (1.0 / c.shape[1])
+    grad = q_hat * c.sum(axis=0)
+    grad -= c
+    grad *= 1.0 / c.shape[1]
+    return grad
 
 
 def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
@@ -213,7 +222,8 @@ def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     log_q, active = _clamped_log(q_hat)
     grad = np.zeros((len(ctx.class_order), p.shape[1]), dtype=q_hat.dtype)
     grad[:n_old] = _distillation_grad(q_hat, p, active)
-    value = _mean(-(p * log_q).sum(axis=0))
+    terms = (p * log_q).sum(axis=0)
+    value = _mean(np.negative(terms, out=terms))
     return nm.scalar_node(value, (logits_new, _cols(grad, logits_new.shape)))
 
 
@@ -227,18 +237,23 @@ def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     # background (channel 0 of both models) is matched against the summed
     # mass of the incoming classes + background; old foreground is unaltered
     new, old_fg = ctx.new_channels, slice(1, ctx.n_old)
-    q_hat = np.concatenate([q[new].sum(axis=0)[None], q[old_fg]])
+    q_hat = np.empty((ctx.n_old, q.shape[1]), q.dtype)
+    q[new].sum(axis=0, out=q_hat[0])
+    q_hat[1:] = q[old_fg]
     log_q, active = _clamped_log(q_hat)
     # the background term plus the foreground terms' sum, in numpy's order
-    fg = log_q[1:] * p[1:]
-    terms = log_q[0] * p[0] + fg.sum(axis=0)
+    terms = log_q[0] * p[0]
+    terms += (log_q[1:] * p[1:]).sum(axis=0)
+    del log_q  # freed before the gradient's arrays are made
     g_hat = _distillation_grad(q_hat, p, active)
     grad = np.empty_like(q)
     grad[old_fg] = g_hat[1:]
     # the background entry spreads over the incoming channels by their share
     # of its mass (all zero where the mass is)
     mass = q_hat[0]
-    grad[new] = q[new] * (g_hat[0] / np.where(mass > 0, mass, 1.0))
+    spread = q[new]
+    spread *= g_hat[0] / np.where(mass > 0, mass, 1.0)
+    grad[new] = spread
     return nm.scalar_node(-_mean(terms), (logits_new, _cols(grad, logits_new.shape)))
 
 
@@ -372,17 +387,19 @@ def method_preset(name: str) -> MethodConfig:
 def teacher_targets(
     method: MethodConfig,
     teacher: SegModel,
-    images: np.ndarray,
+    images,
     batch_size: int,
     old_outputs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """What the method's losses read of the frozen ``teacher`` on ``images``.
+    """What the method's losses read of the frozen ``teacher`` on ``images``,
+    a sequence of n [H, W, ch] images (or an [n, H, W, ch] array).
 
     That is its probabilities (the sigmoid of its logits for LwF-MC, their
     softmax when distillation is on) as channel rows [K, n, H, W], and its
     features [n, H, W, D] when feature distillation is on; None for what no
     loss reads. The teacher runs under no_grad, ``batch_size`` images at a
-    time (so that one chunk of its outputs is held at once), and only if a
+    time, each chunk stacked into its dtype when it is reached (so that one
+    chunk of the images and of its outputs is held at once), and only if a
     loss reads something. ``old_outputs`` are its (logits, features) on all
     of ``images`` if they are at hand; it does not run then.
     """
@@ -401,12 +418,13 @@ def teacher_targets(
 
     if old_outputs is not None:
         return targets(*old_outputs)
-    probs = np.empty((len(teacher.known_classes),) + images.shape[:3], teacher.dtype) if kd else None
-    feats = np.empty(images.shape[:3] + (teacher.config.features,), teacher.dtype) if feature_kd else None
+    shape = (len(images),) + images[0].shape[:2]
+    probs = np.empty((len(teacher.known_classes),) + shape, teacher.dtype) if kd else None
+    feats = np.empty(shape + (teacher.config.features,), teacher.dtype) if feature_kd else None
     for start in range(0, len(images), batch_size):
         chunk = slice(start, start + batch_size)
         with nm.no_grad():
-            p, f = targets(*(t.data for t in teacher.forward_batch(images[chunk])))
+            p, f = targets(*(t.data for t in teacher.forward_batch(np.stack(images[chunk], dtype=teacher.dtype))))
         if kd:
             probs[:, chunk] = p
         if feature_kd:

@@ -190,8 +190,9 @@ def _conv_windows(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     B, H, W, cin = xd.shape
     xp = np.zeros((cin, B, H + 2, W + 2), dtype=xd.dtype)
     xp[:, :, 1:-1, 1:-1] = xd.transpose(3, 0, 1, 2)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    return windows.transpose(4, 5, 0, 1, 2, 3)
+    # window (di, dj) of pixel (i, j) is xp[..., i + di, j + dj]
+    sc, sb, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(xp, (3, 3, cin, B, H, W), (sh, sw, sc, sb, sh, sw), writeable=False)
 
 
 def _conv_columns(windows: np.ndarray) -> np.ndarray:
@@ -296,7 +297,8 @@ def conv_dense(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     # contiguous arrays of one shape runs as one flat loop, where a broadcast
     # add loops over the pixels
     n = max((ps.stop - ps.start for _, _, ps in tiles), default=0)
-    bias1, bias2 = np.tile(b1.data, (n, 1)), np.tile(b2.data, (n, 1))
+    bias1, bias2 = (np.empty((n,) + b.data.shape, b.data.dtype) for b in (b1, b2))
+    bias1[...], bias2[...] = b1.data, b2.data
     for bs, rs, ps in tiles:
         ht, ft = h[ps], f[ps]
         np.matmul(_conv_columns(windows[:, :, :, bs, rs]).T, k1, out=ht)

@@ -100,10 +100,12 @@ def build_schedule(
 @dataclass
 class Sample:
     """An image and its mask: the full annotation in a corpus, the step's
-    relabeled one in a ``StepDataset``. Masks are uint8 wherever this module
-    makes them (``generate_synthetic``, ``load_dataset``), and ``relabel``
-    and ``split_corpus`` keep their dtype; the losses, the evaluation and
-    the Fisher estimate read a mask of any integer dtype."""
+    relabeled one in a ``StepDataset``. Images are float64 where this module
+    makes them (``generate_synthetic``, ``load_dataset``) and have the run's
+    training dtype inside a run (``harness.RunInputs``). Masks are uint8
+    wherever this module makes them, and ``relabel`` and ``split_corpus``
+    keep their dtype; the losses, the evaluation and the Fisher estimate
+    read a mask of any integer dtype."""
 
     id: str
     image: np.ndarray  # [H, W, ch] floats in [0, 1]

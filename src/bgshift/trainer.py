@@ -17,10 +17,12 @@ that ``run_incremental`` continues under any method. ``evaluate_model``
 reads the model's label space from the model itself.
 
 Training runs in the dtype of the model's parameters
-(``TrainConfig.backbone.dtype``, float32 unless set to float64): the step's
-images are stacked into it once, so the batches, the teacher cache, the
-gradients, the SGD velocity, the ``PathState`` and the ``ImportanceState``
-all have it. Loss values are Python floats either way.
+(``TrainConfig.backbone.dtype``, float32 unless set to float64): each batch,
+and each chunk of the teacher's pass, is stacked from its samples straight
+into it (a run's corpus already has it, see ``harness.RunInputs``), so the
+batches, the teacher cache, the gradients, the SGD velocity (updated in
+place), the ``PathState`` and the ``ImportanceState`` all have it. Loss
+values are Python floats either way.
 """
 from __future__ import annotations
 
@@ -58,10 +60,9 @@ class TrainConfig:
             lr = getattr(self, key)
             if not (np.isfinite(lr) and lr > 0):
                 raise ConfigError(f"train.{key} must be a finite positive number, got {lr}")
-        if self.epochs_per_step < 1:
-            raise ConfigError("need at least one epoch per step")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be positive")
+        for key in ("epochs_per_step", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"train.{key} must be at least 1, got {getattr(self, key)}")
 
 
 @dataclass
@@ -101,8 +102,15 @@ def sgd_step(
             raise DivergenceError(f"non-finite gradient for {name}")
         if g.shape != p.data.shape:
             raise ConfigError(f"gradient shape mismatch for {name}")
-        v = MOMENTUM * velocity.get(name, 0.0) + g + WEIGHT_DECAY * p.data
-        velocity[name] = v
+        # in place, the operations of MOMENTUM * v + g + WEIGHT_DECAY * p in
+        # their order; the first update makes v, a new array
+        v = velocity.get(name)
+        if v is None:
+            v = velocity[name] = MOMENTUM * 0.0 + g
+        else:
+            v *= MOMENTUM
+            v += g
+        v += WEIGHT_DECAY * p.data
         p.data -= lr * v
         if not np.isfinite(p.data).all():
             raise DivergenceError(f"the update at lr {lr} left {name} non-finite")
@@ -147,15 +155,12 @@ def run_step(
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_iters = config.epochs_per_step * batches_per_epoch
 
-    # the step's samples stacked once, the images straight into the model's
-    # dtype: a batch is an index gather, and forward_batch casts nothing
-    all_images = np.stack([item.image for item in dataset.items], dtype=model.dtype)
-    all_masks = np.stack([item.mask for item in dataset.items])
     # what the losses read of the teacher (model_prev) is computed once per
     # step; a batch gathers its images' share
+    items = dataset.items
     probs = feats = None
     if model_prev is not None:
-        probs, feats = teacher_targets(method, model_prev, all_images, config.batch_size)
+        probs, feats = teacher_targets(method, model_prev, [item.image for item in items], config.batch_size)
 
     params = model.parameters()
     velocity: dict[str, np.ndarray] = {}
@@ -169,8 +174,17 @@ def run_step(
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            batch = (all_images[idx], all_masks[idx])
-            teacher = (None if probs is None else probs[:, idx], None if feats is None else feats[idx])
+            # each batch stacked from its samples, the images straight into
+            # the model's dtype (forward_batch casts nothing); the step holds
+            # no stack of all its images
+            samples = [items[i] for i in idx]
+            batch = (
+                np.stack([s.image for s in samples], dtype=model.dtype),
+                np.stack([s.mask for s in samples]),
+            )
+            # take, not probs[:, idx]: its rows stay contiguous, so the losses
+            # read them without a copy
+            teacher = (None if probs is None else probs.take(idx, axis=1), None if feats is None else feats[idx])
 
             penalty = None
             if method.reg_kind != "none" and reg_state is not None and t > 0:

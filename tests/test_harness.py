@@ -191,6 +191,8 @@ def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
         (["--train.backbone.in_channels=1"], "train.backbone.in_channels"),
         (["--train.backbone.hidden=0"], "train.backbone.hidden"),
         (["--train.backbone.features=0"], "train.backbone.features"),
+        (["--train.batch_size=0"], "train.batch_size"),
+        (["--train.epochs_per_step=0"], "train.epochs_per_step"),
     ],
 )
 def test_a_config_that_would_train_nothing_is_rejected_when_loaded(tmp_path, capsys, overrides, key):
@@ -368,7 +370,7 @@ def test_failed_cell_is_recorded_not_fatal(tmp_path):
     report = hz.run_experiment(cfg)
     assert not report["ok"]
     assert [(c["method"], c["status"]) for c in report["cells"]] == [("FT", "failed"), ("Joint", "failed")]
-    assert all("ConfigError: batch size must be positive" in c["error"] for c in report["cells"])
+    assert all("ConfigError: train.batch_size must be at least 1, got -1" in c["error"] for c in report["cells"])
     assert json.loads((tmp_path / "report.json").read_text())["ok"] is False
 
 
@@ -615,6 +617,34 @@ def test_a_dir_corpus_that_cannot_be_stacked_fails_before_training(tmp_path):
     save_dataset([replace(small[0], id="a")], train, 2)
     corpus, eval_corpus = hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
     assert [s.image.shape for s in eval_corpus] == [(16, 16, 3), (20, 20, 3)]
+
+
+@pytest.mark.parametrize("dtype", [None, "float32", "float64"])
+@pytest.mark.parametrize("kind", ["synthetic", "dir"])
+def test_run_inputs_hold_the_images_in_the_training_dtype(tmp_path, monkeypatch, kind, dtype):
+    tree = hz.parse_config_text(TINY_CFG)
+    if kind == "dir":
+        train, heldout = dir_datasets(tmp_path, ["a", "b", "c", "d"], ["e", "f"])
+        tree["dataset"].update(kind="dir", path=train, eval_path=heldout)
+    if dtype is not None:
+        tree["train"]["backbone"]["dtype"] = dtype
+    real, built = hz.build_corpora, []
+
+    def build_corpora(spec):
+        built.append(real(spec))
+        return built[-1]
+
+    monkeypatch.setattr(hz, "build_corpora", build_corpora)
+    inputs = hz.RunInputs.build(hz.config_from_dict(tree))
+    made = [s for corpus in built[0] for s in corpus]
+    held = inputs.corpus + inputs.eval_corpus
+    assert len(held) == len(made) and {s.image.dtype for s in held} == {np.dtype(dtype or "float32")}
+    for got, sample in zip(held, made):
+        assert got.id == sample.id and got.mask is sample.mask and sample.image.dtype == np.float64
+        assert np.array_equal(got.image, sample.image.astype(got.image.dtype))
+        # a float64 run keeps the arrays it was given, with no copy
+        assert (got.image is sample.image) == (dtype == "float64")
+    assert all(s.image.dtype == inputs.corpus[0].image.dtype for step in inputs.split[0] for s in step.items)
 
 
 def test_a_dir_corpus_with_more_classes_than_the_config_is_a_config_error(tmp_path):

@@ -534,6 +534,31 @@ def test_softmax_bits_at_12_channels_match_the_pin(layout):
     assert bits_of(L._softmax(layout(pinned_case(10, 2)[0]))) == PINNED_SOFTMAX_BITS_12
 
 
+@pytest.mark.parametrize("layout", [np.asarray, channel_major], ids=["c-order", "channel-major"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_losses_write_only_their_own_arrays(dtype, layout):
+    # each loss, with and without the softmax handed over, forward and
+    # backward: the logits, the softmax, the teacher's probabilities and the
+    # masks keep every bit
+    logits, mask, full_mask, probs_old, sig_old, ctx = pinned_case()
+    z, po, so = (layout(a.astype(dtype)) for a in (logits, probs_old, sig_old))
+    mask, full_mask = mask.astype(np.uint8), full_mask.astype(np.uint8)
+    q = L._softmax(z)
+    inputs = (z, q, po, so, mask, full_mask)
+    before = [bits_of(a) for a in inputs]
+    t = Tensor(z, requires_grad=True)
+    for fn in LOSS_FNS.values():
+        fn(t, mask, full_mask, po, so, ctx).backward()
+    for out in (
+        L.cross_entropy(t, full_mask, list(ctx.class_order), _q=q),
+        L.unbiased_cross_entropy(t, mask, ctx, _q=q),
+        L.standard_distillation(t, po, ctx, _q=q),
+        L.unbiased_distillation(t, po, ctx, _q=q),
+    ):
+        out.backward()
+    assert [bits_of(a) for a in inputs] == before
+
+
 def test_losses_are_nonnegative():
     for seed in range(10):
         logits, mask, full_mask, probs_old, sig_old, ctx = random_case(100 + seed)

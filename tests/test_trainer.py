@@ -60,7 +60,10 @@ def test_sgd_two_momentum_steps_hand_recursion():
     params = one_param(0.0, 1.0)
     velocity = {}
     for _ in range(2):
-        tr.sgd_step(params, 0.1, velocity)
+        grads = tr.sgd_step(params, 0.1, velocity)
+        # the velocity is updated in place: it is never the gradient array
+        assert grads["p"] is params["p"].grad and grads["p"] is not velocity["p"]
+    assert params["p"].grad[0] == 1.0
     # v1 = 1, theta1 = -0.1; v2 = MOMENTUM * v1 + 1 + WEIGHT_DECAY * theta1, theta2 = theta1 - 0.1 * v2
     v2 = tr.MOMENTUM + 1.0 - 0.1 * tr.WEIGHT_DECAY
     assert abs(velocity["p"][0] - v2) < 1e-15
@@ -293,9 +296,16 @@ def test_step_teacher_targets_sliced_to_a_batch_are_the_batch_targets(method, dt
     rng = np.random.default_rng(11)
     teacher = SegModel.create(BackboneConfig(hidden=6, features=6, dtype=dtype), [1, 2], rng).frozen_copy()
     images = rng.random((10, size, size, 3)).astype(dtype)
+    before = images.copy()
     m = method_preset(method)
     probs, feats = teacher_targets(m, teacher, images, 4)
     assert (feats is not None) == (method == "ILT")
+    # run_step hands over its samples' images as a list, in the corpus dtype
+    for got_probs, got_feats in (
+        teacher_targets(m, teacher, list(images), 4),
+        teacher_targets(m, teacher, [image.astype(np.float64) for image in images], 4),
+    ):
+        assert same_bits(got_probs, probs) and (feats is None or same_bits(got_feats, feats))
     idx = rng.choice(len(images), size=5, replace=False)
     outputs = tuple(t.data for t in teacher.forward_batch(images[idx]))
     # given its outputs, the teacher (None here) does not run
@@ -305,6 +315,7 @@ def test_step_teacher_targets_sliced_to_a_batch_are_the_batch_targets(method, dt
     ):
         assert same_bits(got_probs, probs[:, idx])
         assert got_feats is None if feats is None else same_bits(got_feats, feats[idx])
+    assert same_bits(images, before)
 
 
 # -- pinned loss traces ------------------------------------------------------------
