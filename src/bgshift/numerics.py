@@ -9,6 +9,11 @@ any tensor built with ``requires_grad`` and no parents): an interior node's
 its parents, so the output, the logits and the features hold None after
 ``backward()``, and a second ``backward()`` on the same tape adds its
 gradient to the leaves once more, no stale interior gradient compounding it.
+The forward arrays a node's backward reads (the layers' inputs and
+activations, a loss's closed-form gradients) are held by its closure, so a
+tape's arrays live exactly as long as its output node: dropping the last
+reference to the output frees every node but the leaves, and ``backward()``
+frees none of them.
 
 The tape has few kinds of node, each with a hand-written backward. The
 model's layers: ``conv_dense`` is the whole backbone (conv3x3 -> tanh -> 1x1

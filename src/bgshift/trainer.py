@@ -23,9 +23,21 @@ into it (a run's corpus already has it, see ``harness.RunInputs``), so the
 batches, the teacher cache, the gradients, the SGD velocity (updated in
 place), the ``PathState`` and the ``ImportanceState`` all have it. Loss
 values are Python floats either way.
+
+An iteration's arrays live for that iteration only: ``run_step`` drops the
+batch, its teacher rows and the penalty once the objective is built (its
+tape keeps what the backward reads), and the tape once ``sgd_step`` and the
+path update have read the gradients. Across iterations only the parameters,
+the velocity and the path state stay alive. What an iteration frees is about
+the size of what the next one allocates (about 10 MB at 8x64x64), so
+``run_step`` first sets glibc's malloc to keep freed memory mapped
+(``_keep_heap_pages``: process-wide, glibc-only, no result changed) rather
+than hand it back to the kernel and page-fault it in again on the next
+iteration.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +53,13 @@ from .scenario import LabelSchedule, Sample, SplitReport, StepDataset, relabel
 MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-4
 POLY_POWER = 0.9  # of the learning-rate decay
+# glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD (malloc.h), and the value
+# _keep_heap_pages gives both: glibc's largest mmap threshold on 64-bit, and
+# above the ~10 MB an 8x64x64 iteration frees (at 16 MiB some calls still
+# faulted thousands of pages)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_THRESHOLD = 32 << 20
 
 
 @dataclass
@@ -52,7 +71,8 @@ class TrainConfig:
     seed: int = 0
     method: MethodConfig = field(default_factory=MethodConfig)
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    # not a field: read by perfbench/tracing.py until ROADMAP item 10 unbinds it
+    # not a field: read by perfbench/tracing.py until ROADMAP's "Benchmark
+    # v2" item unbinds it
     hflip = False
 
     def __post_init__(self):
@@ -128,6 +148,28 @@ def _rng_children(seed: int, step: int) -> dict[str, np.random.Generator]:
     }
 
 
+def _keep_heap_pages() -> None:
+    """Let glibc's malloc keep the pages a training iteration frees.
+
+    glibc serves a block of at least M_MMAP_THRESHOLD bytes from its own
+    mmap, unmapped again on free, and gives the heap top back to the kernel
+    once more than M_TRIM_THRESHOLD bytes are free there; either way the next
+    iteration page-faults the same memory back in. Both thresholds are set
+    to ``_HEAP_THRESHOLD``: setting either one alone freezes the other at its
+    current value, and a trim threshold alone faulted more. The mmap one goes
+    first, and the trim one only if glibc took it. This is process-wide and
+    affects no result. Without glibc's ``mallopt`` it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD)
+
+
 def run_step(
     model_prev: SegModel | None,
     dataset: StepDataset,
@@ -135,6 +177,7 @@ def run_step(
     reg_state: rg.ImportanceState | None = None,
 ) -> StepResult:
     """Train one learning step and return the snapshot + bookkeeping."""
+    _keep_heap_pages()
     if len(dataset) == 0:
         raise ConfigError(f"step {dataset.step} has no training samples")
     t = dataset.step
@@ -191,6 +234,8 @@ def run_step(
                 penalty = rg.quadratic_penalty(model, reg_state, method.reg_weight)
             model.zero_grad()
             loss = composite_objective(method, batch, model, model_prev, penalty, _teacher=teacher)
+            # the tape keeps what its backward reads; the loop keeps no more
+            del batch, teacher, penalty
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(f"step {t} iter {iteration}: loss is {value}")
@@ -200,6 +245,9 @@ def run_step(
             if track_path:
                 deltas = {name: -lr * velocity[name] for name in grads}
                 rg.path_integral_update(path_state, grads, deltas)
+            # the gradients are read: the tape goes before the next batch is
+            # stacked, so one iteration's arrays are alive at a time
+            del loss
             epoch_losses.append(value)
             iteration += 1
         trace.append(float(np.mean(epoch_losses)))

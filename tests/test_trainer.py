@@ -1,4 +1,7 @@
 import hashlib
+import platform
+import resource
+import weakref
 
 import numpy as np
 import pytest
@@ -211,6 +214,44 @@ def test_run_incremental_pipeline_deterministic():
         assert params_equal(ra.model, rb.model)
     for ma, mb in zip(a.metrics, b.metrics):
         assert ma.as_dict() == mb.as_dict()
+
+
+@pytest.mark.parametrize("method", ["MiB", "RW"])
+def test_no_tape_outlives_its_iteration(method, monkeypatch):
+    # the objective's node (and so the tape behind it) of every earlier
+    # iteration is gone when the next iteration's objective is built
+    _, _, steps = small_world()
+    cfg = small_config(method)
+    base = tr.run_step(None, steps[0], cfg)
+    state = tr.update_importance(base.model, steps[0], cfg, base.path_state, None)
+    assert (state is not None) == (method == "RW")  # RW's later step adds its penalty
+    refs = []  # a Tensor has no __weakref__ slot; its numpy data has
+
+    def wrapped(*args, **kwargs):
+        assert [r for r in refs if r() is not None] == [], f"an earlier tape is alive at iteration {len(refs)}"
+        loss = objective(*args, **kwargs)
+        refs.append(weakref.ref(loss.data))
+        return loss
+
+    objective = tr.composite_objective
+    monkeypatch.setattr(tr, "composite_objective", wrapped)
+    result = tr.run_step(base.model, steps[1], cfg, state)
+    assert len(refs) == result.iterations > 1
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's mallopt")
+def test_a_repeated_later_step_does_not_page_fault():
+    # what one call frees stays mapped for the next: the second call of the
+    # same step reuses the first's pages instead of faulting them back in
+    cfg = SyntheticConfig(num_fg_classes=2, num_images=16, height=64, width=64, blobs_per_image=2)
+    steps, _ = split_corpus(generate_synthetic(0, cfg), build_schedule(2, [1, 1]), "overlapped")
+    config = tr.TrainConfig(epochs_per_step=2, method=method_preset("MiB"))
+    base = tr.run_step(None, steps[0], tr.TrainConfig(epochs_per_step=1))
+    tr.run_step(base.model, steps[1], config)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tr.run_step(base.model, steps[1], config)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100, faults
 
 
 def test_single_step_schedule_is_joint_training():
