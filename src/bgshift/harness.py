@@ -111,7 +111,8 @@ class ExperimentConfig:
 
     def cell_config(self, method: str, seed: int) -> TrainConfig:
         """The training config of cell (``method``, ``seed``): the method's
-        preset with ``method_overrides`` on top."""
+        preset with ``method_overrides`` on top, seeded with ``seed`` (one of
+        ``seeds``); ``train.seed`` is ignored."""
         return replace(self.train, seed=seed, method=replace(method_preset(method), **self.method_overrides))
 
 
@@ -201,20 +202,15 @@ def run_cell(config: ExperimentConfig, inputs: RunInputs, method: str, seed: int
     if first is None:
         split = split_corpus(inputs.corpus, inputs.schedule.joint(), config.protocol)
         first = first_step(split, inputs.eval_corpus, inputs.schedule, cfg)
-    run = run_incremental(first, inputs.eval_corpus, inputs.schedule, cfg)
+    results = run_incremental(first, inputs.eval_corpus, inputs.schedule, cfg)
     record = {
         "method": method,
         "seed": seed,
         "status": "ok",
         "seconds": time.perf_counter() - started,
         "steps": [
-            {
-                "step": i,
-                "metrics": run.metrics[i].as_dict(),
-                "loss_trace": run.results[i].loss_trace,
-                "iterations": run.results[i].iterations,
-            }
-            for i in range(len(run.results))
+            {"step": i, "metrics": r.metrics.as_dict(), "loss_trace": r.loss_trace, "iterations": r.iterations}
+            for i, r in enumerate(results)
         ],
         "excluded_images": list(first.split_report.excluded_ids),
         "background_shift": first.split_report.per_step,
@@ -222,7 +218,7 @@ def run_cell(config: ExperimentConfig, inputs: RunInputs, method: str, seed: int
     if config.out_dir:
         ckpt_dir = Path(config.out_dir) / "checkpoints"
         ckpt_dir.mkdir(parents=True, exist_ok=True)
-        for i, result in enumerate(run.results):
+        for i, result in enumerate(results):
             save_checkpoint(result.model, ckpt_dir / f"{method}-seed{seed}-step{i}.npz")
     return record
 

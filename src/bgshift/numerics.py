@@ -215,34 +215,22 @@ def _column_sum(a: np.ndarray) -> np.ndarray:
     return np.ones(len(a), a.dtype) @ a
 
 
-def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv3x3(x, w: Tensor, b: Tensor) -> Tensor:
     """3x3 same-padding convolution on [B,H,W,Cin] with kernel [3,3,Cin,Cout].
 
-    The gradient with respect to ``x`` is computed only when ``x`` requires
-    one.
+    ``x`` is data: no gradient flows to it, as in ``conv_dense``.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    xd, wd = x.data, w.data
-    cols = _conv_columns(_conv_windows(xd, wd))
+    xd, w, b = as_tensor(x).data, as_tensor(w), as_tensor(b)
+    cols = _conv_columns(_conv_windows(xd, w.data))
     B, H, W, cin = xd.shape
-    cout = wd.shape[3]
-    data = (cols.T @ wd.reshape(9 * cin, cout) + b.data).reshape(B, H, W, cout)
-    need_x = x.requires_grad
+    cout = w.data.shape[3]
+    data = (cols.T @ w.data.reshape(9 * cin, cout) + b.data).reshape(B, H, W, cout)
 
     def bw(g):
         gf = g.reshape(B * H * W, cout)
-        gw = (cols @ gf).reshape(3, 3, cin, cout)
-        gb = _column_sum(gf)
-        if not need_x:
-            return None, gw, gb
-        gcols = (gf @ wd.reshape(9 * cin, cout).T).reshape(B, H, W, 3, 3, cin)
-        gxp = np.zeros((B, H + 2, W + 2, cin), dtype=xd.dtype)
-        for di in range(3):
-            for dj in range(3):
-                gxp[:, di : di + H, dj : dj + W, :] += gcols[:, :, :, di, dj, :]
-        return gxp[:, 1:-1, 1:-1, :], gw, gb
+        return (cols @ gf).reshape(3, 3, cin, cout), _column_sum(gf)
 
-    return _from_op(data, (x, w, b), bw)
+    return _from_op(data, (w, b), bw)
 
 
 def _tanh_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:

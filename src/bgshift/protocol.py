@@ -96,7 +96,7 @@ def select_method_weight(
     the held-out part.
     """
     model_prev = first.result.model
-    reg_state = trainer.update_importance(model_prev, first.steps[0], train_config, first.result.path_state, None)
+    reg_state = trainer.update_importance(first.result, first.steps[0], train_config, None)
     train, val = split_train_val(first.steps[1], seed=train_config.seed)
 
     def new_class_miou(model) -> float:

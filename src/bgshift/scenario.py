@@ -216,10 +216,11 @@ MIN_RADIUS_FRAC = 0.10  # blob radii, as fractions of the shorter image side
 MAX_RADIUS_FRAC = 0.26
 MAX_ATTEMPTS = 20  # corpus regenerations before giving up on class balance
 # the least value of each setting with which a synthetic corpus can be
-# generated and scored, by its dataset.* key; from a side of 16 up, the blob
-# radius range is never empty
+# generated and scored, by its dataset.* key (num_images: the generator's
+# count); from a side of 16 up, the blob radius range is never empty
 SYNTHETIC_MINIMA = {
-    "seed": 0, "num_fg_classes": 1, "height": 16, "width": 16, "num_train": 1, "num_eval": 1, "blobs_per_image": 1
+    "seed": 0, "num_fg_classes": 1, "height": 16, "width": 16, "num_train": 1, "num_eval": 1, "num_images": 1,
+    "blobs_per_image": 1,
 }
 
 

@@ -13,8 +13,9 @@ penalize is computed in one place, ``update_importance``, which
 ``run_incremental`` calls on each step just before it trains the next one.
 All randomness is derived from (seed, step) so the first step is
 bit-identical across methods: every run is a ``first_step``, trained once,
-that ``run_incremental`` continues under any method. ``evaluate_model``
-reads the model's label space from the model itself.
+that ``run_incremental`` continues under any method, one ``StepResult``
+(with its model's scores) per step. ``evaluate_model`` reads the model's
+label space from the model itself.
 
 Training runs in the dtype of the model's parameters
 (``TrainConfig.backbone.dtype``, float32 unless set to float64): each batch,
@@ -38,7 +39,7 @@ iteration.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,6 +94,9 @@ class StepResult:
     # path-integral record of the training: always kept at step 0, so a
     # shared step 0 can give PI/RW their importance afterwards
     path_state: rg.PathState | None = None
+    # the model's scores on the run's eval corpus: set by first_step and
+    # run_incremental, None on a bare run_step
+    metrics: MiouReport | None = None
 
 
 def poly_lr(iteration: int, total_iters: int, base_lr: float) -> float:
@@ -256,30 +260,29 @@ def run_step(
 
 
 def update_importance(
-    model: SegModel,
+    result: StepResult,
     dataset: StepDataset,
     config: TrainConfig,
-    path_state: rg.PathState | None,
     reg_state: rg.ImportanceState | None,
 ) -> rg.ImportanceState | None:
     """Merge the importance of the step just trained into ``reg_state``.
 
-    EWC takes the Fisher diagonal of ``model`` on ``dataset``, PI the path
-    integral of the training (``path_state``), RW both; methods without a
-    regularizer return ``reg_state`` unchanged.
+    EWC takes the Fisher diagonal of ``result.model`` on ``dataset``, PI the
+    path integral of the training (``result.path_state``), RW both; methods
+    without a regularizer return ``reg_state`` unchanged.
     """
     method = config.method
     if method.reg_kind == "none":
         return reg_state
     fisher_rng = _rng_children(config.seed, dataset.step)["fisher"]
     if method.reg_kind == "ewc":
-        step_importance = rg.fisher_diagonal(model, dataset, rng=fisher_rng)
+        step_importance = rg.fisher_diagonal(result.model, dataset, rng=fisher_rng)
     elif method.reg_kind == "pi":
-        step_importance = rg.finalize_path_importance(path_state, model)
+        step_importance = rg.finalize_path_importance(result.path_state, result.model)
     else:  # rw
-        fisher = rg.fisher_diagonal(model, dataset, rng=fisher_rng)
-        step_importance = rg.rw_importance(fisher, rg.finalize_path_importance(path_state, model))
-    return rg.merge_importance(reg_state, step_importance, model)
+        fisher = rg.fisher_diagonal(result.model, dataset, rng=fisher_rng)
+        step_importance = rg.rw_importance(fisher, rg.finalize_path_importance(result.path_state, result.model))
+    return rg.merge_importance(reg_state, step_importance, result.model)
 
 
 def evaluate_model(
@@ -314,10 +317,8 @@ def evaluate_model(
     return miou_groups(cm, schedule, t)
 
 
-@dataclass
-class IncrementalRun:
-    results: list[StepResult]
-    metrics: list[MiouReport]
+def _evaluated(result: StepResult, eval_corpus: list[Sample], schedule: LabelSchedule) -> StepResult:
+    return replace(result, metrics=evaluate_model(result.model, eval_corpus, schedule))
 
 
 @dataclass
@@ -327,7 +328,6 @@ class FirstStep:
     steps: list[StepDataset]
     split_report: SplitReport
     result: StepResult
-    metrics: MiouReport
 
 
 def first_step(
@@ -346,8 +346,7 @@ def first_step(
     ``schedule``.
     """
     steps, split_report = split
-    result = run_step(None, steps[0], config)
-    return FirstStep(steps, split_report, result, evaluate_model(result.model, eval_corpus, schedule))
+    return FirstStep(steps, split_report, _evaluated(run_step(None, steps[0], config), eval_corpus, schedule))
 
 
 def run_incremental(
@@ -355,21 +354,17 @@ def run_incremental(
     eval_corpus: list[Sample],
     schedule: LabelSchedule,
     config: TrainConfig,
-) -> IncrementalRun:
+) -> list[StepResult]:
     """Continue ``first`` through the later steps of its split, evaluating
-    after each.
+    after each; returns every step's result, ``first.result`` first.
 
     ``first`` is a step 0 from ``first_step`` with the same seed and
     settings. Each step's importance is merged into the state that penalizes
     the next step just before that step trains.
     """
     results = [first.result]
-    metrics = [first.metrics]
     reg_state = None
     for prev_dataset, dataset in zip(first.steps, first.steps[1:]):
-        prev = results[-1]
-        reg_state = update_importance(prev.model, prev_dataset, config, prev.path_state, reg_state)
-        result = run_step(prev.model, dataset, config, reg_state)
-        results.append(result)
-        metrics.append(evaluate_model(result.model, eval_corpus, schedule))
-    return IncrementalRun(results, metrics)
+        reg_state = update_importance(results[-1], prev_dataset, config, reg_state)
+        results.append(_evaluated(run_step(results[-1].model, dataset, config, reg_state), eval_corpus, schedule))
+    return results

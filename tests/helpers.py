@@ -9,7 +9,8 @@ from bgshift.scenario import SyntheticConfig, build_schedule, generate_synthetic
 
 
 def run_from_scratch(corpus, eval_corpus, schedule, protocol, config):
-    """One run as the harness makes it: split ``corpus``, train step 0, continue."""
+    """One run as the harness makes it: split ``corpus``, train step 0,
+    continue; (step 0, every step's result)."""
     first = tr.first_step(split_corpus(corpus, schedule, protocol), eval_corpus, schedule, config)
     return first, tr.run_incremental(first, eval_corpus, schedule, config)
 

@@ -432,13 +432,8 @@ def test_cells_equal_independent_runs():
         train = replace(cfg.train, seed=cell["seed"], method=method_preset(cell["method"]))
         first, run = run_from_scratch(inputs.corpus, inputs.eval_corpus, inputs.schedule, cfg.protocol, train)
         assert cell["steps"] == [
-            {
-                "step": i,
-                "metrics": run.metrics[i].as_dict(),
-                "loss_trace": run.results[i].loss_trace,
-                "iterations": run.results[i].iterations,
-            }
-            for i in range(len(run.results))
+            {"step": i, "metrics": r.metrics.as_dict(), "loss_trace": r.loss_trace, "iterations": r.iterations}
+            for i, r in enumerate(run)
         ], cell["method"]
         assert cell["background_shift"] == first.split_report.per_step
         assert cell["excluded_images"] == first.split_report.excluded_ids
@@ -772,6 +767,8 @@ def test_select_penalizes_regularizer_candidates_with_the_step0_importance(tmp_p
         (["--classes", "0"], "dataset.num_fg_classes"),
         (["--num-images", "1", "--classes", "5"], "dataset.blobs_per_image"),  # 3 blobs, 5 classes
         (["--classes", "256"], "dataset.num_fg_classes"),
+        (["--num-images", "0"], "dataset.num_images"),
+        (["--num-images", "-1"], "dataset.num_images"),
     ],
 )
 def test_cli_generate_with_a_bad_setting_is_an_error(tmp_path, capsys, flags, key):

@@ -194,11 +194,11 @@ def test_regularizer_state_threading_pi():
     _, _, steps = small_world()
     cfg = small_config("PI")
     base = tr.run_step(None, steps[0], cfg)
-    base_state = tr.update_importance(base.model, steps[0], cfg, base.path_state, None)
+    base_state = tr.update_importance(base, steps[0], cfg, None)
     assert base_state is not None
     assert all((v >= 0).all() for v in base_state.importance.values())
     inc = tr.run_step(base.model, steps[1], cfg, base_state)
-    inc_state = tr.update_importance(inc.model, steps[1], cfg, inc.path_state, base_state)
+    inc_state = tr.update_importance(inc, steps[1], cfg, base_state)
     # importance grew to cover the extended head
     assert inc_state.importance["head.w"].shape == inc.model.params["head.w"].data.shape
 
@@ -209,11 +209,10 @@ def test_run_incremental_pipeline_deterministic():
     cfg = small_config("MiB")
     _, a = run_from_scratch(corpus[:-4], eval_corpus, schedule, "overlapped", cfg)
     _, b = run_from_scratch(corpus[:-4], eval_corpus, schedule, "overlapped", cfg)
-    assert len(a.results) == schedule.num_steps
-    for ra, rb in zip(a.results, b.results):
+    assert len(a) == schedule.num_steps
+    for ra, rb in zip(a, b):
         assert params_equal(ra.model, rb.model)
-    for ma, mb in zip(a.metrics, b.metrics):
-        assert ma.as_dict() == mb.as_dict()
+        assert ra.metrics.as_dict() == rb.metrics.as_dict()
 
 
 @pytest.mark.parametrize("method", ["MiB", "RW"])
@@ -223,7 +222,7 @@ def test_no_tape_outlives_its_iteration(method, monkeypatch):
     _, _, steps = small_world()
     cfg = small_config(method)
     base = tr.run_step(None, steps[0], cfg)
-    state = tr.update_importance(base.model, steps[0], cfg, base.path_state, None)
+    state = tr.update_importance(base, steps[0], cfg, None)
     assert (state is not None) == (method == "RW")  # RW's later step adds its penalty
     refs = []  # a Tensor has no __weakref__ slot; its numpy data has
 
@@ -258,9 +257,9 @@ def test_single_step_schedule_is_joint_training():
     corpus, _, _ = small_world()
     schedule = build_schedule(3, [3])
     _, run = run_from_scratch(corpus[:-4], corpus[-4:], schedule, "overlapped", small_config())
-    assert len(run.results) == 1
-    assert run.results[0].model.known_classes == [0, 1, 2, 3]
-    assert len(run.metrics[0].group_miou) == 1
+    assert len(run) == 1
+    assert run[0].model.known_classes == [0, 1, 2, 3]
+    assert len(run[0].metrics.group_miou) == 1
 
 
 def test_evaluate_model_rejects_a_model_outside_the_schedule():
@@ -274,7 +273,8 @@ def test_evaluate_model_rejects_a_model_outside_the_schedule():
 @pytest.mark.parametrize("method", ["EWC", "PI", "RW", "MiB"])
 def test_shared_first_step_matches_chained_run_step(method):
     # a step 0 trained under another method gives the same models, traces
-    # and importances as one trained under the method itself
+    # and importances as one trained under the method itself, and each
+    # record's scores are those of its model
     corpus, schedule, _ = small_world()
     train, eval_corpus = corpus[:-4], corpus[-4:]
     split = split_corpus(train, schedule, "overlapped")
@@ -284,14 +284,15 @@ def test_shared_first_step_matches_chained_run_step(method):
 
     steps = split[0]
     chained = [tr.run_step(None, steps[0], cfg)]
-    state0 = tr.update_importance(chained[0].model, steps[0], cfg, chained[0].path_state, None)
+    state0 = tr.update_importance(chained[0], steps[0], cfg, None)
     chained.append(tr.run_step(chained[0].model, steps[1], cfg, state0))
     got_state = want_state = None
-    for dataset, got, want in zip(steps, run.results, chained):
+    for dataset, got, want in zip(steps, run, chained, strict=True):
         assert params_equal(got.model, want.model)
         assert got.loss_trace == want.loss_trace
-        got_state = tr.update_importance(got.model, dataset, cfg, got.path_state, got_state)
-        want_state = tr.update_importance(want.model, dataset, cfg, want.path_state, want_state)
+        assert got.metrics.as_dict() == tr.evaluate_model(want.model, eval_corpus, schedule).as_dict()
+        got_state = tr.update_importance(got, dataset, cfg, got_state)
+        want_state = tr.update_importance(want, dataset, cfg, want_state)
         if want_state is None:
             assert got_state is None
             continue
@@ -434,7 +435,7 @@ PINNED_TRACES = {
 
 @pytest.mark.parametrize("method", sorted(PINNED_TRACES))
 def test_loss_traces_match_the_pinned_ones(method):
-    got = [r.loss_trace for r in pinned_run(method, "float64").results]
+    got = [r.loss_trace for r in pinned_run(method, "float64")]
     want = PINNED_TRACES[method]
     assert [len(t) for t in got] == [len(t) for t in want]
     for g_step, w_step in zip(got, want):
@@ -511,7 +512,7 @@ def test_importance_arrays_match_the_pinned_ones(method):
     for t, dataset in enumerate(steps[:2]):
         result = tr.run_step(model, dataset, config, state)
         model = result.model
-        state = tr.update_importance(model, dataset, config, result.path_state, state)
+        state = tr.update_importance(result, dataset, config, state)
         got = {name: (_digest(imp), _digest(state.anchor[name])) for name, imp in state.importance.items()}
         assert state.anchor.keys() == state.importance.keys()
         assert got == PINNED_IMPORTANCE[(method, t)], (method, t)
@@ -556,7 +557,7 @@ def test_float32_training_leaves_every_array_float32(method, monkeypatch):
     spy(tr.update_importance, importance_arrays)
     # run_step stacks each step's images in the model's dtype
     spy(tr.composite_objective, lambda args, loss: [("images", args[1][0])])
-    for t, result in enumerate(pinned_run(method, "float32").results):
+    for t, result in enumerate(pinned_run(method, "float32")):
         seen += [(f"param {n} step {t}", p.data) for n, p in result.model.parameters().items()]
         if result.path_state is not None:
             for part in ("start", "omega"):
@@ -572,8 +573,8 @@ def test_float32_training_leaves_every_array_float32(method, monkeypatch):
 @pytest.mark.parametrize("method", sorted(PINNED_TRACES))
 def test_float32_traces_and_miou_agree_with_float64(method):
     f32, f64 = pinned_run(method, "float32"), pinned_run(method, "float64")
-    for result, want_trace in zip(f32.results, PINNED_TRACES[method], strict=True):
+    for result, want_trace in zip(f32, PINNED_TRACES[method], strict=True):
         for g, w in zip(result.loss_trace, want_trace, strict=True):
             assert abs(g - w) <= F32_TRACE_RTOL * abs(w), (method, result.loss_trace)
-    for a, b in zip(f32.metrics, f64.metrics, strict=True):
-        assert abs(a.all_miou - b.all_miou) <= F32_MIOU_ATOL, (method, a.all_miou, b.all_miou)
+    for a, b in zip(f32, f64, strict=True):
+        assert abs(a.metrics.all_miou - b.metrics.all_miou) <= F32_MIOU_ATOL, (method, a.metrics, b.metrics)
