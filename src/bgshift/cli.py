@@ -7,11 +7,11 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from . import trainer
 from .exceptions import BgshiftError, ComparisonError, ConfigError
 from .harness import RunInputs, compare_report, load_experiment_config, make_out_dir, run_experiment
 from .protocol import select_method_weight
 from .scenario import SyntheticConfig, generate_synthetic, save_dataset
-from .trainer import first_step
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,10 +71,12 @@ def _dispatch(args, overrides: list[str]) -> int:
         print(f"wrote {len(samples)} samples to {args.out}")
         return 0
 
-    if args.command == "run":
+    if args.command in ("run", "select"):
         config = load_experiment_config(args.config, overrides)
         if args.out:
             config = replace(config, out_dir=args.out)
+
+    if args.command == "run":
         report = run_experiment(config)
         for method, agg in report["aggregate"].items():
             if agg.get("status") == "ok":
@@ -87,16 +89,17 @@ def _dispatch(args, overrides: list[str]) -> int:
         return 0 if report["ok"] else 2
 
     if args.command == "select":
-        config = load_experiment_config(args.config, overrides)
         train_config = config.cell_config(args.method, config.seeds[0])
         train_config.method.with_weight(1.0)  # FT/Joint have no weight to select: fail before training
         if len(config.seeds) != 1:
             raise ConfigError(f"seeds {config.seeds}: select trains with one seed")
         if len(config.schedule_sizes) < 2:
             raise ConfigError(f"schedule_sizes {config.schedule_sizes}: select needs an incremental step")
-        out = make_out_dir(args.out) if args.out else None  # before any training
+        out = make_out_dir(config.out_dir) if config.out_dir else None  # before any training
         inputs = RunInputs.build(config)
-        first = first_step(inputs.split, inputs.eval_corpus, inputs.schedule, train_config)
+        steps, split_report = inputs.split
+        # step 0 unscored: the selection reads only its model and path
+        first = trainer.FirstStep(steps, split_report, trainer.run_step(None, steps[0], train_config))
         result = select_method_weight(first, train_config, inputs.schedule)
         payload = {"method": args.method, **asdict(result)}
         print(json.dumps(payload, indent=2))

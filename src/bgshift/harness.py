@@ -445,10 +445,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     dataset = DatasetSpec(**_section(DatasetSpec, d.pop("dataset", {}), "dataset."))
     train_d = _section(TrainConfig, d.pop("train", {}), "train.")
     method_d = _section(MethodConfig, train_d.pop("method", {}), "train.method.", hidden="name")
-    backbone_d = train_d.pop("backbone", None)
-    train = TrainConfig(**train_d)
-    if backbone_d:
-        train = replace(train, backbone=BackboneConfig(**_section(BackboneConfig, backbone_d, "train.backbone.")))
+    backbone = BackboneConfig(**_section(BackboneConfig, train_d.pop("backbone", {}), "train.backbone."))
+    train = TrainConfig(backbone=backbone, **train_d)
     return ExperimentConfig(dataset=dataset, train=train, method_overrides=method_d, **d)
 
 

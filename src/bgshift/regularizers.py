@@ -37,10 +37,12 @@ class ImportanceState:
     anchor: dict[str, np.ndarray]
 
     def __post_init__(self):
+        if set(self.importance) != set(self.anchor):
+            raise AlignmentError("importance and anchor name different parameters")
         for name, imp in self.importance.items():
             if (imp < 0).any():
                 raise EstimationError(f"negative importance for {name}")
-            if name in self.anchor and self.anchor[name].shape != imp.shape:
+            if self.anchor[name].shape != imp.shape:
                 raise AlignmentError(f"importance/anchor shape mismatch for {name}")
 
 
@@ -136,28 +138,25 @@ def _normalized(a: np.ndarray) -> np.ndarray:
 
 
 def quadratic_penalty(model: SegModel, state: ImportanceState, weight: float) -> Tensor:
-    """weight * sum_i importance_i * (theta_i - anchor_i)^2 over anchored params.
+    """weight * sum_i importance_i * (theta_i - anchor_i)^2 over the params.
 
     Head columns beyond the anchor's width (classes added after the anchor
     was taken) are skipped.
     """
     weight = float(weight)
-    total, terms = None, []
+    total, terms = 0.0, []
     for name, t in model.parameters().items():
-        anchor = state.anchor.get(name)
-        imp = state.importance.get(name)
-        if anchor is None or imp is None:
-            continue
+        anchor, imp = state.anchor[name], state.importance[name]
         k = anchor.shape[-1]
         if t.data.shape[:-1] != anchor.shape[:-1] or t.data.shape[-1] < k:
             raise AlignmentError(f"anchor for {name} does not embed in the current shape")
         diff = t.data[..., :k] - anchor
         term = (diff * diff * imp).sum()
-        total = term if total is None else total + term
+        total = total + term
         grad = np.zeros_like(t.data)
         grad[..., :k] = 2.0 * ((weight * imp) * diff)
         terms.append((t, grad))
-    return nm.scalar_node(0.0 if total is None else total * weight, *terms)
+    return nm.scalar_node(total * weight, *terms)
 
 
 def merge_importance(
@@ -169,14 +168,8 @@ def merge_importance(
         return ImportanceState(new, _param_arrays(model))
     importance = {}
     for name, cur in new.items():
-        old = prev.importance.get(name)
-        if old is None:
-            importance[name] = cur.copy()
-            continue
-        if old.shape == cur.shape:
-            importance[name] = old + cur
-        else:
-            padded = np.zeros_like(cur)
-            padded[..., : old.shape[-1]] = old
-            importance[name] = padded + cur
+        old = prev.importance[name]
+        padded = np.zeros_like(cur)
+        padded[..., : old.shape[-1]] = old
+        importance[name] = padded + cur
     return ImportanceState(importance, _param_arrays(model))

@@ -49,7 +49,7 @@ from .evaluation import ConfusionMatrix, MiouReport, miou_groups
 from .exceptions import AlignmentError, ConfigError, DivergenceError
 from .losses import MethodConfig, composite_objective, teacher_targets
 from .model import BackboneConfig, SegModel, argmax_mask, extend_classifier
-from .scenario import LabelSchedule, Sample, SplitReport, StepDataset, relabel
+from .scenario import MAX_CLASSES, LabelSchedule, Sample, SplitReport, StepDataset
 
 MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-4
@@ -304,16 +304,15 @@ def evaluate_model(
         raise AlignmentError(
             f"model classes {order} are the label space of no step of the schedule {schedule.steps}"
         )
-    lut = np.zeros(max(order) + 1, dtype=np.int64)
-    for i, c in enumerate(order):
-        lut[c] = i
+    # class id -> channel, one entry per mask byte; a class the model does
+    # not know yet is background, channel 0
+    channel = np.zeros(MAX_CLASSES + 1, dtype=np.int64)
+    channel[order] = np.arange(len(order))
     cm = ConfusionMatrix(len(order))
     with nm.no_grad():
         for sample in eval_corpus:
             logits, _ = model.forward_batch(sample.image[None])
-            pred = argmax_mask(logits.data[0], order)
-            gt = relabel(sample.mask, order)
-            cm.accumulate(lut[pred], lut[gt])
+            cm.accumulate(channel[argmax_mask(logits.data[0], order)], channel[sample.mask])
     return miou_groups(cm, schedule, t)
 
 
@@ -323,7 +322,8 @@ def _evaluated(result: StepResult, eval_corpus: list[Sample], schedule: LabelSch
 
 @dataclass
 class FirstStep:
-    """Step 0 trained and evaluated, with the split it was trained on."""
+    """Step 0 trained (and evaluated, by ``first_step``), with the split it
+    was trained on."""
 
     steps: list[StepDataset]
     split_report: SplitReport

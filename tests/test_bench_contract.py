@@ -5,6 +5,8 @@ import importlib
 import json
 import math
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +31,16 @@ def test_every_trace_target_resolves(module, attr):
     # the tracer swaps Class.method through the class's own namespace
     target = vars(owner)[name] if path else getattr(owner, name)
     assert callable(target)
+
+
+def test_import_bgshift_loads_the_training_engine_and_no_more():
+    # ``setup_s`` times a fresh ``import bgshift``; the harness, protocol and
+    # cli load only when imported
+    code = "import sys, bgshift; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'bgshift'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    engine = ["evaluation", "exceptions", "losses", "model", "numerics", "regularizers", "scenario", "trainer"]
+    assert out.split() == ["bgshift", *(f"bgshift.{m}" for m in engine)]
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,8 @@ def test_methods_naming_one_preset_twice_are_a_config_error(methods):
         ("train.method.name = LwF", "train.method.name"),
         ("methds = FT", "methds"),
         ("dataset = 3", "dataset"),
+        ("train.backbone = 0", "train.backbone"),
+        ("train.backbone =", "train.backbone"),
     ],
 )
 def test_unknown_config_key_is_named(tmp_path, capsys, line, key):
@@ -734,6 +736,31 @@ def test_select_trains_with_the_seed_of_seeds(tmp_path, monkeypatch, capsys):
     assert seeds == []
 
 
+def test_select_scores_its_candidates_and_not_step0(tmp_path, monkeypatch):
+    # the selection reads step 0's model, never its scores
+    calls = []
+    real_evaluate = tr.evaluate_model
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(args)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "evaluate_model", counting_evaluate)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    assert cli_main(["select", "--config", str(cfg_file), "--method", "MiB"]) == 0
+    assert len(calls) == 1 + len(hparam_grid())  # the fine-tuning reference and each candidate
+
+
+def test_select_writes_its_selection_to_the_out_dir_of_the_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("bgshift.protocol.hparam_grid", lambda: [0.1, 10.0])
+    out = tmp_path / "selection"
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG + f'out_dir = "{out}"\n')
+    assert cli_main(["select", "--config", str(cfg_file), "--method", "MiB"]) == 0
+    assert json.loads((out / "selection.json").read_text()) == json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("method", ["EWC", "PI", "RW"])
 def test_select_penalizes_regularizer_candidates_with_the_step0_importance(tmp_path, monkeypatch, method):
     seen = []  # (candidate weight, reg_state received, trained model)
@@ -830,7 +857,7 @@ def test_an_out_that_cannot_be_a_directory_fails_before_training(tmp_path, capsy
         raise AssertionError("trained before checking --out")
 
     monkeypatch.setattr(hz, "first_step", no_training)
-    monkeypatch.setattr("bgshift.cli.first_step", no_training)
+    monkeypatch.setattr(tr, "run_step", no_training)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(TINY_CFG)
     out = tmp_path / "taken"

@@ -260,3 +260,34 @@ def test_penalty_nonnegative_everywhere():
 def test_importance_state_rejects_negative_importance():
     with pytest.raises(EstimationError):
         rg.ImportanceState({"p": np.array([-1.0])}, {"p": np.zeros(1)})
+
+
+@pytest.mark.parametrize("side", ["importance", "anchor"])
+def test_an_importance_record_names_every_parameter(side):
+    params = {n: t.data.copy() for n, t in tiny_model().parameters().items()}
+    record = {"importance": {n: np.ones_like(v) for n, v in params.items()}, "anchor": params}
+    del record[side]["head.b"]
+    with pytest.raises(AlignmentError, match="name different parameters"):
+        rg.ImportanceState(**record)
+
+
+# -- merging importance across steps -------------------------------------------
+
+
+def test_merge_into_a_grown_head_pads_the_old_importance():
+    rng = np.random.default_rng(15)
+    model = tiny_model(fg=(1,), seed=16)
+    old = {n: rng.random(t.data.shape).astype(t.data.dtype) for n, t in model.parameters().items()}
+    prev = rg.merge_importance(None, old, model)
+    grown = extend_classifier(model, [2], init="random", rng=np.random.default_rng(17))
+    new = {n: rng.random(t.data.shape).astype(t.data.dtype) for n, t in grown.parameters().items()}
+    merged = rg.merge_importance(prev, new, grown)
+    k = len(model.known_classes)
+    for name in ("head.w", "head.b"):
+        # the leading columns hold the sum, the new class's column its new importance
+        assert np.array_equal(merged.importance[name][..., :k], old[name] + new[name][..., :k])
+        assert np.array_equal(merged.importance[name][..., k:], new[name][..., k:])
+    for name in ("backbone.w1", "backbone.b1", "backbone.w2", "backbone.b2"):
+        assert np.array_equal(merged.importance[name], old[name] + new[name])
+    for name, t in grown.parameters().items():
+        assert np.array_equal(merged.anchor[name], t.data) and merged.anchor[name] is not t.data
