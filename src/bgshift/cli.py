@@ -9,9 +9,9 @@ from pathlib import Path
 
 from . import trainer
 from .exceptions import BgshiftError, ComparisonError, ConfigError
-from .harness import RunInputs, compare_report, load_experiment_config, make_out_dir, run_experiment
+from .harness import compare_report, load_experiment_config, make_out_dir, run_experiment, training_corpus
 from .protocol import select_method_weight
-from .scenario import SyntheticConfig, generate_synthetic, save_dataset
+from .scenario import SyntheticConfig, generate_synthetic, save_dataset, split_corpus
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,6 +50,8 @@ def main(argv: list[str] | None = None) -> int:
     bad = [e for e in extra if not (e.startswith("--") and "=" in e)]
     if bad:
         parser.error(f"unrecognized arguments: {' '.join(bad)}")
+    if extra and args.command not in ("run", "select"):  # only these read a config
+        parser.error(f"{args.command} takes no --key=value overrides: {' '.join(extra)}")
     try:
         return _dispatch(args, extra)
     except BgshiftError as e:
@@ -96,11 +98,13 @@ def _dispatch(args, overrides: list[str]) -> int:
         if len(config.schedule_sizes) < 2:
             raise ConfigError(f"schedule_sizes {config.schedule_sizes}: select needs an incremental step")
         out = make_out_dir(config.out_dir) if config.out_dir else None  # before any training
-        inputs = RunInputs.build(config)
-        steps, split_report = inputs.split
+        # the selection scores on a held-out part of step 1: no eval corpus
+        schedule = config.schedule()
+        corpus = training_corpus(config.dataset, config.train.backbone.dtype)
+        steps, split_report = split_corpus(corpus, schedule, config.protocol)
         # step 0 unscored: the selection reads only its model and path
         first = trainer.FirstStep(steps, split_report, trainer.run_step(None, steps[0], train_config))
-        result = select_method_weight(first, train_config, inputs.schedule)
+        result = select_method_weight(first, train_config, schedule)
         payload = {"method": args.method, **asdict(result)}
         print(json.dumps(payload, indent=2))
         if out is not None:

@@ -116,29 +116,27 @@ class ExperimentConfig:
         return replace(self.train, seed=seed, method=replace(method_preset(method), **self.method_overrides))
 
 
-def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
-    """(train corpus, eval corpus) from a synthetic config or the two
-    directories of a dir one."""
+def _synthetic_corpora(spec: DatasetSpec, dtype) -> tuple[list[Sample], list[Sample]]:
+    cfg = SyntheticConfig(
+        num_fg_classes=spec.num_fg_classes,
+        num_images=spec.num_train + spec.num_eval,
+        height=spec.height,
+        width=spec.width,
+        blobs_per_image=spec.blobs_per_image,
+    )
+    samples = [Sample(s.id, s.image.astype(dtype, copy=False), s.mask) for s in generate_synthetic(spec.seed, cfg)]
+    return samples[: spec.num_train], samples[spec.num_train :]
+
+
+def training_corpus(spec: DatasetSpec, dtype=np.float64) -> list[Sample]:
+    """The train corpus of ``build_corpora``, without reading the eval one
+    when it can: a synthetic config still generates its eval images, as its
+    training images depend on ``num_eval``; a dir one reads ``path`` only."""
     if spec.kind == "synthetic":
-        cfg = SyntheticConfig(
-            num_fg_classes=spec.num_fg_classes,
-            num_images=spec.num_train + spec.num_eval,
-            height=spec.height,
-            width=spec.width,
-            blobs_per_image=spec.blobs_per_image,
-        )
-        samples = generate_synthetic(spec.seed, cfg)
-        return samples[: spec.num_train], samples[spec.num_train :]
-    # mIoU must not be measured on training images
-    if Path(spec.path).resolve() == Path(spec.eval_path).resolve():
-        raise ConfigError(
-            f"dataset.eval_path {spec.eval_path!r} is the training directory {spec.path!r}"
-        )
-    train = load_dataset(spec.path)
-    heldout = load_dataset(spec.eval_path)
-    for key, corpus in (("path", train), ("eval_path", heldout)):
-        if not corpus.samples:  # nothing to train on, or every mIoU would read 0
-            raise ConfigError(f"the manifest of dataset.{key} {getattr(spec, key)!r} lists no sample")
+        return _synthetic_corpora(spec, dtype)[0]
+    train = load_dataset(spec.path, dtype)
+    if not train.samples:  # nothing to train on
+        raise ConfigError(f"the manifest of dataset.path {spec.path!r} lists no sample")
     # training stacks a step's images; eval scores them one at a time
     first = train.samples[0]
     odd = next((s for s in train.samples if s.image.shape != first.image.shape), None)
@@ -147,28 +145,47 @@ def build_corpora(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
             f"dataset.path {spec.path!r}: sample {odd.id!r} is {odd.image.shape[:2]} pixels but {first.id!r} "
             f"is {first.image.shape[:2]}; training images must share one size"
         )
-    if train.num_classes != heldout.num_classes:
-        raise ConfigError("train and eval directories declare different class counts")
     if train.num_classes != spec.num_fg_classes:
         raise ConfigError(
             f"dataset.num_fg_classes is {spec.num_fg_classes} but the manifest of {spec.path} "
             f"declares classes={train.num_classes}"
         )
-    shared = sorted({s.id for s in train.samples} & {s.id for s in heldout.samples})
+    return train.samples
+
+
+def build_corpora(spec: DatasetSpec, dtype=np.float64) -> tuple[list[Sample], list[Sample]]:
+    """(train corpus, eval corpus) from a synthetic config or the two
+    directories of a dir one, the images in ``dtype`` (float64 keeps the
+    generator's arrays; a directory's images are read into ``dtype`` one at
+    a time, see ``scenario.load_dataset``)."""
+    if spec.kind == "synthetic":
+        return _synthetic_corpora(spec, dtype)
+    # mIoU must not be measured on training images
+    if Path(spec.path).resolve() == Path(spec.eval_path).resolve():
+        raise ConfigError(
+            f"dataset.eval_path {spec.eval_path!r} is the training directory {spec.path!r}"
+        )
+    train = training_corpus(spec, dtype)
+    heldout = load_dataset(spec.eval_path, dtype)
+    if not heldout.samples:  # every mIoU would read 0
+        raise ConfigError(f"the manifest of dataset.eval_path {spec.eval_path!r} lists no sample")
+    if heldout.num_classes != spec.num_fg_classes:
+        raise ConfigError("train and eval directories declare different class counts")
+    shared = sorted({s.id for s in train} & {s.id for s in heldout.samples})
     if shared:
         raise ConfigError(
             f"{spec.path} and {spec.eval_path} share {len(shared)} sample ids, first {shared[:3]}"
         )
-    return train.samples, heldout.samples
+    return train, heldout.samples
 
 
 @dataclass
 class RunInputs:
     """What every cell of a run reads; built once per run. The images of
-    both corpora have the run's training dtype (``train.backbone.dtype``):
-    every forward pass casts its images to it, so a float32 run holds them
-    in half the memory and computes the same, and a float64 run keeps the
-    arrays ``build_corpora`` returned."""
+    both corpora have the run's training dtype (``train.backbone.dtype``),
+    as ``build_corpora`` makes them: every forward pass casts its images to
+    it, so a float32 run holds them in half the memory and computes the
+    same."""
 
     schedule: LabelSchedule
     corpus: list[Sample]
@@ -178,11 +195,7 @@ class RunInputs:
     @classmethod
     def build(cls, config: ExperimentConfig) -> "RunInputs":
         schedule = config.schedule()
-        dtype = config.train.backbone.dtype
-        corpus, eval_corpus = (
-            [Sample(s.id, s.image.astype(dtype, copy=False), s.mask) for s in samples]
-            for samples in build_corpora(config.dataset)
-        )
+        corpus, eval_corpus = build_corpora(config.dataset, config.train.backbone.dtype)
         return cls(schedule, corpus, eval_corpus, split_corpus(corpus, schedule, config.protocol))
 
 

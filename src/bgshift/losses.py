@@ -15,9 +15,11 @@ logits, or the features for ILT) in numpy, from the closed form of that
 gradient, and returns one tape node (``numerics.scalar_node``). Where a
 probability is clamped at ``LOG_FLOOR`` before the log, no gradient flows
 through it. A loss of the logits computes their softmax unless the composite
-objective, one node over its weighted terms, hands it over (the private
-``_q``), with what the loss reads of the frozen teacher (``teacher_targets``,
-once per step in ``trainer.run_step``).
+objective hands it over (the private ``_q``), with what the loss reads of
+the frozen teacher (``teacher_targets``, once per step in
+``trainer.run_step``). The objective is one node over the losses' inputs,
+not over the loss nodes: it takes over their gradients and sums them in
+place (``numerics.scalar_sum``).
 
 Each loss works on contiguous channel rows [K, pixels] (``_rows``): a free
 view of channel-major input such as the logits ``affine_last`` returns, one
@@ -124,9 +126,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _clamped_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log(max(p, LOG_FLOOR)), and where p > LOG_FLOOR: the gradient of the
-    clamped log is zero wherever the clamp is active."""
-    return np.log(np.maximum(p, LOG_FLOOR)), p > LOG_FLOOR
+    """log(max(p, LOG_FLOOR)), in one new array (of ``p``'s dtype), and where
+    p > LOG_FLOOR: the gradient of the clamped log is zero wherever the clamp
+    is active."""
+    log_p = np.maximum(p, LOG_FLOOR, out=np.empty_like(p))
+    return np.log(log_p, out=log_p), p > LOG_FLOOR
 
 
 def _mean(a: np.ndarray) -> float:
@@ -203,12 +207,12 @@ def _distillation_grad(q_hat: np.ndarray, p: np.ndarray, active: np.ndarray) -> 
     built from the logits' softmax (old channels renormalized, or summed into
     one row): q_hat * sum(c) - c, with c = p where the clamp lets the gradient
     through. All three are channel rows; the caller maps each row back onto
-    its channels."""
+    its channels. The gradient is written into ``q_hat``, which is returned."""
     c = p * active
-    grad = q_hat * c.sum(axis=0)
-    grad -= c
-    grad *= 1.0 / c.shape[1]
-    return grad
+    q_hat *= c.sum(axis=0)
+    q_hat -= c
+    q_hat *= 1.0 / c.shape[1]
+    return q_hat
 
 
 def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
@@ -218,10 +222,11 @@ def standard_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     _check_old_probs(logits_new, probs_old, n_old)
     p = _rows(probs_old)
     q_old = _rows(_softmax(logits_new.data) if _q is None else _q)[:n_old]
-    q_hat = q_old / q_old.sum(axis=0)
+    # q_hat is built in the gradient's old rows, where its gradient goes
+    grad = np.zeros((len(ctx.class_order), p.shape[1]), dtype=q_old.dtype)
+    q_hat = np.divide(q_old, q_old.sum(axis=0), out=grad[:n_old])
     log_q, active = _clamped_log(q_hat)
-    grad = np.zeros((len(ctx.class_order), p.shape[1]), dtype=q_hat.dtype)
-    grad[:n_old] = _distillation_grad(q_hat, p, active)
+    _distillation_grad(q_hat, p, active)
     terms = (p * log_q).sum(axis=0)
     value = _mean(np.negative(terms, out=terms))
     return nm.scalar_node(value, (logits_new, _cols(grad, logits_new.shape)))
@@ -237,22 +242,25 @@ def unbiased_distillation(logits_new: Tensor, probs_old: np.ndarray, ctx: LossCo
     # background (channel 0 of both models) is matched against the summed
     # mass of the incoming classes + background; old foreground is unaltered
     new, old_fg = ctx.new_channels, slice(1, ctx.n_old)
-    q_hat = np.empty((ctx.n_old, q.shape[1]), q.dtype)
+    # q_hat is built in the gradient's first n_old rows: its gradient is
+    # written over it, and rows 1..n_old-1 are the old foreground's
+    grad = np.empty_like(q)
+    q_hat = grad[: ctx.n_old]
     q[new].sum(axis=0, out=q_hat[0])
     q_hat[1:] = q[old_fg]
     log_q, active = _clamped_log(q_hat)
-    # the background term plus the foreground terms' sum, in numpy's order
+    # the background term plus the foreground terms' sum, in numpy's order;
+    # the products are written into log_q
     terms = log_q[0] * p[0]
-    terms += (log_q[1:] * p[1:]).sum(axis=0)
-    del log_q  # freed before the gradient's arrays are made
-    g_hat = _distillation_grad(q_hat, p, active)
-    grad = np.empty_like(q)
-    grad[old_fg] = g_hat[1:]
+    log_q[1:] *= p[1:]
+    terms += log_q[1:].sum(axis=0)
+    del log_q  # freed before the gradient is computed
     # the background entry spreads over the incoming channels by their share
     # of its mass (all zero where the mass is)
-    mass = q_hat[0]
+    mass = np.where(q_hat[0] > 0, q_hat[0], 1.0)
+    _distillation_grad(q_hat, p, active)
     spread = q[new]
-    spread *= g_hat[0] / np.where(mass > 0, mass, 1.0)
+    spread *= q_hat[0] / mass
     grad[new] = spread
     return nm.scalar_node(-_mean(terms), (logits_new, _cols(grad, logits_new.shape)))
 
@@ -452,7 +460,10 @@ def composite_objective(
     targets are computed for the batch, from ``old_outputs`` (its
     precomputed logits and features) if given, else by running it. The terms
     (LwF-MC, or CE/UCE, lambda_kd * KD/UKD and feature_kd_weight * feature
-    KD; then the regularizer's penalty) are summed by one tape node.
+    KD; then the regularizer's penalty) are summed, in that order, into one
+    tape node over their inputs: the logits, the features (ILT) and the
+    penalized parameters (``numerics.scalar_sum``, which takes over the
+    terms' gradient arrays and adds them in place).
     """
     images, masks = batch
     logits, feats = model.forward_batch(images)
@@ -488,8 +499,4 @@ def composite_objective(
 
     if reg_penalty is not None:
         terms.append((reg_penalty, 1.0))
-    # each term's gradient is its weight; the value adds them in this order
-    value = terms[0][0].data
-    for term, weight in terms[1:]:
-        value = value + term.data * weight
-    return nm.scalar_node(value, *terms)
+    return nm.scalar_sum(*terms)

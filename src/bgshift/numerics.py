@@ -10,17 +10,21 @@ its parents, so the output, the logits and the features hold None after
 ``backward()``, and a second ``backward()`` on the same tape adds its
 gradient to the leaves once more, no stale interior gradient compounding it.
 The forward arrays a node's backward reads (the layers' inputs and
-activations, a loss's closed-form gradients) are held by its closure, so a
-tape's arrays live exactly as long as its output node: dropping the last
-reference to the output frees every node but the leaves, and ``backward()``
-frees none of them.
+activations, a scalar node's closed-form gradients) are held by its
+closure, so a tape's arrays live exactly as long as its output node:
+dropping the last reference to the output frees every node but the leaves,
+and ``backward()`` frees none of them.
 
 The tape has few kinds of node, each with a hand-written backward. The
 model's layers: ``conv_dense`` is the whole backbone (conv3x3 -> tanh -> 1x1
 -> tanh) and ``affine_last`` the classifier head. Every scalar is one
 ``scalar_node(value, (parent, grad), ...)``, which records ``value`` with the
 closed-form gradient of each parent: a loss over the logits or the features,
-the drift penalty over the parameters, the objective over its weighted terms.
+the drift penalty over the parameters. ``scalar_sum`` adds weighted scalar
+nodes into one such node over their parents (the objective, over the
+logits, the features and the penalized parameters), in place in their
+gradient arrays. A scalar node whose incoming gradient is 1.0 hands its
+arrays on uncopied, so a ``.grad`` is read-only.
 ``conv3x3``, ``tanh`` and the full sum ``tsum`` are the pieces the fused
 backbone is checked against; the tests check every gradient against a
 finite-difference oracle.
@@ -82,7 +86,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_terms")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -93,6 +97,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+        self._terms = ()  # a scalar node's (parent, grad) pairs, see scalar_node
 
     @property
     def shape(self):
@@ -154,9 +159,14 @@ def scalar_node(value, *terms) -> Tensor:
     """A scalar computed outside the tape, from closed-form gradients.
 
     Each term is ``(parent, grad)`` with ``grad`` = d value / d ``parent``; the
-    node's backward scales every ``grad`` by the incoming gradient, in the
-    dtype of ``grad``. This is the only way a scalar enters the tape: each
-    loss, the penalty and the objective that sums them are one node each.
+    node keeps its terms (``_terms``) and its backward scales every ``grad``
+    by the incoming gradient, in the dtype of ``grad``. At an incoming
+    gradient of 1.0, the one ``backward()`` starts from, it hands the
+    ``grad`` arrays on uncopied (x * 1.0 is x, bit for bit), so a parent's
+    ``.grad`` may be the node's own array: it is read-only, and nothing in
+    the package writes a ``.grad``. This is the only way a scalar enters the
+    tape: each loss and the penalty is one node, and the objective that adds
+    them is one node over their parents (``scalar_sum``).
     """
     parents = tuple(p for p, _ in terms)
     grads = tuple(g for _, g in terms)
@@ -164,9 +174,42 @@ def scalar_node(value, *terms) -> Tensor:
     def bw(g):
         # a Python float: a 0-d float64 array would promote float32 grads
         g = float(g)
-        return tuple(grad * g for grad in grads)
+        return grads if g == 1.0 else tuple(grad * g for grad in grads)
 
-    return _from_op(np.asarray(value, dtype=DEFAULT_DTYPE), parents, bw)
+    out = _from_op(np.asarray(value, dtype=DEFAULT_DTYPE), parents, bw)
+    if out._backward is not None:
+        out._terms = terms
+    return out
+
+
+def scalar_sum(*terms) -> Tensor:
+    """sum(weight * node) over ``terms``, ``(node, weight), ...``: scalar
+    nodes summed into one scalar node over their parents.
+
+    The value adds ``node.data * weight`` in the order given. For each
+    parent, the first node's gradient array is scaled in place (a weight of
+    1.0 scales nothing) and the others are scaled and added into it, so one
+    array per parent is alive; where at most two nodes reach a parent, as in
+    the objective, this is bit for bit the arithmetic of a node over the
+    summed nodes (a + b is b + a). The sum takes over its inputs: it writes
+    their gradient arrays (each of its parent's shape and dtype), and each
+    summed node is left off the tape, a constant that keeps its value.
+    """
+    value = None
+    total: dict[int, tuple[Tensor, np.ndarray]] = {}
+    for node, weight in terms:
+        part = node.data * weight
+        value = part if value is None else value + part
+        for parent, grad in node._terms:
+            if weight != 1.0:
+                grad *= weight
+            if id(parent) in total:
+                acc = total[id(parent)][1]
+                acc += grad
+            else:
+                total[id(parent)] = (parent, grad)
+        node.requires_grad, node._parents, node._backward, node._terms = False, (), None, ()
+    return scalar_node(value, *total.values())
 
 
 def tsum(a: Tensor) -> Tensor:

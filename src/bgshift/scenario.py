@@ -378,7 +378,10 @@ def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
     return arr[:, :, 0] if channels == 1 else arr
 
 
-def load_dataset(directory) -> LoadedCorpus:
+def load_dataset(directory, dtype=np.float64) -> LoadedCorpus:
+    """The samples a directory's manifest lists, each image read as its
+    bytes / 255 in float64 and then cast to ``dtype`` (so a float32 read
+    equals a float64 one cast, and no float64 copy of the corpus is held)."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     if not manifest.exists():
@@ -405,7 +408,7 @@ def load_dataset(directory) -> LoadedCorpus:
         if not img_path.exists() or not mask_path.exists():
             missing = img_path if not img_path.exists() else mask_path
             raise IngestionError(f"{missing}: listed in manifest but missing")
-        img = _read_pnm(img_path, b"P6").astype(np.float64) / 255.0
+        img = (_read_pnm(img_path, b"P6").astype(np.float64) / 255.0).astype(dtype, copy=False)
         mask = _read_pnm(mask_path, b"P5").copy()  # writable, off the file's bytes
         if img.shape[:2] != mask.shape:
             raise IngestionError(f"{mask_path}: dims {mask.shape} do not match image {img.shape[:2]}")

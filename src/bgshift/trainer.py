@@ -26,15 +26,20 @@ place), the ``PathState`` and the ``ImportanceState`` all have it. Loss
 values are Python floats either way.
 
 An iteration's arrays live for that iteration only: ``run_step`` drops the
-batch, its teacher rows and the penalty once the objective is built (its
-tape keeps what the backward reads), and the tape once ``sgd_step`` and the
-path update have read the gradients. Across iterations only the parameters,
-the velocity and the path state stay alive. What an iteration frees is about
-the size of what the next one allocates (about 10 MB at 8x64x64), so
-``run_step`` first sets glibc's malloc to keep freed memory mapped
-(``_keep_heap_pages``: process-wide, glibc-only, no result changed) rather
-than hand it back to the kernel and page-fault it in again on the next
-iteration.
+batch, its teacher rows and the penalty once the objective is built, and the
+tape once ``sgd_step`` and the path update have read the gradients. The tape
+keeps what the backward reads: the backbone node's padded input and its two
+tanh outputs, the head node's input and output (the logits), and the
+objective's one gradient per input, summed in place from the losses' and
+the penalty's (one [K, pixels] array for the logits however many losses
+read them, one for the features with ILT, one per penalized parameter); the
+loss nodes and the softmax are gone once the objective is built. Across
+iterations only the parameters, the velocity and the path state stay alive.
+What an iteration frees is about the size of what the next one allocates
+(about 10 MB at 8x64x64), so ``run_step`` first sets glibc's malloc to keep
+freed memory mapped (``_keep_heap_pages``: process-wide, glibc-only, no
+result changed) rather than hand it back to the kernel and page-fault it in
+again on the next iteration.
 """
 from __future__ import annotations
 

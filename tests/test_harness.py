@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bgshift import cli
 from bgshift import harness as hz
 from bgshift import trainer as tr
 from bgshift.cli import main as cli_main
@@ -625,22 +626,34 @@ def test_run_inputs_hold_the_images_in_the_training_dtype(tmp_path, monkeypatch,
         tree["dataset"].update(kind="dir", path=train, eval_path=heldout)
     if dtype is not None:
         tree["train"]["backbone"]["dtype"] = dtype
-    real, built = hz.build_corpora, []
+    config = hz.config_from_dict(tree)
+    read = [s for corpus in hz.build_corpora(config.dataset) for s in corpus]  # float64
+    real_build, built = hz.build_corpora, []
+    real_generate, generated = hz.generate_synthetic, []
 
-    def build_corpora(spec):
-        built.append(real(spec))
-        return built[-1]
+    def build_corpora(spec, dtype):
+        corpus, eval_corpus = real_build(spec, dtype)
+        built.extend(corpus + eval_corpus)
+        return corpus, eval_corpus
+
+    def generate_synthetic(*args):
+        generated.extend(real_generate(*args))
+        return generated
 
     monkeypatch.setattr(hz, "build_corpora", build_corpora)
-    inputs = hz.RunInputs.build(hz.config_from_dict(tree))
-    made = [s for corpus in built[0] for s in corpus]
+    monkeypatch.setattr(hz, "generate_synthetic", generate_synthetic)
+    inputs = hz.RunInputs.build(config)
     held = inputs.corpus + inputs.eval_corpus
-    assert len(held) == len(made) and {s.image.dtype for s in held} == {np.dtype(dtype or "float32")}
-    for got, sample in zip(held, made):
-        assert got.id == sample.id and got.mask is sample.mask and sample.image.dtype == np.float64
+    # the samples build_corpora made, already in the training dtype
+    assert len(held) == len(built) and all(got is made for got, made in zip(held, built))
+    assert {s.image.dtype for s in held} == {np.dtype(dtype or "float32")}
+    # each image is the float64 one cast
+    for got, sample in zip(held, read, strict=True):
+        assert got.id == sample.id and np.array_equal(got.mask, sample.mask) and sample.image.dtype == np.float64
         assert np.array_equal(got.image, sample.image.astype(got.image.dtype))
-        # a float64 run keeps the arrays it was given, with no copy
-        assert (got.image is sample.image) == (dtype == "float64")
+    # a float64 run keeps the generator's arrays, with no copy
+    if kind == "synthetic":
+        assert [got.image is s.image for got, s in zip(held, generated)] == [dtype == "float64"] * len(held)
     assert all(s.image.dtype == inputs.corpus[0].image.dtype for step in inputs.split[0] for s in step.items)
 
 
@@ -686,10 +699,10 @@ def test_select_without_tunable_weight_fails_before_training(tmp_path, monkeypat
 
 
 def test_select_on_a_one_step_schedule_fails_before_building_the_corpus(tmp_path, monkeypatch, capsys):
-    def build(cls, config):
+    def build(*args):
         raise AssertionError("the corpus was built")
 
-    monkeypatch.setattr(hz.RunInputs, "build", classmethod(build))
+    monkeypatch.setattr(cli, "training_corpus", build)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(TINY_CFG)
     assert cli_main(["select", "--config", str(cfg_file), "--method", "MiB", "--schedule_sizes=2"]) == 1
@@ -752,6 +765,18 @@ def test_select_scores_its_candidates_and_not_step0(tmp_path, monkeypatch):
     assert len(calls) == 1 + len(hparam_grid())  # the fine-tuning reference and each candidate
 
 
+def test_select_reads_no_eval_corpus(tmp_path, monkeypatch, capsys):
+    # a dir dataset's eval_path is named by the config but never read
+    monkeypatch.setattr("bgshift.protocol.hparam_grid", lambda: [0.1, 10.0])
+    train, _ = dir_datasets(tmp_path, [f"s{i}" for i in range(4)], [], classes=2)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    argv = ["select", "--config", str(cfg_file), "--method", "MiB", "--dataset.kind=dir"]
+    argv += [f"--dataset.path={train}", f"--dataset.eval_path={tmp_path / 'none'}"]
+    assert cli_main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "MiB"
+
+
 def test_select_writes_its_selection_to_the_out_dir_of_the_config(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("bgshift.protocol.hparam_grid", lambda: [0.1, 10.0])
     out = tmp_path / "selection"
@@ -801,6 +826,23 @@ def test_select_penalizes_regularizer_candidates_with_the_step0_importance(tmp_p
 def test_cli_generate_with_a_bad_setting_is_an_error(tmp_path, capsys, flags, key):
     assert cli_main(["generate", "--out", str(tmp_path / "data"), *flags]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["generate", "--out", "DIR", "--num-images", "2", "--classes", "2", "--height", "16", "--width", "16"],
+        ["report", "--report", "DIR", "--baseline", "FT", "--target", "MiB"],
+    ],
+    ids=["generate", "report"],
+)
+def test_a_command_without_a_config_rejects_overrides(tmp_path, capsys, command):
+    argv = [str(tmp_path / "data") if a == "DIR" else a for a in command]
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([*argv, "--num_images=3", "--dataset.height=8"])
+    assert exit_info.value.code == 2
+    assert f"{command[0]} takes no --key=value overrides: --num_images=3 --dataset.height=8" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
 
 

@@ -702,7 +702,8 @@ def test_composite_lwf_mc_adds_its_regularizer():
     base = L.composite_objective(plain, (images, masks), cur, prev)
     assert got.item() == base.item() + penalty.item()
     base.backward()
-    penalty.backward()
+    # the objective took the penalty's gradients over: a fresh one is added
+    rg.quadratic_penalty(cur, state, ewc.reg_weight).backward()
     for name, t in cur.parameters().items():
         assert np.allclose(got_grads[name], t.grad, rtol=1e-12, atol=0.0), name
 
@@ -727,6 +728,84 @@ def test_composite_lwf_mc_without_regularizer_is_the_loss_bit_for_bit():
     assert got.item() == want.item()
     for name, t in cur.parameters().items():
         assert np.array_equal(got_grads[name], t.grad), name
+
+
+def objective_over_the_losses(method, batch, model, model_prev, penalty):
+    """The objective of a later step as one node over its loss nodes, each
+    scaling its gradients by its weight in the backward: the reference the
+    summed objective must match bit for bit."""
+    images, masks = batch
+    logits, feats = model.forward_batch(images)
+    ctx = L.LossContext.for_step(
+        model_prev.known_classes, model.known_classes, method_weights={"w_cls": L.W_CLS, "w_kd": method.lambda_kd}
+    )
+    rows, old_feats = L.teacher_targets(method, model_prev, images, len(images))
+    probs_old = None if rows is None else np.moveaxis(rows, 0, -1)
+    if method.kd_mode == "lwfmc":
+        terms = [(L.lwf_mc_loss(logits, masks, probs_old, "full", ctx), 1.0)]
+    else:
+        q = L._softmax(logits.data)
+        if method.ce_mode == "unbiased":
+            terms = [(L.unbiased_cross_entropy(logits, masks, ctx, _q=q), 1.0)]
+        else:
+            terms = [(L.cross_entropy(logits, masks, model.known_classes, _q=q), 1.0)]
+        if probs_old is not None:
+            kd = L.unbiased_distillation if method.kd_mode == "unbiased" else L.standard_distillation
+            terms.append((kd(logits, probs_old, ctx, _q=q), method.lambda_kd))
+        if old_feats is not None:
+            terms.append((L.feature_distillation(feats, old_feats), method.feature_kd_weight))
+    if penalty is not None:
+        terms.append((penalty, 1.0))
+    value = terms[0][0].data
+    for term, weight in terms[1:]:
+        value = value + term.data * weight
+    return nm.scalar_node(value, *terms)
+
+
+def later_step_case(name, dtype):
+    """(method, previous model, current model drifted from it, batch, a
+    penalty maker: None without a regularizer)."""
+    rng = np.random.default_rng(16)
+    method = L.method_preset(name)
+    prev = SegModel.create(BackboneConfig(hidden=4, features=4, dtype=dtype), [1, 2], rng)
+    cur = extend_classifier(prev, [3], init=method.init_mode, rng=rng)
+    for t in cur.parameters().values():
+        t.data += rng.normal(0.0, 0.1, t.shape).astype(dtype)
+    images = rng.random((2, 6, 6, 3)).astype(dtype)
+    masks = (rng.integers(0, 2, size=(2, 6, 6)) * 3).astype(np.uint8)  # background or the new class
+    anchor = {n: t.data.copy() for n, t in prev.parameters().items()}
+    state = rg.ImportanceState({n: rng.random(a.shape).astype(dtype) for n, a in anchor.items()}, anchor)
+    penalty = None if method.reg_kind == "none" else (lambda: rg.quadratic_penalty(cur, state, method.reg_weight))
+    return method, prev, cur, (images, masks), penalty
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", ["FT", "LwF", "ILT", "LwF-MC", "MiB", "RW"])
+def test_the_summed_objective_has_the_gradients_of_a_node_over_its_losses(name, dtype):
+    method, prev, cur, batch, penalty = later_step_case(name, dtype)
+    got = L.composite_objective(method, batch, cur, prev, penalty and penalty())
+    got.backward()
+    got_grads = {n: t.grad for n, t in cur.parameters().items()}
+    cur.zero_grad()
+    want = objective_over_the_losses(method, batch, cur, prev, penalty and penalty())
+    want.backward()
+    assert got.item() == want.item()
+    for n, t in cur.parameters().items():
+        assert got_grads[n].dtype == t.grad.dtype == np.dtype(dtype) and bits_of(got_grads[n]) == bits_of(t.grad), n
+
+
+@pytest.mark.parametrize("name", ["MiB", "ILT", "RW"])
+def test_the_objective_is_one_node_over_its_inputs(name):
+    # the logits, then the features (ILT), then the penalized parameters:
+    # no loss node is a parent
+    method, prev, cur, batch, penalty = later_step_case(name, "float64")
+    got = L.composite_objective(method, batch, cur, prev, penalty and penalty())
+    n, k = batch[1].shape, len(cur.known_classes)
+    shapes = [n + (k,)] + ([n + (4,)] if name == "ILT" else [])
+    params = list(cur.parameters().values()) if name == "RW" else []
+    assert [p.shape for p in got._parents[: len(shapes)]] == shapes
+    assert len(got._parents) == len(shapes) + len(params)
+    assert all(p is q for p, q in zip(got._parents[len(shapes) :], params))
 
 
 def test_method_preset_unknown_name():

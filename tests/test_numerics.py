@@ -237,6 +237,24 @@ def test_gradient_accumulates_over_shared_subexpression():
     assert np.allclose(x.grad, [2 * 2.0 + 3.0])
 
 
+def test_a_sum_of_scalar_nodes_is_one_node_over_their_parents():
+    rng = np.random.default_rng(6)
+    x, y = (Tensor(rng.normal(size=3), requires_grad=True) for _ in range(2))
+    gx, gx2, gy = (rng.normal(size=3) for _ in range(3))
+    a = nm.scalar_node(1.5, (x, gx.copy()))
+    b = nm.scalar_node(-2.0, (x, gx2.copy()), (y, gy.copy()))
+    out = nm.scalar_sum((a, 1.0), (b, 0.25))
+    assert out.item() == 1.5 + -2.0 * 0.25
+    assert len(out._parents) == 2 and out._parents[0] is x and out._parents[1] is y
+    # the summed nodes are constants now: their arrays are the sum's
+    assert [(n.requires_grad, n._parents, n._terms) for n in (a, b)] == [(False, (), ())] * 2
+    assert (a.item(), b.item()) == (1.5, -2.0)
+    out.backward()
+    assert np.array_equal(x.grad, gx + gx2 * 0.25) and np.array_equal(y.grad, gy * 0.25)
+    # an incoming gradient of 1.0 hands the node's arrays on uncopied
+    assert x.grad is out._terms[0][1] and y.grad is out._terms[1][1]
+
+
 def test_a_second_backward_adds_the_gradient_once_more():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(2, 5, 4, 3)))

@@ -344,6 +344,17 @@ def test_dataset_roundtrip(tmp_path):
         assert np.array_equal(again.image, loaded.samples[0].image) and np.array_equal(again.mask, first.mask)
 
 
+def test_a_float32_read_is_the_float64_read_cast(tmp_path):
+    # every byte value once per channel, in a 16x16 image
+    values = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    image = np.stack([values, values[::-1], values.T], axis=-1) / 255.0
+    sc.save_dataset([sc.Sample("all", image, np.zeros((16, 16), np.uint8))], tmp_path, 1)
+    wide, narrow = (sc.load_dataset(tmp_path, dtype).samples[0].image for dtype in (np.float64, np.float32))
+    assert np.array_equal(np.sort(np.round(wide * 255.0).ravel()), np.repeat(np.arange(256), 3))
+    assert wide.dtype == np.float64 and narrow.dtype == np.float32
+    assert narrow.tobytes() == wide.astype(np.float32).tobytes()
+
+
 def test_empty_manifest_gives_empty_corpus(tmp_path):
     (tmp_path / "manifest.txt").write_text("classes=4\n")
     loaded = sc.load_dataset(tmp_path)

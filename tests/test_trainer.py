@@ -1,6 +1,7 @@
 import hashlib
 import platform
 import resource
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from bgshift import trainer as tr
 from bgshift.exceptions import AlignmentError, ConfigError, DivergenceError
-from bgshift.losses import method_preset, teacher_targets
-from bgshift.model import BackboneConfig, SegModel
+from bgshift.losses import composite_objective, method_preset, teacher_targets
+from bgshift.model import BackboneConfig, SegModel, extend_classifier
 from bgshift.numerics import Tensor
 from bgshift.scenario import SyntheticConfig, build_schedule, generate_synthetic, split_corpus
 from helpers import run_from_scratch
@@ -251,6 +252,39 @@ def test_a_repeated_later_step_does_not_page_fault():
     tr.run_step(base.model, steps[1], config)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 100, faults
+
+
+# the traced peak of one iteration below, in bytes: 9.67 MB measured, plus 2 %
+# (one node over the losses' gradients, summed in place; 11.44 MB when the
+# objective was a node over the loss nodes)
+ITERATION_PEAK = int(9.67e6 * 1.02)
+
+
+def test_a_later_mib_iteration_stays_within_its_traced_peak():
+    # objective, backward and update of one 8x64x64 batch at a 7-channel
+    # MiB step, the teacher's rows at hand as run_step gathers them
+    rng = np.random.default_rng(0)
+    prev = SegModel.create(BackboneConfig(), [1, 2, 3, 4, 5], rng)
+    method = method_preset("MiB")
+    model = extend_classifier(prev, [6], init=method.init_mode, rng=rng)
+    images = rng.random((8, 64, 64, 3)).astype(model.dtype)
+    masks = np.where(rng.random((8, 64, 64)) < 0.3, 6, 0).astype(np.uint8)
+    teacher = teacher_targets(method, prev, list(images), len(images))
+    params, velocity = model.parameters(), {}
+
+    def iteration():
+        model.zero_grad()
+        composite_objective(method, (images, masks), model, prev, _teacher=teacher).backward()
+        tr.sgd_step(params, 1e-3, velocity)
+
+    iteration()  # the velocity is made once, by the first update
+    tracemalloc.start()
+    try:
+        iteration()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ITERATION_PEAK, f"{peak / 1e6:.2f} MB"
 
 
 def test_single_step_schedule_is_joint_training():
