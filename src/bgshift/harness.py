@@ -62,10 +62,12 @@ class DatasetSpec:
             raise ConfigError(f"dataset.kind {self.kind!r} is neither synthetic nor dir")
         if self.num_fg_classes > MAX_CLASSES:  # a class id is a mask byte
             raise ConfigError(f"dataset.num_fg_classes must be at most {MAX_CLASSES}, got {self.num_fg_classes}")
-        if self.kind == "dir":
-            for key in ("path", "eval_path"):
-                if not getattr(self, key):
-                    raise ConfigError(f"dataset.{key} is not set; a dir dataset reads it")
+        if self.kind == "dir" and not self.path:
+            raise ConfigError("dataset.path is not set; a dir dataset reads it")
+
+    def check_eval_path(self) -> None:  # a run scores on it; select reads only path
+        if self.kind == "dir" and not self.eval_path:
+            raise ConfigError("dataset.eval_path is not set; a run of a dir dataset scores on it")
 
 
 @dataclass
@@ -160,6 +162,7 @@ def build_corpora(spec: DatasetSpec, dtype=np.float64) -> tuple[list[Sample], li
     a time, see ``scenario.load_dataset``)."""
     if spec.kind == "synthetic":
         return _synthetic_corpora(spec, dtype)
+    spec.check_eval_path()
     # mIoU must not be measured on training images
     if Path(spec.path).resolve() == Path(spec.eval_path).resolve():
         raise ConfigError(
@@ -280,6 +283,7 @@ def _run_cells(config: ExperimentConfig) -> list[dict]:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all cells, aggregate, and (optionally) write report files."""
+    config.dataset.check_eval_path()
     out = make_out_dir(config.out_dir) if config.out_dir else None  # before any training
     cells = _run_cells(config)
     report = {
@@ -347,15 +351,10 @@ def report_csv(report: dict) -> str:
             continue
         for step in cell["steps"]:
             m = step["metrics"]
-            groups = [
-                _fmt(m["group_miou"][g]) if g < len(m["group_miou"]) else ""
-                for g in range(n_groups)
-            ]
-            writer.writerow(
-                [cell["method"], cell["seed"], step["step"]]
-                + groups
-                + [_fmt(m["all_miou"]), _fmt(m["fg_miou"])]
-            )
+            groups = [_fmt(v) for v in m["group_miou"][:n_groups]]
+            groups += [""] * (n_groups - len(groups))
+            row = [cell["method"], cell["seed"], step["step"], *groups, _fmt(m["all_miou"]), _fmt(m["fg_miou"])]
+            writer.writerow(row)
     return buf.getvalue()
 
 

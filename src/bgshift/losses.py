@@ -87,18 +87,23 @@ class LossContext:
 
 def _label_channels(logits: Tensor, mask: np.ndarray, class_order, allowed, what: str) -> np.ndarray:
     """Map label ids to channel indices, rejecting labels outside ``allowed``
-    (a subset of ``class_order``)."""
+    (a subset of ``class_order``); the barred ids of ``class_order`` (an
+    earlier step's, for the unbiased cross-entropy) are named first."""
     mask = np.asarray(mask)
     if mask.shape != logits.data.shape[:-1]:
         raise ShapeError(f"{what}: mask {mask.shape} does not match logits {logits.data.shape}")
+    barred = set(class_order) - allowed
     lut = np.full(int(max(class_order)) + 1, -1, dtype=np.intp)
-    for i, c in enumerate(class_order):
-        if c in allowed:
-            lut[c] = i
+    lut[list(class_order)] = np.arange(len(class_order))
+    lut[list(barred)] = -1
     in_range = mask.size == 0 or (mask.min() >= 0 and mask.max() < lut.size)
     chan = lut[mask] if in_range else None
     if chan is None or (chan < 0).any():
-        bad = [int(c) for c in np.unique(mask) if c not in allowed]
+        labels = np.unique(mask).tolist()
+        stale = [c for c in labels if c in barred]
+        if stale:
+            raise LabelDomainError(f"{what}: labels {stale} belong to earlier steps; the mask looks unrelabeled")
+        bad = [c for c in labels if c not in allowed]
         raise LabelDomainError(f"{what}: labels {bad} are outside the allowed set {sorted(allowed)}")
     return chan
 
@@ -166,18 +171,7 @@ def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *
     probability of every previously-known class (background included)."""
     mask = np.asarray(mask)
     incoming = {ctx.class_order[i] for i in ctx.new_channels}
-    try:
-        chan = _label_channels(logits, mask, ctx.class_order, incoming, "unbiased_cross_entropy")
-    except LabelDomainError:
-        # a label of an earlier step is named first
-        stale = [int(c) for c in np.unique(mask) if c in ctx.class_order[1 : ctx.n_old]]
-        if stale:
-            raise LabelDomainError(
-                f"unbiased_cross_entropy: labels {stale} belong to earlier steps; "
-                "the mask looks unrelabeled"
-            ) from None
-        raise
-    chan = chan.ravel()
+    chan = _label_channels(logits, mask, ctx.class_order, incoming, "unbiased_cross_entropy").ravel()
     q = _rows(_softmax(logits.data) if _q is None else _q)
     is_bg = mask.ravel() == BACKGROUND
     # the target channels: the label's, or every old one on a background pixel
@@ -278,8 +272,7 @@ def lwf_mc_loss(
     """
     if variant != "full":
         raise ConfigError(f"unknown LwF-MC variant {variant!r}")
-    mask = np.asarray(mask)
-    _label_channels(logits_new, mask, ctx.class_order, set(ctx.class_order), "lwf_mc_loss")
+    chan = _label_channels(logits_new, mask, ctx.class_order, set(ctx.class_order), "lwf_mc_loss").ravel()
     _check_old_probs(logits_new, sigmoid_old, ctx.n_old)
     w_cls = float(ctx.method_weights.get("w_cls", 1.0))
     w_kd = float(ctx.method_weights.get("w_kd", 1.0))
@@ -290,7 +283,7 @@ def lwf_mc_loss(
     log_s, on_s = _clamped_log(s)
     log_1s, on_1s = _clamped_log(1.0 - s)
     new = ctx.new_channels
-    is_class = (np.asarray(ctx.class_order)[new, None] == mask.ravel()).astype(x.dtype)
+    is_class = (np.asarray(new)[:, None] == chan).astype(x.dtype)
     sig_old = _rows(sigmoid_old)
     term, g = np.zeros_like(x), np.zeros_like(x)
     # the classification rows, then the distillation rows: the background
@@ -300,7 +293,7 @@ def lwf_mc_loss(
         # d/dx of the BCE is s - t, masked where either log is clamped
         g[rows] += w * ((1.0 - t) * on_1s[rows] * s[rows] - t * on_s[rows] * (1.0 - s[rows]))
     k = len(ctx.class_order)
-    grad = g * (1.0 / (mask.size * k))
+    grad = g * (1.0 / (chan.size * k))
     return nm.scalar_node(_mean(term.sum(axis=0)) * (1.0 / k), (logits_new, _cols(grad, logits_new.shape)))
 
 

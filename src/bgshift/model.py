@@ -164,32 +164,21 @@ def extend_classifier(
 
     grown = model.clone()
     grown.step_index = model.step_index + 1
-    if not new_classes:
-        return grown
-
     old_w, old_b = model.params["head.w"].data, model.params["head.b"].data
-    d = old_w.shape[0]
-    bg_w = old_w[:, 0]
-    bg_b = float(old_b[0])
+    n = len(new_classes)
     if init == "background":
-        m = len(new_classes) + 1  # incoming set includes the background
-        shift = math.log(m)
-        new_w = np.tile(bg_w[:, None], (1, len(new_classes)))
-        new_b = np.full(len(new_classes), bg_b - shift)
-        head_w = np.concatenate([old_w, new_w], axis=1)
-        head_b = np.concatenate([old_b, new_b])
-        head_b[0] = bg_b - shift
+        b = float(old_b[0]) - math.log(n + 1)  # the incoming set includes the background
+        new_w = np.tile(old_w[:, :1], (1, n))
+        head_b = np.concatenate([[b], old_b[1:], np.full(n, b)])
     elif init == "random":
         if rng is None:
             raise ScheduleError("random head init needs an rng")
-        new_w = rng.normal(0.0, NEW_HEAD_STD, size=(d, len(new_classes)))
-        head_w = np.concatenate([old_w, new_w], axis=1)
-        head_b = np.concatenate([old_b, np.zeros(len(new_classes))])
+        new_w = rng.normal(0.0, NEW_HEAD_STD, size=(old_w.shape[0], n))
+        head_b = np.concatenate([old_b, np.zeros(n)])
     else:
         raise ScheduleError(f"unknown head init {init!r}")
-
-    grown.params["head.w"] = Tensor(head_w.astype(model.dtype, copy=False), requires_grad=True)
-    grown.params["head.b"] = Tensor(head_b.astype(model.dtype, copy=False), requires_grad=True)
+    for name, head in (("head.w", np.concatenate([old_w, new_w], axis=1)), ("head.b", head_b)):
+        grown.params[name] = Tensor(head.astype(model.dtype, copy=False), requires_grad=True)
     grown.known_classes = list(model.known_classes) + new_classes
     return grown
 

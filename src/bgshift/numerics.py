@@ -222,6 +222,9 @@ def tanh(a) -> Tensor:
     data = np.tanh(a.data)
 
     def bw(g):
+        # not _tanh_grad: on a channel-major ``data`` (the tanh of an affine_last)
+        # and a C-order ``g``, this product is C-order and _tanh_grad's channel-major,
+        # so that affine_last's _column_sum would add its bias gradient in another order
         return (g * (1.0 - data * data),)
 
     return _from_op(data, (a,), bw)
@@ -278,8 +281,8 @@ def conv3x3(x, w: Tensor, b: Tensor) -> Tensor:
 
 def _tanh_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient reaching a tanh's input, from its output ``y`` and the
-    gradient ``g`` reaching that output; the same arithmetic as the ``tanh``
-    node."""
+    gradient ``g`` reaching that output, in ``y``'s layout; the ``tanh``
+    node's values, which it keeps in its own layout (see there)."""
     t = y * y
     np.subtract(1.0, t, out=t)
     t *= g

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import colorsys
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,10 +101,10 @@ def build_schedule(
 @dataclass
 class Sample:
     """An image and its mask: the full annotation in a corpus, the step's
-    relabeled one in a ``StepDataset``. Images are float64 where this module
-    makes them (``generate_synthetic``, ``load_dataset``) and have the run's
-    training dtype inside a run (``harness.RunInputs``). Masks are uint8
-    wherever this module makes them, and ``relabel`` and ``split_corpus``
+    relabeled one in a ``StepDataset``. Images are float64 from
+    ``generate_synthetic``, of the dtype ``load_dataset`` is given, and of
+    the run's training dtype inside a run (``harness.RunInputs``). Masks are
+    uint8 wherever this module makes them, and ``relabel`` and ``split_corpus``
     keep their dtype; the losses, the evaluation and the Fisher estimate
     read a mask of any integer dtype."""
 
@@ -159,19 +160,6 @@ def relabel(full_mask: np.ndarray, visible_fg) -> np.ndarray:
     return np.where(keep, full_mask, BACKGROUND)
 
 
-def _shift_counts(full_mask: np.ndarray, step_fg: set, seen_fg: set) -> dict:
-    """How many background-labeled pixels are really old/future foreground."""
-    relabeled_bg = ~np.isin(full_mask, np.asarray(sorted(step_fg), dtype=full_mask.dtype))
-    old = np.isin(full_mask, np.asarray(sorted(seen_fg - step_fg), dtype=full_mask.dtype))
-    true_bg = full_mask == BACKGROUND
-    future = relabeled_bg & ~old & ~true_bg
-    return {
-        "old_as_bg": int((relabeled_bg & old).sum()),
-        "future_as_bg": int(future.sum()),
-        "true_bg": int((relabeled_bg & true_bg).sum()),
-    }
-
-
 def split_corpus(corpus: list[Sample], schedule: LabelSchedule, protocol: str):
     """(per-step datasets, report) under ``protocol`` (disjoint or
     overlapped); the placement rule is in the module docstring."""
@@ -181,7 +169,9 @@ def split_corpus(corpus: list[Sample], schedule: LabelSchedule, protocol: str):
     stats = [dict(old_as_bg=0, future_as_bg=0, true_bg=0) for _ in range(schedule.num_steps)]
     excluded = []
     for sample in corpus:
-        labels = set(np.unique(sample.mask).tolist()) - {BACKGROUND}
+        ids, counts = np.unique(sample.mask, return_counts=True)
+        pixels = dict(zip(ids.tolist(), counts.tolist()))  # by label
+        labels = set(pixels) - {BACKGROUND}
         placed = [t for t in range(schedule.num_steps) if labels & set(schedule.new_fg(t))]
         if protocol == "disjoint":
             placed = [t for t in placed if labels <= set(schedule.fg_up_to(t))][:1]
@@ -190,8 +180,13 @@ def split_corpus(corpus: list[Sample], schedule: LabelSchedule, protocol: str):
         for t in placed:
             step_fg = set(schedule.new_fg(t))
             buckets[t].append(Sample(sample.id, sample.image, relabel(sample.mask, step_fg)))
-            for key, v in _shift_counts(sample.mask, step_fg, set(schedule.fg_up_to(t))).items():
-                stats[t][key] += v
+            # a pixel the step relabels to background is an old class's, the
+            # background's or else a future (or foreign) label's
+            old = sum(pixels.get(c, 0) for c in set(schedule.fg_up_to(t)) - step_fg)
+            true_bg = pixels.get(BACKGROUND, 0)
+            stats[t]["old_as_bg"] += old
+            stats[t]["true_bg"] += true_bg
+            stats[t]["future_as_bg"] += sample.mask.size - sum(pixels.get(c, 0) for c in step_fg) - old - true_bg
     steps = [StepDataset(buckets[t], t, schedule.new_fg(t)) for t in range(schedule.num_steps)]
     return steps, SplitReport(excluded, stats)
 
@@ -338,6 +333,13 @@ def _write_pnm(path: Path, magic: bytes, arr: np.ndarray) -> None:
 
 
 def save_dataset(samples: list[Sample], directory, num_classes: int) -> None:
+    """A manifest, and a PPM image and PGM mask named by each sample's id; an
+    id they cannot hold is an IngestionError before any file is written."""
+    seen = set()
+    for s in samples:  # the manifest splits on whitespace
+        if not s.id or s.id in seen or any(c.isspace() or c in (os.sep, os.altsep) for c in s.id):
+            raise IngestionError(f"sample id {s.id!r} is empty, repeated, or holds whitespace or a path separator")
+        seen.add(s.id)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = [f"classes={num_classes}"]

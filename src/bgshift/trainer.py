@@ -132,13 +132,12 @@ def sgd_step(
         if g.shape != p.data.shape:
             raise ConfigError(f"gradient shape mismatch for {name}")
         # in place, the operations of MOMENTUM * v + g + WEIGHT_DECAY * p in
-        # their order; the first update makes v, a new array
+        # their order, from v = 0 (made at the first update)
         v = velocity.get(name)
         if v is None:
-            v = velocity[name] = MOMENTUM * 0.0 + g
-        else:
-            v *= MOMENTUM
-            v += g
+            v = velocity[name] = np.zeros_like(g)
+        v *= MOMENTUM
+        v += g
         v += WEIGHT_DECAY * p.data
         p.data -= lr * v
         if not np.isfinite(p.data).all():
@@ -148,13 +147,8 @@ def sgd_step(
 
 
 def _rng_children(seed: int, step: int) -> dict[str, np.random.Generator]:
-    ss = np.random.SeedSequence([int(seed), int(step)])
-    init, shuffle, fisher = ss.spawn(3)
-    return {
-        "init": np.random.default_rng(init),
-        "shuffle": np.random.default_rng(shuffle),
-        "fisher": np.random.default_rng(fisher),
-    }
+    children = np.random.SeedSequence([int(seed), int(step)]).spawn(3)
+    return {name: np.random.default_rng(c) for name, c in zip(("init", "shuffle", "fisher"), children)}
 
 
 def _keep_heap_pages() -> None:

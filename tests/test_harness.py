@@ -777,6 +777,22 @@ def test_select_reads_no_eval_corpus(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["method"] == "MiB"
 
 
+def test_select_on_a_dir_dataset_needs_no_eval_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("bgshift.protocol.hparam_grid", lambda: [0.1, 10.0])
+    train, _ = dir_datasets(tmp_path, [f"s{i}" for i in range(4)], [], classes=2)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY_CFG)
+    argv = ["select", "--config", str(cfg_file), "--method", "MiB", "--dataset.kind=dir", f"--dataset.path={train}"]
+    assert cli_main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "MiB"
+
+
+def test_a_dir_dataset_without_an_eval_path_builds_no_corpora(tmp_path):
+    train, _ = dir_datasets(tmp_path, ["a", "b"], [], classes=2)
+    with pytest.raises(ConfigError, match="^dataset.eval_path is not set"):
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, num_fg_classes=2))
+
+
 def test_select_writes_its_selection_to_the_out_dir_of_the_config(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("bgshift.protocol.hparam_grid", lambda: [0.1, 10.0])
     out = tmp_path / "selection"

@@ -198,18 +198,19 @@ def test_background_shift_accounting_matches_recount():
         for i in range(20)
     ]
     schedule = sc.build_schedule(3, [1, 1, 1])
-    steps, report = sc.split_corpus(corpus, schedule, "overlapped")
     full_by_id = {s.id: s.mask for s in corpus}
-    for t, ds in enumerate(steps):
-        seen = set(schedule.fg_up_to(t)) - set(schedule.new_fg(t))
-        old = future = 0
-        for it in ds.items:
-            full = full_by_id[it.id]
-            bg_now = it.mask == 0
-            old += int((bg_now & np.isin(full, sorted(seen))).sum())
-            future += int((bg_now & (full != 0) & ~np.isin(full, sorted(seen))).sum())
-        assert report.per_step[t]["old_as_bg"] == old
-        assert report.per_step[t]["future_as_bg"] == future
+    for protocol in sc.PROTOCOLS:
+        steps, report = sc.split_corpus(corpus, schedule, protocol)
+        for t, ds in enumerate(steps):
+            seen = set(schedule.fg_up_to(t)) - set(schedule.new_fg(t))
+            old = future = true_bg = 0
+            for it in ds.items:
+                full = full_by_id[it.id]
+                bg_now = it.mask == 0
+                old += int((bg_now & np.isin(full, sorted(seen))).sum())
+                future += int((bg_now & (full != 0) & ~np.isin(full, sorted(seen))).sum())
+                true_bg += int((bg_now & (full == 0)).sum())
+            assert report.per_step[t] == {"old_as_bg": old, "future_as_bg": future, "true_bg": true_bg}
 
 
 def test_disjoint_has_no_future_classes_hidden_in_background():
@@ -319,6 +320,20 @@ def test_generator_values_in_unit_range():
 
 
 # -- on-disk ingestion --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ids, bad", [(["a b"], "a b"), (["a", "b\tc"], "b\tc"), (["a", ""], ""), (["a/b"], "a/b"), (["a", "b", "a"], "a")]
+)
+def test_save_dataset_rejects_an_id_the_reader_could_not_read_back(tmp_path, ids, bad):
+    # whitespace splits a manifest line, a separator names another directory,
+    # and a repeated id would overwrite the first one's files
+    sample = sc.generate_synthetic(0, sc.SyntheticConfig(num_fg_classes=2, num_images=4, height=16, width=16))[0]
+    samples = [sc.Sample(sid, sample.image, sample.mask) for sid in ids]
+    message = f"sample id {re.escape(repr(bad))} is empty, repeated, or holds whitespace or a path separator"
+    with pytest.raises(IngestionError, match=message):
+        sc.save_dataset(samples, tmp_path / "out", 2)
+    assert not (tmp_path / "out").exists()  # nothing is written
 
 
 def test_dataset_roundtrip(tmp_path):
