@@ -16,8 +16,12 @@ gradient, and returns one tape node (``numerics.scalar_node``). Where a
 probability is clamped at ``LOG_FLOOR`` before the log, no gradient flows
 through it. A loss of the logits computes their softmax unless the composite
 objective hands it over (the private ``_q``), with what the loss reads of
-the frozen teacher (``teacher_targets``, once per step in
-``trainer.run_step``). The objective is one node over the losses' inputs,
+the frozen teacher (``teacher_targets``) and, for the losses that read
+labels, their channels (the private ``_chan``); ``trainer.run_step``
+computes both once per step, the channels with the step's ``LossContext``
+(``step_labels``), and hands each batch's rows to the objective. Given a
+mask instead, a loss maps it with the same function (``_label_channels``)
+and the same checks. The objective is one node over the losses' inputs,
 not over the loss nodes: it takes over their gradients and sums them in
 place (``numerics.scalar_sum``).
 
@@ -85,13 +89,13 @@ class LossContext:
         return [0, *range(self.n_old, len(self.class_order))]
 
 
-def _label_channels(logits: Tensor, mask: np.ndarray, class_order, allowed, what: str) -> np.ndarray:
-    """Map label ids to channel indices, rejecting labels outside ``allowed``
-    (a subset of ``class_order``); the barred ids of ``class_order`` (an
-    earlier step's, for the unbiased cross-entropy) are named first."""
+def _label_channels(mask: np.ndarray, class_order, allowed, what: str) -> np.ndarray:
+    """Map label ids to channel indices, of ``mask``'s shape, in the smallest
+    unsigned dtype that holds ``len(class_order) - 1`` (uint8 for up to 256
+    channels); labels outside ``allowed`` (a subset of ``class_order``) raise
+    LabelDomainError, the barred ids of ``class_order`` (an earlier step's,
+    for the unbiased cross-entropy) named first."""
     mask = np.asarray(mask)
-    if mask.shape != logits.data.shape[:-1]:
-        raise ShapeError(f"{what}: mask {mask.shape} does not match logits {logits.data.shape}")
     barred = set(class_order) - allowed
     lut = np.full(int(max(class_order)) + 1, -1, dtype=np.intp)
     lut[list(class_order)] = np.arange(len(class_order))
@@ -105,7 +109,24 @@ def _label_channels(logits: Tensor, mask: np.ndarray, class_order, allowed, what
             raise LabelDomainError(f"{what}: labels {stale} belong to earlier steps; the mask looks unrelabeled")
         bad = [c for c in labels if c not in allowed]
         raise LabelDomainError(f"{what}: labels {bad} are outside the allowed set {sorted(allowed)}")
-    return chan
+    return chan.astype(np.min_scalar_type(len(class_order) - 1))
+
+
+def _channels(logits: Tensor, mask, chan, class_order, allowed, what: str) -> np.ndarray:
+    """The flat channel of each pixel of ``logits``: ``chan`` where the
+    caller mapped the labels already (``step_labels``), else ``mask`` mapped
+    by ``_label_channels``. ShapeError unless either has the logits' pixel
+    shape."""
+    labels = np.asarray(mask if chan is None else chan)
+    if labels.shape != logits.data.shape[:-1]:
+        raise ShapeError(f"{what}: mask {labels.shape} does not match logits {logits.data.shape}")
+    return (_label_channels(labels, class_order, allowed, what) if chan is None else labels).ravel()
+
+
+def _incoming(ctx: "LossContext") -> set:
+    """The labels the unbiased cross-entropy allows: the background and the
+    step's incoming classes."""
+    return {ctx.class_order[i] for i in ctx.new_channels}
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -145,8 +166,12 @@ def _mean(a: np.ndarray) -> float:
 
 
 def _pick(rows: np.ndarray, chan: np.ndarray) -> np.ndarray:
-    """rows[chan[j], j] for every pixel j."""
-    return rows[chan, np.arange(chan.size)]
+    """rows[chan[j], j] for every pixel j of contiguous channel rows
+    [K, pixels], through one flat take at chan[j] * pixels + j."""
+    idx = chan.astype(np.intp)
+    idx *= chan.size
+    idx += np.arange(chan.size)
+    return rows.take(idx)
 
 
 def _onehot(chan: np.ndarray, k: int) -> np.ndarray:
@@ -154,9 +179,9 @@ def _onehot(chan: np.ndarray, k: int) -> np.ndarray:
     return chan == np.arange(k)[:, None]
 
 
-def cross_entropy(logits: Tensor, mask: np.ndarray, class_order, *, _q=None) -> Tensor:
+def cross_entropy(logits: Tensor, mask: np.ndarray, class_order, *, _q=None, _chan=None) -> Tensor:
     """Mean over pixels of -log q(y)."""
-    chan = _label_channels(logits, mask, class_order, set(class_order), "cross_entropy").ravel()
+    chan = _channels(logits, mask, _chan, class_order, set(class_order), "cross_entropy")
     q = _rows(_softmax(logits.data) if _q is None else _q)
     log_q, active = _clamped_log(_pick(q, chan))
     # d/dz of -log q(y) is q - onehot(y); active / n is taken in q's dtype
@@ -166,26 +191,30 @@ def cross_entropy(logits: Tensor, mask: np.ndarray, class_order, *, _q=None) -> 
     return nm.scalar_node(-_mean(log_q), (logits, _cols(grad, logits.shape)))
 
 
-def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *, _q=None) -> Tensor:
+def unbiased_cross_entropy(logits: Tensor, mask: np.ndarray, ctx: LossContext, *, _q=None, _chan=None) -> Tensor:
     """Cross-entropy where a background pixel is scored against the summed
     probability of every previously-known class (background included)."""
-    mask = np.asarray(mask)
-    incoming = {ctx.class_order[i] for i in ctx.new_channels}
-    chan = _label_channels(logits, mask, ctx.class_order, incoming, "unbiased_cross_entropy").ravel()
+    chan = _channels(logits, mask, _chan, ctx.class_order, _incoming(ctx), "unbiased_cross_entropy")
     q = _rows(_softmax(logits.data) if _q is None else _q)
-    is_bg = mask.ravel() == BACKGROUND
-    # the target channels: the label's, or every old one on a background pixel
-    target = _onehot(chan, q.shape[0])
-    target[: ctx.n_old] |= is_bg
-    t = np.where(is_bg, q[: ctx.n_old].sum(axis=0), _pick(q, chan))
+    n_old, n = ctx.n_old, chan.size
+    is_bg = chan == 0  # the background is label 0 and channel 0
+    # the target probability: the old channels' sum on a background pixel,
+    # else that of the pixel's (incoming) channel
+    own = [(c, chan == c) for c in range(n_old, q.shape[0])]
+    t = q[:n_old].sum(axis=0)
+    for c, is_c in own:
+        t = np.where(is_c, q[c], t)
     log_t, active = _clamped_log(t)
-    # d/dz of -log t is q - q * target / t
-    n = chan.size
+    # d/dz of -log t is q - q * target / t: q * share, less q * factor in
+    # each target row (every old row on a background pixel, a new row on
+    # its own pixels), the factor zeroed elsewhere by a product with an
+    # exact 0 or 1
     share = np.divide(active, n, dtype=q.dtype)  # as in cross_entropy
+    factor = active / (n * np.maximum(t, LOG_FLOOR))
     grad = q * share
-    sub = q * target
-    sub *= active / (n * np.maximum(t, LOG_FLOOR))
-    grad -= sub
+    grad[:n_old] -= q[:n_old] * (factor * is_bg)
+    for c, is_c in own:
+        grad[c] -= q[c] * (factor * is_c)
     return nm.scalar_node(-_mean(log_t), (logits, _cols(grad, logits.shape)))
 
 
@@ -265,6 +294,8 @@ def lwf_mc_loss(
     sigmoid_old: np.ndarray,
     variant: str,
     ctx: LossContext,
+    *,
+    _chan=None,
 ) -> Tensor:
     """Per-class binary CE blend: ground-truth targets for incoming classes,
     old-model sigmoids for old ones, and both for the background, in the
@@ -272,7 +303,7 @@ def lwf_mc_loss(
     """
     if variant != "full":
         raise ConfigError(f"unknown LwF-MC variant {variant!r}")
-    chan = _label_channels(logits_new, mask, ctx.class_order, set(ctx.class_order), "lwf_mc_loss").ravel()
+    chan = _channels(logits_new, mask, _chan, ctx.class_order, set(ctx.class_order), "lwf_mc_loss")
     _check_old_probs(logits_new, sigmoid_old, ctx.n_old)
     w_cls = float(ctx.method_weights.get("w_cls", 1.0))
     w_kd = float(ctx.method_weights.get("w_kd", 1.0))
@@ -433,54 +464,82 @@ def teacher_targets(
     return probs, feats
 
 
+def step_labels(
+    method: MethodConfig, model: SegModel, model_prev: SegModel | None, masks: np.ndarray
+) -> tuple[np.ndarray, LossContext | None]:
+    """What the losses of ``composite_objective`` read of a step's label
+    ``masks`` [n, H, W], and the step's LossContext (None at a first step).
+
+    The labels are mapped to the model's channels once, as the one loss that
+    reads them would map each batch's (``_label_channels``, uint8 for up to
+    256 channels): LwF-MC's and the cross-entropy's allow every class of the
+    model, the unbiased cross-entropy's only the background and the incoming
+    classes. A label a loss rejects raises its LabelDomainError, with its
+    message.
+    """
+    ctx = None
+    if model_prev is not None:
+        ctx = LossContext.for_step(
+            model_prev.known_classes, model.known_classes, method_weights={"w_cls": W_CLS, "w_kd": method.lambda_kd}
+        )
+    allowed, what = set(model.known_classes), "cross_entropy"
+    if ctx is not None and method.kd_mode == "lwfmc":
+        what = "lwf_mc_loss"
+    elif ctx is not None and method.ce_mode == "unbiased":
+        allowed, what = _incoming(ctx), "unbiased_cross_entropy"
+    return _label_channels(masks, model.known_classes, allowed, what), ctx
+
+
 def composite_objective(
     method: MethodConfig,
-    batch: tuple[np.ndarray, np.ndarray],
+    batch: tuple[np.ndarray, np.ndarray | None],
     model: SegModel,
     model_prev: SegModel | None,
     reg_penalty: Tensor | None = None,
     old_outputs: tuple[np.ndarray, np.ndarray] | None = None,
     *,
     _teacher: tuple[np.ndarray | None, np.ndarray | None] | None = None,
+    _labels: tuple[np.ndarray, LossContext | None] | None = None,
 ) -> Tensor:
     """Assemble the step objective for one batch.
 
     The first learning step is ordinary supervised training for every method,
     so without a previous model this is plain cross-entropy. Later steps need
     the frozen previous model whenever a distillation term is active.
-    ``run_step`` hands over the private ``_teacher``: the batch's rows of the
-    ``teacher_targets`` it computes once per step. Without it, the teacher's
-    targets are computed for the batch, from ``old_outputs`` (its
-    precomputed logits and features) if given, else by running it. The terms
-    (LwF-MC, or CE/UCE, lambda_kd * KD/UKD and feature_kd_weight * feature
-    KD; then the regularizer's penalty) are summed, in that order, into one
-    tape node over their inputs: the logits, the features (ILT) and the
-    penalized parameters (``numerics.scalar_sum``, which takes over the
-    terms' gradient arrays and adds them in place).
+    ``run_step`` hands over what it computes once per step: the private
+    ``_teacher``, the batch's rows of the ``teacher_targets``, and
+    ``_labels``, the batch's rows of the ``step_labels`` channels with the
+    step's LossContext (the batch's masks are not read then, and may be
+    None). Without them, both are computed for the batch: the teacher's
+    targets from ``old_outputs`` (its precomputed logits and features) if
+    given, else by running it. The terms (LwF-MC, or CE/UCE, lambda_kd *
+    KD/UKD and feature_kd_weight * feature KD; then the regularizer's
+    penalty) are summed, in that order, into one tape node over their
+    inputs: the logits, the features (ILT) and the penalized parameters
+    (``numerics.scalar_sum``, which takes over the terms' gradient arrays and
+    adds them in place).
     """
     images, masks = batch
     logits, feats = model.forward_batch(images)
+    if model_prev is None and model.step_index > 0 and method.kd_mode != "none":
+        raise ConfigError(f"{method.name}: incremental step {model.step_index} needs the previous model")
+    chan, ctx = step_labels(method, model, model_prev, masks) if _labels is None else _labels
     if model_prev is None:
-        if model.step_index > 0 and method.kd_mode != "none":
-            raise ConfigError(f"{method.name}: incremental step {model.step_index} needs the previous model")
-        return cross_entropy(logits, masks, model.known_classes)
+        return cross_entropy(logits, None, model.known_classes, _chan=chan)
 
-    ctx = LossContext.for_step(
-        model_prev.known_classes, model.known_classes, method_weights={"w_cls": W_CLS, "w_kd": method.lambda_kd}
-    )
     if _teacher is None:
         _teacher = teacher_targets(method, model_prev, images, len(images), old_outputs)
     rows, old_feats = _teacher
     probs_old = None if rows is None else np.moveaxis(rows, 0, -1)  # a [b, H, W, K] view
 
     if method.kd_mode == "lwfmc":
-        terms = [(lwf_mc_loss(logits, masks, probs_old, "full", ctx), 1.0)]
+        terms = [(lwf_mc_loss(logits, None, probs_old, "full", ctx, _chan=chan), 1.0)]
     else:
         q = _softmax(logits.data)  # one softmax of the student serves CE and KD
         if method.ce_mode == "unbiased":
-            terms = [(unbiased_cross_entropy(logits, masks, ctx, _q=q), 1.0)]
+            terms = [(unbiased_cross_entropy(logits, None, ctx, _q=q, _chan=chan), 1.0)]
         else:
-            terms = [(cross_entropy(logits, masks, model.known_classes, _q=q), 1.0)]
+            terms = [(cross_entropy(logits, None, model.known_classes, _q=q, _chan=chan), 1.0)]
         if probs_old is not None:
             if method.kd_mode == "unbiased":
                 kd = unbiased_distillation(logits, probs_old, ctx, _q=q)

@@ -4,11 +4,18 @@ The model's state is one dict of named parameters (``PARAM_NAMES``): the
 backbone's ``backbone.w1``/``b1`` (conv3x3) and ``backbone.w2``/``b2``
 (dense 1x1), and the packed heads ``head.w`` [D, K] and ``head.b`` [K]. The
 head columns follow ``known_classes`` (background first, then classes in the
-order they were added). Every consumer (SGD velocity, importance, the
-checkpoint's npz members) keys on these names. ``extend_classifier`` grows
-the head for a new step, either copying the background classifier with a
-shifted bias (so the old background probability is spread uniformly over the
-incoming classes) or with plain random initialization.
+order they were added). The importance and the checkpoint's npz members key
+on these names. Each parameter's data is a view of one flat vector
+(``SegModel.vector``, the parameters back to back in ``PARAM_NAMES`` order),
+which the constructor, the one path that ``create``, ``clone``,
+``extend_classifier`` and ``load_checkpoint`` take, copies them into; the
+SGD update and its velocity are vectors of that layout
+(``trainer.sgd_step``), and ``SegModel.views`` cuts such a vector into named
+views. A parameter's data is changed in place only, never rebound.
+``extend_classifier`` grows the head for a new step, either copying the
+background classifier with a shifted bias (so the old background probability
+is spread uniformly over the incoming classes) or with plain random
+initialization.
 
 A forward pass records two tape nodes, the backbone (``numerics.conv_dense``,
 tanh activations) and the head (``numerics.affine_last``); the tape keeps only
@@ -82,7 +89,13 @@ class SegModel:
         if mixed:
             raise ShapeError(f"parameters {mixed} are not of the model's dtype {config.dtype}")
         self.config = config
-        self.params = params
+        # copied into one vector, of which each parameter is a view
+        self.vector = np.concatenate([params[name].data.ravel() for name in PARAM_NAMES])
+        shapes = {name: params[name].data.shape for name in PARAM_NAMES}
+        self.params = {
+            name: Tensor(view, requires_grad=params[name].requires_grad)
+            for name, view in _views(self.vector, shapes).items()
+        }
         self.known_classes = list(known_classes)
         self.step_index = step_index
 
@@ -118,19 +131,33 @@ class SegModel:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """``vector``, laid out as ``self.vector``, as views of each
+        parameter's shape, by name."""
+        return _views(vector, {name: t.data.shape for name, t in self.params.items()})
+
     def zero_grad(self):
         for t in self.params.values():
             t.zero_grad()
 
     def clone(self) -> "SegModel":
-        params = {name: Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in self.params.items()}
-        return SegModel(self.config, params, self.known_classes, self.step_index)
+        return SegModel(self.config, self.params, self.known_classes, self.step_index)
 
     def frozen_copy(self) -> "SegModel":
         frozen = self.clone()
         for t in frozen.params.values():
             t.requires_grad = False
         return frozen
+
+
+def _views(vector: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Consecutive pieces of the flat ``vector``, one view of each shape."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        end = start + math.prod(shape)
+        views[name] = vector[start:end].reshape(shape)
+        start = end
+    return views
 
 
 def argmax_mask(logits: np.ndarray, class_order: list[int]) -> np.ndarray:
@@ -162,8 +189,6 @@ def extend_classifier(
     if overlap:
         raise ScheduleError(f"classes {sorted(overlap)} already present at step {model.step_index}")
 
-    grown = model.clone()
-    grown.step_index = model.step_index + 1
     old_w, old_b = model.params["head.w"].data, model.params["head.b"].data
     n = len(new_classes)
     if init == "background":
@@ -177,10 +202,10 @@ def extend_classifier(
         head_b = np.concatenate([old_b, np.zeros(n)])
     else:
         raise ScheduleError(f"unknown head init {init!r}")
+    params = dict(model.params)
     for name, head in (("head.w", np.concatenate([old_w, new_w], axis=1)), ("head.b", head_b)):
-        grown.params[name] = Tensor(head.astype(model.dtype, copy=False), requires_grad=True)
-    grown.known_classes = list(model.known_classes) + new_classes
-    return grown
+        params[name] = Tensor(head.astype(model.dtype, copy=False), requires_grad=True)
+    return SegModel(model.config, params, list(model.known_classes) + new_classes, model.step_index + 1)
 
 
 def save_checkpoint(model: SegModel, path) -> None:
@@ -207,9 +232,7 @@ def load_checkpoint(path) -> SegModel:
             if meta["background_id"] != BACKGROUND:
                 raise ShapeError(f"background_id {meta['background_id']!r} is not {BACKGROUND}")
             cfg = BackboneConfig(**meta["backbone"])
-            params = {
-                name: Tensor(z[name.replace(".", "__")].copy(), requires_grad=True) for name in PARAM_NAMES
-            }
+            params = {name: Tensor(z[name.replace(".", "__")], requires_grad=True) for name in PARAM_NAMES}
             return SegModel(cfg, params, [int(c) for c in meta["known_classes"]], int(meta["step_index"]))
     except (BgshiftError, EOFError, KeyError, TypeError, ValueError) as e:
         raise ShapeError(f"{path}: not a valid checkpoint ({type(e).__name__}: {e})") from e

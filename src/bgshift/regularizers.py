@@ -96,10 +96,13 @@ def new_path_state(model: SegModel) -> PathState:
     return PathState(_param_arrays(model), {n: np.zeros_like(t.data) for n, t in model.parameters().items()})
 
 
+@np.errstate(over="ignore")
 def path_integral_update(
     state: PathState, grads: dict[str, np.ndarray], deltas: dict[str, np.ndarray]
 ) -> PathState:
-    """Accumulate omega += -grad * delta for one optimizer step."""
+    """Accumulate omega += -grad * delta for one optimizer step. A product
+    too large for the dtype is inf, without a warning (as in
+    ``quadratic_penalty``)."""
     for name, g in grads.items():
         if name not in state.omega:
             raise AlignmentError(f"unknown parameter {name} in path update")
@@ -137,11 +140,14 @@ def _normalized(a: np.ndarray) -> np.ndarray:
     return a / m if m > 0 else a.copy()
 
 
+@np.errstate(over="ignore")
 def quadratic_penalty(model: SegModel, state: ImportanceState, weight: float) -> Tensor:
     """weight * sum_i importance_i * (theta_i - anchor_i)^2 over the params.
 
     Head columns beyond the anchor's width (classes added after the anchor
-    was taken) are skipped.
+    was taken) are skipped. A drift too large for the dtype makes the value
+    inf, without a warning: ``trainer.run_step`` reports it as the step's
+    DivergenceError.
     """
     weight = float(weight)
     total, terms = 0.0, []

@@ -5,12 +5,19 @@ the incoming classes), trains the method's composite objective with
 momentum-SGD (``sgd_step``, which reads ``MOMENTUM`` and ``WEIGHT_DECAY``)
 under a polynomial learning-rate decay (``poly_lr``, which reads
 ``POLY_POWER``), and reads the previous model, untouched, as the
-distillation teacher: what the losses read of it is computed once per step
-(``losses.teacher_targets``), and each batch gathers its rows. ``run_step``
-keeps the path-integral record of its training (``StepResult.path_state``,
-a ``regularizers.PathState``); the importance the prior-focused baselines
-penalize is computed in one place, ``update_importance``, which
-``run_incremental`` calls on each step just before it trains the next one.
+distillation teacher. What does not change within a step is computed once
+per step, and each batch gathers its rows: what the losses read of the
+teacher (``losses.teacher_targets``), and the channels of the step's labels
+with the step's ``LossContext`` (``losses.step_labels``, which rejects a
+label the step's loss does not allow before any parameter moves).
+``sgd_step`` updates the model's one parameter vector (``SegModel.vector``)
+and a velocity vector of its layout, in four in-place operations over the
+whole vector, with one finiteness check of the gradients and one of the
+result. ``run_step`` keeps the path-integral record of its training
+(``StepResult.path_state``, a ``regularizers.PathState``); the importance
+the prior-focused baselines penalize is computed in one place,
+``update_importance``, which ``run_incremental`` calls on each step just
+before it trains the next one.
 All randomness is derived from (seed, step) so the first step is
 bit-identical across methods: every run is a ``first_step``, trained once,
 that ``run_incremental`` continues under any method, one ``StepResult``
@@ -26,15 +33,17 @@ place), the ``PathState`` and the ``ImportanceState`` all have it. Loss
 values are Python floats either way.
 
 An iteration's arrays live for that iteration only: ``run_step`` drops the
-batch, its teacher rows and the penalty once the objective is built, and the
-tape once ``sgd_step`` and the path update have read the gradients. The tape
-keeps what the backward reads: the backbone node's padded input and its two
-tanh outputs, the head node's input and output (the logits), and the
-objective's one gradient per input, summed in place from the losses' and
-the penalty's (one [K, pixels] array for the logits however many losses
-read them, one for the features with ILT, one per penalized parameter); the
-loss nodes and the softmax are gone once the objective is built. Across
-iterations only the parameters, the velocity and the path state stay alive.
+batch, its label and teacher rows and the penalty once the objective is
+built, and the tape once ``sgd_step`` and the path update have read the
+gradients. The tape keeps what the backward reads: the backbone node's
+padded input and its two tanh outputs, the head node's input and output
+(the logits), and the objective's one gradient per input, summed in place
+from the losses' and the penalty's (one [K, pixels] array for the logits
+however many losses read them, one for the features with ILT, one per
+penalized parameter); the loss nodes and the softmax are gone once the
+objective is built. Across
+iterations only the parameters, the velocity, the path state and the
+step's own records (teacher targets and label channels) stay alive.
 What an iteration frees is about the size of what the next one allocates
 (about 10 MB at 8x64x64), so ``run_step`` first sets glibc's malloc to keep
 freed memory mapped (``_keep_heap_pages``: process-wide, glibc-only, no
@@ -52,7 +61,7 @@ from . import numerics as nm
 from . import regularizers as rg
 from .evaluation import ConfusionMatrix, MiouReport, miou_groups
 from .exceptions import AlignmentError, ConfigError, DivergenceError
-from .losses import MethodConfig, composite_objective, teacher_targets
+from .losses import MethodConfig, composite_objective, step_labels, teacher_targets
 from .model import BackboneConfig, SegModel, argmax_mask, extend_classifier
 from .scenario import MAX_CLASSES, LabelSchedule, Sample, SplitReport, StepDataset
 
@@ -113,37 +122,40 @@ def poly_lr(iteration: int, total_iters: int, base_lr: float) -> float:
     return base_lr * (1.0 - iteration / total_iters) ** POLY_POWER
 
 
-def sgd_step(
-    params: dict[str, nm.Tensor],
-    lr: float,
-    velocity: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """v <- MOMENTUM*v + g + WEIGHT_DECAY*theta; theta <- theta - lr*v (in
-    place) for each parameter with a gradient g (``p.grad``); returns the
-    gradients it applied, by name. A non-finite gradient, or an update that
-    leaves a parameter non-finite, raises DivergenceError naming it."""
-    grads = {}
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient for {name}")
-        if g.shape != p.data.shape:
+def sgd_step(model: SegModel, lr: float, velocity: np.ndarray) -> np.ndarray:
+    """v <- MOMENTUM*v + g + WEIGHT_DECAY*theta; theta <- theta - lr*v, in
+    place on the model's one parameter vector (``SegModel.vector``) and its
+    ``velocity``, a vector of the same layout; g is the parameters' gradients
+    (each ``p.grad``) in that layout, which is returned. A parameter without
+    a gradient, or with one of another shape, raises ConfigError; a
+    non-finite gradient, or an update that leaves a parameter non-finite,
+    raises DivergenceError. Each names the parameter."""
+    grads = []
+    for name, p in model.params.items():
+        if p.grad is None:
+            raise ConfigError(f"no gradient for {name}")
+        if p.grad.shape != p.data.shape:
             raise ConfigError(f"gradient shape mismatch for {name}")
-        # in place, the operations of MOMENTUM * v + g + WEIGHT_DECAY * p in
-        # their order, from v = 0 (made at the first update)
-        v = velocity.get(name)
-        if v is None:
-            v = velocity[name] = np.zeros_like(g)
-        v *= MOMENTUM
-        v += g
-        v += WEIGHT_DECAY * p.data
-        p.data -= lr * v
-        if not np.isfinite(p.data).all():
-            raise DivergenceError(f"the update at lr {lr} left {name} non-finite")
-        grads[name] = g
-    return grads
+        grads.append(p.grad.ravel())
+    g = np.concatenate(grads)
+    if not np.isfinite(g).all():
+        raise DivergenceError(f"non-finite gradient for {_name_at(model, g)}")
+    # in place, the operations of MOMENTUM * v + g + WEIGHT_DECAY * theta in
+    # their order, from v = 0
+    theta = model.vector
+    velocity *= MOMENTUM
+    velocity += g
+    velocity += WEIGHT_DECAY * theta
+    theta -= lr * velocity
+    if not np.isfinite(theta).all():
+        raise DivergenceError(f"the update at lr {lr} left {_name_at(model, theta)} non-finite")
+    return g
+
+
+def _name_at(model: SegModel, vector: np.ndarray) -> str:
+    """The parameter that holds the first non-finite entry of ``vector``
+    (laid out as ``model.vector``)."""
+    return next(name for name, v in model.views(vector).items() if not np.isfinite(v).all())
 
 
 def _rng_children(seed: int, step: int) -> dict[str, np.random.Generator]:
@@ -201,15 +213,15 @@ def run_step(
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_iters = config.epochs_per_step * batches_per_epoch
 
-    # what the losses read of the teacher (model_prev) is computed once per
-    # step; a batch gathers its images' share
+    # what the losses read of the labels and of the teacher (model_prev) is
+    # computed once per step; a batch gathers its images' share
     items = dataset.items
+    chan, ctx = step_labels(method, model, model_prev, np.stack([item.mask for item in items]))
     probs = feats = None
     if model_prev is not None:
         probs, feats = teacher_targets(method, model_prev, [item.image for item in items], config.batch_size)
 
-    params = model.parameters()
-    velocity: dict[str, np.ndarray] = {}
+    velocity = np.zeros_like(model.vector)
     track_path = t == 0 or method.reg_kind in ("pi", "rw")
     path_state = rg.new_path_state(model) if track_path else None
 
@@ -220,14 +232,11 @@ def run_step(
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            # each batch stacked from its samples, the images straight into
-            # the model's dtype (forward_batch casts nothing); the step holds
-            # no stack of all its images
-            samples = [items[i] for i in idx]
-            batch = (
-                np.stack([s.image for s in samples], dtype=model.dtype),
-                np.stack([s.mask for s in samples]),
-            )
+            # each batch's images stacked from its samples straight into the
+            # model's dtype (forward_batch casts nothing); the step holds no
+            # stack of all its images. Its labels are the channels' rows
+            images = np.stack([items[i].image for i in idx], dtype=model.dtype)
+            labels = (chan.take(idx, axis=0), ctx)
             # take, not probs[:, idx]: its rows stay contiguous, so the losses
             # read them without a copy
             teacher = (None if probs is None else probs.take(idx, axis=1), None if feats is None else feats[idx])
@@ -236,18 +245,19 @@ def run_step(
             if method.reg_kind != "none" and reg_state is not None and t > 0:
                 penalty = rg.quadratic_penalty(model, reg_state, method.reg_weight)
             model.zero_grad()
-            loss = composite_objective(method, batch, model, model_prev, penalty, _teacher=teacher)
+            loss = composite_objective(
+                method, (images, None), model, model_prev, penalty, _teacher=teacher, _labels=labels
+            )
             # the tape keeps what its backward reads; the loop keeps no more
-            del batch, teacher, penalty
+            del images, labels, teacher, penalty
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(f"step {t} iter {iteration}: loss is {value}")
             loss.backward()
             lr = poly_lr(iteration, total_iters, base_lr)
-            grads = sgd_step(params, lr, velocity)
+            grads = sgd_step(model, lr, velocity)
             if track_path:
-                deltas = {name: -lr * velocity[name] for name in grads}
-                rg.path_integral_update(path_state, grads, deltas)
+                rg.path_integral_update(path_state, model.views(grads), model.views(-lr * velocity))
             # the gradients are read: the tape goes before the next batch is
             # stacked, so one iteration's arrays are alive at a time
             del loss

@@ -94,6 +94,11 @@ def test_a_traced_run_computes_the_same_cells_and_every_declared_metric():
     declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["per_layer"]
     assert {name: unit for name, (_, unit) in metrics.items()} == {m["name"]: m["unit"] for m in declared}
     assert all(math.isfinite(value) for value, _ in metrics.values())
+    # one sgd_step and one objective per iteration the report accounts for
+    # (the step 0 the methods of a seed share counted once)
+    first = {c["seed"]: c["steps"][0]["iterations"] for c in traced["cells"]}
+    iterations = sum(first.values()) + sum(s["iterations"] for c in traced["cells"] for s in c["steps"][1:])
+    assert metrics["trainer.iterations"][0] == metrics["losses.composite_objective.calls"][0] == iterations
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

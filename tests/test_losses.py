@@ -142,6 +142,39 @@ def test_uce_reduces_to_ce_when_no_old_classes():
     assert abs(uce - ce) < 1e-12
 
 
+# -- labels mapped once per step ---------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("method", ["FT", "MiB", "LwF-MC"])
+def test_the_step_channels_give_the_losses_of_the_masks_bit_for_bit(method, dtype):
+    # a permuted class order, [0, 3, 1] then [4, 2]: no foreground channel
+    # is its label
+    rng = np.random.default_rng(21)
+    prev = SegModel.create(BackboneConfig(hidden=4, features=4, dtype=dtype), [3, 1], rng)
+    cur = extend_classifier(prev, [4, 2], init="random", rng=rng)
+    preset = L.method_preset(method)
+    labels = [0, 4, 2] if method == "MiB" else cur.known_classes  # UCE allows the incoming labels only
+    masks = rng.choice(labels, size=(3, 5, 5)).astype(np.uint8)
+    chan, ctx = L.step_labels(preset, cur, prev, masks)
+    assert chan.dtype == np.uint8 and chan.shape == masks.shape
+    assert np.array_equal(np.asarray(cur.known_classes)[chan], masks) and (chan != masks).any()
+    assert ctx == L.LossContext.for_step(prev.known_classes, cur.known_classes, {"w_cls": L.W_CLS, "w_kd": preset.lambda_kd})
+    sig_old = rng.random((3, 5, 5, 3)).astype(dtype)
+    loss = {
+        "FT": lambda lg, m, c: L.cross_entropy(lg, m, cur.known_classes, _chan=c),
+        "MiB": lambda lg, m, c: L.unbiased_cross_entropy(lg, m, ctx, _chan=c),
+        "LwF-MC": lambda lg, m, c: L.lwf_mc_loss(lg, m, sig_old, "full", ctx, _chan=c),
+    }[method]
+    data = (rng.normal(size=(3, 5, 5, 5)) * 3.0).astype(dtype)
+    from_masks, from_chan = Tensor(data.copy(), requires_grad=True), Tensor(data.copy(), requires_grad=True)
+    a, b = loss(from_masks, masks, None), loss(from_chan, None, chan)
+    a.backward()
+    b.backward()
+    assert a.item() == b.item()
+    assert from_masks.grad.dtype == np.dtype(dtype) and bits_of(from_masks.grad) == bits_of(from_chan.grad)
+
+
 # -- standard distillation ---------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -8,6 +9,7 @@ from bgshift import numerics as nm
 from bgshift.exceptions import ScheduleError, ShapeError
 from bgshift.losses import _softmax, cross_entropy, feature_distillation
 from bgshift.model import (
+    PARAM_NAMES,
     BackboneConfig,
     SegModel,
     argmax_mask,
@@ -359,3 +361,26 @@ def test_frozen_copy_builds_no_graph():
     frozen = model.frozen_copy()
     logits, _ = frozen.forward_batch(np.zeros((1, 6, 6, 3)))
     assert not logits.requires_grad
+
+
+
+def test_every_construction_gives_parameters_that_view_one_vector(tmp_path):
+    model = make_model()
+    save_checkpoint(model, tmp_path / "m.npz")
+    made = {
+        "create": model,
+        "clone": model.clone(),
+        "frozen_copy": model.frozen_copy(),
+        "extend_classifier": extend_classifier(model, [3], init="background"),
+        "load_checkpoint": load_checkpoint(tmp_path / "m.npz"),
+    }
+    for how, m in made.items():
+        params = m.parameters()
+        assert list(params) == list(PARAM_NAMES), how
+        assert m.vector.ndim == 1 and m.vector.dtype == m.dtype, how
+        # back to back, in name order
+        assert all(t.data.base is m.vector for t in params.values()), how
+        assert np.array_equal(np.concatenate([t.data.ravel() for t in params.values()]), m.vector), how
+    # every model has a vector of its own
+    for (a, ma), (b, mb) in itertools.combinations(made.items(), 2):
+        assert not np.shares_memory(ma.vector, mb.vector), (a, b)

@@ -3,11 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bgshift import harness as hz
 from bgshift import numerics as nm
 from bgshift import regularizers as rg
 from bgshift.exceptions import AlignmentError, EstimationError
 from bgshift.model import BackboneConfig, SegModel, extend_classifier
 from bgshift.scenario import Sample, StepDataset
+from bgshift.trainer import TrainConfig
 from helpers import check_gradient, finite_difference_gradient
 
 
@@ -291,3 +293,20 @@ def test_merge_into_a_grown_head_pads_the_old_importance():
         assert np.array_equal(merged.importance[name], old[name] + new[name])
     for name, t in grown.parameters().items():
         assert np.array_equal(merged.anchor[name], t.data) and merged.anchor[name] is not t.data
+
+
+def test_an_overflowing_rw_cell_fails_with_its_divergence_error():
+    # RW on the small config (5 classes, [3,1,1] disjoint, 32x32, 60/20
+    # images, 40 epochs of batch 4, seed 0) in float32: its penalty and path
+    # products overflow at step 2, and the cell must fail with the loss's
+    # DivergenceError, not with a numpy overflow warning
+    cfg = hz.ExperimentConfig(
+        dataset=hz.DatasetSpec(num_train=60, num_eval=20, height=32, width=32),
+        schedule_sizes=[3, 1, 1],
+        protocol="disjoint",
+        methods=["RW"],
+        train=TrainConfig(lr_step0=0.05, lr_later=0.01, epochs_per_step=40, batch_size=4),
+    )
+    (cell,) = hz.run_experiment(cfg)["cells"]
+    assert cell["status"] == "failed"
+    assert cell["error"].startswith("DivergenceError: step 2 iter 30: loss is inf"), cell["error"]

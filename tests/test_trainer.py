@@ -7,11 +7,11 @@ import weakref
 import numpy as np
 import pytest
 
+from bgshift import losses
 from bgshift import trainer as tr
-from bgshift.exceptions import AlignmentError, ConfigError, DivergenceError
+from bgshift.exceptions import AlignmentError, ConfigError, DivergenceError, LabelDomainError
 from bgshift.losses import composite_objective, method_preset, teacher_targets
 from bgshift.model import BackboneConfig, SegModel, extend_classifier
-from bgshift.numerics import Tensor
 from bgshift.scenario import SyntheticConfig, build_schedule, generate_synthetic, split_corpus
 from helpers import run_from_scratch
 
@@ -39,64 +39,85 @@ def test_poly_lr_rejects_zero_total():
 # -- sgd -----------------------------------------------------------------------
 
 
-def one_param(value, grad):
-    p = Tensor(np.array([value]), requires_grad=True)
-    p.grad = np.array([grad])
-    return {"p": p}
+def tiny_model(value, grad):
+    """A float64 model of one hidden unit, one feature and one foreground
+    class whose parameters are all ``value`` and whose gradients all
+    ``grad``."""
+    model = SegModel.create(BackboneConfig(hidden=1, features=1, dtype="float64"), [1], np.random.default_rng(0))
+    model.vector[:] = value
+    for t in model.parameters().values():
+        t.grad = np.full(t.shape, grad)
+    return model
 
 
 def test_sgd_zero_grad_zero_velocity_is_noop():
-    params = one_param(0.0, 0.0)
-    assert tr.sgd_step(params, 0.1, {})["p"] is params["p"].grad
-    assert params["p"].data[0] == 0.0
+    model = tiny_model(0.0, 0.0)
+    velocity = np.zeros_like(model.vector)
+    grads = tr.sgd_step(model, 0.1, velocity)
+    # the gradients in the vector's layout
+    assert grads.shape == model.vector.shape and not grads.any()
+    assert not model.vector.any() and not velocity.any()
 
 
 def test_sgd_single_step_hand_value():
-    params = one_param(1.0, 1.0)
-    velocity = {}
-    tr.sgd_step(params, 0.1, velocity)
-    # v = 1 + WEIGHT_DECAY * 1; theta = 1 - 0.1 * v
-    assert velocity["p"][0] == 1.0 + tr.WEIGHT_DECAY
-    assert abs(params["p"].data[0] - (0.9 - 0.1 * tr.WEIGHT_DECAY)) < 1e-15
+    model = tiny_model(1.0, 1.0)
+    velocity = np.zeros_like(model.vector)
+    tr.sgd_step(model, 0.1, velocity)
+    # v = 1 + WEIGHT_DECAY * 1; theta = 1 - 0.1 * v, in every parameter
+    assert (velocity == 1.0 + tr.WEIGHT_DECAY).all()
+    assert np.abs(model.vector - (0.9 - 0.1 * tr.WEIGHT_DECAY)).max() < 1e-15
 
 
 def test_sgd_two_momentum_steps_hand_recursion():
-    params = one_param(0.0, 1.0)
-    velocity = {}
+    model = tiny_model(0.0, 1.0)
+    velocity = np.zeros_like(model.vector)
     for _ in range(2):
-        grads = tr.sgd_step(params, 0.1, velocity)
+        grads = tr.sgd_step(model, 0.1, velocity)
         # the velocity is updated in place: it is never the gradient array
-        assert grads["p"] is params["p"].grad and grads["p"] is not velocity["p"]
-    assert params["p"].grad[0] == 1.0
+        assert grads is not velocity and (grads == 1.0).all()
     # v1 = 1, theta1 = -0.1; v2 = MOMENTUM * v1 + 1 + WEIGHT_DECAY * theta1, theta2 = theta1 - 0.1 * v2
     v2 = tr.MOMENTUM + 1.0 - 0.1 * tr.WEIGHT_DECAY
-    assert abs(velocity["p"][0] - v2) < 1e-15
-    assert abs(params["p"].data[0] - (-0.1 - 0.1 * v2)) < 1e-15
-    assert abs(params["p"].data[0] - (-0.29 + 1e-6)) < 1e-15
+    assert np.abs(velocity - v2).max() < 1e-15
+    assert np.abs(model.vector - (-0.1 - 0.1 * v2)).max() < 1e-15
+    assert np.abs(model.params["backbone.w1"].data - (-0.29 + 1e-6)).max() < 1e-15
 
 
 def test_sgd_rejects_nonfinite_gradient():
-    with pytest.raises(DivergenceError):
-        tr.sgd_step(one_param(0.0, np.nan), 0.1, {})
+    # checked before anything moves, and named by its offset in the vector
+    for name in ("backbone.w1", "backbone.b2", "head.b"):
+        model = tiny_model(0.0, 1.0)
+        model.params[name].grad = np.full(model.params[name].shape, np.nan)
+        velocity = np.zeros_like(model.vector)
+        with pytest.raises(DivergenceError, match=f"non-finite gradient for {name}$"):
+            tr.sgd_step(model, 0.1, velocity)
+        assert not model.vector.any() and not velocity.any()
 
 
 def test_sgd_rejects_an_update_that_leaves_a_parameter_non_finite():
-    with pytest.raises(DivergenceError, match="left p non-finite"):
-        tr.sgd_step(one_param(1.0, 1.0), np.inf, {})
+    # only ``name`` has a gradient large enough for lr * v to overflow
+    for name in ("backbone.w1", "backbone.w2", "head.b"):
+        model = tiny_model(0.0, 0.0)
+        model.params[name].grad = np.full(model.params[name].shape, 1e300)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=f"left {name} non-finite"):
+            tr.sgd_step(model, 1e10, np.zeros_like(model.vector))
 
 
 def test_sgd_rejects_a_gradient_of_the_wrong_shape():
-    params = one_param(0.0, 1.0)
-    params["p"].grad = np.ones(2)
-    with pytest.raises(ConfigError, match="shape mismatch for p"):
-        tr.sgd_step(params, 0.1, {})
+    model = tiny_model(0.0, 1.0)
+    model.params["head.w"].grad = np.ones(2)
+    with pytest.raises(ConfigError, match="shape mismatch for head.w"):
+        tr.sgd_step(model, 0.1, np.zeros_like(model.vector))
 
 
-def test_sgd_skips_a_parameter_without_gradient():
-    params = {**one_param(1.0, 1.0), "q": Tensor(np.array([2.0]), requires_grad=True)}
-    velocity = {}
-    assert list(tr.sgd_step(params, 0.1, velocity)) == ["p"]
-    assert list(velocity) == ["p"] and params["q"].data[0] == 2.0
+def test_sgd_rejects_a_parameter_without_gradient():
+    # training gives every parameter a gradient; one without is an error,
+    # raised before anything moves
+    model = tiny_model(1.0, 1.0)
+    model.params["backbone.b2"].zero_grad()
+    velocity = np.zeros_like(model.vector)
+    with pytest.raises(ConfigError, match="no gradient for backbone.b2"):
+        tr.sgd_step(model, 0.1, velocity)
+    assert (model.vector == 1.0).all() and not velocity.any()
 
 
 # -- run_step / run_incremental --------------------------------------------------
@@ -149,10 +170,59 @@ def test_frozen_teacher_unchanged_by_incremental_step():
     _, _, steps = small_world()
     base = tr.run_step(None, steps[0], small_config("MiB"))
     before = {k: t.data.copy() for k, t in base.model.parameters().items()}
-    tr.run_step(base.model, steps[1], small_config("MiB"))
+    vector = base.model.vector.copy()
+    result = tr.run_step(base.model, steps[1], small_config("MiB"))
     after = base.model.parameters()
     for k in before:
         assert np.array_equal(before[k], after[k].data)
+    # the student trained a vector of its own
+    assert np.array_equal(base.model.vector, vector)
+    assert not np.shares_memory(result.model.vector, base.model.vector)
+
+
+@pytest.mark.parametrize("method", ["FT", "MiB", "LwF-MC"])
+def test_a_step_maps_its_labels_to_channels_once(method, monkeypatch):
+    # one mapping per run_step, not one per batch and loss
+    _, _, steps = small_world()
+    cfg = small_config(method)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return label_channels(*args)
+
+    label_channels = losses._label_channels
+    monkeypatch.setattr(losses, "_label_channels", counted)
+    base = tr.run_step(None, steps[0], cfg)
+    assert calls == ["cross_entropy"] and base.iterations > 1
+    tr.run_step(base.model, steps[1], cfg, tr.update_importance(base, steps[0], cfg, None))
+    what = {"FT": "cross_entropy", "MiB": "unbiased_cross_entropy", "LwF-MC": "lwf_mc_loss"}[method]
+    assert calls == ["cross_entropy", what]
+
+
+@pytest.mark.parametrize(
+    "method, label, message",
+    [
+        ("MiB", "old", r"unbiased_cross_entropy: labels \[{}\] belong to earlier steps; the mask looks unrelabeled"),
+        ("MiB", 9, r"unbiased_cross_entropy: labels \[{}\] are outside the allowed set"),
+        ("FT", 9, r"cross_entropy: labels \[{}\] are outside the allowed set"),
+        ("LwF-MC", 9, r"lwf_mc_loss: labels \[{}\] are outside the allowed set"),
+    ],
+)
+def test_a_bad_label_in_the_last_batch_fails_the_step_before_any_update(method, label, message, monkeypatch):
+    _, _, steps = small_world()
+    cfg = small_config(method)
+    base = tr.run_step(None, steps[0], cfg)
+    label = steps[0].new_fg[0] if label == "old" else label
+    # the sample of the first epoch's last batch; its mask bypasses the
+    # dataset's checks
+    last = tr._rng_children(cfg.seed, 1)["shuffle"].permutation(len(steps[1]))[-1]
+    steps[1].items[last].mask[0, 0] = label
+    updates = []
+    monkeypatch.setattr(tr, "sgd_step", lambda *args: updates.append(args))
+    with pytest.raises(LabelDomainError, match=message.format(label)):
+        tr.run_step(base.model, steps[1], cfg)
+    assert updates == []
 
 
 def test_mib_with_lambda_zero_and_random_init_tracks_uce_ft():
@@ -270,14 +340,14 @@ def test_a_later_mib_iteration_stays_within_its_traced_peak():
     images = rng.random((8, 64, 64, 3)).astype(model.dtype)
     masks = np.where(rng.random((8, 64, 64)) < 0.3, 6, 0).astype(np.uint8)
     teacher = teacher_targets(method, prev, list(images), len(images))
-    params, velocity = model.parameters(), {}
+    velocity = np.zeros_like(model.vector)
 
     def iteration():
         model.zero_grad()
         composite_objective(method, (images, masks), model, prev, _teacher=teacher).backward()
-        tr.sgd_step(params, 1e-3, velocity)
+        tr.sgd_step(model, 1e-3, velocity)
 
-    iteration()  # the velocity is made once, by the first update
+    iteration()  # a warm-up; the peak is taken over the next iteration
     tracemalloc.start()
     try:
         iteration()
@@ -576,8 +646,7 @@ def test_float32_training_leaves_every_array_float32(method, monkeypatch):
         monkeypatch.setattr(tr, fn.__name__, wrapped)
 
     def sgd_arrays(args, grads):
-        velocity = args[2]
-        return [(f"grad {n}", g) for n, g in grads.items()] + [(f"velocity {n}", v) for n, v in velocity.items()]
+        return [("grad", grads), ("velocity", args[2])]
 
     def importance_arrays(args, state):
         if state is None:
