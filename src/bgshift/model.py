@@ -4,18 +4,22 @@ The model's state is one dict of named parameters (``PARAM_NAMES``): the
 backbone's ``backbone.w1``/``b1`` (conv3x3) and ``backbone.w2``/``b2``
 (dense 1x1), and the packed heads ``head.w`` [D, K] and ``head.b`` [K]. The
 head columns follow ``known_classes`` (background first, then classes in the
-order they were added). The importance and the checkpoint's npz members key
-on these names. Each parameter's data is a view of one flat vector
-(``SegModel.vector``, the parameters back to back in ``PARAM_NAMES`` order),
-which the constructor, the one path that ``create``, ``clone``,
-``extend_classifier`` and ``load_checkpoint`` take, copies them into; the
-SGD update and its velocity are vectors of that layout
-(``trainer.sgd_step``), and ``SegModel.views`` cuts such a vector into named
-views. A parameter's data is changed in place only, never rebound.
-``extend_classifier`` grows the head for a new step, either copying the
-background classifier with a shifted bias (so the old background probability
-is spread uniformly over the incoming classes) or with plain random
-initialization.
+order they were added). The checkpoint's npz members key on these names.
+Each parameter's data is a view of one flat vector (``SegModel.vector``,
+the parameters back to back in ``PARAM_NAMES`` order, of the shapes
+``param_shapes`` gives the backbone and the class count), which the
+constructor, the one path that ``create``, ``clone``, ``extend_classifier``
+and ``load_checkpoint`` take, checks them against and copies them into.
+Every other per-parameter array is a vector of that layout: the gradients
+(``SegModel.grad_vector``), the SGD velocity (``trainer.sgd_step``), the
+path-integral start and omega, and the Fisher, path and merged importances
+(``regularizers``, whose anchor is a frozen copy of a model);
+``SegModel.views`` cuts such a vector into named views, and
+``SegModel.name_at`` names the parameter at a place in it. A parameter's
+data is changed in place only, never rebound. ``extend_classifier`` grows
+the head for a new step, either copying the background classifier with a
+shifted bias (so the old background probability is spread uniformly over
+the incoming classes) or with plain random initialization.
 
 A forward pass records two tape nodes, the backbone (``numerics.conv_dense``,
 tanh activations) and the head (``numerics.affine_last``); the tape keeps only
@@ -82,35 +86,33 @@ class SegModel:
             raise ScheduleError("background class must come first in known_classes")
         if len(set(known_classes)) != len(known_classes):
             raise ScheduleError("duplicate class id in known_classes")
-        k = len(known_classes)
-        if params["head.w"].data.shape[1] != k or params["head.b"].data.shape[0] != k:
-            raise ShapeError("head shape does not match class count")
+        self.config = config
+        self.shapes = param_shapes(config, len(known_classes))
+        for name, shape in self.shapes.items():
+            if params[name].data.shape != shape:
+                raise ShapeError(f"{name} has shape {params[name].data.shape}, not the backbone and classes' {shape}")
         mixed = sorted(name for name, t in params.items() if t.data.dtype != config.dtype)
         if mixed:
             raise ShapeError(f"parameters {mixed} are not of the model's dtype {config.dtype}")
-        self.config = config
         # copied into one vector, of which each parameter is a view
         self.vector = np.concatenate([params[name].data.ravel() for name in PARAM_NAMES])
-        shapes = {name: params[name].data.shape for name in PARAM_NAMES}
         self.params = {
             name: Tensor(view, requires_grad=params[name].requires_grad)
-            for name, view in _views(self.vector, shapes).items()
+            for name, view in self.views(self.vector).items()
         }
         self.known_classes = list(known_classes)
         self.step_index = step_index
 
     @classmethod
     def create(cls, config: BackboneConfig, fg_classes: list[int], rng: np.random.Generator) -> "SegModel":
-        cin, ch, d = config.in_channels, config.hidden, config.features
         known = [BACKGROUND] + list(fg_classes)
-        # the draw order w1, w2, head.w fixes a seed's initial weights
-        w1 = rng.normal(0.0, math.sqrt(1.0 / (9 * cin)), size=(3, 3, cin, ch))
-        w2 = rng.normal(0.0, math.sqrt(1.0 / ch), size=(ch, d))
-        head_w = rng.normal(0.0, HEAD_STD, size=(d, len(known)))
-        arrays = (w1, np.zeros(ch), w2, np.zeros(d), head_w, np.zeros(len(known)))
-        params = {
-            name: Tensor(a.astype(config.dtype), requires_grad=True) for name, a in zip(PARAM_NAMES, arrays)
-        }
+        # the weights' standard deviations; drawn in PARAM_NAMES order, which
+        # fixes a seed's initial weights, while the biases start at zero
+        cin, ch = config.in_channels, config.hidden
+        std = {"backbone.w1": math.sqrt(1 / (9 * cin)), "backbone.w2": math.sqrt(1 / ch), "head.w": HEAD_STD}
+        shapes = param_shapes(config, len(known))
+        arrays = {n: rng.normal(0.0, std[n], s) if n in std else np.zeros(s) for n, s in shapes.items()}
+        params = {name: Tensor(a.astype(config.dtype), requires_grad=True) for name, a in arrays.items()}
         return cls(config, params, known, step_index=0)
 
     @property
@@ -132,9 +134,30 @@ class SegModel:
         return self.params
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """``vector``, laid out as ``self.vector``, as views of each
-        parameter's shape, by name."""
-        return _views(vector, {name: t.data.shape for name, t in self.params.items()})
+        """``vector``, laid out as ``self.vector``, cut into consecutive
+        views of each parameter's shape, by name."""
+        views, start = {}, 0
+        for name, shape in self.shapes.items():
+            end = start + math.prod(shape)
+            views[name] = vector[start:end].reshape(shape)
+            start = end
+        return views
+
+    def name_at(self, where: np.ndarray) -> str:
+        """The parameter that holds the first true entry of ``where``, a
+        boolean vector laid out as ``self.vector``."""
+        return next(name for name, v in self.views(where).items() if v.any())
+
+    def grad_vector(self) -> np.ndarray:
+        """The parameters' gradients (each ``p.grad``), laid out as
+        ``self.vector``. A parameter without a gradient, or with one of
+        another shape, raises ConfigError naming it."""
+        for name, p in self.params.items():
+            if p.grad is None:
+                raise ConfigError(f"no gradient for {name}")
+            if p.grad.shape != p.data.shape:
+                raise ConfigError(f"gradient shape mismatch for {name}")
+        return np.concatenate([p.grad.ravel() for p in self.params.values()])
 
     def zero_grad(self):
         for t in self.params.values():
@@ -150,14 +173,13 @@ class SegModel:
         return frozen
 
 
-def _views(vector: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """Consecutive pieces of the flat ``vector``, one view of each shape."""
-    views, start = {}, 0
-    for name, shape in shapes.items():
-        end = start + math.prod(shape)
-        views[name] = vector[start:end].reshape(shape)
-        start = end
-    return views
+def param_shapes(config: BackboneConfig, num_classes: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter, in ``PARAM_NAMES`` order, of a model
+    with ``config``'s backbone and ``num_classes`` head columns: the layout
+    of ``SegModel.vector``."""
+    cin, ch, d = config.in_channels, config.hidden, config.features
+    shapes = ((3, 3, cin, ch), (ch,), (ch, d), (d,), (d, num_classes), (num_classes,))
+    return dict(zip(PARAM_NAMES, shapes))
 
 
 def argmax_mask(logits: np.ndarray, class_order: list[int]) -> np.ndarray:

@@ -3,14 +3,16 @@
 Fisher importance is the mean squared gradient of the per-pixel cross-entropy
 at ``FISHER_SAMPLES`` sampled pixels; the path-integral importance divides
 the -grad * step a training accumulates by its squared displacement plus
-``PI_DAMPING``; their combination normalizes each score by its max and sums.
-Each estimator returns a dict of arrays keyed by ``model.PARAM_NAMES``.
-A training's path integral is a ``PathState`` (start, omega). A step is
-penalized with an ``ImportanceState`` (importance, anchor), which
-``merge_importance`` builds once per step, in ``trainer.update_importance``,
-anchored at the model just trained. ``quadratic_penalty`` is one tape node
-with the closed-form gradient 2 * w * importance * (theta - anchor); head
-columns added after the anchor was taken are not penalized.
+``PI_DAMPING``; their combination normalizes each parameter's scores by
+their max and sums. Every per-parameter array here is one vector in the
+layout of a model's ``SegModel.vector``: what each estimator returns, a
+training's path integral (``PathState``: start and omega) and the importance
+of an ``ImportanceState``, whose anchor is a frozen copy of the model just
+trained and defines the importance's layout. ``merge_importance`` builds
+that state once per step, in ``trainer.update_importance``.
+``quadratic_penalty`` is one tape node with the closed-form gradient
+2 * w * importance * (theta - anchor); head columns added after the anchor
+was taken are not penalized.
 """
 from __future__ import annotations
 
@@ -31,40 +33,34 @@ PI_DAMPING = 0.1  # added to the squared displacement in the path integral
 
 @dataclass
 class ImportanceState:
-    """Per-parameter importance plus the anchor it penalizes drift from."""
+    """Per-parameter importance, laid out as ``anchor.vector``, plus the
+    anchor it penalizes drift from."""
 
-    importance: dict[str, np.ndarray]
-    anchor: dict[str, np.ndarray]
+    importance: np.ndarray
+    anchor: SegModel
 
     def __post_init__(self):
-        if set(self.importance) != set(self.anchor):
-            raise AlignmentError("importance and anchor name different parameters")
-        for name, imp in self.importance.items():
-            if (imp < 0).any():
-                raise EstimationError(f"negative importance for {name}")
-            if self.anchor[name].shape != imp.shape:
-                raise AlignmentError(f"importance/anchor shape mismatch for {name}")
+        if self.importance.shape != self.anchor.vector.shape:
+            raise AlignmentError(f"importance {self.importance.shape} for an anchor of {self.anchor.vector.shape}")
+        if (self.importance < 0).any():
+            raise EstimationError(f"negative importance for {self.anchor.name_at(self.importance < 0)}")
 
 
 @dataclass
 class PathState:
-    """Path-integral accumulator of one training."""
+    """Path-integral accumulator of one training, laid out as the model's vector."""
 
-    start: dict[str, np.ndarray]  # the parameters the training started from
-    omega: dict[str, np.ndarray]  # sum over its optimizer steps of -grad * delta
-
-
-def _param_arrays(model: SegModel) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in model.parameters().items()}
+    start: np.ndarray  # the parameters the training started from
+    omega: np.ndarray  # sum over its optimizer steps of -grad * delta
 
 
-def fisher_diagonal(model: SegModel, dataset: StepDataset, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def fisher_diagonal(model: SegModel, dataset: StepDataset, rng: np.random.Generator) -> np.ndarray:
     """Mean squared gradient of the single-pixel cross-entropy at
     ``FISHER_SAMPLES`` sampled pixels."""
     items = dataset.items
     if not items:
         raise EstimationError("cannot estimate Fisher importance from an empty dataset")
-    acc = {name: np.zeros_like(t.data) for name, t in model.parameters().items()}
+    acc = np.zeros_like(model.vector)
     for _ in range(FISHER_SAMPLES):
         item = items[int(rng.integers(len(items)))]
         image, mask = item.image, item.mask
@@ -84,60 +80,46 @@ def fisher_diagonal(model: SegModel, dataset: StepDataset, rng: np.random.Genera
         grad = np.zeros_like(logits.data)
         grad[0, r, c] = (q - (np.arange(q.size) == y)) * active
         nm.scalar_node(-log_q, (logits, grad)).backward()
-        for name, t in model.parameters().items():
-            if t.grad is not None:
-                acc[name] += t.grad**2
+        acc += model.grad_vector() ** 2
     model.zero_grad()
-    return {name: a / FISHER_SAMPLES for name, a in acc.items()}
+    return acc / FISHER_SAMPLES
 
 
 def new_path_state(model: SegModel) -> PathState:
     """Start path-integral bookkeeping at the current parameters."""
-    return PathState(_param_arrays(model), {n: np.zeros_like(t.data) for n, t in model.parameters().items()})
+    return PathState(model.vector.copy(), np.zeros_like(model.vector))
 
 
 @np.errstate(over="ignore")
-def path_integral_update(
-    state: PathState, grads: dict[str, np.ndarray], deltas: dict[str, np.ndarray]
-) -> PathState:
-    """Accumulate omega += -grad * delta for one optimizer step. A product
-    too large for the dtype is inf, without a warning (as in
-    ``quadratic_penalty``)."""
-    for name, g in grads.items():
-        if name not in state.omega:
-            raise AlignmentError(f"unknown parameter {name} in path update")
-        d = deltas[name]
-        if g.shape != state.omega[name].shape or d.shape != g.shape:
-            raise AlignmentError(f"shape mismatch for {name} in path update")
-        state.omega[name] += -g * d
+def path_integral_update(state: PathState, grads: np.ndarray, deltas: np.ndarray) -> PathState:
+    """Accumulate omega += -grad * delta for one optimizer step, each a
+    vector of the path's layout. A product too large for the dtype is inf,
+    without a warning (as in ``quadratic_penalty``)."""
+    if grads.shape != state.omega.shape or deltas.shape != state.omega.shape:
+        raise AlignmentError(f"path update of shapes {grads.shape}, {deltas.shape} for a path of {state.omega.shape}")
+    state.omega += -grads * deltas
     return state
 
 
-def finalize_path_importance(state: PathState, model: SegModel) -> dict[str, np.ndarray]:
+def finalize_path_importance(state: PathState, model: SegModel) -> np.ndarray:
     """Convert accumulated omega into importance, clamped non-negative."""
-    importance = {}
-    for name, t in model.parameters().items():
-        disp = t.data - state.start[name]
-        importance[name] = np.maximum(state.omega[name], 0.0) / (disp**2 + PI_DAMPING)
-    return importance
+    return np.maximum(state.omega, 0.0) / ((model.vector - state.start) ** 2 + PI_DAMPING)
 
 
-def rw_importance(fisher: dict[str, np.ndarray], path: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Sum of the two scores, each normalized by its own max (if non-zero)."""
-    if set(fisher) != set(path):
-        raise AlignmentError("fisher and path scores cover different parameters")
-    combined = {}
-    for name, f in fisher.items():
-        p = path[name]
-        if f.shape != p.shape:
-            raise AlignmentError(f"shape mismatch for {name} between fisher and path scores")
-        combined[name] = _normalized(f) + _normalized(p)
+def rw_importance(fisher: np.ndarray, path: np.ndarray, model: SegModel) -> np.ndarray:
+    """Sum of the two scores, each normalized per parameter of ``model`` by
+    its own max (if non-zero)."""
+    if fisher.shape != model.vector.shape or path.shape != model.vector.shape:
+        raise AlignmentError(f"fisher {fisher.shape} and path {path.shape} scores for a model of {model.vector.shape}")
+    combined = np.empty_like(fisher)
+    for out, f, p in zip(*(model.views(v).values() for v in (combined, fisher, path))):
+        out[...] = _normalized(f) + _normalized(p)
     return combined
 
 
 def _normalized(a: np.ndarray) -> np.ndarray:
     m = a.max() if a.size else 0.0
-    return a / m if m > 0 else a.copy()
+    return a / m if m > 0 else a
 
 
 @np.errstate(over="ignore")
@@ -151,8 +133,9 @@ def quadratic_penalty(model: SegModel, state: ImportanceState, weight: float) ->
     """
     weight = float(weight)
     total, terms = 0.0, []
+    importance = state.anchor.views(state.importance)
     for name, t in model.parameters().items():
-        anchor, imp = state.anchor[name], state.importance[name]
+        anchor, imp = state.anchor.params[name].data, importance[name]
         k = anchor.shape[-1]
         if t.data.shape[:-1] != anchor.shape[:-1] or t.data.shape[-1] < k:
             raise AlignmentError(f"anchor for {name} does not embed in the current shape")
@@ -165,17 +148,14 @@ def quadratic_penalty(model: SegModel, state: ImportanceState, weight: float) ->
     return nm.scalar_node(total * weight, *terms)
 
 
-def merge_importance(
-    prev: ImportanceState | None, new: dict[str, np.ndarray], model: SegModel
-) -> ImportanceState:
-    """Add the step importance ``new`` to ``prev``, anchored at ``model``'s
-    parameters; arrays grown since ``prev`` pad with zeros."""
+def merge_importance(prev: ImportanceState | None, new: np.ndarray, model: SegModel) -> ImportanceState:
+    """Add the step importance ``new`` (laid out as ``model.vector``) to
+    ``prev``, anchored at a frozen copy of ``model``; head columns grown
+    since ``prev`` pad with zeros."""
+    anchor = model.frozen_copy()
     if prev is None:
-        return ImportanceState(new, _param_arrays(model))
-    importance = {}
-    for name, cur in new.items():
-        old = prev.importance[name]
-        padded = np.zeros_like(cur)
-        padded[..., : old.shape[-1]] = old
-        importance[name] = padded + cur
-    return ImportanceState(importance, _param_arrays(model))
+        return ImportanceState(new, anchor)
+    padded = np.zeros_like(new)
+    for pad, old in zip(model.views(padded).values(), prev.anchor.views(prev.importance).values()):
+        pad[..., : old.shape[-1]] = old
+    return ImportanceState(padded + new, anchor)

@@ -14,8 +14,10 @@ label the step's loss does not allow before any parameter moves).
 and a velocity vector of its layout, in four in-place operations over the
 whole vector, with one finiteness check of the gradients and one of the
 result. ``run_step`` keeps the path-integral record of its training
-(``StepResult.path_state``, a ``regularizers.PathState``); the importance
-the prior-focused baselines penalize is computed in one place,
+(``StepResult.path_state``, a ``regularizers.PathState`` of the same
+layout), into which it hands the gradient vector ``sgd_step`` returns and
+the step ``-lr * velocity`` as they are; the importance the prior-focused
+baselines penalize, a vector of that layout too, is computed in one place,
 ``update_importance``, which ``run_incremental`` calls on each step just
 before it trains the next one.
 All randomness is derived from (seed, step) so the first step is
@@ -126,20 +128,13 @@ def sgd_step(model: SegModel, lr: float, velocity: np.ndarray) -> np.ndarray:
     """v <- MOMENTUM*v + g + WEIGHT_DECAY*theta; theta <- theta - lr*v, in
     place on the model's one parameter vector (``SegModel.vector``) and its
     ``velocity``, a vector of the same layout; g is the parameters' gradients
-    (each ``p.grad``) in that layout, which is returned. A parameter without
-    a gradient, or with one of another shape, raises ConfigError; a
-    non-finite gradient, or an update that leaves a parameter non-finite,
-    raises DivergenceError. Each names the parameter."""
-    grads = []
-    for name, p in model.params.items():
-        if p.grad is None:
-            raise ConfigError(f"no gradient for {name}")
-        if p.grad.shape != p.data.shape:
-            raise ConfigError(f"gradient shape mismatch for {name}")
-        grads.append(p.grad.ravel())
-    g = np.concatenate(grads)
+    in that layout (``SegModel.grad_vector``, which raises ConfigError for a
+    missing or misshapen one), and is returned. A non-finite gradient, or an
+    update that leaves a parameter non-finite, raises DivergenceError naming
+    the parameter."""
+    g = model.grad_vector()
     if not np.isfinite(g).all():
-        raise DivergenceError(f"non-finite gradient for {_name_at(model, g)}")
+        raise DivergenceError(f"non-finite gradient for {model.name_at(~np.isfinite(g))}")
     # in place, the operations of MOMENTUM * v + g + WEIGHT_DECAY * theta in
     # their order, from v = 0
     theta = model.vector
@@ -148,14 +143,8 @@ def sgd_step(model: SegModel, lr: float, velocity: np.ndarray) -> np.ndarray:
     velocity += WEIGHT_DECAY * theta
     theta -= lr * velocity
     if not np.isfinite(theta).all():
-        raise DivergenceError(f"the update at lr {lr} left {_name_at(model, theta)} non-finite")
+        raise DivergenceError(f"the update at lr {lr} left {model.name_at(~np.isfinite(theta))} non-finite")
     return g
-
-
-def _name_at(model: SegModel, vector: np.ndarray) -> str:
-    """The parameter that holds the first non-finite entry of ``vector``
-    (laid out as ``model.vector``)."""
-    return next(name for name, v in model.views(vector).items() if not np.isfinite(v).all())
 
 
 def _rng_children(seed: int, step: int) -> dict[str, np.random.Generator]:
@@ -257,7 +246,7 @@ def run_step(
             lr = poly_lr(iteration, total_iters, base_lr)
             grads = sgd_step(model, lr, velocity)
             if track_path:
-                rg.path_integral_update(path_state, model.views(grads), model.views(-lr * velocity))
+                rg.path_integral_update(path_state, grads, -lr * velocity)
             # the gradients are read: the tape goes before the next batch is
             # stacked, so one iteration's arrays are alive at a time
             del loss
@@ -290,7 +279,8 @@ def update_importance(
         step_importance = rg.finalize_path_importance(result.path_state, result.model)
     else:  # rw
         fisher = rg.fisher_diagonal(result.model, dataset, rng=fisher_rng)
-        step_importance = rg.rw_importance(fisher, rg.finalize_path_importance(result.path_state, result.model))
+        path = rg.finalize_path_importance(result.path_state, result.model)
+        step_importance = rg.rw_importance(fisher, path, result.model)
     return rg.merge_importance(reg_state, step_importance, result.model)
 
 

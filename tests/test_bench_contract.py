@@ -99,6 +99,11 @@ def test_a_traced_run_computes_the_same_cells_and_every_declared_metric():
     first = {c["seed"]: c["steps"][0]["iterations"] for c in traced["cells"]}
     iterations = sum(first.values()) + sum(s["iterations"] for c in traced["cells"] for s in c["steps"][1:])
     assert metrics["trainer.iterations"][0] == metrics["losses.composite_objective.calls"][0] == iterations
+    # one path-integral update per path-tracked iteration: each seed's shared
+    # step 0, and the later steps of RW (the one path-based method here)
+    later_rw = sum(s["iterations"] for c in traced["cells"] if c["method"] == "RW" for s in c["steps"][1:])
+    path_updates = sum(span[0] == "regularizers.path_integral_update" for span in tracer.spans)
+    assert later_rw > 0 and path_updates == sum(first.values()) + later_rw
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

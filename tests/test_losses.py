@@ -724,8 +724,8 @@ def test_composite_lwf_mc_adds_its_regularizer():
     ewc = replace(plain, reg_kind="ewc", reg_weight=500.0)
     # anchored at the previous model with unit importance; the grown head's
     # shifted background bias has drifted from it
-    anchor = {name: t.data.copy() for name, t in prev.parameters().items()}
-    state = rg.ImportanceState({name: np.ones_like(a) for name, a in anchor.items()}, anchor)
+    anchor = prev.frozen_copy()
+    state = rg.ImportanceState(np.ones_like(anchor.vector), anchor)
     penalty = rg.quadratic_penalty(cur, state, ewc.reg_weight)
     assert penalty.item() > 0.0
     got = L.composite_objective(ewc, (images, masks), cur, prev, penalty)
@@ -806,8 +806,8 @@ def later_step_case(name, dtype):
         t.data += rng.normal(0.0, 0.1, t.shape).astype(dtype)
     images = rng.random((2, 6, 6, 3)).astype(dtype)
     masks = (rng.integers(0, 2, size=(2, 6, 6)) * 3).astype(np.uint8)  # background or the new class
-    anchor = {n: t.data.copy() for n, t in prev.parameters().items()}
-    state = rg.ImportanceState({n: rng.random(a.shape).astype(dtype) for n, a in anchor.items()}, anchor)
+    anchor = prev.frozen_copy()
+    state = rg.ImportanceState(rng.random(anchor.vector.size).astype(dtype), anchor)
     penalty = None if method.reg_kind == "none" else (lambda: rg.quadratic_penalty(cur, state, method.reg_weight))
     return method, prev, cur, (images, masks), penalty
 

@@ -245,11 +245,11 @@ def test_checkpoint_layout_is_pinned(tmp_path):
     assert set(meta) == {"format", "step_index", "known_classes", "background_id", "backbone"}
 
 
-def _rewrite_checkpoint(src, dst, meta_edit=None, drop=()):
-    """Copy the npz ``src`` to ``dst`` with ``meta_edit`` applied to its meta
-    and the arrays in ``drop`` left out."""
+def _rewrite_checkpoint(src, dst, meta_edit=None, drop=(), **replaced):
+    """Copy the npz ``src`` to ``dst`` with ``meta_edit`` applied to its meta,
+    the arrays in ``drop`` left out and those named in ``replaced`` replaced."""
     with np.load(src) as z:
-        arrays = {k: z[k] for k in z.files if k not in drop}
+        arrays = {k: z[k] for k in z.files if k not in drop} | replaced
     meta = json.loads(bytes(arrays["meta"]).decode())
     if meta_edit:
         meta_edit(meta)
@@ -278,6 +278,12 @@ def _format_2(meta):
         (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m["backbone"].update(dtype="float16")), "dtype"),
         (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m["backbone"].update(dtype="float64")), "dtype"),
         (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m.update(background_id=3)), "background_id 3"),
+        # arrays saved at hidden 8 under a meta of hidden 16
+        (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m: m["backbone"].update(hidden=16)), "backbone.w1 has shape"),
+        (
+            lambda good, bad: _rewrite_checkpoint(good, bad, backbone__w2=np.ones((3, 4), np.float32)),
+            r"backbone.w2 has shape \(3, 4\)",
+        ),
     ],
     ids=[
         "unknown-backbone-key",
@@ -288,6 +294,8 @@ def _format_2(meta):
         "bad-dtype",
         "dtype-mismatch",
         "background-not-0",
+        "hidden-mismatch",
+        "w2-shape",
     ],
 )
 def test_a_bad_checkpoint_is_rejected_naming_its_path(tmp_path, corrupt, match):

@@ -45,10 +45,10 @@ def test_fisher_saturated_model_has_tiny_importance(monkeypatch):
     rng = np.random.default_rng(2)
     items = [Sample("a", rng.random((4, 4, 3)), np.zeros((4, 4), dtype=int))]
     # an all-background item is no valid StepDataset; fisher only reads .items
-    state = rg.fisher_diagonal(model, SimpleNamespace(items=items), rng)
-    for imp in state.values():
-        assert np.isfinite(imp).all()
-        assert imp.max() < 1e-10
+    imp = rg.fisher_diagonal(model, SimpleNamespace(items=items), rng)
+    assert imp.shape == model.vector.shape
+    assert np.isfinite(imp).all()
+    assert imp.max() < 1e-10
 
 
 def test_fisher_bias_mean_of_squares_hand_value(monkeypatch):
@@ -62,7 +62,7 @@ def test_fisher_bias_mean_of_squares_hand_value(monkeypatch):
     items[0].mask[0, 0] = 1  # keep the dataset valid; chance of sampling it is accounted below
     ds = StepDataset(items, 0, [1])
     rng = np.random.default_rng(3)
-    state = rg.fisher_diagonal(model, ds, rng=rng)
+    state = model.views(rg.fisher_diagonal(model, ds, rng=rng))
     # grad magnitude is exactly 1/2 per sampled pixel regardless of its label
     assert np.allclose(state["head.b"], 0.25, atol=1e-12)
     # zero head weights block gradient flow into the backbone
@@ -74,7 +74,7 @@ def test_fisher_matches_finite_difference_oracle(monkeypatch):
     ds = tiny_dataset(model, n=2, size=4, seed=5)
     n_samples = 5
     monkeypatch.setattr(rg, "FISHER_SAMPLES", n_samples)
-    state = rg.fisher_diagonal(model, ds, rng=np.random.default_rng(6))
+    state = model.views(rg.fisher_diagonal(model, ds, rng=np.random.default_rng(6)))
 
     # replay the same pixel draws and square finite-difference gradients
     rng = np.random.default_rng(6)
@@ -110,88 +110,103 @@ def test_fisher_empty_dataset_rejected():
 def test_path_zero_deltas_give_zero_importance():
     model = tiny_model()
     state = rg.new_path_state(model)
-    zeros = {n: np.zeros_like(t.data) for n, t in model.parameters().items()}
+    zeros = np.zeros_like(model.vector)
     rg.path_integral_update(state, zeros, zeros)
     final = rg.finalize_path_importance(state, model)
-    assert all(np.all(v == 0.0) for v in final.values())
+    assert final.shape == model.vector.shape and np.all(final == 0.0)
+
+
+def head_b_step(model, grad):
+    """(gradient, step) vectors in ``model``'s layout: ``grad`` and 0.1 on
+    every entry of head.b, zero elsewhere."""
+    grads, deltas = np.zeros_like(model.vector), np.zeros_like(model.vector)
+    model.views(grads)["head.b"][:] = grad
+    model.views(deltas)["head.b"][:] = 0.1
+    return grads, deltas
 
 
 def test_path_hand_arithmetic_single_step():
     model = tiny_model()
     state = rg.new_path_state(model)
-    name = "head.b"
-    grads = {name: np.full_like(model.params["head.b"].data, -1.0)}
-    deltas = {name: np.full_like(model.params["head.b"].data, 0.1)}
-    rg.path_integral_update(state, grads, deltas)
+    rg.path_integral_update(state, *head_b_step(model, -1.0))
     model.params["head.b"].data += 0.1  # total displacement 0.1
-    final = rg.finalize_path_importance(state, model)
+    final = model.views(rg.finalize_path_importance(state, model))
     expected = 0.1 / (0.1**2 + 0.1)  # PI_DAMPING is 0.1
-    assert np.allclose(final[name], expected)
+    assert np.allclose(final["head.b"], expected)
     assert abs(expected - 0.9091) < 1e-4
+    assert all(np.all(v == 0.0) for name, v in final.items() if name != "head.b")
 
 
 def test_path_negative_accumulation_clamped():
     model = tiny_model()
     state = rg.new_path_state(model)
-    name = "head.b"
-    grads = {name: np.full_like(model.params["head.b"].data, 1.0)}  # -g*d < 0
-    deltas = {name: np.full_like(model.params["head.b"].data, 0.1)}
-    rg.path_integral_update(state, grads, deltas)
+    rg.path_integral_update(state, *head_b_step(model, 1.0))  # -g*d < 0
     model.params["head.b"].data += 0.1
-    final = rg.finalize_path_importance(state, model)
-    assert np.all(final[name] == 0.0)
+    final = model.views(rg.finalize_path_importance(state, model))
+    assert np.all(final["head.b"] == 0.0)
 
 
 def test_path_update_rejects_shape_mismatch():
     model = tiny_model()
     state = rg.new_path_state(model)
-    with pytest.raises(AlignmentError):
-        rg.path_integral_update(state, {"head.b": np.zeros(5)}, {"head.b": np.zeros(5)})
+    right, wrong = np.zeros_like(model.vector), np.zeros(5)
+    for grads, deltas in ((wrong, wrong), (right, wrong), (wrong, right)):
+        with pytest.raises(AlignmentError, match="path update"):
+            rg.path_integral_update(state, grads, deltas)
+    assert not state.omega.any()
 
 
 # -- rw combination -----------------------------------------------------------
 
 
-def fake_state(values):
-    return {"p": np.asarray(values, dtype=float)}
+def head_b_scores(model, values):
+    """A score vector in ``model``'s layout: ``values`` on head.b, zero elsewhere."""
+    scores = np.zeros(model.vector.shape)
+    model.views(scores)["head.b"][:] = values
+    return scores
 
 
 def test_rw_zero_path_equals_normalized_fisher():
-    fisher = fake_state([2.0, 4.0])
-    path = fake_state([0.0, 0.0])
-    combined = rg.rw_importance(fisher, path)
-    assert np.allclose(combined["p"], [0.5, 1.0])
+    model = tiny_model()
+    fisher = head_b_scores(model, [2.0, 4.0])
+    combined = model.views(rg.rw_importance(fisher, np.zeros_like(fisher), model))
+    assert np.allclose(combined["head.b"], [0.5, 1.0])
+    assert all(np.all(v == 0.0) for name, v in combined.items() if name != "head.b")
 
 
 def test_rw_equal_states_double_the_normalized_score():
-    a = fake_state([1.0, 3.0])
-    b = fake_state([1.0, 3.0])
-    combined = rg.rw_importance(a, b)
-    assert np.allclose(combined["p"], 2.0 * np.array([1.0, 3.0]) / 3.0)
+    model = tiny_model()
+    a = head_b_scores(model, [1.0, 3.0])
+    b = head_b_scores(model, [1.0, 3.0])
+    combined = model.views(rg.rw_importance(a, b, model))
+    assert np.allclose(combined["head.b"], 2.0 * np.array([1.0, 3.0]) / 3.0)
 
 
 def test_rw_matches_elementwise_oracle():
+    # each parameter's scores are normalized by their own max
+    model = tiny_model(fg=(1, 2, 3, 4, 5))
     rng = np.random.default_rng(7)
-    f = np.abs(rng.normal(size=6))
-    p = np.abs(rng.normal(size=6))
-    combined = rg.rw_importance(fake_state(f), fake_state(p))
-    assert np.allclose(combined["p"], f / f.max() + p / p.max())
+    f = np.abs(rng.normal(size=model.vector.shape))
+    p = np.abs(rng.normal(size=model.vector.shape))
+    combined = model.views(rg.rw_importance(f, p, model))
+    for name, fv, pv in zip(combined, model.views(f).values(), model.views(p).values()):
+        assert np.allclose(combined[name], fv / fv.max() + pv / pv.max()), name
 
 
-def test_rw_rejects_parameter_mismatch():
-    a = fake_state([1.0])
-    b = {"q": np.ones(1)}
-    with pytest.raises(AlignmentError):
-        rg.rw_importance(a, b)
+def test_rw_rejects_scores_of_another_layout():
+    model = tiny_model()
+    grown = extend_classifier(model, [2])
+    right, wrong = np.ones(model.vector.shape), np.ones(grown.vector.shape)
+    for fisher, path in ((right, wrong), (wrong, right), (wrong, wrong)):
+        with pytest.raises(AlignmentError, match="fisher .* and path .* scores"):
+            rg.rw_importance(fisher, path, model)
 
 
 # -- quadratic penalty --------------------------------------------------------
 
 
 def anchored_state(model, importance_value=1.0):
-    params = {n: t.data.copy() for n, t in model.parameters().items()}
-    imp = {n: np.full_like(v, importance_value) for n, v in params.items()}
-    return rg.ImportanceState(imp, params)
+    return rg.ImportanceState(np.full_like(model.vector, importance_value), model.frozen_copy())
 
 
 def test_penalty_zero_at_anchor():
@@ -203,7 +218,7 @@ def test_penalty_zero_at_anchor():
 def test_penalty_hand_product():
     model = tiny_model()
     state = anchored_state(model, importance_value=0.0)
-    state.importance["head.b"][0] = 2.0
+    state.anchor.views(state.importance)["head.b"][0] = 2.0
     model.params["head.b"].data[0] += 0.5
     assert abs(rg.quadratic_penalty(model, state, 1.0).item() - 0.5) < 1e-12
 
@@ -260,17 +275,19 @@ def test_penalty_nonnegative_everywhere():
 
 
 def test_importance_state_rejects_negative_importance():
-    with pytest.raises(EstimationError):
-        rg.ImportanceState({"p": np.array([-1.0])}, {"p": np.zeros(1)})
+    model = tiny_model()
+    importance = np.zeros_like(model.vector)
+    model.views(importance)["backbone.w2"][1, 2] = -1.0
+    with pytest.raises(EstimationError, match="negative importance for backbone.w2$"):
+        rg.ImportanceState(importance, model.frozen_copy())
 
 
-@pytest.mark.parametrize("side", ["importance", "anchor"])
-def test_an_importance_record_names_every_parameter(side):
-    params = {n: t.data.copy() for n, t in tiny_model().parameters().items()}
-    record = {"importance": {n: np.ones_like(v) for n, v in params.items()}, "anchor": params}
-    del record[side]["head.b"]
-    with pytest.raises(AlignmentError, match="name different parameters"):
-        rg.ImportanceState(**record)
+def test_an_importance_record_has_the_layout_of_its_anchor():
+    model = tiny_model()
+    grown = extend_classifier(model, [2])
+    for importance, anchor in ((np.ones(model.vector.size - 1), model), (np.ones_like(grown.vector), model)):
+        with pytest.raises(AlignmentError, match="importance .* for an anchor of"):
+            rg.ImportanceState(importance, anchor.frozen_copy())
 
 
 # -- merging importance across steps -------------------------------------------
@@ -279,20 +296,25 @@ def test_an_importance_record_names_every_parameter(side):
 def test_merge_into_a_grown_head_pads_the_old_importance():
     rng = np.random.default_rng(15)
     model = tiny_model(fg=(1,), seed=16)
-    old = {n: rng.random(t.data.shape).astype(t.data.dtype) for n, t in model.parameters().items()}
+    old = rng.random(model.vector.shape).astype(model.dtype)
     prev = rg.merge_importance(None, old, model)
     grown = extend_classifier(model, [2], init="random", rng=np.random.default_rng(17))
-    new = {n: rng.random(t.data.shape).astype(t.data.dtype) for n, t in grown.parameters().items()}
+    new = rng.random(grown.vector.shape).astype(grown.dtype)
     merged = rg.merge_importance(prev, new, grown)
+    assert merged.importance.shape == grown.vector.shape
+    old, new, got = model.views(old), grown.views(new), grown.views(merged.importance)
     k = len(model.known_classes)
     for name in ("head.w", "head.b"):
         # the leading columns hold the sum, the new class's column its new importance
-        assert np.array_equal(merged.importance[name][..., :k], old[name] + new[name][..., :k])
-        assert np.array_equal(merged.importance[name][..., k:], new[name][..., k:])
+        assert np.array_equal(got[name][..., :k], old[name] + new[name][..., :k])
+        assert np.array_equal(got[name][..., k:], new[name][..., k:])
     for name in ("backbone.w1", "backbone.b1", "backbone.w2", "backbone.b2"):
-        assert np.array_equal(merged.importance[name], old[name] + new[name])
-    for name, t in grown.parameters().items():
-        assert np.array_equal(merged.anchor[name], t.data) and merged.anchor[name] is not t.data
+        assert np.array_equal(got[name], old[name] + new[name])
+    # each anchor is a frozen copy of the model it was taken at
+    for state, at in ((prev, model), (merged, grown)):
+        assert state.anchor.known_classes == at.known_classes
+        assert np.array_equal(state.anchor.vector, at.vector) and not np.shares_memory(state.anchor.vector, at.vector)
+        assert not any(t.requires_grad for t in state.anchor.parameters().values())
 
 
 def test_an_overflowing_rw_cell_fails_with_its_divergence_error():

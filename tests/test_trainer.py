@@ -267,11 +267,12 @@ def test_regularizer_state_threading_pi():
     base = tr.run_step(None, steps[0], cfg)
     base_state = tr.update_importance(base, steps[0], cfg, None)
     assert base_state is not None
-    assert all((v >= 0).all() for v in base_state.importance.values())
+    assert (base_state.importance >= 0).all()
     inc = tr.run_step(base.model, steps[1], cfg, base_state)
     inc_state = tr.update_importance(inc, steps[1], cfg, base_state)
     # importance grew to cover the extended head
-    assert inc_state.importance["head.w"].shape == inc.model.params["head.w"].data.shape
+    assert inc_state.importance.shape == inc.model.vector.shape
+    assert inc_state.anchor.views(inc_state.importance)["head.w"].shape == inc.model.params["head.w"].data.shape
 
 
 def test_run_incremental_pipeline_deterministic():
@@ -400,9 +401,8 @@ def test_shared_first_step_matches_chained_run_step(method):
         if want_state is None:
             assert got_state is None
             continue
-        assert got_state.importance.keys() == want_state.importance.keys()
-        for name, imp in want_state.importance.items():
-            assert np.array_equal(got_state.importance[name], imp), name
+        assert np.array_equal(got_state.importance, want_state.importance)
+        assert np.array_equal(got_state.anchor.vector, want_state.anchor.vector)
 
 
 @pytest.mark.parametrize(
@@ -617,8 +617,8 @@ def test_importance_arrays_match_the_pinned_ones(method):
         result = tr.run_step(model, dataset, config, state)
         model = result.model
         state = tr.update_importance(result, dataset, config, state)
-        got = {name: (_digest(imp), _digest(state.anchor[name])) for name, imp in state.importance.items()}
-        assert state.anchor.keys() == state.importance.keys()
+        importance = state.anchor.views(state.importance)
+        got = {name: (_digest(imp), _digest(state.anchor.params[name].data)) for name, imp in importance.items()}
         assert got == PINNED_IMPORTANCE[(method, t)], (method, t)
 
 
@@ -633,7 +633,9 @@ F32_MIOU_ATOL = 1e-3
 
 @pytest.mark.parametrize("method", sorted(PINNED_TRACES))
 def test_float32_training_leaves_every_array_float32(method, monkeypatch):
-    seen = []  # (what, array) for every array training made
+    # (what, array, the model whose vector layout it has, or None) for
+    # every array training made
+    seen = []
 
     def spy(fn, arrays):
         """Record ``arrays(args, result)`` of each call to the trainer's ``fn``."""
@@ -646,31 +648,30 @@ def test_float32_training_leaves_every_array_float32(method, monkeypatch):
         monkeypatch.setattr(tr, fn.__name__, wrapped)
 
     def sgd_arrays(args, grads):
-        return [("grad", grads), ("velocity", args[2])]
+        return [("grad", grads, args[0]), ("velocity", args[2], args[0])]
 
     def importance_arrays(args, state):
         if state is None:
             return []
-        return [(f"importance {n}", x) for n, x in state.importance.items()] + [
-            (f"anchor {n}", x) for n, x in state.anchor.items()
-        ]
+        return [("importance", state.importance, args[0].model), ("anchor", state.anchor.vector, args[0].model)]
 
     spy(tr.sgd_step, sgd_arrays)
-    spy(tr.teacher_targets, lambda args, cache: [(f"teacher {i}", x) for i, x in enumerate(cache) if x is not None])
+    spy(tr.teacher_targets, lambda args, cache: [(f"teacher {i}", x, None) for i, x in enumerate(cache) if x is not None])
     spy(tr.update_importance, importance_arrays)
     # run_step stacks each step's images in the model's dtype
-    spy(tr.composite_objective, lambda args, loss: [("images", args[1][0])])
+    spy(tr.composite_objective, lambda args, loss: [("images", args[1][0], None)])
     for t, result in enumerate(pinned_run(method, "float32")):
-        seen += [(f"param {n} step {t}", p.data) for n, p in result.model.parameters().items()]
+        seen += [(f"param {n} step {t}", p.data, None) for n, p in result.model.parameters().items()]
         if result.path_state is not None:
-            for part in ("start", "omega"):
-                seen += [(f"path {part} {n} step {t}", x) for n, x in getattr(result.path_state, part).items()]
+            seen += [(f"path {part} step {t}", getattr(result.path_state, part), result.model) for part in ("start", "omega")]
 
-    kinds = {what.split()[0] for what, _ in seen}
+    kinds = {what.split()[0] for what, _, _ in seen}
     assert {"grad", "velocity", "param", "path", "images"} <= kinds
     assert ("teacher" in kinds) == (method in ("LwF", "ILT", "LwF-MC", "MiB"))
     assert ("importance" in kinds) == (method in ("EWC", "PI", "RW"))
-    assert [what for what, a in seen if a.dtype != np.float32] == []
+    assert [what for what, a, _ in seen if a.dtype != np.float32] == []
+    # every per-parameter array is one vector in its model's layout
+    assert [what for what, a, model in seen if model is not None and a.shape != model.vector.shape] == []
 
 
 @pytest.mark.parametrize("method", sorted(PINNED_TRACES))
