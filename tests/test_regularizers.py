@@ -282,12 +282,18 @@ def test_importance_state_rejects_negative_importance():
         rg.ImportanceState(importance, model.frozen_copy())
 
 
-def test_an_importance_record_has_the_layout_of_its_anchor():
+@pytest.mark.parametrize("side", ["importance", "anchor"])
+def test_an_importance_record_names_every_parameter(side):
+    # the importance must cover every entry of the anchor's vector, no fewer
+    # (it misses head.b) and no more (the anchor misses the grown head column)
     model = tiny_model()
     grown = extend_classifier(model, [2])
-    for importance, anchor in ((np.ones(model.vector.size - 1), model), (np.ones_like(grown.vector), model)):
-        with pytest.raises(AlignmentError, match="importance .* for an anchor of"):
-            rg.ImportanceState(importance, anchor.frozen_copy())
+    importance = {
+        "importance": np.ones(model.vector.size - model.params["head.b"].data.size),
+        "anchor": np.ones_like(grown.vector),
+    }[side]
+    with pytest.raises(AlignmentError, match="importance .* for an anchor of"):
+        rg.ImportanceState(importance, model.frozen_copy())
 
 
 # -- merging importance across steps -------------------------------------------
