@@ -1,15 +1,15 @@
 """Experiment orchestration: methods x seeds x steps, reports and comparison.
 
 A run is a grid of cells (method, seed), run one after another in one
-process. The corpus and its split are built once per run. Step 0 does not
-depend on the method, so it is trained and evaluated once per seed; every
-incremental cell of that seed then continues from it and yields per-step
-metrics. Every cell runs the same ``run_incremental`` call from a
-``FirstStep``; Joint's is its own single step, trained on the split of the
-one-step schedule (``LabelSchedule.joint``) and grouped, like every cell, by
-the incremental schedule. The report aggregates seed means/stddevs per
-method. A failure fails the cells it touches and no others: a failed step 0
-fails its seed's incremental cells, a failed cell only itself.
+process. The corpus is read once per run and split once per schedule a cell
+trains on: the run's, and Joint's one step of every class
+(``LabelSchedule.joint``). A step 0 depends on its split and seed alone
+(``trainer.first_step``), so ``_run_cells`` trains and evaluates it once per
+(schedule, seed), and every cell of that schedule and seed continues it
+through ``run_incremental``. Every cell is grouped by the run's schedule. The
+report aggregates seed means/stddevs per method. A failure fails the cells it
+touches and no others: a failed step 0 the cells that continue it, a failed
+cell only itself.
 """
 from __future__ import annotations
 
@@ -130,29 +130,36 @@ def _synthetic_corpora(spec: DatasetSpec, dtype) -> tuple[list[Sample], list[Sam
     return samples[: spec.num_train], samples[spec.num_train :]
 
 
+def _read_dir(spec: DatasetSpec, key: str, dtype) -> list[Sample]:
+    """The samples of directory ``dataset.<key>`` in ``dtype``; ConfigError naming the key
+    unless its manifest lists a sample and declares ``dataset.num_fg_classes`` classes."""
+    path = getattr(spec, key)
+    corpus = load_dataset(path, dtype)
+    if not corpus.samples:  # nothing to train on, or every mIoU would read 0
+        raise ConfigError(f"the manifest of dataset.{key} {path!r} lists no sample")
+    if corpus.num_classes != spec.num_fg_classes:
+        raise ConfigError(
+            f"dataset.num_fg_classes is {spec.num_fg_classes} but the manifest of dataset.{key} {path!r} "
+            f"declares classes={corpus.num_classes}"
+        )
+    return corpus.samples
+
+
 def training_corpus(spec: DatasetSpec, dtype=np.float64) -> list[Sample]:
     """The train corpus of ``build_corpora``, without reading the eval one
     when it can: a synthetic config still generates its eval images, as its
     training images depend on ``num_eval``; a dir one reads ``path`` only."""
     if spec.kind == "synthetic":
         return _synthetic_corpora(spec, dtype)[0]
-    train = load_dataset(spec.path, dtype)
-    if not train.samples:  # nothing to train on
-        raise ConfigError(f"the manifest of dataset.path {spec.path!r} lists no sample")
+    train = _read_dir(spec, "path", dtype)
     # training stacks a step's images; eval scores them one at a time
-    first = train.samples[0]
-    odd = next((s for s in train.samples if s.image.shape != first.image.shape), None)
+    odd = next((s for s in train if s.image.shape != train[0].image.shape), None)
     if odd is not None:
         raise ConfigError(
-            f"dataset.path {spec.path!r}: sample {odd.id!r} is {odd.image.shape[:2]} pixels but {first.id!r} "
-            f"is {first.image.shape[:2]}; training images must share one size"
+            f"dataset.path {spec.path!r}: sample {odd.id!r} is {odd.image.shape[:2]} pixels but {train[0].id!r} "
+            f"is {train[0].image.shape[:2]}; training images must share one size"
         )
-    if train.num_classes != spec.num_fg_classes:
-        raise ConfigError(
-            f"dataset.num_fg_classes is {spec.num_fg_classes} but the manifest of {spec.path} "
-            f"declares classes={train.num_classes}"
-        )
-    return train.samples
+    return train
 
 
 def build_corpora(spec: DatasetSpec, dtype=np.float64) -> tuple[list[Sample], list[Sample]]:
@@ -169,55 +176,49 @@ def build_corpora(spec: DatasetSpec, dtype=np.float64) -> tuple[list[Sample], li
             f"dataset.eval_path {spec.eval_path!r} is the training directory {spec.path!r}"
         )
     train = training_corpus(spec, dtype)
-    heldout = load_dataset(spec.eval_path, dtype)
-    if not heldout.samples:  # every mIoU would read 0
-        raise ConfigError(f"the manifest of dataset.eval_path {spec.eval_path!r} lists no sample")
-    if heldout.num_classes != spec.num_fg_classes:
-        raise ConfigError("train and eval directories declare different class counts")
-    shared = sorted({s.id for s in train} & {s.id for s in heldout.samples})
+    heldout = _read_dir(spec, "eval_path", dtype)
+    shared = sorted({s.id for s in train} & {s.id for s in heldout})
     if shared:
         raise ConfigError(
             f"{spec.path} and {spec.eval_path} share {len(shared)} sample ids, first {shared[:3]}"
         )
-    return train, heldout.samples
+    return train, heldout
+
+
+def _cell_schedule(schedule: LabelSchedule, method: str) -> LabelSchedule:
+    """The schedule a ``method`` cell trains on: Joint's one step, or the run's ``schedule``."""
+    return schedule.joint() if preset_key(method) == "JOINT" else schedule
 
 
 @dataclass
 class RunInputs:
-    """What every cell of a run reads; built once per run. The images of
-    both corpora have the run's training dtype (``train.backbone.dtype``),
-    as ``build_corpora`` makes them: every forward pass casts its images to
-    it, so a float32 run holds them in half the memory and computes the
-    same."""
+    """What every cell of a run reads, built once per run: the eval corpus and
+    the split of each schedule a cell trains on (``_cell_schedule``). The images
+    have the run's training dtype (``train.backbone.dtype``), as ``build_corpora``
+    makes them: every forward pass casts its images to it, so a float32 run
+    holds them in half the memory and computes the same."""
 
     schedule: LabelSchedule
-    corpus: list[Sample]
     eval_corpus: list[Sample]
-    split: tuple[list[StepDataset], SplitReport]
+    splits: dict[LabelSchedule, tuple[list[StepDataset], SplitReport]]
 
     @classmethod
     def build(cls, config: ExperimentConfig) -> "RunInputs":
         schedule = config.schedule()
         corpus, eval_corpus = build_corpora(config.dataset, config.train.backbone.dtype)
-        return cls(schedule, corpus, eval_corpus, split_corpus(corpus, schedule, config.protocol))
+        cell_schedules = dict.fromkeys(_cell_schedule(schedule, m) for m in config.methods)
+        return cls(schedule, eval_corpus, {s: split_corpus(corpus, s, config.protocol) for s in cell_schedules})
 
 
-def _is_joint(method: str) -> bool:
-    return preset_key(method) == "JOINT"
-
-
-def run_cell(config: ExperimentConfig, inputs: RunInputs, method: str, seed: int, first: FirstStep | None) -> dict:
+def run_cell(config: ExperimentConfig, inputs: RunInputs, method: str, seed: int, first: FirstStep) -> dict:
     """Execute one (method, seed) cell; returns a plain serializable record.
 
-    ``first`` is the seed's shared step 0, which the cell continues, or None
-    for Joint, which trains its own single step. ``seconds`` counts the
-    cell's own steps; ``run_experiment`` adds the time of a step 0 it reused.
+    The cell continues ``first``, the step 0 of its seed and schedule, which
+    ``_run_cells`` trains once for every cell that continues it; ``seconds``
+    counts the cell's own steps, and ``_run_cells`` adds the step 0's time.
     """
     cfg = config.cell_config(method, seed)
     started = time.perf_counter()
-    if first is None:
-        split = split_corpus(inputs.corpus, inputs.schedule.joint(), config.protocol)
-        first = first_step(split, inputs.eval_corpus, inputs.schedule, cfg)
     results = run_incremental(first, inputs.eval_corpus, inputs.schedule, cfg)
     record = {
         "method": method,
@@ -248,33 +249,32 @@ def _failed_record(method: str, seed: int, error: str) -> dict:
 
 
 def _run_cells(config: ExperimentConfig) -> list[dict]:
-    """One record per cell, methods x seeds. A failure fails the cells it
-    touches and no others."""
+    """One record per cell, methods x seeds; per seed, the first cell of a
+    schedule trains its step 0 (under its own config) for all that continue it."""
     try:
         inputs = RunInputs.build(config)
     except Exception as e:  # nothing can run without the corpus
         return [_failed_record(m, s, _error_text(e)) for m in config.methods for s in config.seeds]
-    # step 0 runs under the first incremental method's name; its training
-    # does not depend on the method (see trainer.first_step)
-    shared = next((m for m in config.methods if not _is_joint(m)), None)
     records = {}
     for seed in config.seeds:
-        first, step0_seconds, step0_error = None, 0.0, None
-        if shared is not None:
-            started = time.perf_counter()
-            try:
-                first = first_step(inputs.split, inputs.eval_corpus, inputs.schedule, config.cell_config(shared, seed))
-            except Exception as e:  # fails this seed's incremental cells only
-                step0_error = f"step 0 failed: {_error_text(e)}"
-            step0_seconds = time.perf_counter() - started
+        firsts = {}  # schedule -> (its step 0, or the error that failed it; seconds)
         for method in config.methods:
-            joint = _is_joint(method)
-            if step0_error and not joint:
-                records[(method, seed)] = _failed_record(method, seed, step0_error)
+            schedule = _cell_schedule(inputs.schedule, method)
+            if schedule not in firsts:
+                started = time.perf_counter()
+                try:
+                    cfg = config.cell_config(method, seed)
+                    first = first_step(inputs.splits[schedule], inputs.eval_corpus, inputs.schedule, cfg)
+                except Exception as e:  # fails the cells that continue it only
+                    first = f"step 0 failed: {_error_text(e)}"
+                firsts[schedule] = first, time.perf_counter() - started
+            first, step0_seconds = firsts[schedule]
+            if isinstance(first, str):
+                records[(method, seed)] = _failed_record(method, seed, first)
                 continue
             try:
-                record = run_cell(config, inputs, method, seed, None if joint else first)
-                record["seconds"] += 0.0 if joint else step0_seconds
+                record = run_cell(config, inputs, method, seed, first)
+                record["seconds"] += step0_seconds
             except Exception as e:  # keep other cells running
                 record = _failed_record(method, seed, _error_text(e))
             records[(method, seed)] = record

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .exceptions import AlignmentError, EstimationError, LabelDomainError
-from .losses import _clamped_log, _softmax
+from .exceptions import AlignmentError, EstimationError
+from .losses import _clamped_log, _label_channels, _softmax
 from .model import SegModel
 from .numerics import Tensor
 from .scenario import StepDataset
@@ -66,10 +66,8 @@ def fisher_diagonal(model: SegModel, dataset: StepDataset, rng: np.random.Genera
         image, mask = item.image, item.mask
         r = int(rng.integers(mask.shape[0]))
         c = int(rng.integers(mask.shape[1]))
-        label = int(mask[r, c])
-        if label not in model.known_classes:
-            raise LabelDomainError(f"fisher_diagonal: label {label} is not a class of the model")
-        y = model.known_classes.index(label)
+        classes = model.known_classes
+        y = int(_label_channels(mask[r, c], classes, set(classes), "fisher_diagonal"))
         model.zero_grad()
         logits, _ = model.forward_batch(image[None])
         # read from the image's softmax, which sums the channels in order

@@ -333,13 +333,23 @@ def _write_pnm(path: Path, magic: bytes, arr: np.ndarray) -> None:
 
 
 def save_dataset(samples: list[Sample], directory, num_classes: int) -> None:
-    """A manifest, and a PPM image and PGM mask named by each sample's id; an
-    id they cannot hold is an IngestionError before any file is written."""
+    """A manifest, and a PPM image and PGM mask named by each sample's id; what
+    ``load_dataset`` would reject or read back changed (an id the files cannot hold, a
+    class count above ``MAX_CLASSES``, a label above ``num_classes`` or below 0, a pixel outside
+    [0, 1]) is an IngestionError naming the sample before any file is written."""
+    if num_classes > MAX_CLASSES:
+        raise IngestionError(f"classes={num_classes} is above {MAX_CLASSES}, the most a mask byte holds")
     seen = set()
     for s in samples:  # the manifest splits on whitespace
         if not s.id or s.id in seen or any(c.isspace() or c in (os.sep, os.altsep) for c in s.id):
             raise IngestionError(f"sample id {s.id!r} is empty, repeated, or holds whitespace or a path separator")
         seen.add(s.id)
+        lo, hi = s.mask.min(initial=0), s.mask.max(initial=0)
+        if lo < 0 or hi > num_classes:
+            raise IngestionError(f"sample {s.id!r}: label {lo if lo < 0 else hi} is outside 0..{num_classes}")
+        outside = s.image[~((s.image >= 0.0) & (s.image <= 1.0))]  # a NaN is neither
+        if outside.size:  # a byte would wrap or hold no value
+            raise IngestionError(f"sample {s.id!r}: pixel value {outside[0]} is outside [0, 1]")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = [f"classes={num_classes}"]

@@ -399,7 +399,7 @@ def test_failed_step0_fails_only_its_seed(tmp_path, monkeypatch):
     real_first_step = hz.first_step
 
     def fails_on_seed1(split, eval_corpus, schedule, config):
-        # only the shared step 0: Joint's own first step trains a one-step split
+        # only the incremental step 0: Joint's trains a one-step split
         if config.seed == 1 and len(split[0]) > 1:
             raise RuntimeError("induced step-0 failure")
         return real_first_step(split, eval_corpus, schedule, config)
@@ -413,12 +413,34 @@ def test_failed_step0_fails_only_its_seed(tmp_path, monkeypatch):
         ("Joint", 0): "ok",
         ("FT", 1): "failed",
         ("MiB", 1): "failed",
-        ("Joint", 1): "ok",  # trains its own single step
+        ("Joint", 1): "ok",  # continues its own step 0
     }
     failed = [c for c in report["cells"] if c["status"] == "failed"]
     assert all("induced step-0 failure" in c["error"] for c in failed)
     assert not report["ok"]
     assert json.loads((tmp_path / "report.json").read_text())["ok"] is False
+
+
+def test_a_failed_joint_step0_fails_only_the_joint_cell(monkeypatch):
+    real_first_step = hz.first_step
+
+    def fails_on_joint_seed1(split, eval_corpus, schedule, config):
+        if config.seed == 1 and len(split[0]) == 1:  # Joint's one step
+            raise RuntimeError("induced step-0 failure")
+        return real_first_step(split, eval_corpus, schedule, config)
+
+    monkeypatch.setattr(hz, "first_step", fails_on_joint_seed1)
+    report = hz.run_experiment(tiny_config(seeds=[0, 1], methods=["FT", "MiB", "Joint"]))
+    errors = {(c["method"], c["seed"]): c.get("error") for c in report["cells"]}
+    assert errors == {
+        ("FT", 0): None,
+        ("MiB", 0): None,
+        ("Joint", 0): None,
+        ("FT", 1): None,
+        ("MiB", 1): None,
+        ("Joint", 1): "step 0 failed: RuntimeError: induced step-0 failure",
+    }
+    assert not report["ok"]
 
 
 # -- shared step 0 ---------------------------------------------------------------
@@ -430,10 +452,10 @@ def test_cells_equal_independent_runs():
     cfg = tiny_config(methods=SHARED_METHODS)
     report = hz.run_experiment(cfg)
     assert report["ok"]
-    inputs = hz.RunInputs.build(cfg)
+    corpus, eval_corpus = hz.build_corpora(cfg.dataset, cfg.train.backbone.dtype)
     for cell in report["cells"]:
         train = replace(cfg.train, seed=cell["seed"], method=method_preset(cell["method"]))
-        first, run = run_from_scratch(inputs.corpus, inputs.eval_corpus, inputs.schedule, cfg.protocol, train)
+        first, run = run_from_scratch(corpus, eval_corpus, cfg.schedule(), cfg.protocol, train)
         assert cell["steps"] == [
             {"step": i, "metrics": r.metrics.as_dict(), "loss_trace": r.loss_trace, "iterations": r.iterations}
             for i, r in enumerate(run)
@@ -479,6 +501,41 @@ def test_step0_and_corpus_built_once(monkeypatch):
     report = hz.run_experiment(tiny_config(methods=["FT", "MiB", "EWC"], seeds=[0, 1]))
     assert report["ok"]
     assert counts == {"step0": 2, "later": 6, "generate": 1, "split": 1}
+
+
+def _counting_calls(monkeypatch, module, name):
+    """The list that each call of ``module.name`` appends its arguments to."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_joint_run_splits_the_corpus_once_per_schedule(monkeypatch):
+    splits = _counting_calls(monkeypatch, hz, "split_corpus")
+    step0s = _counting_calls(monkeypatch, hz, "first_step")
+    config = tiny_config(methods=["FT", "Joint"], seeds=[0, 1])
+    assert hz.run_experiment(config)["ok"]
+    schedule = config.schedule()
+    assert [args[1] for args in splits] == [schedule, schedule.joint()]
+    assert len(step0s) == 4  # (incremental, Joint) x 2 seeds
+
+
+def test_ft_and_joint_on_a_one_step_schedule_share_step0(monkeypatch):
+    def cells(methods):
+        report = hz.run_experiment(tiny_config(methods=methods, seeds=[0, 1], schedule_sizes=[2]))
+        assert report["ok"]
+        return [{k: v for k, v in c.items() if k != "seconds"} for c in report["cells"]]
+
+    alone = cells(["FT"]) + cells(["Joint"])
+    step0s = _counting_calls(monkeypatch, tr, "run_step")
+    together = cells(["FT", "Joint"])
+    assert len(step0s) == 2  # one step 0 per seed, and no later step
+    assert together == alone
 
 
 # -- comparison ------------------------------------------------------------------
@@ -643,9 +700,14 @@ def test_run_inputs_hold_the_images_in_the_training_dtype(tmp_path, monkeypatch,
     monkeypatch.setattr(hz, "build_corpora", build_corpora)
     monkeypatch.setattr(hz, "generate_synthetic", generate_synthetic)
     inputs = hz.RunInputs.build(config)
-    held = inputs.corpus + inputs.eval_corpus
-    # the samples build_corpora made, already in the training dtype
+    n_train = len(built) - len(inputs.eval_corpus)
+    held = built[:n_train] + inputs.eval_corpus
+    # the samples build_corpora made, already in the training dtype: the eval
+    # corpus, and the training samples whose images the splits hold
     assert len(held) == len(built) and all(got is made for got, made in zip(held, built))
+    by_id = {s.id: s for s in built[:n_train]}
+    steps = [step for split, _ in inputs.splits.values() for step in split]
+    assert all(s.image is by_id[s.id].image for step in steps for s in step.items)
     assert {s.image.dtype for s in held} == {np.dtype(dtype or "float32")}
     # each image is the float64 one cast
     for got, sample in zip(held, read, strict=True):
@@ -654,13 +716,21 @@ def test_run_inputs_hold_the_images_in_the_training_dtype(tmp_path, monkeypatch,
     # a float64 run keeps the generator's arrays, with no copy
     if kind == "synthetic":
         assert [got.image is s.image for got, s in zip(held, generated)] == [dtype == "float64"] * len(held)
-    assert all(s.image.dtype == inputs.corpus[0].image.dtype for step in inputs.split[0] for s in step.items)
+    assert all(s.image.dtype == held[0].image.dtype for step in steps for s in step.items)
 
 
 def test_a_dir_corpus_with_more_classes_than_the_config_is_a_config_error(tmp_path):
     train, heldout = dir_datasets(tmp_path, ["a", "b"], ["c"], classes=7)
     with pytest.raises(ConfigError, match="dataset.num_fg_classes is 5 .* declares classes=7"):
         hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout))
+
+
+def test_an_eval_dir_with_another_class_count_names_its_manifest_and_both_counts(tmp_path):
+    train, _ = dir_datasets(tmp_path, ["a", "b"], [], classes=2)
+    _, heldout = dir_datasets(tmp_path / "other", [], ["c"], classes=3)
+    message = f"dataset.num_fg_classes is 2 but the manifest of dataset.eval_path {heldout!r} declares classes=3"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        hz.build_corpora(hz.DatasetSpec(kind="dir", path=train, eval_path=heldout, num_fg_classes=2))
 
 
 def test_a_dir_corpus_with_fewer_classes_than_the_config_is_a_config_error(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from bgshift import harness as hz
 from bgshift import numerics as nm
 from bgshift import regularizers as rg
-from bgshift.exceptions import AlignmentError, EstimationError
+from bgshift.exceptions import AlignmentError, EstimationError, LabelDomainError
 from bgshift.model import BackboneConfig, SegModel, extend_classifier
 from bgshift.scenario import Sample, StepDataset
 from bgshift.trainer import TrainConfig
@@ -96,6 +96,17 @@ def test_fisher_matches_finite_difference_oracle(monkeypatch):
         want = acc[name] / n_samples
         got = state[name]
         assert np.abs(got - want).max() < 1e-6, name
+
+
+@pytest.mark.parametrize("label", [2, 300])
+def test_fisher_rejects_a_label_the_model_does_not_know(monkeypatch, label):
+    monkeypatch.setattr(rg, "FISHER_SAMPLES", 1)
+    model = tiny_model()
+    items = [Sample("a", np.random.default_rng(2).random((4, 4, 3)), np.full((4, 4), label))]
+    # fisher reads only .items; the label is mapped as the losses map it
+    message = rf"^fisher_diagonal: labels \[{label}\] are outside the allowed set \[0, 1\]$"
+    with pytest.raises(LabelDomainError, match=message):
+        rg.fisher_diagonal(model, SimpleNamespace(items=items), np.random.default_rng(0))
 
 
 def test_fisher_empty_dataset_rejected():

@@ -336,6 +336,33 @@ def test_save_dataset_rejects_an_id_the_reader_could_not_read_back(tmp_path, ids
     assert not (tmp_path / "out").exists()  # nothing is written
 
 
+@pytest.mark.parametrize(
+    "field, value, num_classes, message",
+    [
+        ("mask", 4, 3, r"sample 'syn0-00001': label 4 is outside 0\.\.3"),
+        ("mask", -1, 3, r"sample 'syn0-00001': label -1 is outside 0\.\.3"),
+        ("image", 1.003, 3, r"sample 'syn0-00001': pixel value 1\.003 is outside \[0, 1\]"),
+        ("image", -0.01, 3, r"sample 'syn0-00001': pixel value -0\.01 is outside \[0, 1\]"),
+        ("image", np.nan, 3, r"sample 'syn0-00001': pixel value nan is outside \[0, 1\]"),
+        ("mask", 0, 256, "classes=256 is above 255, the most a mask byte holds"),
+    ],
+    ids=["label-above", "label-below", "pixel-above", "pixel-below", "pixel-nan", "classes-above"],
+)
+def test_save_dataset_rejects_what_the_reader_would_reject_or_read_back_changed(
+    tmp_path, field, value, num_classes, message
+):
+    # at 1.003 a pixel's byte wrapped to 0 and read back as 0.0; a label above
+    # the class count was written, and load_dataset refused the corpus
+    samples = sc.generate_synthetic(0, sc.SyntheticConfig(num_fg_classes=3, num_images=2, height=16, width=16))
+    bad = samples[1]
+    if field == "mask":
+        bad.mask = bad.mask.astype(np.int64)
+    getattr(bad, field)[3, 5] = value
+    with pytest.raises(IngestionError, match=f"^{message}$"):
+        sc.save_dataset(samples, tmp_path / "out", num_classes)
+    assert not (tmp_path / "out").exists()  # nothing is written
+
+
 def test_dataset_roundtrip(tmp_path):
     cfg = sc.SyntheticConfig(num_fg_classes=3, num_images=4, height=20, width=20)
     samples = sc.generate_synthetic(5, cfg)
@@ -381,7 +408,10 @@ def test_ingestion_rejects_label_above_class_count(tmp_path):
     cfg = sc.SyntheticConfig(num_fg_classes=3, num_images=1, height=20, width=20)
     samples = sc.generate_synthetic(6, cfg)
     samples[0].mask[0, 0] = 7
-    sc.save_dataset(samples, tmp_path, 5)
+    # save_dataset writes no such corpus: the manifest is edited after it
+    sc.save_dataset(samples, tmp_path, 7)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("classes=7", "classes=5"))
     with pytest.raises(IngestionError, match="label 7"):
         sc.load_dataset(tmp_path)
 
